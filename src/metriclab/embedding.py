@@ -19,15 +19,14 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, flog
+from ._util import DEFAULT_TOL, as_float
 from .errors import (BoundViolated, DepthOverflow, EmptyWindow, NotSeparating,
                      PackingInfeasible)
 from .logratio import profile
 from .partitions import PartitionChain, classify_chain
 from .spaces import FiniteMetricSpace
-from .ultrametrize import fit_holder_exponents
-
-LOG_SLACK = 1e-9
+from .ultrametrize import (LOG_SLACK, _first_failure, _pair_logs, _window_start,
+                           fit_holder_exponents)
 
 
 def separated_count(space: FiniteMetricSpace, center: int, r1, r2) -> int:
@@ -325,7 +324,7 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
     for block in levels[-1].blocks:
         coords[block[0]] = box_center[(len(levels) - 1, block)]
     coords.setflags(write=False)
-    box_dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+    box_dist = _box_matrix(coords)
     collide = box_dist + np.eye(space.n)
     if (collide <= 0).any():
         # scale span exceeds float64 resolution: deep offsets fall below the
@@ -338,6 +337,11 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
     fitted = fit_holder_exponents(space.dist, box_dist)
     return EmbeddingResult(N, coords, tuple(audits), fitted, chain, p, epsilon,
                            r_est, not eps_ok)
+
+
+def _box_matrix(coords) -> np.ndarray:
+    """Box-norm (sup) distances between all pairs of embedded points."""
+    return np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
 
 
 def _containing_block(partition, point):
@@ -471,43 +475,30 @@ def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResul
     r_est = result.R_est
     exponent = p * (r_est + epsilon)
     if burn_in is None:
-        burn_in = _sandwich_start(chain, r_est, epsilon)
-    deltas = [as_float(st.delta) for st in chain.stats]
-    gammas = [as_float(st.gamma) for st in chain.stats]
-    split = _split_levels(chain, space.n)
-    box_ok = True
-    worst_low = math.inf
-    worst_up = math.inf
-    asserted = 0
-    checked = 0
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            lvl = split[i][j]
-            checked += 1
-            norm = result.box_distance(i, j)
-            log_norm = math.log(norm)
-            if norm < gammas[lvl] - tol:
-                box_ok = False
-            if lvl > 0 and norm > 2 * deltas[lvl - 1] + tol:
-                box_ok = False
-            if burn_in is None or lvl < burn_in:
-                continue
-            asserted += 1
-            log_d = flog(space.dist[i, j])
-            low_slack = log_norm - ((r_est + epsilon) * log_a + exponent * log_d)
-            up_slack = (math.log(2) - log_a / p + log_d / exponent) - log_norm
-            worst_low = min(worst_low, low_slack)
-            worst_up = min(worst_up, up_slack)
-            if low_slack < -LOG_SLACK:
-                raise BoundViolated((i, j), int(chain.level_ids[lvl]), low_slack)
-            if up_slack < -LOG_SLACK:
-                raise BoundViolated((i, j), int(chain.level_ids[lvl]), up_slack)
+        burn_in = _window_start(chain, r_est, epsilon)
+    deltas = np.array([as_float(st.delta) for st in chain.stats])
+    gammas = np.array([as_float(st.gamma) for st in chain.stats])
+    lvl = chain.split[np.triu_indices(space.n, 1)]
+    norm, log_norm = _pair_logs(_box_matrix(result.coords))
+    box_ok = not ((norm < gammas[lvl] - tol).any()
+                  or ((lvl > 0) & (norm > 2 * deltas[lvl - 1] + tol)).any())
+    asserted = lvl >= burn_in if burn_in is not None else np.zeros(lvl.size, dtype=bool)
+    _, log_d = _pair_logs(space.dist)
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic
+        low = log_norm - ((r_est + epsilon) * log_a + exponent * log_d)
+        up = (math.log(2) - log_a / p + log_d / exponent) - log_norm
+    hit = _first_failure(space.n, asserted & (low < -LOG_SLACK), asserted & (up < -LOG_SLACK))
+    if hit:
+        k, pair, which = hit
+        raise BoundViolated(pair, int(chain.level_ids[lvl[k]]), float((low, up)[which][k]))
+    worst_low = float(np.min(low[asserted], initial=math.inf))
+    worst_up = float(np.min(up[asserted], initial=math.inf))
     return DistortionReport(
         ok=box_ok,
         burn_in=burn_in,
         burn_in_level_id=None if burn_in is None else int(chain.level_ids[burn_in]),
-        pairs_checked=checked,
-        pairs_asserted=asserted,
+        pairs_checked=int(lvl.size),
+        pairs_asserted=int(asserted.sum()),
         box_sandwich_ok=box_ok,
         worst_lower_slack=worst_low if math.isfinite(worst_low) else math.nan,
         worst_upper_slack=worst_up if math.isfinite(worst_up) else math.nan,
@@ -525,7 +516,7 @@ def image_ratio_report(space: FiniteMetricSpace, result: EmbeddingResult) -> dic
     image is rescaled to diameter 1 before profiling, which per-level ratios
     are not invariant under, so the report flags it.
     """
-    box = np.abs(result.coords[:, None, :] - result.coords[None, :, :]).max(axis=2)
+    box = _box_matrix(result.coords)
     diam = box.max()
     image = FiniteMetricSpace(space.labels, box / diam, _trusted=True)
     chain = PartitionChain.from_partitions(image, result.chain.levels,
@@ -539,39 +530,3 @@ def image_ratio_report(space: FiniteMetricSpace, result: EmbeddingResult) -> dic
         "interval": [low, result.R_est * spread],
         "image_rescaled": True,
     }
-
-
-def _split_levels(chain: PartitionChain, n: int):
-    """split[i][j] = first level index whose partition separates i and j."""
-    split = [[len(chain.levels)] * n for _ in range(n)]
-    prev = chain.levels[0].block_of
-    for i in range(n):
-        for j in range(i + 1, n):
-            if prev[i] != prev[j]:
-                split[i][j] = 0
-    for lvl in range(1, len(chain.levels)):
-        cur = chain.levels[lvl].block_of
-        for i in range(n):
-            for j in range(i + 1, n):
-                if split[i][j] == len(chain.levels) and cur[i] != cur[j]:
-                    split[i][j] = lvl
-    return split
-
-
-def _sandwich_start(chain: PartitionChain, r_est: float, epsilon: float) -> int | None:
-    proper = chain.proper_indices()
-    skip_upper = r_est <= epsilon
-    for start_at, idx in enumerate(proper):
-        ok = True
-        for later in proper[start_at:]:
-            log_d = flog(chain.stats[later].delta)
-            log_g = flog(chain.stats[later].gamma)
-            if not log_g > (r_est + epsilon) * log_d:
-                ok = False
-                break
-            if not skip_upper and not log_g < (r_est - epsilon) * log_d:
-                ok = False
-                break
-        if ok:
-            return idx
-    return None

@@ -20,6 +20,7 @@ from .errors import ExactModeSizeExceeded
 from .partitions import (
     Partition,
     PartitionChain,
+    _log_ratio,
     dendrogram_chain,
     largest_gap,
 )
@@ -207,12 +208,6 @@ def _stats_of_assignment(space, assign):
     return delta, gamma, card
 
 
-def _ratio(delta, gamma) -> float:
-    from .partitions import _log_ratio
-
-    return _log_ratio(delta, gamma)
-
-
 @dataclass(frozen=True)
 class OracleResult:
     value: float
@@ -243,7 +238,7 @@ def brute_force_min_R(space: FiniteMetricSpace, r, *,
                 continue
             if require_positive_delta and delta == 0:
                 continue
-            value = _ratio(delta, gamma)
+            value = _log_ratio(delta, gamma)
             if best is None or value < best[0]:
                 best = (value, assign, delta, gamma)
         return best

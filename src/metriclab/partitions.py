@@ -15,7 +15,7 @@ Conventions for a partition a of a space with diameter <= 1:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -154,12 +154,18 @@ class PartitionChain:
     not born from a merge, like a leading trivial partition). level_ids keeps
     external numbering for sampled families; defaults to positional indices.
     A level with delta = 0 (all singletons) is only allowed at the end.
+
+    split[i, j] is the first level whose partition separates i and j, or
+    len(levels) when none does (always on the diagonal). It is the chain's
+    dendrogram: level l joins i and j exactly when l < split[i, j], so the
+    stats, the chain ultrametrics and every pairwise check read it.
     """
 
     levels: tuple
     stats: tuple
     thresholds: tuple
     level_ids: tuple
+    split: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def from_partitions(cls, space, levels, thresholds=None, level_ids=None) -> "PartitionChain":
@@ -169,7 +175,13 @@ class PartitionChain:
         for idx in range(1, len(levels)):
             if not levels[idx].refines(levels[idx - 1]):
                 raise NotNested(idx)
-        stats = tuple(partition_stats(space, p) for p in levels)
+        if levels[0].n_points != space.n:
+            raise ValueError("partition does not match the space")
+        split = np.zeros((space.n, space.n), dtype=np.int32)
+        for p in levels:
+            split += p.block_of[:, None] == p.block_of[None, :]
+        split.setflags(write=False)
+        stats = _chain_stats(space, levels, split)
         for idx, st in enumerate(stats[:-1]):
             if st.delta == 0 and levels[idx + 1] != levels[idx]:
                 raise ValueError("all-singleton level is only allowed as the terminal level")
@@ -177,7 +189,7 @@ class PartitionChain:
             thresholds = (None,) * len(levels)
         if level_ids is None:
             level_ids = tuple(range(len(levels)))
-        return cls(levels, stats, tuple(thresholds), tuple(level_ids))
+        return cls(levels, stats, tuple(thresholds), tuple(level_ids), split)
 
     def __len__(self):
         return len(self.levels)
@@ -203,6 +215,41 @@ class PartitionChain:
                 for i, st in enumerate(self.stats)
             ]
         }
+
+
+def _chain_stats(space: FiniteMetricSpace, levels: tuple, split: np.ndarray) -> tuple:
+    """partition_stats of every level, read off the split matrix.
+
+    delta of level l is the largest distance of a pair split after l, and
+    gamma the smallest of a pair split at or before l: one grouped max/min
+    over the upper triangle by split level, then a suffix max and a prefix
+    min. Values stay matrix entries, so exact chains keep their Fractions.
+    """
+    upper = np.triu_indices(space.n, 1)
+    keys = split[upper]
+    order = np.argsort(keys)
+    keys = keys[order]
+    values = space.dist[upper][order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    at = keys[starts].tolist()
+    top = dict(zip(at, np.maximum.reduceat(values, starts)))
+    low = dict(zip(at, np.minimum.reduceat(values, starts)))
+    deltas = []
+    run = _zero_like(space)
+    for key in range(len(levels), 0, -1):
+        if key in top and top[key] > run:
+            run = top[key]
+        deltas.append(run)
+    deltas.reverse()
+    stats = []
+    run = None
+    for lvl, p in enumerate(levels):
+        if lvl in low and (run is None or low[lvl] < run):
+            run = low[lvl]
+        gamma = run if p.cardinality > 1 else space.diameter
+        stats.append(PartitionStats(deltas[lvl], gamma, _log_ratio(deltas[lvl], gamma),
+                                    p.cardinality))
+    return tuple(stats)
 
 
 def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
@@ -341,7 +388,6 @@ def largest_gap(space: FiniteMetricSpace, indices=None):
 
 @dataclass(frozen=True)
 class ChainClassReport:
-    is_refining: bool
     delta_monotone: bool
     p: float
     p_witness: float
@@ -352,7 +398,6 @@ class ChainClassReport:
 
     def to_report(self) -> dict:
         return {
-            "is_refining": self.is_refining,
             "delta_monotone": self.delta_monotone,
             "p": self.p,
             "p_witness": self.p_witness,
@@ -396,7 +441,6 @@ def classify_chain(chain: PartitionChain, p: float, tol: float = DEFAULT_TOL) ->
         diff = as_float(st.gamma) - as_float(st.delta)
         flags.append(0 if abs(diff) <= tol else (1 if diff > 0 else -1))
     return ChainClassReport(
-        is_refining=True,
         delta_monotone=delta_monotone,
         p=p,
         p_witness=witness,

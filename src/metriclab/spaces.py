@@ -77,6 +77,12 @@ def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = Fals
     n = m.shape[0]
     if labels is not None and len(labels) != n:
         return [MetricViolation("labels", len(labels), f"expected {n} labels")]
+    if labels is not None:
+        seen = set()
+        for label in map(str, labels):
+            if label in seen:
+                return [MetricViolation("labels", label, "duplicate label")]
+            seen.add(label)
     if n > max_points():
         return [CapExceeded(f"{n} points exceeds METRICLAB_MAX_POINTS cap")]
     if not exact and not np.isfinite(m).all():
@@ -318,4 +324,6 @@ def to_json(space: FiniteMetricSpace) -> str:
 
 def from_json(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> FiniteMetricSpace:
     doc = json.loads(text)
+    if not isinstance(doc, dict) or "dist" not in doc:
+        raise MetricViolation("parse", None, 'need a JSON object with a "dist" matrix')
     return validate(doc["dist"], doc.get("labels"), tol=tol, rescale=rescale)

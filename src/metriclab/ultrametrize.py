@@ -60,6 +60,13 @@ def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> Part
     )
 
 
+def _merge_heights(space: FiniteMetricSpace, chain: PartitionChain, heights) -> np.ndarray:
+    """rho[i, j] = heights[split[i, j] - 1], so a pair split at level l gets
+    the height of level l - 1; the diagonal reads the last height, 0."""
+    table = np.array(heights, dtype=object if space.exact else float)
+    return table[chain.split - 1]
+
+
 def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> np.ndarray:
     """rho matrix of the chain ultrametric; requires a separating terminal level."""
     chain = ensure_trivial_head(space, chain)
@@ -67,19 +74,7 @@ def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> n
     for b in last.blocks:
         if len(b) > 1:
             raise NotSeparating((int(b[0]), int(b[1])))
-    n = space.n
-    rho = np.zeros((n, n), dtype=object if space.exact else float)
-    if space.exact:
-        rho[:] = Fraction(0)
-    prev = chain.levels[0].block_of
-    for level in range(1, len(chain.levels)):
-        cur = chain.levels[level].block_of
-        value = chain.stats[level - 1].delta
-        for i in range(n):
-            for j in range(i + 1, n):
-                if prev[i] == prev[j] and cur[i] != cur[j]:
-                    rho[i, j] = rho[j, i] = value
-        prev = cur
+    rho = _merge_heights(space, chain, [st.delta for st in chain.stats])
     rho.setflags(write=False)
     return rho
 
@@ -92,19 +87,7 @@ def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Single-linkage merge heights: the largest ultrametric below d."""
     chain = dendrogram_chain(space)
-    n = space.n
-    rho = np.zeros((n, n), dtype=object if space.exact else float)
-    if space.exact:
-        rho[:] = Fraction(0)
-    prev = chain.levels[0].block_of
-    for level in range(1, len(chain.levels)):
-        cur = chain.levels[level].block_of
-        value = chain.thresholds[level]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if prev[i] == prev[j] and cur[i] != cur[j]:
-                    rho[i, j] = rho[j, i] = value
-        prev = cur
+    rho = _merge_heights(space, chain, chain.thresholds[1:] + (Fraction(0),))
     return FiniteMetricSpace(space.labels, rho, exact=space.exact, _trusted=True)
 
 
@@ -126,48 +109,75 @@ class HolderFit:
         return {"s": self.s, "t": self.t, "c1": self.c1, "c2": self.c2}
 
 
-def _offdiag_pairs(n):
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j
+def _pair_logs(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major upper-triangle entries of a square matrix, and flog of each
+    entry (per entry, so exact and float matrices log exactly as a loop)."""
+    entries = np.asarray(matrix)[np.triu_indices(len(matrix), 1)]
+    return entries, np.fromiter(map(flog, entries.tolist()), dtype=float, count=entries.size)
+
+
+def _first_failure(n: int, *failed):
+    """(k, (i, j), which) for the first row-major pair failing any mask,
+    which being the first mask it fails, or None. Masks are per-pair failures
+    of each inequality, in the order a pair's inequalities are checked."""
+    bad = np.logical_or.reduce(failed)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    which = next(w for w, mask in enumerate(failed) if mask[k])
+    return k, _pair_at(n, k), which
+
+
+def _pair_at(n: int, k: int) -> tuple[int, int]:
+    """The k-th pair (i, j), i < j, of the row-major upper triangle."""
+    rows, cols = np.triu_indices(n, 1)
+    return int(rows[k]), int(cols[k])
 
 
 def fit_holder_exponents(d1, d2) -> HolderFit:
-    d1 = np.asarray(d1)
-    d2 = np.asarray(d2)
-    n = d1.shape[0]
-    slopes = []
-    for i, j in _offdiag_pairs(n):
-        u = flog(d1[i, j])
-        v = flog(d2[i, j])
-        if u < 0 and v < 0:
-            slopes.append(v / u)
-    if slopes:
-        s = min(slopes)
-        t = max(slopes)
+    _, u = _pair_logs(d1)
+    _, v = _pair_logs(d2)
+    both = (u < 0) & (v < 0)
+    if both.any():
+        slopes = v[both] / u[both]
+        s = float(slopes.min())
+        t = float(slopes.max())
     else:
         s = t = 1.0
-    log_c2 = -math.inf
-    log_c1 = math.inf
-    for i, j in _offdiag_pairs(n):
-        u = flog(d1[i, j])
-        v = flog(d2[i, j])
-        log_c2 = max(log_c2, v - s * u)
-        log_c1 = min(log_c1, v - t * u)
+    log_c2 = float(np.max(v - s * u, initial=-math.inf))
+    log_c1 = float(np.min(v - t * u, initial=math.inf))
     return HolderFit(s, t, math.exp(log_c1), math.exp(log_c2))
 
 
 def verify_holder_fit(d1, d2, fit: HolderFit, tol: float = DEFAULT_TOL) -> None:
     """Raise DistortionBoundsViolated unless c1 d1^t <= d2 <= c2 d1^s pairwise."""
-    d1 = np.asarray(d1)
-    d2 = np.asarray(d2)
-    for i, j in _offdiag_pairs(d1.shape[0]):
-        u = flog(d1[i, j])
-        v = flog(d2[i, j])
-        if v > math.log(fit.c2) + fit.s * u + LOG_SLACK:
-            raise DistortionBoundsViolated((i, j), "upper bound")
-        if v < math.log(fit.c1) + fit.t * u - LOG_SLACK:
-            raise DistortionBoundsViolated((i, j), "lower bound")
+    _, u = _pair_logs(d1)
+    _, v = _pair_logs(d2)
+    if not u.size:  # the fit of a point has c2 = 0, whose log is undefined
+        return
+    hit = _first_failure(len(d1),
+                         v > math.log(fit.c2) + fit.s * u + LOG_SLACK,
+                         v < math.log(fit.c1) + fit.t * u - LOG_SLACK)
+    if hit:
+        _, pair, which = hit
+        raise DistortionBoundsViolated(pair, ("upper bound", "lower bound")[which])
+
+
+def _window_start(chain: PartitionChain, r_est: float, epsilon: float) -> int | None:
+    """Earliest proper level from which delta^(R+eps) < gamma < delta^(R-eps)
+    (only its left inequality when R <= eps) holds on every later proper
+    level; None when the last one fails. One pass up from the deepest level."""
+    two_sided = r_est > epsilon
+    start = None
+    for idx in reversed(chain.proper_indices()):
+        log_d = flog(chain.stats[idx].delta)
+        log_g = flog(chain.stats[idx].gamma)
+        if not log_g > (r_est + epsilon) * log_d:
+            break
+        if two_sided and not log_g < (r_est - epsilon) * log_d:
+            break
+        start = idx
+    return start
 
 
 @dataclass(frozen=True)
@@ -238,21 +248,7 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
         raise CertificateRefused("R estimate is infinite; no finite exponent exists")
     proper = chain.proper_indices()
     skip_lower = r_est <= epsilon
-    m_pos = None
-    for start_at, idx in enumerate(proper):
-        ok = True
-        for later in proper[start_at:]:
-            log_d = flog(chain.stats[later].delta)
-            log_g = flog(chain.stats[later].gamma)
-            if not log_g > (r_est + epsilon) * log_d:
-                ok = False
-                break
-            if not skip_lower and not log_g < (r_est - epsilon) * log_d:
-                ok = False
-                break
-        if ok:
-            m_pos = idx
-            break
+    m_pos = _window_start(chain, r_est, epsilon)
     if m_pos is None and not proper:
         with_blocks = [i for i, st in enumerate(chain.stats) if st.cardinality >= 2]
         if not with_blocks:
@@ -273,22 +269,18 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
         FiniteMetricSpace(space.labels, rho, exact=space.exact, _trusted=True), tol)
     if not check.ok:
         raise CertificateViolated(check.witness, "strong triangle", as_float(check.violation))
-    d = space.dist
-    worst_low = (math.inf, (0, 0))
-    worst_up = (-math.inf, (0, 0))
-    for i, j in _offdiag_pairs(space.n):
-        if d[i, j] > rho[i, j]:
-            raise CertificateViolated((i, j), "d <= rho", as_float(d[i, j] - rho[i, j]))
-        log_d = flog(d[i, j])
-        log_r = flog(rho[i, j])
-        up = log_d - log_r
-        if up > worst_up[0]:
-            worst_up = (up, (i, j))
-        low = log_d - exponent * log_r
-        if low < worst_low[0]:
-            worst_low = (low, (i, j))
-        if low < log_k - LOG_SLACK:
-            raise CertificateViolated((i, j), "K rho^exp <= d", low - log_k)
+    d, log_d = _pair_logs(space.dist)
+    r, log_r = _pair_logs(rho)
+    low = log_d - exponent * log_r
+    hit = _first_failure(space.n, d > r, low < log_k - LOG_SLACK)
+    if hit:
+        k, pair, which = hit
+        if which == 0:
+            raise CertificateViolated(pair, "d <= rho", as_float(d[k] - r[k]))
+        raise CertificateViolated(pair, "K rho^exp <= d", float(low[k] - log_k))
+    up = log_d - log_r
+    k_low = int(low.argmin())
+    k_up = int(up.argmax())
     return UltrametricCertificate(
         rho=rho,
         p=p,
@@ -300,9 +292,9 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
         K=_safe_exp(log_k),
         log_K=log_k,
         exponent=exponent,
-        lower_residual=_safe_exp(worst_low[0]),
-        upper_residual=_safe_exp(worst_up[0]),
+        lower_residual=_safe_exp(float(low[k_low])),
+        upper_residual=_safe_exp(float(up[k_up])),
         lower_sandwich_skipped=skip_lower,
-        worst_lower_pair=worst_low[1],
-        worst_upper_pair=worst_up[1],
+        worst_lower_pair=_pair_at(space.n, k_low),
+        worst_upper_pair=_pair_at(space.n, k_up),
     )

@@ -285,8 +285,7 @@ def test_criterion_09_embedding(capsys):
         assert verify.worst_lower_slack >= -1e-9
         assert verify.worst_upper_slack >= -1e-9
         # box sandwich explicitly on every pair
-        from metriclab.embedding import _split_levels
-        split = _split_levels(sub, space.n)
+        split = sub.split
         gammas = [float(st.gamma) for st in sub.stats]
         deltas = [float(st.delta) for st in sub.stats]
         for i in range(space.n):

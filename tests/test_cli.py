@@ -144,3 +144,12 @@ def test_exit_code_two_on_verification_failure(capsys):
     rc = main(["embed", "--zoo", "seq_polynomial", "--s", "2", "--depth", "8",
                "--N", "11", "--p", "2", "--epsilon", "0.5", "--no-thin"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("text", ['{"labels": ["a", "b"]}', "[[0, 0.5], [0.5, 0]]"])
+def test_malformed_json_input_is_a_parse_error(capsys, tmp_path, text):
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    assert main(["profile", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse violated")

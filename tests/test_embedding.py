@@ -177,9 +177,7 @@ def test_embed_box_sandwich_per_split_level():
     full = ml.with_singleton_terminal(space, chain)
     sub = ml.select_embeddable_subchain(space, full, 2)
     res = ml.embed_chain(space, sub, 2, 2.0, 0.1)
-    from metriclab.embedding import _split_levels
-
-    split = _split_levels(sub, space.n)
+    split = sub.split
     gammas = [float(st.gamma) for st in sub.stats]
     deltas = [float(st.delta) for st in sub.stats]
     for i in range(space.n):

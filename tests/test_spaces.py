@@ -22,6 +22,14 @@ def test_validate_rejects_duplicate_points():
     assert err.value.kind == "positivity"
 
 
+def test_validate_rejects_duplicate_labels():
+    with pytest.raises(MetricViolation) as exc:
+        ml.validate([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]], ["a", "b", "a"])
+    assert exc.value.kind == "labels"
+    assert exc.value.witness == "a"
+    assert "duplicate label" in str(exc.value)
+
+
 def test_validate_reports_triangle_witness():
     # all three triples checked by hand: 1 > 0.4 + 0.5 fails at (0, 1, 2)
     problems = ml.violations([[0, 1, 0.4], [1, 0, 0.5], [0.4, 0.5, 0]])

@@ -4,7 +4,8 @@ simultaneous-merge paths that generic point clouds never hit."""
 import numpy as np
 
 import metriclab as ml
-from metriclab.logratio import _ratio, _stats_of_assignment, set_partitions
+from metriclab.logratio import _stats_of_assignment, set_partitions
+from metriclab.partitions import _log_ratio
 
 
 def quantized_space(seed, n=6, levels=4):
@@ -28,7 +29,7 @@ def test_dendrogram_and_dominance_under_ties():
         cache = {}
         for assign in set_partitions(6):
             delta, gamma, _ = _stats_of_assignment(sp, assign)
-            R = _ratio(delta, gamma)
+            R = _log_ratio(delta, gamma)
             if 0 < delta < 1 and 0 < gamma < 1:
                 if gamma not in cache:
                     cache[gamma] = ml.partition_stats(
