@@ -251,7 +251,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    space, _chain, meta, family = _unpack(_load_space(args))
+    space, _chain, meta, family = _unpack(_load_space(args, zoo_chain=False))
     est = estimate_metric_dimension(space, args.window_r, args.ratio_floor)
     report = {
         "schema": SCHEMA,
@@ -303,7 +303,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_hyperspace(args) -> int:
-    space, _chain, meta, _family = _unpack(_load_space(args))
+    space, _chain, meta, _family = _unpack(_load_space(args, zoo_chain=False))
     hyper = hausdorff_hyperspace(space, args.max_subset_size)
     report = {
         "schema": SCHEMA,
@@ -319,7 +319,7 @@ def _cmd_hyperspace(args) -> int:
 
 
 def _cmd_gap_bounds(args) -> int:
-    space, _chain, meta, _family = _unpack(_load_space(args))
+    space, _chain, meta, _family = _unpack(_load_space(args, zoo_chain=False))
     radii = [float(x) for x in args.radii.split(",") if x.strip()]
     report_obj = gap_bounds(space, radii, exact=False if args.heuristic else None)
     report = {
@@ -334,7 +334,7 @@ def _cmd_gap_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    space, _chain, meta, _family = _unpack(_load_space(args))
+    space, _chain, meta, _family = _unpack(_load_space(args, zoo_chain=False))
     brute = brute_force_min_R(space, args.oracle_r, threads=args.threads)
     brute_pos = brute_force_min_R(space, args.oracle_r, require_positive_delta=True,
                                   threads=args.threads)

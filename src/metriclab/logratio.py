@@ -142,13 +142,12 @@ def _property6(chain, space, proper):
     report = {"delta_strictly_decreasing": bool(decreasing), "gap_constant": None}
     if space is None or len(proper) < 2:
         return report
+    if any(as_float(chain.stats[j].gamma) <= 0 for j in proper[1:]):
+        return report  # a gap ratio over an underflowed gamma is undefined
     worst = 0.0
-    for pos in range(len(proper) - 1):
-        i, j = proper[pos], proper[pos + 1]
+    for i, j in zip(proper, proper[1:]):
         delta_i = as_float(chain.stats[i].delta)
         gamma_next = as_float(chain.stats[j].gamma)
-        if gamma_next <= 0:
-            return report
         best = math.inf
         for b in chain.levels[i].blocks:
             if len(b) < 2:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
 from .errors import NotNested, NotUltrametric
-from .spaces import FiniteMetricSpace, is_ultrametric, subspace
+from .spaces import FiniteMetricSpace, _prim, _subdominant, is_ultrametric, subspace
 
 
 class Partition:
@@ -50,9 +50,10 @@ class Partition:
     @classmethod
     def from_assignment(cls, assign, space_ref=None) -> "Partition":
         assign = list(assign)
-        ids = sorted(set(assign))
-        blocks = [[i for i, a in enumerate(assign) if a == want] for want in ids]
-        return cls(blocks, len(assign), space_ref)
+        blocks: dict = {}
+        for i, a in enumerate(assign):
+            blocks.setdefault(a, []).append(i)
+        return cls(blocks.values(), len(assign), space_ref)
 
     @classmethod
     def trivial(cls, n_points: int) -> "Partition":
@@ -127,23 +128,18 @@ def threshold_partition(space: FiniteMetricSpace, t) -> Partition:
     """Components of the graph with edges {d(x, y) < t}; guarantees gamma >= t."""
     if t <= 0:
         raise ValueError("threshold must be positive")
-    n = space.n
-    parent = list(range(n))
+    order, parent, weight = _prim(space.dist)
+    return _components(order, parent, weight < t)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    m = space.dist
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i, j] < t:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    return Partition.from_assignment([find(i) for i in range(n)])
+def _components(order, parent, joined) -> Partition:
+    """Components of the spanning-tree edges whose Prim steps are marked in
+    joined, in one pass down the Prim order (parents come first)."""
+    label = list(range(len(order)))
+    for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), joined[1:].tolist()):
+        if keep:
+            label[v] = label[p]
+    return Partition.from_assignment(label)
 
 
 @dataclass(frozen=True)
@@ -270,42 +266,15 @@ def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
     """Full single-linkage merge chain from {X} down to singletons.
 
     Ties merge simultaneously; every level equals the threshold partition at
-    its recorded radius, and its gamma equals that radius exactly.
+    its recorded radius, and its gamma equals that radius exactly. There is
+    one level per distinct minimum-spanning-tree edge length r, joined by the
+    tree edges shorter than r.
     """
-    n = space.n
-    if n == 1:
-        return PartitionChain.from_partitions(space, [Partition.trivial(1)])
-    m = space.dist
-    edges = sorted(
-        (m[i, j], i, j) for i in range(n) for j in range(i + 1, n)
-    )
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    snapshots = []  # (threshold, partition before merging at that threshold)
-    pos = 0
-    while pos < len(edges):
-        w = edges[pos][0]
-        group = []
-        while pos < len(edges) and edges[pos][0] == w:
-            group.append(edges[pos])
-            pos += 1
-        merges = [(i, j) for _, i, j in group if find(i) != find(j)]
-        if not merges:
-            continue
-        snapshots.append((w, Partition.from_assignment([find(i) for i in range(n)])))
-        for i, j in merges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    levels = [Partition.trivial(n)] + [p for _, p in reversed(snapshots)]
-    thresholds = [None] + [w for w, _ in reversed(snapshots)]
-    return PartitionChain.from_partitions(space, levels, thresholds)
+    order, parent, weight = _prim(space.dist)
+    radii = sorted(set(weight[1:]), reverse=True)
+    levels = [Partition.trivial(space.n)] + [_components(order, parent, weight < r)
+                                             for r in radii]
+    return PartitionChain.from_partitions(space, levels, [None] + radii)
 
 
 def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionChain:
@@ -320,23 +289,8 @@ def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionC
         return PartitionChain.from_partitions(space, [Partition.trivial(1)])
     m = space.dist
     values = sorted({m[i, j] for i in range(n) for j in range(i + 1, n)}, reverse=True)
-    levels = []
-    for r in values:
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if m[i, j] <= r:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        levels.append(Partition.from_assignment([find(i) for i in range(n)]))
+    order, parent, weight = _prim(m)
+    levels = [_components(order, parent, weight <= r) for r in values]
     ids = tuple(range(1, len(levels) + 1))
     return PartitionChain.from_partitions(space, levels, [as_float(r) for r in values], ids)
 
@@ -345,19 +299,12 @@ def associated_endpoints(space: FiniteMetricSpace) -> list[tuple[tuple[int, int]
     """Pairs realizing the gap of some two-block clopen partition.
 
     (x1, x2) qualifies exactly when they fall in different components of the
-    graph with edges {d < d(x1, x2)}.
+    graph with edges {d < d(x1, x2)}, that is when the subdominant
+    ultrametric equals d on the pair.
     """
-    n = space.n
     m = space.dist
-    cache: dict[object, np.ndarray] = {}
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = m[i, j]
-            if t not in cache:
-                cache[t] = threshold_partition(space, t).block_of
-            if cache[t][i] != cache[t][j]:
-                out.append(((i, j), t))
+    rows, cols = np.nonzero(np.triu(m == _subdominant(m), 1))
+    out = [((i, j), m[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
     out.sort(key=lambda item: (as_float(item[1]), item[0]), reverse=True)
     return out
 
@@ -366,24 +313,9 @@ def largest_gap(space: FiniteMetricSpace, indices=None):
     """Largest associated-endpoint gap; equals the final single-linkage merge
     radius, i.e. the maximum minimum-spanning-tree edge weight. 0 for a point."""
     sub = space if indices is None else subspace(space, indices)
-    n = sub.n
-    if n < 2:
+    if sub.n < 2:
         return _zero_like(sub)
-    m = sub.dist
-    # Prim's algorithm; the bottleneck edge of the MST is the answer.
-    in_tree = [0]
-    best = {i: m[0, i] for i in range(1, n)}
-    worst = _zero_like(sub)
-    while best:
-        nxt = min(best, key=lambda i: (as_float(best[i]), i))
-        w = best.pop(nxt)
-        if w > worst:
-            worst = w
-        in_tree.append(nxt)
-        for i in best:
-            if m[nxt, i] < best[i]:
-                best[i] = m[nxt, i]
-    return worst
+    return _prim(sub.dist)[2].max()
 
 
 @dataclass(frozen=True)

@@ -217,26 +217,18 @@ class UltrametricCheck:
 
 
 def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> UltrametricCheck:
-    """Strong triangle inequality over all triples, with the worst witness."""
+    """Strong triangle inequality over all triples, with the worst witness.
+
+    A space is ultrametric iff it equals its subdominant ultrametric
+    (Carlsson & Memoli 2010), so a passing space is accepted in O(n^2) exact
+    comparisons; only a failing one pays for the O(n^3) search of its worst
+    triple. Exact spaces fail on any positive violation, float ones above tol.
+    """
     m = space.dist
     n = space.n
-    if n < 3:
+    if n < 3 or (m == _subdominant(m)).all():
         return UltrametricCheck(True, None, _zero(space.exact))
-    if space.exact:
-        worst = Fraction(0)
-        witness = None
-        for i, j in combinations(range(n), 2):
-            hull = min(max(m[i, k], m[k, j]) for k in range(n) if k != i and k != j)
-            gap = m[i, j] - hull
-            if gap > worst:
-                worst, witness = gap, None
-                k_best = min(
-                    (k for k in range(n) if k != i and k != j),
-                    key=lambda k: max(m[i, k], m[k, j]),
-                )
-                witness = (i, j, k_best)
-        return UltrametricCheck(worst <= 0, witness, worst)
-    hull = np.full((n, n), np.inf)
+    hull = np.full((n, n), np.inf, dtype=m.dtype)
     argk = np.zeros((n, n), dtype=int)
     for k in range(n):
         cand = np.maximum(m[:, k][:, None], m[k, :][None, :])
@@ -248,10 +240,64 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
     slack = m - hull
     np.fill_diagonal(slack, -np.inf)
     i, j = map(int, np.unravel_index(np.argmax(slack), slack.shape))
-    worst = float(slack[i, j])
-    if worst <= tol:
+    worst = slack[i, j] if space.exact else float(slack[i, j])
+    if not space.exact and worst <= tol:
         return UltrametricCheck(True, None, max(worst, 0.0))
     return UltrametricCheck(False, (i, j, int(argk[i, j])), worst)
+
+
+# Single linkage. The components of {d < t} (or {d <= t}) are those of the
+# minimum-spanning-tree edges below t (Gower & Ross 1969), so one tree
+# answers every single-linkage question.
+
+def _prim(matrix):
+    """Prim's minimum spanning tree of a dense distance matrix, from vertex 0.
+
+    Returns arrays (order, parent, weight): step k attaches vertex order[k]
+    through the edge to parent[k] of length weight[k], and every parent was
+    attached at an earlier step. Step 0 is the root, its own parent, with
+    the diagonal entry as weight. Entries are only compared, never converted,
+    so Fraction matrices are ordered exactly.
+    """
+    n = len(matrix)
+    order = np.zeros(n, dtype=np.intp)
+    parent = np.zeros(n, dtype=np.intp)
+    weight = matrix.diagonal().copy()
+    # the shortest edge from each free vertex into the tree; the root's 0
+    # makes it the first vertex attached, as its own parent
+    best = np.full(n, np.inf, dtype=matrix.dtype)
+    best[:1] = weight[:1]
+    free = np.ones(n, dtype=bool)
+    link = np.zeros(n, dtype=np.intp)
+    for k in range(n):
+        v = int(np.argmin(best))
+        order[k], parent[k], weight[k] = v, link[v], best[v]
+        free[v] = False
+        best[v] = np.inf
+        closer = free & (matrix[v] < best)
+        best[closer] = matrix[v][closer]
+        link[closer] = v
+    return order, parent, weight
+
+
+def _subdominant(matrix) -> np.ndarray:
+    """Single-linkage merge heights: u[i, j] is the longest edge on the tree
+    path from i to j, the largest ultrametric below the matrix.
+
+    Walking the Prim order, u[v, seen] = max(weight_v, u[parent_v, seen]).
+    The walk runs on the ranks of the weights, so on a Fraction matrix it
+    adds only the exact comparisons of one sort; entries of u are entries
+    of the matrix.
+    """
+    order, parent, weight = _prim(matrix)
+    by_weight = np.argsort(weight, kind="stable")
+    rank = np.empty_like(by_weight)
+    rank[by_weight] = np.arange(len(weight))
+    top = np.zeros(matrix.shape, dtype=np.intp)
+    for k in range(1, len(order)):
+        seen = order[:k]
+        top[order[k], seen] = top[seen, order[k]] = np.maximum(top[parent[k], seen], rank[k])
+    return weight[by_weight][top]
 
 
 def hausdorff_hyperspace(space: FiniteMetricSpace, max_subset_size: int | None = None,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,13 +26,8 @@ from .errors import (
     NotSeparating,
 )
 from .logratio import profile
-from .partitions import (
-    Partition,
-    PartitionChain,
-    classify_chain,
-    dendrogram_chain,
-)
-from .spaces import FiniteMetricSpace, is_ultrametric
+from .partitions import Partition, PartitionChain, classify_chain
+from .spaces import FiniteMetricSpace, _subdominant, is_ultrametric
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
 
@@ -60,13 +54,6 @@ def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> Part
     )
 
 
-def _merge_heights(space: FiniteMetricSpace, chain: PartitionChain, heights) -> np.ndarray:
-    """rho[i, j] = heights[split[i, j] - 1], so a pair split at level l gets
-    the height of level l - 1; the diagonal reads the last height, 0."""
-    table = np.array(heights, dtype=object if space.exact else float)
-    return table[chain.split - 1]
-
-
 def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> np.ndarray:
     """rho matrix of the chain ultrametric; requires a separating terminal level."""
     chain = ensure_trivial_head(space, chain)
@@ -74,7 +61,10 @@ def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> n
     for b in last.blocks:
         if len(b) > 1:
             raise NotSeparating((int(b[0]), int(b[1])))
-    rho = _merge_heights(space, chain, [st.delta for st in chain.stats])
+    # a pair split at level l gets the delta of level l - 1; the diagonal
+    # reads the last delta, 0
+    deltas = np.array([st.delta for st in chain.stats], dtype=object if space.exact else float)
+    rho = deltas[chain.split - 1]
     rho.setflags(write=False)
     return rho
 
@@ -86,9 +76,8 @@ def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Single-linkage merge heights: the largest ultrametric below d."""
-    chain = dendrogram_chain(space)
-    rho = _merge_heights(space, chain, chain.thresholds[1:] + (Fraction(0),))
-    return FiniteMetricSpace(space.labels, rho, exact=space.exact, _trusted=True)
+    return FiniteMetricSpace(space.labels, _subdominant(space.dist), exact=space.exact,
+                             _trusted=True)
 
 
 @dataclass(frozen=True)

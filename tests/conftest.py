@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from metriclab import validate
+
+# Property tests that load this profile replay the same examples on every run
+# and set no per-example time limit, so a slow shared machine cannot fail them.
+settings.register_profile("deterministic", deadline=None, derandomize=True,
+                          suppress_health_check=[HealthCheck.too_slow])
 
 
 def euclidean_space(seed: int, n: int, dim: int = 2, scale: float = 1.0):
