@@ -41,12 +41,11 @@ SCHEMA = 1
 
 def _add_common(sub):
     sub.add_argument("--out", type=Path, default=None, help="directory for report files")
-    sub.add_argument("--threads", type=int, default=1, help="worker thread bound")
     sub.add_argument("--rescale", action="store_true",
                      help="divide input matrices by their diameter when above 1")
 
 
-def _add_source(sub, chain_needed=False):
+def _add_source(sub):
     sub.add_argument("--input", help="space file (.csv or .json)")
     sub.add_argument("--zoo", choices=KINDS, help="analytic family instead of a file")
     sub.add_argument("--s", type=float, default=None, help="family exponent parameter")
@@ -126,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_space(args, zoo_chain=True):
-    """Resolve (space, chain, meta) from --input or --zoo."""
+    """Resolve (space, chain, meta, family) from --input or --zoo; family is
+    None for --input."""
     if args.input and args.zoo:
         raise MetricLabError("give either --input or --zoo, not both")
     if args.input:
@@ -137,7 +137,7 @@ def _load_space(args, zoo_chain=True):
         else:
             space = from_csv(text, rescale=args.rescale)
         chain = dendrogram_chain(space) if zoo_chain else None
-        return space, chain, {"input": str(path), "rescaled": space.rescaled}
+        return space, chain, {"input": str(path), "rescaled": space.rescaled}, None
     if not args.zoo:
         raise MetricLabError("a space source is required: --input or --zoo")
     params = {}
@@ -156,13 +156,6 @@ def _load_space(args, zoo_chain=True):
         "standing_hypothesis_ok": family.standing_hypothesis_ok,
     }
     return space, chain, meta, family
-
-
-def _unpack(loaded):
-    if len(loaded) == 4:
-        return loaded
-    space, chain, meta = loaded
-    return space, chain, meta, None
 
 
 def _config(args, keys):
@@ -184,7 +177,7 @@ def _emit(args, name: str, report: dict) -> None:
 
 
 def _cmd_profile(args) -> int:
-    space, chain, meta, family = _unpack(_load_space(args))
+    space, chain, meta, family = _load_space(args)
     prof = profile(chain, epsilon=args.burn_epsilon, space=space)
     report = {
         "schema": SCHEMA,
@@ -198,7 +191,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_ultrametrize(args) -> int:
-    space, chain, meta, family = _unpack(_load_space(args))
+    space, chain, meta, family = _load_space(args)
     chain = with_singleton_terminal(space, chain)
     cert = certificate(space, chain, args.p, args.epsilon)
     report = {
@@ -218,7 +211,7 @@ def _cmd_ultrametrize(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    space, chain, meta, family = _unpack(_load_space(args))
+    space, chain, meta, family = _load_space(args)
     chain = with_singleton_terminal(space, chain)
     N = args.N
     prof = profile(chain)
@@ -251,7 +244,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    space, _chain, meta, family = _unpack(_load_space(args, zoo_chain=False))
+    space, _chain, meta, family = _load_space(args, zoo_chain=False)
     est = estimate_metric_dimension(space, args.window_r, args.ratio_floor)
     report = {
         "schema": SCHEMA,
@@ -265,7 +258,7 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    space, chain, meta, family = _unpack(_load_space(args))
+    space, chain, meta, family = _load_space(args)
     if family is None:
         raise MetricLabError("the zoo command needs --zoo")
     first = family.first_index
@@ -303,7 +296,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_hyperspace(args) -> int:
-    space, _chain, meta, _family = _unpack(_load_space(args, zoo_chain=False))
+    space, _chain, meta, _family = _load_space(args, zoo_chain=False)
     hyper = hausdorff_hyperspace(space, args.max_subset_size)
     report = {
         "schema": SCHEMA,
@@ -319,7 +312,7 @@ def _cmd_hyperspace(args) -> int:
 
 
 def _cmd_gap_bounds(args) -> int:
-    space, _chain, meta, _family = _unpack(_load_space(args, zoo_chain=False))
+    space, _chain, meta, _family = _load_space(args, zoo_chain=False)
     radii = [float(x) for x in args.radii.split(",") if x.strip()]
     report_obj = gap_bounds(space, radii, exact=False if args.heuristic else None)
     report = {
@@ -334,16 +327,16 @@ def _cmd_gap_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    space, _chain, meta, _family = _unpack(_load_space(args, zoo_chain=False))
-    brute = brute_force_min_R(space, args.oracle_r, threads=args.threads)
-    brute_pos = brute_force_min_R(space, args.oracle_r, require_positive_delta=True,
-                                  threads=args.threads)
+    space, _chain, meta, _family = _load_space(args, zoo_chain=False)
+    brute = brute_force_min_R(space, args.oracle_r)
+    brute_pos = brute_force_min_R(space, args.oracle_r, require_positive_delta=True)
     thresh = threshold_min_R(space, args.oracle_r)
     thresh_pos = threshold_min_R(space, args.oracle_r, require_positive_delta=True)
     report = {
         "schema": SCHEMA,
         "config": {"command": "oracle",
-                   **_config(args, ("input", "zoo", "depth", "oracle_r", "threads")),
+                   **_config(args, ("input", "zoo", "depth", "oracle_r")),
+                   "threads": 1,  # kept from the removed --threads: reports stay byte-identical
                    **meta},
         "minimum": {"R": brute.value, "delta": brute.delta, "gamma": brute.gamma,
                     "witness": [list(b) for b in brute.witness.blocks]},

@@ -48,22 +48,16 @@ def separated_count(space: FiniteMetricSpace, center: int, r1, r2) -> int:
 
 
 def _greedy_separated(m, ball, r2):
-    if isinstance(m, np.ndarray) and m.dtype != object and len(ball) > 64:
-        idx = np.asarray(ball)
-        alive = np.ones(len(ball), dtype=bool)
-        count = 0
-        for pos in range(len(ball)):
-            if not alive[pos]:
-                continue
-            count += 1
-            alive &= m[idx[pos]][idx] > r2
-            alive[pos] = False
-        return count
-    chosen: list[int] = []
-    for i in ball:
-        if all(m[i, j] > r2 for j in chosen):
-            chosen.append(i)
-    return len(chosen)
+    idx = np.asarray(ball, dtype=np.intp)
+    alive = np.ones(len(ball), dtype=bool)
+    count = 0
+    for pos in range(len(ball)):
+        if not alive[pos]:
+            continue
+        count += 1
+        alive &= m[idx[pos]][idx] > r2
+        alive[pos] = False
+    return count
 
 
 def _exact_separated(m, ball, r2, lower_bound):
@@ -130,12 +124,7 @@ def estimate_metric_dimension(space: FiniteMetricSpace, r: float, t: float,
         else:
             step = max(1, n // 16)
             centers = list(range(0, n, step))[:16]
-    if isinstance(m, np.ndarray) and m.dtype != object:
-        off = m[m > 0]
-        d_pos = float(off.min())
-    else:
-        d_pos = min(as_float(m[i, j])
-                    for i in range(n) for j in range(i + 1, n) if m[i, j] > 0)
+    d_pos = as_float(m[m > 0].min())
     if r1_values is None:
         r1_values = []
         value = float(r) / 2

@@ -10,7 +10,6 @@ are listed yet excluded from the estimate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .partitions import (
     dendrogram_chain,
     largest_gap,
 )
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _zero
 
 ORACLE_SIZE_LIMIT = 8
 
@@ -203,7 +202,7 @@ def _stats_of_assignment(space, assign):
                 if gamma is None or d < gamma:
                     gamma = d
     if delta is None:
-        delta = 0.0 if not space.exact else 0
+        delta = _zero(space.exact)
     return delta, gamma, card
 
 
@@ -217,8 +216,7 @@ class OracleResult:
 
 def brute_force_min_R(space: FiniteMetricSpace, r, *,
                       require_positive_delta: bool = False,
-                      size_limit: int = ORACLE_SIZE_LIMIT,
-                      threads: int = 1) -> OracleResult:
+                      size_limit: int = ORACLE_SIZE_LIMIT) -> OracleResult:
     """Minimal R(a) over all partitions with delta(a) < r, by enumeration.
 
     The unrestricted minimum is 0 for any r > 0 because the all-singleton
@@ -228,27 +226,16 @@ def brute_force_min_R(space: FiniteMetricSpace, r, *,
     n = space.n
     if n > size_limit:
         raise ExactModeSizeExceeded(f"{n} points exceeds oracle limit {size_limit}")
-
-    def scan(prefix):
-        best = None
-        for assign in set_partitions(n, prefix=prefix):
-            delta, gamma, _ = _stats_of_assignment(space, assign)
-            if not delta < r:
-                continue
-            if require_positive_delta and delta == 0:
-                continue
-            value = _log_ratio(delta, gamma)
-            if best is None or value < best[0]:
-                best = (value, assign, delta, gamma)
-        return best
-
-    if threads > 1 and n >= 2:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, ([0, v] for v in (0, 1))))
-        candidates = [b for b in results if b is not None]
-        best = min(candidates, key=lambda b: b[0]) if candidates else None
-    else:
-        best = scan(None)
+    best = None
+    for assign in set_partitions(n):
+        delta, gamma, _ = _stats_of_assignment(space, assign)
+        if not delta < r:
+            continue
+        if require_positive_delta and delta == 0:
+            continue
+        value = _log_ratio(delta, gamma)
+        if best is None or value < best[0]:
+            best = (value, assign, delta, gamma)
     if best is None:
         return OracleResult(math.inf, Partition.trivial(n), math.inf, math.inf)
     value, assign, delta, gamma = best

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
 from .errors import NotNested, NotUltrametric
-from .spaces import FiniteMetricSpace, _prim, _subdominant, is_ultrametric, subspace
+from .spaces import (FiniteMetricSpace, _prim, _subdominant, _zero, is_ultrametric,
+                     subspace)
 
 
 class Partition:
@@ -106,7 +106,7 @@ def partition_stats(space: FiniteMetricSpace, partition: Partition) -> Partition
     if partition.n_points != space.n:
         raise ValueError("partition does not match the space")
     m = space.dist
-    delta = _zero_like(space)
+    delta = _zero(space.exact)
     for b in partition.blocks:
         if len(b) > 1:
             block_diam = m[np.ix_(b, b)].max()
@@ -118,10 +118,6 @@ def partition_stats(space: FiniteMetricSpace, partition: Partition) -> Partition
         same = partition.block_of[:, None] == partition.block_of[None, :]
         gamma = m[~same].min()
     return PartitionStats(delta, gamma, _log_ratio(delta, gamma), partition.cardinality)
-
-
-def _zero_like(space: FiniteMetricSpace):
-    return Fraction(0) if space.exact else 0.0
 
 
 def threshold_partition(space: FiniteMetricSpace, t) -> Partition:
@@ -231,7 +227,7 @@ def _chain_stats(space: FiniteMetricSpace, levels: tuple, split: np.ndarray) -> 
     top = dict(zip(at, np.maximum.reduceat(values, starts)))
     low = dict(zip(at, np.minimum.reduceat(values, starts)))
     deltas = []
-    run = _zero_like(space)
+    run = _zero(space.exact)
     for key in range(len(levels), 0, -1):
         if key in top and top[key] > run:
             run = top[key]
@@ -314,7 +310,7 @@ def largest_gap(space: FiniteMetricSpace, indices=None):
     radius, i.e. the maximum minimum-spanning-tree edge weight. 0 for a point."""
     sub = space if indices is None else subspace(space, indices)
     if sub.n < 2:
-        return _zero_like(sub)
+        return _zero(sub.exact)
     return _prim(sub.dist)[2].max()
 
 

@@ -29,20 +29,18 @@ class FiniteMetricSpace:
 
     def __init__(self, labels, dist, *, exact=False, rescaled=False, _trusted=False):
         labels = tuple(str(x) for x in labels)
-        if exact:
-            matrix = np.asarray(dist, dtype=object)
+        if _trusted:
+            matrix = np.asarray(dist, dtype=object if exact else float)
         else:
-            matrix = np.asarray(dist, dtype=float)
+            matrix, problems = _checked(dist, labels, DEFAULT_TOL, exact)
+            if problems:
+                raise problems[0]
         matrix.setflags(write=False)
         self.labels = labels
         self.dist = matrix
         self.exact = exact
         self.rescaled = rescaled
         self.diameter = matrix.max() if len(labels) > 1 else _zero(exact)
-        if not _trusted:
-            problems = violations(matrix, labels, exact=exact)
-            if problems:
-                raise problems[0]
 
     @property
     def n(self) -> int:
@@ -63,54 +61,88 @@ def _zero(exact: bool):
     return Fraction(0) if exact else 0.0
 
 
+def _zeros(shape, exact: bool) -> np.ndarray:
+    """A zero matrix of the mode's dtype; an exact one holds Fraction(0)."""
+    return np.full(shape, _zero(exact), dtype=object if exact else float)
+
+
+def _entries(m: np.ndarray, exact: bool) -> np.ndarray:
+    """The entries of an untrusted matrix, each a finite number of the mode.
+
+    Exact entries are converted once with Fraction(x), so a float 0.5
+    becomes Fraction(1, 2) and no float is left in an exact matrix. NaN or
+    inf raises MetricViolation("finite"), an entry that is not a number
+    ("parse").
+    """
+    if not exact:
+        bad = ~np.isfinite(m)
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise MetricViolation("finite", (i, j), "non-finite entry")
+        return m
+    out = np.empty(m.shape, dtype=object)
+    for where, x in np.ndenumerate(m):
+        x = x.item() if isinstance(x, np.generic) else x  # numpy scalars as Python ones
+        try:
+            out[where] = Fraction(x)
+        except (TypeError, ValueError, OverflowError) as exc:
+            if isinstance(x, float):  # NaN or inf
+                raise MetricViolation("finite", where, "non-finite entry") from exc
+            raise MetricViolation("parse", where, str(exc)) from exc
+    return out
+
+
 def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = False):
     """Collect metric-axiom violations instead of raising.
 
-    Checks squareness, finiteness, zero diagonal, symmetry, positive
-    off-diagonal entries (duplicate points are rejected, not merged),
-    the triangle inequality on every triple, and diameter <= 1.
+    Checks squareness, finite numeric entries, zero diagonal, symmetry,
+    positive off-diagonal entries (duplicate points are rejected, not
+    merged), the triangle inequality on every triple, and diameter <= 1.
+    Exact entries are compared exactly; tol only absorbs float rounding.
     """
+    return _checked(matrix, labels, tol, exact)[1]
+
+
+def _checked(matrix, labels, tol, exact):
+    """(entries, violations): the matrix in the mode's dtype, its exact
+    entries converted to Fraction, and what violations() reports on it."""
     m = np.asarray(matrix, dtype=object if exact else float)
-    out = []
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return [MetricViolation("shape", m.shape, "matrix must be square")]
+        return m, [MetricViolation("shape", m.shape, "matrix must be square")]
     n = m.shape[0]
     if labels is not None and len(labels) != n:
-        return [MetricViolation("labels", len(labels), f"expected {n} labels")]
+        return m, [MetricViolation("labels", len(labels), f"expected {n} labels")]
     if labels is not None:
         seen = set()
         for label in map(str, labels):
             if label in seen:
-                return [MetricViolation("labels", label, "duplicate label")]
+                return m, [MetricViolation("labels", label, "duplicate label")]
             seen.add(label)
     if n > max_points():
-        return [CapExceeded(f"{n} points exceeds METRICLAB_MAX_POINTS cap")]
-    if not exact and not np.isfinite(m).all():
-        i, j = map(int, np.argwhere(~np.isfinite(m))[0])
-        return [MetricViolation("finite", (i, j), "non-finite entry")]
-    for i in range(n):
-        if m[i, i] != 0:
-            out.append(MetricViolation("diagonal", (i, i), "nonzero diagonal"))
+        return m, [CapExceeded(f"{n} points exceeds METRICLAB_MAX_POINTS cap")]
+    try:
+        m = _entries(m, exact)
+    except MetricViolation as exc:
+        return m, [exc]
     if exact:
-        sym_bad = [(i, j) for i in range(n) for j in range(i) if m[i, j] != m[j, i]]
-    else:
-        asym = np.abs(m - m.T) > tol
-        sym_bad = [tuple(map(int, w)) for w in np.argwhere(asym) if w[0] > w[1]]
-    for i, j in sym_bad:
-        out.append(MetricViolation("symmetry", (i, j)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i, j] <= 0:
-                out.append(
-                    MetricViolation("positivity", (i, j), "duplicate point (zero distance)")
-                )
+        tol = 0
+    out = [MetricViolation("diagonal", (i, i), "nonzero diagonal")
+           for i in range(n) if m[i, i] != 0]
+    # exact comparisons first, so only unequal pairs pay for a subtraction
+    rows, cols = np.nonzero(np.tril(m != m.T, -1))
+    far = np.abs(m[rows, cols] - m[cols, rows]) > tol
+    out.extend(MetricViolation("symmetry", (i, j))
+               for i, j in zip(rows[far].tolist(), cols[far].tolist()))
+    rows, cols = np.nonzero(np.triu(m <= 0, 1))
+    out.extend(MetricViolation("positivity", (i, j), "duplicate point (zero distance)")
+               for i, j in zip(rows.tolist(), cols.tolist()))
     if out:
-        return out
+        return m, out
     out.extend(_triangle_violations(m, n, tol, exact))
     diam = m.max() if n > 1 else 0
     if diam > 1:
         out.append(DiameterExceedsOne(diam))
-    return out
+    return m, out
 
 
 def _triangle_violations(m, n, tol, exact):
@@ -139,16 +171,13 @@ def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL,
     diameter instead of raising; the result is flagged so reports can note
     that per-partition ratios changed under the rescale.
     """
-    m = np.asarray(matrix, dtype=object if exact else float)
+    m, problems = _checked(matrix, labels, tol, exact)
     if labels is None:
         labels = [f"p{i}" for i in range(m.shape[0] if m.ndim == 2 else 0)]
-    problems = violations(m, labels, tol=tol, exact=exact)
     rescaled = False
     if problems and rescale and all(isinstance(p, DiameterExceedsOne) for p in problems):
-        diam = m.max()
-        m = m / diam
+        m, problems = _checked(m / m.max(), labels, tol, exact)
         rescaled = True
-        problems = violations(m, labels, tol=tol, exact=exact)
     if problems:
         raise problems[0]
     if not exact:
@@ -192,11 +221,9 @@ def sup_product(spaces, cap: int | None = None) -> FiniteMetricSpace:
             raise CapExceeded(f"product cardinality exceeds cap {cap}")
     exact = any(sp.exact for sp in spaces)
     labels = [""]
-    dist = np.zeros((1, 1), dtype=object if exact else float)
-    if exact:
-        dist[0, 0] = Fraction(0)
+    dist = _zeros((1, 1), exact)
     for sp in spaces:
-        f = sp.dist.astype(object) if exact and not sp.exact else sp.dist
+        f = sp.dist if sp.exact == exact else _entries(sp.dist, exact)
         nf = sp.n
         grown = np.repeat(np.repeat(dist, nf, axis=0), nf, axis=1)
         tiled = np.tile(f, dist.shape)
@@ -313,26 +340,16 @@ def hausdorff_hyperspace(space: FiniteMetricSpace, max_subset_size: int | None =
     members = [list(c) for j in range(1, k + 1) for c in combinations(range(n), j)]
     labels = ["{" + ",".join(space.labels[i] for i in c) + "}" for c in members]
     m = space.dist
-    if space.exact:
-        so = len(members)
-        dist = np.empty((so, so), dtype=object)
-        mind = [[min(m[a, b] for a in c) for b in range(n)] for c in members]
-        for p in range(so):
-            for q in range(so):
-                left = max(mind[p][b] for b in members[q])
-                right = max(mind[q][a] for a in members[p])
-                dist[p, q] = max(left, right)
-        return FiniteMetricSpace(labels, dist, exact=True, _trusted=True)
     so = len(members)
-    mind = np.empty((so, n))
+    mind = np.empty((so, n), dtype=m.dtype)
     for p, c in enumerate(members):
         mind[p] = m[c].min(axis=0)
-    directed = np.empty((so, so))
+    directed = np.empty((so, so), dtype=m.dtype)
     for q, c in enumerate(members):
         directed[:, q] = mind[:, c].max(axis=1)
     dist = np.maximum(directed, directed.T)
-    np.fill_diagonal(dist, 0.0)
-    return FiniteMetricSpace(labels, dist, _trusted=True)
+    np.fill_diagonal(dist, _zero(space.exact))
+    return FiniteMetricSpace(labels, dist, exact=space.exact, _trusted=True)
 
 
 # Serialization. CSV: first row labels, then the full symmetric matrix.

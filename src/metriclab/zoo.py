@@ -23,7 +23,7 @@ import numpy as np
 from ._util import LN2, max_points
 from .errors import CapExceeded, DepthOverflow
 from .partitions import Partition, PartitionChain
-from .spaces import FiniteMetricSpace, sup_product
+from .spaces import FiniteMetricSpace, _zero, _zeros, sup_product
 
 KINDS = ("seq_factorial", "seq_power_tower", "seq_geometric", "seq_polynomial",
          "seq_log", "product_geometric", "cantor_factorial", "sqrt_ultra")
@@ -221,30 +221,33 @@ def _sequence_values(family: AnalyticFamily, depth: int, exact: bool):
     return vals
 
 
-def _sequence_space(family, depth, exact):
-    vals = _sequence_values(family, depth, exact)
+def _sequence_points(family, depth, exact):
+    """Labels and values of a sequence sample: the limit point 0, then r_n."""
     first = family.first_index
     labels = ["0"] + [f"r{n}" for n in range(first, first + depth)]
-    pts = [Fraction(0) if exact else 0.0] + list(vals)
-    n_pts = depth + 1
+    return labels, [_zero(exact)] + _sequence_values(family, depth, exact)
+
+
+def _pair_matrix(values, pair, exact):
+    """Symmetric matrix of pair(values[i], values[j]) with a zero diagonal.
+
+    Each unordered pair is computed once, a row at a time, and mirrored: on
+    Fraction values the arithmetic is what the build costs.
+    """
+    arr = np.asarray(values, dtype=object if exact else float)
+    dist = _zeros((len(arr), len(arr)), exact)
+    for i in range(len(arr) - 1):
+        dist[i, i + 1:] = dist[i + 1:, i] = pair(arr[i], arr[i + 1:])
+    return dist
+
+
+def _sequence_space(family, depth, exact):
+    labels, pts = _sequence_points(family, depth, exact)
     if family.kind == "sqrt_ultra":
-        # points are 1/n; the metric is max(sqrt(x), sqrt(y)), vals are the heights
-        if exact:
-            raise ValueError("sqrt_ultra has irrational distances; no exact mode")
-        heights = [0.0] + list(vals)
-        dist = np.zeros((n_pts, n_pts))
-        for i in range(n_pts):
-            for j in range(i + 1, n_pts):
-                dist[i, j] = dist[j, i] = max(heights[i], heights[j])
-    elif exact:
-        dist = np.zeros((n_pts, n_pts), dtype=object)
-        dist[:] = Fraction(0)
-        for i in range(n_pts):
-            for j in range(i + 1, n_pts):
-                dist[i, j] = dist[j, i] = abs(pts[i] - pts[j])
+        # points are 1/n; the metric is max(sqrt(x), sqrt(y)), pts are the heights
+        dist = _pair_matrix(pts, np.maximum, exact)
     else:
-        arr = np.asarray(pts)
-        dist = np.abs(arr[:, None] - arr[None, :])
+        dist = _pair_matrix(pts, lambda a, b: np.abs(a - b), exact)
     return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True)
 
 
@@ -288,8 +291,8 @@ def product_factors(family, depth, exact=False):
         v = family.exact_r(n) if exact else family.r(n)
         if not exact and v <= 0:
             raise DepthOverflow(f"product factor underflows at n={n}")
-        zero = Fraction(0) if exact else 0.0
-        m = np.asarray([[zero, v], [v, zero]], dtype=object if exact else float)
+        m = _zeros((2, 2), exact)
+        m[0, 1] = m[1, 0] = v
         out.append(FiniteMetricSpace(["0", f"r{n}"], m, exact=exact, _trusted=True))
     return out
 
@@ -309,13 +312,12 @@ def _cantor_space(family, depth, exact):
             vals.append(2.0 ** lg)
     n_pts = 2 ** depth
     labels = [format(i, f"0{depth}b") for i in range(n_pts)]
-    dist = np.zeros((n_pts, n_pts), dtype=object if exact else float)
-    if exact:
-        dist[:] = Fraction(0)
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            first_diff = depth - (i ^ j).bit_length() + 1
-            dist[i, j] = dist[j, i] = vals[first_diff - 1]
+    # labels are the binary digits of i, so points i and j first differ at
+    # coordinate depth - L + 1 for L the bit length of i ^ j; L = 0 on the diagonal
+    by_length = np.asarray([_zero(exact)] + vals[::-1], dtype=object if exact else float)
+    by_xor = by_length[[k.bit_length() for k in range(n_pts)]]
+    idx = np.arange(n_pts)
+    dist = by_xor[idx[:, None] ^ idx[None, :]]
     return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True)
 
 
@@ -359,18 +361,9 @@ def comparison_ultrametric(family: AnalyticFamily, depth: int,
     max(x, y) for distinct points, with rho(0, r_n) = r_n."""
     if family.chain_style != "sequence":
         raise ValueError("comparison ultrametric applies to sequence families")
-    vals = _sequence_values(family, depth, exact)
-    pts = [Fraction(0) if exact else 0.0] + list(vals)
-    n_pts = depth + 1
-    labels = ["0"] + [f"r{n}" for n in range(family.first_index,
-                                             family.first_index + depth)]
-    dist = np.zeros((n_pts, n_pts), dtype=object if exact else float)
-    if exact:
-        dist[:] = Fraction(0)
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            dist[i, j] = dist[j, i] = max(pts[i], pts[j])
-    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True)
+    labels, pts = _sequence_points(family, depth, exact)
+    return FiniteMetricSpace(labels, _pair_matrix(pts, np.maximum, exact), exact=exact,
+                             _trusted=True)
 
 
 def formula_table(family: AnalyticFamily, n_from: int, n_to: int):
