@@ -37,6 +37,7 @@ from .ultrametrize import certificate
 from .zoo import KINDS, formula_table, make_family, sample
 
 SCHEMA = 1
+_SOURCE = ("input", "zoo", "depth")  # the config keys of a space source
 
 
 def _add_common(sub):
@@ -130,14 +131,9 @@ def _load_space(args, zoo_chain=True):
     if args.input and args.zoo:
         raise MetricLabError("give either --input or --zoo, not both")
     if args.input:
-        path = Path(args.input)
-        text = path.read_text()
-        if path.suffix.lower() == ".json":
-            space = from_json(text, rescale=args.rescale)
-        else:
-            space = from_csv(text, rescale=args.rescale)
+        space = _read_space(args.input, args.rescale)
         chain = dendrogram_chain(space) if zoo_chain else None
-        return space, chain, {"input": str(path), "rescaled": space.rescaled}, None
+        return space, chain, {"input": str(Path(args.input)), "rescaled": space.rescaled}, None
     if not args.zoo:
         raise MetricLabError("a space source is required: --input or --zoo")
     params = {}
@@ -158,17 +154,19 @@ def _load_space(args, zoo_chain=True):
     return space, chain, meta, family
 
 
-def _config(args, keys):
-    return {k: _jsonable(getattr(args, k)) for k in keys if hasattr(args, k)}
+def _read_space(raw: str, rescale: bool) -> FiniteMetricSpace:
+    """A space file: JSON by its .json suffix, CSV otherwise."""
+    path = Path(raw)
+    loader = from_json if path.suffix.lower() == ".json" else from_csv
+    return loader(path.read_text(), rescale=rescale)
 
 
-def _jsonable(v):
-    if isinstance(v, Path):
-        return str(v)
-    return v
-
-
-def _emit(args, name: str, report: dict) -> None:
+def _emit(args, name: str, body: dict, meta: dict, keys=()) -> None:
+    """Write one report to stdout and to --out/name: the schema, the config
+    (command, the args named in keys, the source meta), then the body."""
+    config = {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    report = {"schema": SCHEMA, "config": {"command": args.command, **config, **meta},
+              **body}
     text = dumps(report)
     sys.stdout.write(text + "\n")
     if args.out:
@@ -179,14 +177,10 @@ def _emit(args, name: str, report: dict) -> None:
 def _cmd_profile(args) -> int:
     space, chain, meta, family = _load_space(args)
     prof = profile(chain, epsilon=args.burn_epsilon, space=space)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "profile", **_config(args, ("input", "zoo", "depth", "burn_epsilon")), **meta},
-        "profile": prof.to_report(),
-    }
+    body = {"profile": prof.to_report()}
     if family is not None:
-        report["exact_limit"] = family.exact_R
-    _emit(args, "profile.json", report)
+        body["exact_limit"] = family.exact_R
+    _emit(args, "profile.json", body, meta, (*_SOURCE, "burn_epsilon"))
     return 0
 
 
@@ -194,13 +188,8 @@ def _cmd_ultrametrize(args) -> int:
     space, chain, meta, family = _load_space(args)
     chain = with_singleton_terminal(space, chain)
     cert = certificate(space, chain, args.p, args.epsilon)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "ultrametrize",
-                   **_config(args, ("input", "zoo", "depth", "p", "epsilon")), **meta},
-        "certificate": cert.to_report(),
-    }
-    _emit(args, "certificate.json", report)
+    _emit(args, "certificate.json", {"certificate": cert.to_report()}, meta,
+          (*_SOURCE, "p", "epsilon"))
     if args.rho_out:
         if space.exact:
             sys.stderr.write("note: exact-mode rho does not serialize to CSV; skipped\n")
@@ -223,18 +212,14 @@ def _cmd_embed(args) -> int:
     work = chain if args.no_thin else select_embeddable_subchain(space, chain, N)
     result = embed_chain(space, work, N, args.p, args.epsilon)
     verify = verify_embedding_distortion(space, result, args.p, args.epsilon)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "embed",
-                   **_config(args, ("input", "zoo", "depth", "N", "D", "p", "epsilon",
-                                    "no_thin")), **meta},
+    body = {
         "N": N,
         "thinned_level_ids": [int(i) for i in work.level_ids],
         "audit": result.to_report(),
         "distortion": verify.to_report(),
         "image": image_ratio_report(space, result),
     }
-    _emit(args, "embedding.json", report)
+    _emit(args, "embedding.json", body, meta, (*_SOURCE, "N", "D", "p", "epsilon", "no_thin"))
     if args.coords_out:
         lines = [",".join(["label"] + [f"x{k+1}" for k in range(result.N)])]
         for i, label in enumerate(space.labels):
@@ -246,14 +231,8 @@ def _cmd_embed(args) -> int:
 def _cmd_dimension(args) -> int:
     space, _chain, meta, family = _load_space(args, zoo_chain=False)
     est = estimate_metric_dimension(space, args.window_r, args.ratio_floor)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "dimension",
-                   **_config(args, ("input", "zoo", "depth", "window_r", "ratio_floor")),
-                   **meta},
-        "dimension": est.to_report(),
-    }
-    _emit(args, "dimension.json", report)
+    _emit(args, "dimension.json", {"dimension": est.to_report()}, meta,
+          (*_SOURCE, "window_r", "ratio_floor"))
     return 0
 
 
@@ -263,33 +242,16 @@ def _cmd_zoo(args) -> int:
         raise MetricLabError("the zoo command needs --zoo")
     first = family.first_index
     table = formula_table(family, first + 1, first + args.depth - 1)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "zoo", **meta},
-        "chain": chain.to_report(),
-        "formulas": table,
-    }
-    _emit(args, "zoo.json", report)
+    _emit(args, "zoo.json", {"chain": chain.to_report(), "formulas": table}, meta)
     if args.out and not space.exact:
         (args.out / "space.csv").write_text(to_csv(space))
     return 0
 
 
 def _cmd_product(args) -> int:
-    factors = []
-    for raw in args.inputs:
-        path = Path(raw)
-        text = path.read_text()
-        loader = from_json if path.suffix.lower() == ".json" else from_csv
-        factors.append(loader(text, rescale=args.rescale))
-    prod = sup_product(factors)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "product", "inputs": [str(p) for p in args.inputs]},
-        "points": prod.n,
-        "diameter": float(prod.diameter),
-    }
-    _emit(args, "product.json", report)
+    prod = sup_product([_read_space(raw, args.rescale) for raw in args.inputs])
+    _emit(args, "product.json", {"points": prod.n, "diameter": float(prod.diameter)}, {},
+          ("inputs",))
     if args.out:
         (args.out / "product.csv").write_text(to_csv(prod))
     return 0
@@ -298,14 +260,8 @@ def _cmd_product(args) -> int:
 def _cmd_hyperspace(args) -> int:
     space, _chain, meta, _family = _load_space(args, zoo_chain=False)
     hyper = hausdorff_hyperspace(space, args.max_subset_size)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "hyperspace",
-                   **_config(args, ("input", "zoo", "depth", "max_subset_size")), **meta},
-        "points": hyper.n,
-        "diameter": float(hyper.diameter),
-    }
-    _emit(args, "hyperspace.json", report)
+    _emit(args, "hyperspace.json", {"points": hyper.n, "diameter": float(hyper.diameter)},
+          meta, (*_SOURCE, "max_subset_size"))
     if args.out and not hyper.exact:
         (args.out / "hyperspace.csv").write_text(to_csv(hyper))
     return 0
@@ -314,15 +270,9 @@ def _cmd_hyperspace(args) -> int:
 def _cmd_gap_bounds(args) -> int:
     space, _chain, meta, _family = _load_space(args, zoo_chain=False)
     radii = [float(x) for x in args.radii.split(",") if x.strip()]
-    report_obj = gap_bounds(space, radii, exact=False if args.heuristic else None)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "gap-bounds",
-                   **_config(args, ("input", "zoo", "depth", "radii", "heuristic")),
-                   **meta},
-        "gap_bounds": report_obj.to_report(),
-    }
-    _emit(args, "gap_bounds.json", report)
+    bounds = gap_bounds(space, radii, exact=False if args.heuristic else None)
+    _emit(args, "gap_bounds.json", {"gap_bounds": bounds.to_report()}, meta,
+          (*_SOURCE, "radii", "heuristic"))
     return 0
 
 
@@ -332,12 +282,7 @@ def _cmd_oracle(args) -> int:
     brute_pos = brute_force_min_R(space, args.oracle_r, require_positive_delta=True)
     thresh = threshold_min_R(space, args.oracle_r)
     thresh_pos = threshold_min_R(space, args.oracle_r, require_positive_delta=True)
-    report = {
-        "schema": SCHEMA,
-        "config": {"command": "oracle",
-                   **_config(args, ("input", "zoo", "depth", "oracle_r")),
-                   "threads": 1,  # kept from the removed --threads: reports stay byte-identical
-                   **meta},
+    body = {
         "minimum": {"R": brute.value, "delta": brute.delta, "gamma": brute.gamma,
                     "witness": [list(b) for b in brute.witness.blocks]},
         "minimum_positive_delta": {"R": brute_pos.value, "delta": brute_pos.delta,
@@ -347,7 +292,8 @@ def _cmd_oracle(args) -> int:
         "threshold_minimum_positive_delta": {"R": thresh_pos.value},
         "agree": bool(brute.value == thresh.value),
     }
-    _emit(args, "oracle.json", report)
+    # "threads" is kept from the removed --threads: reports stay byte-identical
+    _emit(args, "oracle.json", body, {"threads": 1, **meta}, (*_SOURCE, "oracle_r"))
     return 0
 
 

@@ -40,7 +40,9 @@ def separated_count(space: FiniteMetricSpace, center: int, r1, r2) -> int:
         raise ValueError("need 0 < r2 < r1")
     m = space.dist
     row = m[center]
-    ball = [i for i in range(space.n) if as_float(row[i]) <= as_float(r1)]
+    if row.dtype == object:
+        row = np.fromiter(map(as_float, row), float, len(row))
+    ball = np.flatnonzero(row <= as_float(r1)).tolist()
     greedy = _greedy_separated(m, ball, r2)
     if len(ball) <= 20:
         return _exact_separated(m, ball, r2, greedy)

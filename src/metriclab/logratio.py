@@ -19,45 +19,36 @@ from .errors import ExactModeSizeExceeded
 from .partitions import (
     Partition,
     PartitionChain,
+    _label_stats,
     _log_ratio,
     dendrogram_chain,
     largest_gap,
 )
-from .spaces import FiniteMetricSpace, _zero
+from .spaces import FiniteMetricSpace
 
 ORACLE_SIZE_LIMIT = 8
 
 
-def set_partitions(n: int, prefix=None):
+def set_partitions(n: int):
     """All partitions of {0..n-1} as restricted-growth strings, lex order.
 
     A restricted-growth string a satisfies a[0] = 0 and
     a[i] <= max(a[:i]) + 1; block ids appear in first-seen order, which makes
-    the enumeration deterministic. ``prefix`` fixes the first symbols, which
-    lets callers split the enumeration into independent chunks.
+    the enumeration deterministic.
     """
     if n == 0:
         return
     a = [0] * n
-    if prefix is not None:
-        a[: len(prefix)] = list(prefix)
-    start = len(prefix) if prefix is not None else 1
-    maxes = [0] * n
-    for i in range(1, n):
-        maxes[i] = max(maxes[i - 1], a[i - 1])
 
-    def rec(i):
+    def rec(i, top):
         if i == n:
             yield tuple(a)
             return
-        top = max(maxes[i - 1], a[i - 1]) if i else 0
-        maxes[i] = top
         for v in range(top + 2):
             a[i] = v
-            yield from rec(i + 1)
-        a[i] = 0
+            yield from rec(i + 1, max(top, v))
 
-    yield from rec(start)
+    yield from rec(1, 0)
 
 
 @dataclass(frozen=True)
@@ -183,29 +174,6 @@ def nondiscreteness_check(chain: PartitionChain) -> NondiscretenessReport:
     return NondiscretenessReport(decreasing, discrete, terminal)
 
 
-def _stats_of_assignment(space, assign):
-    """delta and gamma of a partition given as an assignment tuple."""
-    m = space.dist
-    n = space.n
-    card = max(assign) + 1
-    if card == 1:
-        return space.diameter, space.diameter, 1
-    delta = None
-    gamma = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = m[i, j]
-            if assign[i] == assign[j]:
-                if delta is None or d > delta:
-                    delta = d
-            else:
-                if gamma is None or d < gamma:
-                    gamma = d
-    if delta is None:
-        delta = _zero(space.exact)
-    return delta, gamma, card
-
-
 @dataclass(frozen=True)
 class OracleResult:
     value: float
@@ -215,32 +183,33 @@ class OracleResult:
 
 
 def brute_force_min_R(space: FiniteMetricSpace, r, *,
-                      require_positive_delta: bool = False,
-                      size_limit: int = ORACLE_SIZE_LIMIT) -> OracleResult:
+                      require_positive_delta: bool = False) -> OracleResult:
     """Minimal R(a) over all partitions with delta(a) < r, by enumeration.
 
     The unrestricted minimum is 0 for any r > 0 because the all-singleton
     partition qualifies with delta = 0; require_positive_delta restricts to
-    partitions with delta > 0, the informative slice.
+    partitions with delta > 0, the informative slice. Ties go to the first
+    partition in set_partitions order.
     """
-    n = space.n
-    if n > size_limit:
-        raise ExactModeSizeExceeded(f"{n} points exceeds oracle limit {size_limit}")
-    best = None
-    for assign in set_partitions(n):
-        delta, gamma, _ = _stats_of_assignment(space, assign)
-        if not delta < r:
-            continue
-        if require_positive_delta and delta == 0:
-            continue
-        value = _log_ratio(delta, gamma)
-        if best is None or value < best[0]:
-            best = (value, assign, delta, gamma)
-    if best is None:
-        return OracleResult(math.inf, Partition.trivial(n), math.inf, math.inf)
-    value, assign, delta, gamma = best
-    return OracleResult(value, Partition.from_assignment(assign),
-                        as_float(delta), as_float(gamma))
+    labels = _all_partitions(space.n, "oracle")
+    deltas, gammas = _label_stats(space, labels)
+    keep = deltas < r
+    if require_positive_delta:
+        keep &= deltas != 0
+    if not keep.any():
+        return OracleResult(math.inf, Partition.trivial(space.n), math.inf, math.inf)
+    labels, deltas, gammas = labels[keep], deltas[keep], gammas[keep]
+    values = [_log_ratio(d, g) for d, g in zip(deltas, gammas)]
+    best = int(np.argmin(values))
+    return OracleResult(values[best], Partition.from_assignment(labels[best]),
+                        as_float(deltas[best]), as_float(gammas[best]))
+
+
+def _all_partitions(n: int, what: str) -> np.ndarray:
+    """The (Bell(n), n) label array of set_partitions(n), within the size limit."""
+    if n > ORACLE_SIZE_LIMIT:
+        raise ExactModeSizeExceeded(f"{n} points exceeds {what} limit {ORACLE_SIZE_LIMIT}")
+    return np.array(list(set_partitions(n)), dtype=np.intp)
 
 
 def threshold_min_R(space: FiniteMetricSpace, r, *,
@@ -290,28 +259,24 @@ class GapBoundsReport:
         }
 
 
-def gap_bounds(space: FiniteMetricSpace, radii, *, exact: bool | None = None,
-               size_limit: int = ORACLE_SIZE_LIMIT) -> GapBoundsReport:
+def gap_bounds(space: FiniteMetricSpace, radii, *,
+               exact: bool | None = None) -> GapBoundsReport:
     """G(r) = inf gamma over partitions with delta >= r, g(r) = sup gamma over
     partitions with delta <= r, plus the log-ratio bounds they induce.
 
     g comes from the single-linkage chain, which is exact: the threshold
     partition at gamma(a) dominates any partition a. G is exact by full
-    enumeration up to the size limit; beyond it, a two-block split heuristic
-    gives an upper bound for G and the row is flagged.
+    enumeration up to ORACLE_SIZE_LIMIT points; beyond it, the two-block
+    splits {b, X - b} of the chain's blocks give an upper bound for G and the
+    row is flagged.
     """
     n = space.n
-    if exact is True and n > size_limit:
-        raise ExactModeSizeExceeded(f"{n} points exceeds exact limit {size_limit}")
-    use_exact = n <= size_limit if exact is None else exact
+    use_exact = n <= ORACLE_SIZE_LIMIT if exact is None else exact
     chain = dendrogram_chain(space)
+    labels = _all_partitions(n, "exact") if use_exact else _two_block_splits(chain)
     diam = as_float(space.diameter)
-    enum_stats = None
-    if use_exact:
-        enum_stats = []
-        for assign in set_partitions(n):
-            delta, gamma, card = _stats_of_assignment(space, assign)
-            enum_stats.append((as_float(delta), as_float(gamma)))
+    deltas, gammas = (np.array([as_float(x) for x in v], dtype=float)
+                      for v in _label_stats(space, labels))
     rows = []
     for r in sorted((as_float(x) for x in radii), reverse=True):
         if not 0 < r <= diam:
@@ -321,36 +286,23 @@ def gap_bounds(space: FiniteMetricSpace, radii, *, exact: bool | None = None,
             default=0.0,
         )
         if use_exact:
-            g_check = max((g for d, g in enum_stats if d <= r), default=0.0)
-            g_val = max(g_val, g_check)  # equal by threshold dominance
-            G_val = min((g for d, g in enum_stats if d >= r), default=math.inf)
-            G_is_exact = True
-        else:
-            G_val = _heuristic_G(space, chain, r)
-            G_is_exact = False
+            # equal by threshold dominance
+            g_val = max(g_val, float(gammas[deltas <= r].max(initial=0.0)))
+        # the trivial partition always qualifies, with gamma = diam
+        G_val = min(diam, float(gammas[deltas >= r].min(initial=math.inf)))
         lower = math.log(g_val) / math.log(r) if 0 < g_val < 1 and r < 1 else math.nan
         upper = math.log(G_val) / math.log(r) if 0 < G_val < 1 and r < 1 else math.nan
-        rows.append(GapBoundsRow(r, g_val, G_val, G_is_exact, lower, upper))
+        rows.append(GapBoundsRow(r, g_val, G_val, bool(use_exact), lower, upper))
     smallest = rows[-1]
     return GapBoundsReport(tuple(rows), smallest.lower_ratio, smallest.upper_ratio,
                            use_exact)
 
 
-def _heuristic_G(space, chain, r):
-    """Upper bound for G(r): best gamma among two-block splits of chain blocks."""
-    m = space.dist
-    n = space.n
-    best = as_float(space.diameter)  # the trivial partition always qualifies
-    for part in chain.levels:
-        if part.cardinality < 2:
-            continue
-        for b in part.blocks:
-            rest = [i for i in range(n) if i not in b]
-            if not rest:
-                continue
-            diam_b = as_float(m[np.ix_(b, b)].max()) if len(b) > 1 else 0.0
-            diam_rest = as_float(m[np.ix_(rest, rest)].max()) if len(rest) > 1 else 0.0
-            if max(diam_b, diam_rest) >= r:
-                gap = as_float(m[np.ix_(b, rest)].min())
-                best = min(best, gap)
-    return best
+def _two_block_splits(chain: PartitionChain) -> np.ndarray:
+    """Labels of the splits {b, X - b} over the distinct blocks b of the
+    chain's levels with at least two blocks: the heuristic G candidates."""
+    blocks = sorted({b for p in chain.levels if p.cardinality > 1 for b in p.blocks})
+    labels = np.zeros((len(blocks), chain.levels[0].n_points), dtype=np.int8)
+    for row, b in zip(labels, blocks):
+        row[list(b)] = 1
+    return labels

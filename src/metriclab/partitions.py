@@ -105,19 +105,47 @@ def partition_stats(space: FiniteMetricSpace, partition: Partition) -> Partition
     """Exact delta, gamma, and log ratio of a partition."""
     if partition.n_points != space.n:
         raise ValueError("partition does not match the space")
-    m = space.dist
-    delta = _zero(space.exact)
-    for b in partition.blocks:
-        if len(b) > 1:
-            block_diam = m[np.ix_(b, b)].max()
-            if block_diam > delta:
-                delta = block_diam
-    if partition.cardinality <= 1:
-        gamma = space.diameter
-    else:
-        same = partition.block_of[:, None] == partition.block_of[None, :]
-        gamma = m[~same].min()
+    (delta,), (gamma,) = _label_stats(space, partition.block_of[None])
     return PartitionStats(delta, gamma, _log_ratio(delta, gamma), partition.cardinality)
+
+
+_CHUNK_ENTRIES = 1 << 20  # label pairs compared at once by _label_stats
+
+
+def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarray]:
+    """delta and gamma of every row of a (B, n) array of block labels.
+
+    The upper-triangle pairs are sorted by distance once; per row, delta is
+    the last same-block pair (the zero of the mode when there is none) and
+    gamma the first pair across blocks (the space diameter for one block).
+    Both come back as object arrays of the matrix entries themselves, so a
+    float space yields np.float64 and an exact one Fraction. Rows are
+    compared in chunks of about _CHUNK_ENTRIES pairs, so the temporaries
+    stay O(B + n^2) however many rows there are.
+    """
+    labels = np.asarray(labels)
+    i, j = np.triu_indices(space.n, 1)
+    order = np.argsort(space.dist[i, j])
+    i, j = i[order], j[order]
+    pairs = len(order)
+    delta_at = np.full(len(labels), pairs, dtype=np.intp)
+    gamma_at = np.full(len(labels), pairs + 1, dtype=np.intp)
+    step = max(1, _CHUNK_ENTRIES // max(pairs, 1))
+    for lo in range(0, len(labels) if pairs else 0, step):  # no pairs: defaults hold
+        rows = labels[lo:lo + step]
+        same = rows[:, i] == rows[:, j]
+        last = pairs - 1 - np.argmax(same[:, ::-1], axis=1)
+        first = np.argmin(same, axis=1)
+        hit = np.arange(len(rows))
+        delta_at[lo:lo + step] = np.where(same[hit, last], last, pairs)
+        gamma_at[lo:lo + step] = np.where(same[hit, first], pairs + 1, first)
+    used = np.union1d(delta_at, gamma_at)
+    used = used[used < pairs]
+    table = np.empty(pairs + 2, dtype=object)
+    table[used] = list(space.dist[i[used], j[used]])  # only the entries a row reads
+    table[pairs] = _zero(space.exact)
+    table[pairs + 1] = space.diameter
+    return table[delta_at], table[gamma_at]
 
 
 def threshold_partition(space: FiniteMetricSpace, t) -> Partition:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import metriclab as ml
-from metriclab.logratio import _stats_of_assignment, set_partitions
+from metriclab.logratio import set_partitions
+from oracles import _stats_of_assignment
 from conftest import euclidean_space
 
 

@@ -3,11 +3,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metriclab as ml
+import oracles
+from metriclab._util import as_float
 from metriclab.embedding import grid_capacity, place_children, _cube_gap
 from metriclab.errors import EmptyWindow, PackingInfeasible
 from conftest import euclidean_space
+from test_ties import quantized_space
 
 
 def brute_force_separated(space, center, r1, r2):
@@ -38,6 +43,30 @@ def test_separated_count_matches_brute_force():
             for r1, r2 in ((0.8, 0.3), (0.5, 0.2), (0.9, 0.45)):
                 expected = brute_force_separated(sp, center, r1, r2)
                 assert ml.separated_count(sp, center, r1, r2) == expected
+
+
+@settings(settings.get_profile("deterministic"), max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 60), levels=st.integers(1, 5),
+       source=st.sampled_from(("ties", "tower", "cantor")), data=st.data())
+def test_separated_count_ball_matches_pointwise_comprehension(seed, n, levels, source,
+                                                              data):
+    if source == "ties":
+        space = quantized_space(seed, n, levels)
+    elif source == "tower":  # exact distances down to 2^-2048, below float underflow
+        space, _ = ml.sample(ml.make_family("seq_power_tower", s=0.5),
+                             data.draw(st.integers(1, 12)), exact=True, chain=False)
+    else:
+        space, _ = ml.sample(ml.make_family("cantor_factorial"),
+                             data.draw(st.integers(1, 5)), exact=True, chain=False)
+    center = data.draw(st.integers(0, space.n - 1))
+    values = sorted(set(space.dist.ravel().tolist()) - {0})
+    r1 = data.draw(st.sampled_from(values))
+    if as_float(r1) > 0:
+        r1 = data.draw(st.sampled_from((r1, as_float(r1))))
+    # below every distance each ball point is separated: the count is the ball size
+    r2 = data.draw(st.sampled_from([v for v in values if v < r1] + [values[0] / 2]))
+    assert ml.separated_count(space, center, r1, r2) == \
+        oracles.separated_count(space, center, r1, r2)
 
 
 def test_estimate_dimension_single_point_and_empty_window():

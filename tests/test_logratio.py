@@ -5,7 +5,8 @@ import pytest
 
 import metriclab as ml
 from metriclab.errors import ExactModeSizeExceeded
-from metriclab.logratio import _stats_of_assignment, set_partitions
+from metriclab.logratio import set_partitions
+from oracles import _stats_of_assignment
 from conftest import euclidean_space
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -17,12 +18,6 @@ def test_set_partitions_counts_and_order():
         assert len(parts) == BELL[n]
         assert parts == sorted(parts)  # lexicographic restricted-growth strings
         assert len(set(parts)) == len(parts)
-
-
-def test_set_partitions_prefix_split_covers_everything():
-    full = set(set_partitions(4))
-    split = set(set_partitions(4, prefix=[0, 0])) | set(set_partitions(4, prefix=[0, 1]))
-    assert split == full
 
 
 def test_profile_geometric_is_constant_one():

@@ -4,7 +4,8 @@ simultaneous-merge paths that generic point clouds never hit."""
 import numpy as np
 
 import metriclab as ml
-from metriclab.logratio import _stats_of_assignment, set_partitions
+from metriclab.logratio import set_partitions
+from oracles import _stats_of_assignment
 from metriclab.partitions import _log_ratio
 
 
