@@ -44,6 +44,13 @@ def as_float(x) -> float:
     return float(x)
 
 
+def as_floats(values) -> np.ndarray:
+    """as_float of every entry of a 1-D array, as a float64 array."""
+    if values.dtype == object:
+        return np.fromiter(map(as_float, values), float, len(values))
+    return values.astype(float, copy=False)
+
+
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
         return '"nan"'

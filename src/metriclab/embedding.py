@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float
+from ._util import DEFAULT_TOL, as_float, as_floats
 from .errors import (BoundViolated, DepthOverflow, EmptyWindow, NotSeparating,
                      PackingInfeasible)
 from .logratio import profile
@@ -39,10 +39,7 @@ def separated_count(space: FiniteMetricSpace, center: int, r1, r2) -> int:
     if not 0 < r2 < r1:
         raise ValueError("need 0 < r2 < r1")
     m = space.dist
-    row = m[center]
-    if row.dtype == object:
-        row = np.fromiter(map(as_float, row), float, len(row))
-    ball = np.flatnonzero(row <= as_float(r1)).tolist()
+    ball = np.flatnonzero(as_floats(m[center]) <= as_float(r1)).tolist()
     greedy = _greedy_separated(m, ball, r2)
     if len(ball) <= 20:
         return _exact_separated(m, ball, r2, greedy)

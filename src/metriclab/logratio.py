@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_float
+from ._util import as_float, as_floats
 from .errors import ExactModeSizeExceeded
 from .partitions import (
     Partition,
     PartitionChain,
+    _block_extents,
     _label_stats,
     _log_ratio,
     dendrogram_chain,
@@ -134,17 +135,21 @@ def _property6(chain, space, proper):
         return report
     if any(as_float(chain.stats[j].gamma) <= 0 for j in proper[1:]):
         return report  # a gap ratio over an underflowed gamma is undefined
+    diameters, gaps, connected = _block_extents(space, chain)
     worst = 0.0
     for i, j in zip(proper, proper[1:]):
         delta_i = as_float(chain.stats[i].delta)
         gamma_next = as_float(chain.stats[j].gamma)
-        best = math.inf
-        for b in chain.levels[i].blocks:
-            if len(b) < 2:
-                continue
-            diam = as_float(space.dist[np.ix_(b, b)].max())
-            if abs(diam - delta_i) <= 1e-15 + 1e-9 * abs(delta_i):
-                best = min(best, as_float(largest_gap(space, b)) / gamma_next)
+        sizes = np.bincount(chain.levels[i].block_of)
+        near = np.abs(as_floats(diameters[i]) - delta_i) <= 1e-15 + 1e-9 * abs(delta_i)
+        widest = np.flatnonzero((sizes >= 2) & near)
+        if not len(widest):
+            continue
+        gap = as_floats(gaps[i][widest])
+        for k in np.flatnonzero(~connected[i][widest]).tolist():
+            gap[k] = as_float(largest_gap(space, chain.levels[i].blocks[widest[k]]))
+        with np.errstate(over="ignore"):  # a gap over a tiny gamma may overflow to inf
+            best = float((gap / gamma_next).min())
         if math.isfinite(best):
             worst = max(worst, best)
     report["gap_constant"] = worst if worst > 0 else None
@@ -275,8 +280,7 @@ def gap_bounds(space: FiniteMetricSpace, radii, *,
     chain = dendrogram_chain(space)
     labels = _all_partitions(n, "exact") if use_exact else _two_block_splits(chain)
     diam = as_float(space.diameter)
-    deltas, gammas = (np.array([as_float(x) for x in v], dtype=float)
-                      for v in _label_stats(space, labels))
+    deltas, gammas = map(as_floats, _label_stats(space, labels))
     rows = []
     for r in sorted((as_float(x) for x in radii), reverse=True):
         if not 0 < r <= diam:

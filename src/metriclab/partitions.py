@@ -273,16 +273,31 @@ def _chain_stats(space: FiniteMetricSpace, levels: tuple, split: np.ndarray) -> 
 
 
 def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
-    """Append the all-singleton level when the chain does not separate points."""
+    """Append the all-singleton level when the chain does not separate points.
+
+    Only the new level is built: the pairs the chain never separated are
+    now split at the new level, which leaves every old level's stats as
+    they were, so split only gains a raised diagonal. The new level has
+    delta = 0 and gamma = the smallest distance.
+    """
     last = chain.levels[-1]
     if all(len(b) == 1 for b in last.blocks):
         return chain
-    sing = Partition.singletons(space.n)
-    return PartitionChain.from_partitions(
-        space,
-        chain.levels + (sing,),
+    n = space.n
+    if chain.split.shape != (n, n):
+        raise ValueError("chain does not match the space")
+    split = chain.split.copy()
+    np.fill_diagonal(split, len(chain.levels) + 1)
+    split.setflags(write=False)
+    zero = _zero(space.exact)
+    gamma = space.dist[np.triu_indices(n, 1)].min()
+    terminal = PartitionStats(zero, gamma, _log_ratio(zero, gamma), n)
+    return PartitionChain(
+        chain.levels + (Partition.singletons(n),),
+        chain.stats + (terminal,),
         chain.thresholds + (None,),
         chain.level_ids + (chain.level_ids[-1] + 1,),
+        split,
     )
 
 
@@ -312,7 +327,7 @@ def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionC
     if n == 1:
         return PartitionChain.from_partitions(space, [Partition.trivial(1)])
     m = space.dist
-    values = sorted({m[i, j] for i in range(n) for j in range(i + 1, n)}, reverse=True)
+    values = np.unique(m[np.triu_indices(n, 1)])[::-1]
     order, parent, weight = _prim(m)
     levels = [_components(order, parent, weight <= r) for r in values]
     ids = tuple(range(1, len(levels) + 1))
@@ -340,6 +355,59 @@ def largest_gap(space: FiniteMetricSpace, indices=None):
     if sub.n < 2:
         return _zero(sub.exact)
     return _prim(sub.dist)[2].max()
+
+
+def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
+    """Diameter and largest gap of every block of every level of a chain.
+
+    Returns (diameters, gaps, connected): one array per level, indexed like
+    that level's blocks. An item with split key k lies inside one block of
+    every level before k, so one bottom-up pass gives each block the
+    reduction of its children plus the items first split at the next level:
+      - the diameter is the largest pair inside the block;
+      - the largest gap reads the whole space's spanning tree. When the
+        tree edges inside a block B number |B| - 1, they connect B and, by
+        the cut property, form a minimum spanning tree of B, so its largest
+        edge is B's largest gap and connected is True. Dendrogram, ball and
+        zoo chains have only such blocks; any other block's gap is not in
+        gaps, and largest_gap(space, b) gives it.
+    Values are matrix entries (the zero of the mode for a singleton) and
+    are only compared, so exact chains never go through floats.
+    """
+    n = space.n
+    if chain.split.shape != (n, n):
+        raise ValueError("chain does not match the space")
+    levels = chain.levels
+    zero = _zero(space.exact)
+    # ups[l] maps each block of level l + 1 to the block of level l holding it
+    ups = [None] * len(levels)
+    for lvl in range(len(levels) - 1):
+        up = np.empty(levels[lvl + 1].cardinality, dtype=np.intp)
+        up[levels[lvl + 1].block_of] = levels[lvl].block_of
+        ups[lvl] = up
+
+    def bottom_up(ufunc, ends, keys, values, fill):
+        order = np.argsort(keys, kind="stable")
+        ends, values = ends[order], values[order]
+        starts = np.searchsorted(keys[order], np.arange(len(levels) + 2))
+        out = [None] * len(levels)
+        for lvl in range(len(levels) - 1, -1, -1):
+            acc = np.full(levels[lvl].cardinality, fill, dtype=values.dtype)
+            if ups[lvl] is not None:
+                ufunc.at(acc, ups[lvl], out[lvl + 1])
+            lo, hi = starts[lvl + 1], starts[lvl + 2]
+            ufunc.at(acc, levels[lvl].block_of[ends[lo:hi]], values[lo:hi])
+            out[lvl] = acc
+        return out
+
+    i, j = np.triu_indices(n, 1)
+    diameters = bottom_up(np.maximum, i, chain.split[i, j], space.dist[i, j], zero)
+    order, parent, weight = _prim(space.dist)
+    tree_keys = chain.split[order[1:], parent[1:]]
+    gaps = bottom_up(np.maximum, order[1:], tree_keys, weight[1:], zero)
+    edges = bottom_up(np.add, order[1:], tree_keys, np.ones(n - 1, dtype=np.intp), 0)
+    connected = [e == np.bincount(p.block_of) - 1 for e, p in zip(edges, levels)]
+    return diameters, gaps, connected
 
 
 @dataclass(frozen=True)

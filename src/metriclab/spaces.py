@@ -27,8 +27,13 @@ class FiniteMetricSpace:
 
     __slots__ = ("labels", "dist", "diameter", "exact", "rescaled")
 
-    def __init__(self, labels, dist, *, exact=False, rescaled=False, _trusted=False):
+    def __init__(self, labels, dist, *, exact=False, rescaled=False, _trusted=False,
+                 diameter=None):
+        """diameter, accepted only with _trusted, is the largest entry as the
+        builder already knows it, which spares a scan of all n^2 entries."""
         labels = tuple(str(x) for x in labels)
+        if diameter is not None and not _trusted:
+            raise ValueError("only a trusted builder may pass the diameter")
         if _trusted:
             matrix = np.asarray(dist, dtype=object if exact else float)
         else:
@@ -40,7 +45,9 @@ class FiniteMetricSpace:
         self.dist = matrix
         self.exact = exact
         self.rescaled = rescaled
-        self.diameter = matrix.max() if len(labels) > 1 else _zero(exact)
+        if diameter is None:
+            diameter = matrix.max() if len(labels) > 1 else _zero(exact)
+        self.diameter = diameter
 
     @property
     def n(self) -> int:
@@ -222,15 +229,18 @@ def sup_product(spaces, cap: int | None = None) -> FiniteMetricSpace:
     exact = any(sp.exact for sp in spaces)
     labels = [""]
     dist = _zeros((1, 1), exact)
+    diameter = _zero(exact)
     for sp in spaces:
         f = sp.dist if sp.exact == exact else _entries(sp.dist, exact)
+        diameter = max(diameter, sp.diameter if sp.exact == exact else Fraction(sp.diameter))
         nf = sp.n
         grown = np.repeat(np.repeat(dist, nf, axis=0), nf, axis=1)
         tiled = np.tile(f, dist.shape)
         dist = np.maximum(grown, tiled)
         labels = [f"{a}|{b}" if a else str(b) for a in labels for b in sp.labels]
     labels = [f"({x})" for x in labels] if len(spaces) > 1 else list(spaces[0].labels)
-    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True)
+    # the sup of the coordinate distances peaks at the largest factor diameter
+    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=diameter)
 
 
 @dataclass(frozen=True)

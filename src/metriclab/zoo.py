@@ -231,6 +231,10 @@ def _sequence_points(family, depth, exact):
 def _pair_matrix(values, pair, exact):
     """Symmetric matrix of pair(values[i], values[j]) with a zero diagonal.
 
+    On a sequence sample (0, then decreasing r_n) both |x - y| and
+    max(x, y) peak at the pair (0, r_first), so entry [0, 1] is the
+    diameter.
+
     Each unordered pair is computed once, a row at a time, and mirrored: on
     Fraction values the arithmetic is what the build costs.
     """
@@ -248,7 +252,7 @@ def _sequence_space(family, depth, exact):
         dist = _pair_matrix(pts, np.maximum, exact)
     else:
         dist = _pair_matrix(pts, lambda a, b: np.abs(a - b), exact)
-    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True)
+    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=dist[0, 1])
 
 
 def _sequence_chain(space, family, depth):
@@ -293,7 +297,8 @@ def product_factors(family, depth, exact=False):
             raise DepthOverflow(f"product factor underflows at n={n}")
         m = _zeros((2, 2), exact)
         m[0, 1] = m[1, 0] = v
-        out.append(FiniteMetricSpace(["0", f"r{n}"], m, exact=exact, _trusted=True))
+        out.append(FiniteMetricSpace(["0", f"r{n}"], m, exact=exact, _trusted=True,
+                                     diameter=m[0, 1]))
     return out
 
 
@@ -318,7 +323,9 @@ def _cantor_space(family, depth, exact):
     by_xor = by_length[[k.bit_length() for k in range(n_pts)]]
     idx = np.arange(n_pts)
     dist = by_xor[idx[:, None] ^ idx[None, :]]
-    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True)
+    # points differing in the first coordinate are the farthest apart
+    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True,
+                             diameter=by_length[-1])
 
 
 def sample(family: AnalyticFamily, depth: int, exact: bool = False,
@@ -362,8 +369,8 @@ def comparison_ultrametric(family: AnalyticFamily, depth: int,
     if family.chain_style != "sequence":
         raise ValueError("comparison ultrametric applies to sequence families")
     labels, pts = _sequence_points(family, depth, exact)
-    return FiniteMetricSpace(labels, _pair_matrix(pts, np.maximum, exact), exact=exact,
-                             _trusted=True)
+    dist = _pair_matrix(pts, np.maximum, exact)
+    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=dist[0, 1])
 
 
 def formula_table(family: AnalyticFamily, n_from: int, n_to: int):

@@ -1,7 +1,11 @@
 """Slow reference implementations kept as oracles for the fast paths.
 
-Each function is the loop that `metriclab` ran before the label-array
-kernel `partitions._label_stats` took its place; tests compare the two.
+Each function is the code that `metriclab` ran before a faster path took its
+place: the label-array kernel `partitions._label_stats`, the block extents
+`partitions._block_extents` read off one spanning tree, the one-level
+`with_singleton_terminal` and the `np.unique` spectrum of `ball_chain`.
+Tests compare the two; `tree_connects` checks, by a union-find, which blocks
+the spanning tree connects.
 """
 
 import math
@@ -11,8 +15,9 @@ import numpy as np
 from metriclab.logratio import OracleResult, set_partitions
 from metriclab._util import as_float
 from metriclab.embedding import _exact_separated, _greedy_separated
-from metriclab.partitions import Partition, PartitionStats, _log_ratio, dendrogram_chain
-from metriclab.spaces import _zero
+from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
+                                  dendrogram_chain, largest_gap)
+from metriclab.spaces import _prim, _zero
 
 
 def _stats_of_assignment(space, assign):
@@ -125,3 +130,80 @@ def separated_count(space, center, r1, r2):
     if len(ball) <= 20:
         return _exact_separated(m, ball, r2, greedy)
     return greedy
+
+
+def property6(chain, space):
+    """The computation-rule report of profile(chain, space=space), with an
+    np.ix_ diameter for every block and a largest_gap call (a Prim on the
+    block's subspace) for every block of maximal diameter."""
+    proper = chain.proper_indices()
+    deltas = [as_float(chain.stats[i].delta) for i in proper]
+    decreasing = all(b < a for a, b in zip(deltas, deltas[1:]))
+    report = {"delta_strictly_decreasing": bool(decreasing), "gap_constant": None}
+    if len(proper) < 2:
+        return report
+    if any(as_float(chain.stats[j].gamma) <= 0 for j in proper[1:]):
+        return report
+    worst = 0.0
+    for i, j in zip(proper, proper[1:]):
+        delta_i = as_float(chain.stats[i].delta)
+        gamma_next = as_float(chain.stats[j].gamma)
+        best = math.inf
+        for b in chain.levels[i].blocks:
+            if len(b) < 2:
+                continue
+            diam = as_float(space.dist[np.ix_(b, b)].max())
+            if abs(diam - delta_i) <= 1e-15 + 1e-9 * abs(delta_i):
+                best = min(best, as_float(largest_gap(space, b)) / gamma_next)
+        if math.isfinite(best):
+            worst = max(worst, best)
+    report["gap_constant"] = worst if worst > 0 else None
+    return report
+
+
+def block_extents(space, chain):
+    """Diameter (np.ix_ maximum) and largest gap of every block, level by
+    level, as lists in block order."""
+    out = []
+    for level in chain.levels:
+        diams = [space.dist[np.ix_(b, b)].max() if len(b) > 1 else _zero(space.exact)
+                 for b in level.blocks]
+        out.append((diams, [largest_gap(space, b) for b in level.blocks]))
+    return out
+
+
+def tree_connects(space, block):
+    """Whether the edges of the whole space's spanning tree with both ends
+    in block connect it, by a union-find over those edges."""
+    order, parent, _ = _prim(space.dist)
+    inside = set(block)
+    root = {v: v for v in block}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for v, p in zip(order[1:].tolist(), parent[1:].tolist()):
+        if v in inside and p in inside:
+            root[find(v)] = find(p)
+    return len({find(v) for v in block}) == 1
+
+
+def with_singleton_terminal(space, chain):
+    """with_singleton_terminal as a rebuild of the whole chain."""
+    if all(len(b) == 1 for b in chain.levels[-1].blocks):
+        return chain
+    return PartitionChain.from_partitions(
+        space,
+        chain.levels + (Partition.singletons(space.n),),
+        chain.thresholds + (None,),
+        chain.level_ids + (chain.level_ids[-1] + 1,),
+    )
+
+
+def ball_spectrum(space):
+    """The distinct off-diagonal distances, largest first, as a set of entries."""
+    m = space.dist
+    n = space.n
+    return sorted({m[i, j] for i in range(n) for j in range(i + 1, n)}, reverse=True)
