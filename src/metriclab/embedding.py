@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, as_floats
-from .errors import (BoundViolated, DepthOverflow, EmptyWindow, NotSeparating,
-                     PackingInfeasible)
+from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
 from .logratio import profile
-from .partitions import PartitionChain, classify_chain
+from .partitions import PartitionChain, _require_separating, classify_chain
 from .spaces import FiniteMetricSpace
 from .ultrametrize import (LOG_SLACK, _first_failure, _pair_logs, _window_start,
                            fit_holder_exponents)
@@ -243,12 +242,6 @@ class EmbeddingResult:
         }
 
 
-def _cube_gap(c1, r1, c2, r2) -> float:
-    """Box-norm distance between two axis-aligned cubes."""
-    axis = np.abs(np.asarray(c1) - np.asarray(c2)) - (r1 + r2)
-    return float(max(axis.max(), 0.0))
-
-
 def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
                 p: float, epsilon: float, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     """Recursive grid packing of the chain into R^N under the box norm.
@@ -262,10 +255,7 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
         raise ValueError("embedding requires a float-mode space")
     if N < 1:
         raise ValueError("N must be at least 1")
-    last = chain.levels[-1]
-    for b in last.blocks:
-        if len(b) > 1:
-            raise NotSeparating((int(b[0]), int(b[1])))
+    _require_separating(chain)
     prof = profile(chain)
     r_est = prof.estimate
     eps_ok = math.isfinite(r_est) and r_est > 1 and 0 < epsilon < min(1.0, r_est - 1)
@@ -339,11 +329,11 @@ def _containing_block(partition, point):
 def _audit_level(chain, lvl, required, capacity, box_center, box_parent,
                  deltas, gammas, tol):
     blocks = chain.levels[lvl].blocks
-    min_gap = math.inf
-    for a, b in combinations(blocks, 2):
-        gap = _cube_gap(box_center[(lvl, a)], deltas[lvl],
-                        box_center[(lvl, b)], deltas[lvl])
-        min_gap = min(min_gap, gap)
+    # the box gap of two cubes of radius delta is their centres' box distance
+    # less 2 delta; subtracting one constant keeps the rounded minimum
+    centers = np.array([box_center[(lvl, b)] for b in blocks])
+    between = _box_matrix(centers)[np.triu_indices(len(blocks), 1)]
+    min_gap = max(float(between.min()) - 2 * deltas[lvl], 0.0) if len(between) else math.inf
     nested = True
     commutes = True
     if lvl > 0:
@@ -380,8 +370,8 @@ def select_embeddable_subchain(space: FiniteMetricSpace, chain: PartitionChain,
     cur = proper[0]
     while True:
         found = None
-        for nxt in range(cur + 1, len(chain.levels)):
-            required = _transition_required(chain.levels[cur], chain.levels[nxt])
+        for nxt in range(cur + 1, len(chain)):
+            required = _transition_required(chain, cur, nxt)
             _, capacity = grid_capacity(deltas[cur], deltas[nxt], gammas[nxt], N)
             if required <= capacity:
                 found = nxt
@@ -390,24 +380,22 @@ def select_embeddable_subchain(space: FiniteMetricSpace, chain: PartitionChain,
             break
         picked.append(found)
         cur = found
-    terminal = chain.levels[picked[-1]]
-    if any(len(b) > 1 for b in terminal.blocks):
-        required = max(len(b) for b in terminal.blocks)
+    if chain.stats[picked[-1]].cardinality < len(chain.split):
+        required = int(np.bincount(chain.labels[picked[-1]]).max())
         raise PackingInfeasible(int(chain.level_ids[picked[-1]]), required, 0)
-    return PartitionChain.from_partitions(
+    return PartitionChain._from_split(
         space,
-        [chain.levels[i] for i in picked],
+        np.searchsorted(picked, chain.split, side="left"),
         [chain.thresholds[i] for i in picked],
         [chain.level_ids[i] for i in picked],
     )
 
 
-def _transition_required(coarse, fine) -> int:
-    counts = {}
-    for block in fine.blocks:
-        pid = coarse.block_of[block[0]]
-        counts[pid] = counts.get(pid, 0) + 1
-    return max(counts.values())
+def _transition_required(chain, coarse, fine) -> int:
+    """The most blocks of level fine inside one block of level coarse."""
+    parent = np.empty(chain.stats[fine].cardinality, dtype=np.intp)
+    parent[chain.labels[fine]] = chain.labels[coarse]
+    return int(np.bincount(parent).max())
 
 
 @dataclass(frozen=True)
@@ -507,9 +495,8 @@ def image_ratio_report(space: FiniteMetricSpace, result: EmbeddingResult) -> dic
     box = _box_matrix(result.coords)
     diam = box.max()
     image = FiniteMetricSpace(space.labels, box / diam, _trusted=True)
-    chain = PartitionChain.from_partitions(image, result.chain.levels,
-                                           result.chain.thresholds,
-                                           result.chain.level_ids)
+    chain = PartitionChain._from_split(image, result.chain.split, result.chain.thresholds,
+                                       result.chain.level_ids)
     prof = profile(chain)
     spread = (result.p * (result.R_est + result.epsilon)) ** 2
     low = result.R_est / spread if math.isfinite(result.R_est) else 0.0

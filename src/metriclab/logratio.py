@@ -140,14 +140,14 @@ def _property6(chain, space, proper):
     for i, j in zip(proper, proper[1:]):
         delta_i = as_float(chain.stats[i].delta)
         gamma_next = as_float(chain.stats[j].gamma)
-        sizes = np.bincount(chain.levels[i].block_of)
+        sizes = np.bincount(chain.labels[i])
         near = np.abs(as_floats(diameters[i]) - delta_i) <= 1e-15 + 1e-9 * abs(delta_i)
         widest = np.flatnonzero((sizes >= 2) & near)
         if not len(widest):
             continue
         gap = as_floats(gaps[i][widest])
         for k in np.flatnonzero(~connected[i][widest]).tolist():
-            gap[k] = as_float(largest_gap(space, chain.levels[i].blocks[widest[k]]))
+            gap[k] = as_float(largest_gap(space, np.flatnonzero(chain.labels[i] == widest[k])))
         with np.errstate(over="ignore"):  # a gap over a tiny gamma may overflow to inf
             best = float((gap / gamma_next).min())
         if math.isfinite(best):

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
-from .errors import NotNested, NotUltrametric
-from .spaces import (FiniteMetricSpace, _prim, _subdominant, _zero, is_ultrametric,
-                     subspace)
+from .errors import NotNested, NotSeparating, NotUltrametric
+from .spaces import (FiniteMetricSpace, _merge_ranks, _prim, _subdominant, _zero,
+                     is_ultrametric, subspace)
 
 
 class Partition:
@@ -149,46 +150,43 @@ def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarr
 
 
 def threshold_partition(space: FiniteMetricSpace, t) -> Partition:
-    """Components of the graph with edges {d(x, y) < t}; guarantees gamma >= t."""
+    """Components of the graph with edges {d(x, y) < t}; guarantees gamma >= t.
+    They are those of the spanning-tree edges shorter than t, found in one
+    pass down the Prim order (parents come first)."""
     if t <= 0:
         raise ValueError("threshold must be positive")
     order, parent, weight = _prim(space.dist)
-    return _components(order, parent, weight < t)
-
-
-def _components(order, parent, joined) -> Partition:
-    """Components of the spanning-tree edges whose Prim steps are marked in
-    joined, in one pass down the Prim order (parents come first)."""
-    label = list(range(len(order)))
-    for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), joined[1:].tolist()):
+    label = list(range(space.n))
+    for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), (weight[1:] < t).tolist()):
         if keep:
             label[v] = label[p]
     return Partition.from_assignment(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionChain:
     """Nested partitions, coarse to fine, with per-level stats.
+
+    split[i, j] is the first level whose partition separates i and j, or
+    len(chain) when none does (always on the diagonal): the chain's one
+    datum, its dendrogram in level units. Level l joins i and j exactly when
+    l < split[i, j]; the stats and every pairwise check read split, and
+    labels and levels are views of it, built on first use. Chains are equal
+    when split, stats, thresholds and level_ids are.
 
     thresholds[i] is the merge radius that produced level i (None for levels
     not born from a merge, like a leading trivial partition). level_ids keeps
     external numbering for sampled families; defaults to positional indices.
-    A level with delta = 0 (all singletons) is only allowed at the end.
-
-    split[i, j] is the first level whose partition separates i and j, or
-    len(levels) when none does (always on the diagonal). It is the chain's
-    dendrogram: level l joins i and j exactly when l < split[i, j], so the
-    stats, the chain ultrametrics and every pairwise check read it.
     """
 
-    levels: tuple
+    split: np.ndarray = field(repr=False)
     stats: tuple
     thresholds: tuple
     level_ids: tuple
-    split: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def from_partitions(cls, space, levels, thresholds=None, level_ids=None) -> "PartitionChain":
+        """The chain of untrusted partitions, checked to nest."""
         levels = tuple(levels)
         if not levels:
             raise ValueError("chain needs at least one level")
@@ -200,19 +198,50 @@ class PartitionChain:
         split = np.zeros((space.n, space.n), dtype=np.int32)
         for p in levels:
             split += p.block_of[:, None] == p.block_of[None, :]
+        return cls._from_split(space, split, thresholds, level_ids)
+
+    @classmethod
+    def _from_split(cls, space, split, thresholds=None, level_ids=None) -> "PartitionChain":
+        """The chain of a nested split matrix; its diagonal is the level count."""
+        split = np.asarray(split, dtype=np.int32)
+        if split.shape != (space.n, space.n):
+            raise ValueError("chain does not match the space")
         split.setflags(write=False)
-        stats = _chain_stats(space, levels, split)
-        for idx, st in enumerate(stats[:-1]):
-            if st.delta == 0 and levels[idx + 1] != levels[idx]:
-                raise ValueError("all-singleton level is only allowed as the terminal level")
+        length = int(split[0, 0])
         if thresholds is None:
-            thresholds = (None,) * len(levels)
+            thresholds = (None,) * length
         if level_ids is None:
-            level_ids = tuple(range(len(levels)))
-        return cls(levels, stats, tuple(thresholds), tuple(level_ids), split)
+            level_ids = tuple(range(length))
+        return cls(split, _chain_stats(space, split), tuple(thresholds), tuple(level_ids))
+
+    def __eq__(self, other):
+        return (isinstance(other, PartitionChain) and np.array_equal(self.split, other.split)
+                and (self.stats, self.thresholds, self.level_ids)
+                == (other.stats, other.thresholds, other.level_ids))
+
+    def __hash__(self):
+        return hash((self.stats, self.thresholds, self.level_ids))
 
     def __len__(self):
-        return len(self.levels)
+        return len(self.stats)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """(L, n) block ids: row l numbers the blocks of level l by least
+        member. The block of i at level l is {j : split[i, j] > l}, so its
+        least member is where the running maximum of row i first exceeds l."""
+        lvl = np.arange(len(self))
+        least = np.array([np.searchsorted(np.maximum.accumulate(row), lvl, side="right")
+                          for row in self.split])
+        rank = np.cumsum(_leads(self.split)[None, :] <= lvl[:, None], axis=1) - 1
+        labels = np.take_along_axis(rank, least.T, axis=1)
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
+    def levels(self) -> tuple:
+        """The partitions, coarse to fine."""
+        return tuple(Partition.from_assignment(row) for row in self.labels.tolist())
 
     def proper_indices(self) -> list[int]:
         """Levels carrying log-ratio information: >= 2 blocks and delta > 0."""
@@ -237,14 +266,22 @@ class PartitionChain:
         }
 
 
-def _chain_stats(space: FiniteMetricSpace, levels: tuple, split: np.ndarray) -> tuple:
+def _leads(split: np.ndarray) -> np.ndarray:
+    """max over j < i of split[i, j]: point i is the least member of its
+    block at every level from this one on (0 for point 0)."""
+    return np.tril(split, -1).max(axis=1)
+
+
+def _chain_stats(space: FiniteMetricSpace, split: np.ndarray) -> tuple:
     """partition_stats of every level, read off the split matrix.
 
     delta of level l is the largest distance of a pair split after l, and
     gamma the smallest of a pair split at or before l: one grouped max/min
     over the upper triangle by split level, then a suffix max and a prefix
-    min. Values stay matrix entries, so exact chains keep their Fractions.
+    min. The cardinality of level l counts the points that lead a block at
+    l. Values stay matrix entries, so exact chains keep their Fractions.
     """
+    length = int(split[0, 0])
     upper = np.triu_indices(space.n, 1)
     keys = split[upper]
     order = np.argsort(keys)
@@ -256,49 +293,41 @@ def _chain_stats(space: FiniteMetricSpace, levels: tuple, split: np.ndarray) -> 
     low = dict(zip(at, np.minimum.reduceat(values, starts)))
     deltas = []
     run = _zero(space.exact)
-    for key in range(len(levels), 0, -1):
+    for key in range(length, 0, -1):
         if key in top and top[key] > run:
             run = top[key]
         deltas.append(run)
     deltas.reverse()
+    cards = np.searchsorted(np.sort(_leads(split)), np.arange(length), side="right").tolist()
     stats = []
     run = None
-    for lvl, p in enumerate(levels):
+    for lvl, card in enumerate(cards):
         if lvl in low and (run is None or low[lvl] < run):
             run = low[lvl]
-        gamma = run if p.cardinality > 1 else space.diameter
-        stats.append(PartitionStats(deltas[lvl], gamma, _log_ratio(deltas[lvl], gamma),
-                                    p.cardinality))
+        gamma = run if card > 1 else space.diameter
+        stats.append(PartitionStats(deltas[lvl], gamma, _log_ratio(deltas[lvl], gamma), card))
     return tuple(stats)
+
+
+def _require_separating(chain: PartitionChain) -> None:
+    """Raise NotSeparating on the first row-major pair the last level joins."""
+    if chain.stats[-1].cardinality < len(chain.split):
+        i, j = np.argwhere(np.triu(chain.split == len(chain), 1))[0].tolist()
+        raise NotSeparating((i, j))
 
 
 def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
     """Append the all-singleton level when the chain does not separate points.
 
-    Only the new level is built: the pairs the chain never separated are
-    now split at the new level, which leaves every old level's stats as
-    they were, so split only gains a raised diagonal. The new level has
-    delta = 0 and gamma = the smallest distance.
+    The pairs the chain never separated are split at the new level, so
+    split only gains a raised diagonal.
     """
-    last = chain.levels[-1]
-    if all(len(b) == 1 for b in last.blocks):
+    if chain.stats[-1].cardinality == len(chain.split):
         return chain
-    n = space.n
-    if chain.split.shape != (n, n):
-        raise ValueError("chain does not match the space")
     split = chain.split.copy()
-    np.fill_diagonal(split, len(chain.levels) + 1)
-    split.setflags(write=False)
-    zero = _zero(space.exact)
-    gamma = space.dist[np.triu_indices(n, 1)].min()
-    terminal = PartitionStats(zero, gamma, _log_ratio(zero, gamma), n)
-    return PartitionChain(
-        chain.levels + (Partition.singletons(n),),
-        chain.stats + (terminal,),
-        chain.thresholds + (None,),
-        chain.level_ids + (chain.level_ids[-1] + 1,),
-        split,
-    )
+    np.fill_diagonal(split, len(chain) + 1)
+    return PartitionChain._from_split(space, split, chain.thresholds + (None,),
+                                      chain.level_ids + (chain.level_ids[-1] + 1,))
 
 
 def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
@@ -307,31 +336,29 @@ def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
     Ties merge simultaneously; every level equals the threshold partition at
     its recorded radius, and its gamma equals that radius exactly. There is
     one level per distinct minimum-spanning-tree edge length r, joined by the
-    tree edges shorter than r.
+    tree edges shorter than r, so a pair stays joined through one level per
+    height above its subdominant distance.
     """
-    order, parent, weight = _prim(space.dist)
-    radii = sorted(set(weight[1:]), reverse=True)
-    levels = [Partition.trivial(space.n)] + [_components(order, parent, weight < r)
-                                             for r in radii]
-    return PartitionChain.from_partitions(space, levels, [None] + radii)
+    heights, top = _merge_ranks(space.dist)
+    radii = list(heights[:0:-1])
+    return PartitionChain._from_split(space, len(heights) - top, [None] + radii)
 
 
 def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionChain:
     """Closed-ball partitions of an ultrametric space, one level per value
     of the distance spectrum r_1 > r_2 > ...; level n has delta = r_n and
-    gamma = r_{n-1}."""
+    gamma = r_{n-1}. Level n joins the pairs whose subdominant distance is
+    at most r_n (the components of the tree edges up to r_n)."""
     check = is_ultrametric(space, tol)
     if not check.ok:
         raise NotUltrametric(check.witness, check.violation)
-    n = space.n
-    if n == 1:
-        return PartitionChain.from_partitions(space, [Partition.trivial(1)])
-    m = space.dist
-    values = np.unique(m[np.triu_indices(n, 1)])[::-1]
-    order, parent, weight = _prim(m)
-    levels = [_components(order, parent, weight <= r) for r in values]
-    ids = tuple(range(1, len(levels) + 1))
-    return PartitionChain.from_partitions(space, levels, [as_float(r) for r in values], ids)
+    if space.n == 1:
+        return PartitionChain._from_split(space, [[1]])
+    spectrum = np.unique(space.dist[np.triu_indices(space.n, 1)])
+    heights, top = _merge_ranks(space.dist)
+    joined = len(spectrum) - np.searchsorted(spectrum, heights, side="left")
+    return PartitionChain._from_split(space, joined[top], [as_float(r) for r in spectrum[::-1]],
+                                      range(1, len(spectrum) + 1))
 
 
 def associated_endpoints(space: FiniteMetricSpace) -> list[tuple[tuple[int, int], object]]:
@@ -377,26 +404,22 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     n = space.n
     if chain.split.shape != (n, n):
         raise ValueError("chain does not match the space")
-    levels = chain.levels
+    labels = chain.labels
+    leads = _leads(chain.split)
+    length = len(chain)
     zero = _zero(space.exact)
-    # ups[l] maps each block of level l + 1 to the block of level l holding it
-    ups = [None] * len(levels)
-    for lvl in range(len(levels) - 1):
-        up = np.empty(levels[lvl + 1].cardinality, dtype=np.intp)
-        up[levels[lvl + 1].block_of] = levels[lvl].block_of
-        ups[lvl] = up
 
     def bottom_up(ufunc, ends, keys, values, fill):
         order = np.argsort(keys, kind="stable")
         ends, values = ends[order], values[order]
-        starts = np.searchsorted(keys[order], np.arange(len(levels) + 2))
-        out = [None] * len(levels)
-        for lvl in range(len(levels) - 1, -1, -1):
-            acc = np.full(levels[lvl].cardinality, fill, dtype=values.dtype)
-            if ups[lvl] is not None:
-                ufunc.at(acc, ups[lvl], out[lvl + 1])
+        starts = np.searchsorted(keys[order], np.arange(length + 2))
+        out = [None] * length
+        for lvl in range(length - 1, -1, -1):
+            acc = np.full(chain.stats[lvl].cardinality, fill, dtype=values.dtype)
+            if lvl + 1 < length:  # the least members of the children, in block order
+                ufunc.at(acc, labels[lvl][leads <= lvl + 1], out[lvl + 1])
             lo, hi = starts[lvl + 1], starts[lvl + 2]
-            ufunc.at(acc, levels[lvl].block_of[ends[lo:hi]], values[lo:hi])
+            ufunc.at(acc, labels[lvl][ends[lo:hi]], values[lo:hi])
             out[lvl] = acc
         return out
 
@@ -406,7 +429,7 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     tree_keys = chain.split[order[1:], parent[1:]]
     gaps = bottom_up(np.maximum, order[1:], tree_keys, weight[1:], zero)
     edges = bottom_up(np.add, order[1:], tree_keys, np.ones(n - 1, dtype=np.intp), 0)
-    connected = [e == np.bincount(p.block_of) - 1 for e, p in zip(edges, levels)]
+    connected = [e == np.bincount(row) - 1 for e, row in zip(edges, labels)]
     return diameters, gaps, connected
 
 
@@ -493,8 +516,9 @@ def induced_chain(space: FiniteMetricSpace, chain: PartitionChain, indices):
     Consecutive induced levels may coincide; refinement is preserved.
     """
     sub = subspace(space, indices)
-    levels = [induced_partition(p, indices) for p in chain.levels]
-    return sub, PartitionChain.from_partitions(sub, levels, chain.thresholds, chain.level_ids)
+    idx = sorted(dict.fromkeys(int(i) for i in indices))
+    return sub, PartitionChain._from_split(sub, chain.split[np.ix_(idx, idx)],
+                                           chain.thresholds, chain.level_ids)
 
 
 @dataclass(frozen=True)
@@ -525,8 +549,8 @@ def pushforward_chain(space: FiniteMetricSpace, image: FiniteMetricSpace,
         fit = fit_holder_exponents(space.dist, image.dist)
     verify_holder_fit(space.dist, image.dist, fit, tol=tol)
     base = classify_chain(chain, p, tol=tol)
-    image_chain = PartitionChain.from_partitions(image, chain.levels, chain.thresholds,
-                                                 chain.level_ids)
+    image_chain = PartitionChain._from_split(image, chain.split, chain.thresholds,
+                                             chain.level_ids)
     p_prime = (fit.t / fit.s) * p
     a_prime = (fit.c1 / fit.c2 ** p_prime) * base.p_witness ** fit.t
     gamma_ok = True

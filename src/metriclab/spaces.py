@@ -106,14 +106,19 @@ def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = Fals
     positive off-diagonal entries (duplicate points are rejected, not
     merged), the triangle inequality on every triple, and diameter <= 1.
     Exact entries are compared exactly; tol only absorbs float rounding.
+    A ragged or non-numeric matrix raises MetricViolation("parse").
     """
     return _checked(matrix, labels, tol, exact)[1]
 
 
 def _checked(matrix, labels, tol, exact):
     """(entries, violations): the matrix in the mode's dtype, its exact
-    entries converted to Fraction, and what violations() reports on it."""
-    m = np.asarray(matrix, dtype=object if exact else float)
+    entries converted to Fraction, and what violations() reports on it.
+    Raises MetricViolation("parse") on a ragged or non-numeric matrix."""
+    try:
+        m = np.asarray(matrix, dtype=object if exact else float)
+    except (TypeError, ValueError) as exc:
+        raise MetricViolation("parse", None, str(exc)) from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return m, [MetricViolation("shape", m.shape, "matrix must be square")]
     n = m.shape[0]
@@ -319,22 +324,26 @@ def _prim(matrix):
 
 def _subdominant(matrix) -> np.ndarray:
     """Single-linkage merge heights: u[i, j] is the longest edge on the tree
-    path from i to j, the largest ultrametric below the matrix.
+    path from i to j, the largest ultrametric below the matrix."""
+    heights, top = _merge_ranks(matrix)
+    return heights[top]
 
-    Walking the Prim order, u[v, seen] = max(weight_v, u[parent_v, seen]).
-    The walk runs on the ranks of the weights, so on a Fraction matrix it
-    adds only the exact comparisons of one sort; entries of u are entries
-    of the matrix.
+
+def _merge_ranks(matrix):
+    """(heights, top): the distinct spanning-tree weights, ascending from the
+    diagonal's zero, and top[i, j] the index in heights of u[i, j].
+
+    Walking the Prim order, u[v, seen] = max(weight_v, u[parent_v, seen]),
+    on the ranks of the weights: a Fraction matrix adds only the exact
+    comparisons of one sort, and heights are entries of the matrix.
     """
     order, parent, weight = _prim(matrix)
-    by_weight = np.argsort(weight, kind="stable")
-    rank = np.empty_like(by_weight)
-    rank[by_weight] = np.arange(len(weight))
+    heights, rank = np.unique(weight, return_inverse=True)
     top = np.zeros(matrix.shape, dtype=np.intp)
     for k in range(1, len(order)):
         seen = order[:k]
         top[order[k], seen] = top[seen, order[k]] = np.maximum(top[parent[k], seen], rank[k])
-    return weight[by_weight][top]
+    return heights, top
 
 
 def hausdorff_hyperspace(space: FiniteMetricSpace, max_subset_size: int | None = None,
@@ -399,4 +408,7 @@ def from_json(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> 
     doc = json.loads(text)
     if not isinstance(doc, dict) or "dist" not in doc:
         raise MetricViolation("parse", None, 'need a JSON object with a "dist" matrix')
-    return validate(doc["dist"], doc.get("labels"), tol=tol, rescale=rescale)
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise MetricViolation("parse", None, '"labels" must be a list')
+    return validate(doc["dist"], labels, tol=tol, rescale=rescale)

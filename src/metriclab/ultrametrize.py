@@ -19,14 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
-from .errors import (
-    CertificateRefused,
-    CertificateViolated,
-    DistortionBoundsViolated,
-    NotSeparating,
-)
+from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile
-from .partitions import Partition, PartitionChain, classify_chain
+from .partitions import PartitionChain, _require_separating, classify_chain
 from .spaces import FiniteMetricSpace, _subdominant, is_ultrametric
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
@@ -42,25 +37,16 @@ def _safe_exp(x: float) -> float:
 
 def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
     """Prepend {X} when the chain starts with a proper partition."""
-    if chain.levels[0].cardinality == 1:
+    if chain.stats[0].cardinality == 1:
         return chain
-    head = Partition.trivial(space.n)
-    first_id = int(chain.level_ids[0])
-    return PartitionChain.from_partitions(
-        space,
-        (head,) + chain.levels,
-        (None,) + chain.thresholds,
-        (first_id - 1,) + chain.level_ids,
-    )
+    return PartitionChain._from_split(space, chain.split + 1, (None,) + chain.thresholds,
+                                      (int(chain.level_ids[0]) - 1,) + chain.level_ids)
 
 
 def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> np.ndarray:
     """rho matrix of the chain ultrametric; requires a separating terminal level."""
     chain = ensure_trivial_head(space, chain)
-    last = chain.levels[-1]
-    for b in last.blocks:
-        if len(b) > 1:
-            raise NotSeparating((int(b[0]), int(b[1])))
+    _require_separating(chain)
     # a pair split at level l gets the delta of level l - 1; the diagonal
     # reads the last delta, 0
     deltas = np.array([st.delta for st in chain.stats], dtype=object if space.exact else float)

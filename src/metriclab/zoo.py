@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import LN2, max_points
 from .errors import CapExceeded, DepthOverflow
-from .partitions import Partition, PartitionChain
+from .partitions import PartitionChain
 from .spaces import FiniteMetricSpace, _zero, _zeros, sup_product
 
 KINDS = ("seq_factorial", "seq_power_tower", "seq_geometric", "seq_polynomial",
@@ -256,31 +256,26 @@ def _sequence_space(family, depth, exact):
 
 
 def _sequence_chain(space, family, depth):
+    """Level k joins 0 with r_(first+k), r_(first+k+1), ...: points i, j > 0
+    stay joined through level min(i, j) - 1, and 0 and j through j - 1."""
+    idx = np.arange(depth + 1)
+    split = np.minimum.outer(idx, idx)
+    split[0] = split[:, 0] = idx
+    np.fill_diagonal(split, depth)
     first = family.first_index
-    n_pts = depth + 1
-    levels = []
-    ids = []
-    for n in range(first, first + depth):
-        k = n - first  # points isolated so far
-        blocks = [[0] + list(range(k + 1, n_pts))] + [[i] for i in range(1, k + 1)]
-        levels.append(Partition(blocks, n_pts))
-        ids.append(n)
-    return PartitionChain.from_partitions(space, levels, None, ids)
+    return PartitionChain._from_split(space, split, None, range(first, first + depth))
 
 
 def _prefix_chain(space, coords: int, level_count: int, start_prefix: int):
     """Ball chain of a binary-coordinate space: level i+1 groups points
     sharing the first start_prefix + i coordinates (level 1 is the whole
-    space). Points must be in lexicographic coordinate order."""
-    n_pts = space.n
-    levels = [Partition.trivial(n_pts)]
-    for i in range(1, level_count):
-        plen = start_prefix + i
-        width = 2 ** (coords - plen)
-        blocks = [range(s, s + width) for s in range(0, n_pts, width)]
-        levels.append(Partition(blocks, n_pts))
-    ids = list(range(1, level_count + 1))
-    return PartitionChain.from_partitions(space, levels, None, ids)
+    space). Points are in lexicographic coordinate order, so i and j share
+    coords - L of them, L the bit length of i ^ j."""
+    by_length = 1 + np.clip(coords - start_prefix - np.arange(coords + 1), 0, level_count - 1)
+    by_xor = by_length[[k.bit_length() for k in range(space.n)]]
+    idx = np.arange(space.n)
+    split = by_xor[idx[:, None] ^ idx[None, :]]
+    return PartitionChain._from_split(space, split, None, range(1, level_count + 1))
 
 
 def _product_space(family, depth, exact):

@@ -3,20 +3,28 @@
 Each function is the code that `metriclab` ran before a faster path took its
 place: the label-array kernel `partitions._label_stats`, the block extents
 `partitions._block_extents` read off one spanning tree, the one-level
-`with_singleton_terminal` and the `np.unique` spectrum of `ball_chain`.
-Tests compare the two; `tree_connects` checks, by a union-find, which blocks
-the spanning tree connects.
+`with_singleton_terminal` and the `np.unique` spectrum of `ball_chain`,
+the chains built one `Partition` per level before split-first chains wrote
+their split matrix in closed form, and the per-pair box gaps of the
+embedding audit. Tests compare the two; `tree_connects` checks, by a
+union-find, which blocks the spanning tree connects.
+
+The chain oracles return (levels, thresholds, level_ids): the partitions
+they built, so that a test can compare them with the levels a fast chain
+derives from its split matrix.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 from metriclab.logratio import OracleResult, set_partitions
 from metriclab._util import as_float
-from metriclab.embedding import _exact_separated, _greedy_separated
+from metriclab.embedding import _exact_separated, _greedy_separated, grid_capacity
+from metriclab.errors import NotSeparating, PackingInfeasible
 from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
-                                  dendrogram_chain, largest_gap)
+                                  dendrogram_chain, induced_partition, largest_gap)
 from metriclab.spaces import _prim, _zero
 
 
@@ -207,3 +215,130 @@ def ball_spectrum(space):
     m = space.dist
     n = space.n
     return sorted({m[i, j] for i in range(n) for j in range(i + 1, n)}, reverse=True)
+
+
+def cube_gap(c1, r1, c2, r2) -> float:
+    """Box-norm distance between two axis-aligned cubes."""
+    axis = np.abs(np.asarray(c1) - np.asarray(c2)) - (r1 + r2)
+    return float(max(axis.max(), 0.0))
+
+
+def _components(order, parent, joined):
+    """Components of the spanning-tree edges whose Prim steps are marked in
+    joined, in one pass down the Prim order (parents come first)."""
+    label = list(range(len(order)))
+    for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), joined[1:].tolist()):
+        if keep:
+            label[v] = label[p]
+    return Partition.from_assignment(label)
+
+
+def dendrogram_levels(space):
+    """dendrogram_chain as one spanning-tree components pass per merge radius."""
+    order, parent, weight = _prim(space.dist)
+    radii = sorted(set(weight[1:]), reverse=True)
+    levels = [Partition.trivial(space.n)] + [_components(order, parent, weight < r)
+                                             for r in radii]
+    return levels, [None] + radii, None
+
+
+def ball_levels(space):
+    """ball_chain (of an ultrametric space) as one components pass per
+    spectrum value."""
+    if space.n == 1:
+        return [Partition.trivial(1)], None, None
+    values = ball_spectrum(space)
+    order, parent, weight = _prim(space.dist)
+    levels = [_components(order, parent, weight <= r) for r in values]
+    return levels, [as_float(r) for r in values], range(1, len(levels) + 1)
+
+
+def sample_levels(family, depth, space):
+    """The chain of ml.sample(family, depth), one Partition per level: the
+    sequence kinds isolate r_first .. r_(n-1), the Cantor and product kinds
+    group points by a binary prefix."""
+    if family.kind in ("product_geometric", "cantor_factorial"):
+        cantor = family.kind == "cantor_factorial"
+        count = depth - 1 if cantor and depth > 1 else depth
+        return _prefix_levels(space.n, depth, count, int(cantor))
+    first = family.first_index
+    n_pts = depth + 1
+    levels = []
+    for n in range(first, first + depth):
+        k = n - first  # points isolated so far
+        blocks = [[0] + list(range(k + 1, n_pts))] + [[i] for i in range(1, k + 1)]
+        levels.append(Partition(blocks, n_pts))
+    return levels, None, range(first, first + depth)
+
+
+def _prefix_levels(n_pts, coords, level_count, start_prefix):
+    levels = [Partition.trivial(n_pts)]
+    for i in range(1, level_count):
+        width = 2 ** (coords - start_prefix - i)
+        levels.append(Partition([range(s, s + width) for s in range(0, n_pts, width)], n_pts))
+    return levels, None, range(1, level_count + 1)
+
+
+def ensure_trivial_head(space, chain):
+    """ensure_trivial_head as the chain's levels behind a trivial partition."""
+    if chain.levels[0].cardinality == 1:
+        return chain.levels, chain.thresholds, chain.level_ids
+    return ((Partition.trivial(space.n),) + chain.levels, (None,) + chain.thresholds,
+            (int(chain.level_ids[0]) - 1,) + chain.level_ids)
+
+
+def induced_levels(chain, indices):
+    """induced_chain's levels as the trace of every partition."""
+    return ([induced_partition(p, indices) for p in chain.levels], chain.thresholds,
+            chain.level_ids)
+
+
+def select_embeddable_subchain(space, chain, N):
+    """select_embeddable_subchain counting child blocks block by block."""
+    proper = chain.proper_indices()
+    if not proper:
+        raise ValueError("chain has no proper levels to embed")
+    deltas = [as_float(st.delta) for st in chain.stats]
+    gammas = [as_float(st.gamma) for st in chain.stats]
+    picked = [proper[0]]
+    cur = proper[0]
+    while True:
+        found = None
+        for nxt in range(cur + 1, len(chain.levels)):
+            counts = {}
+            for block in chain.levels[nxt].blocks:
+                pid = chain.levels[cur].block_of[block[0]]
+                counts[pid] = counts.get(pid, 0) + 1
+            _, capacity = grid_capacity(deltas[cur], deltas[nxt], gammas[nxt], N)
+            if max(counts.values()) <= capacity:
+                found = nxt
+                break
+        if found is None:
+            break
+        picked.append(found)
+        cur = found
+    terminal = chain.levels[picked[-1]]
+    if any(len(b) > 1 for b in terminal.blocks):
+        required = max(len(b) for b in terminal.blocks)
+        raise PackingInfeasible(int(chain.level_ids[picked[-1]]), required, 0)
+    return ([chain.levels[i] for i in picked], [chain.thresholds[i] for i in picked],
+            [chain.level_ids[i] for i in picked])
+
+
+def require_separating(chain):
+    """NotSeparating on the first two points of the first block of the last
+    level with more than one point."""
+    for b in chain.levels[-1].blocks:
+        if len(b) > 1:
+            raise NotSeparating((int(b[0]), int(b[1])))
+
+
+def audit_min_gap(chain, level, box_center, deltas, gammas):
+    """realized_min_gap of embedding._audit_level, one cube_gap call per
+    pair of the level's blocks (gamma when the level has one block)."""
+    min_gap = math.inf
+    for a, b in combinations(chain.levels[level].blocks, 2):
+        gap = cube_gap(box_center[(level, a)], deltas[level],
+                       box_center[(level, b)], deltas[level])
+        min_gap = min(min_gap, gap)
+    return min_gap if math.isfinite(min_gap) else gammas[level]

@@ -153,3 +153,19 @@ def test_malformed_json_input_is_a_parse_error(capsys, tmp_path, text):
     assert main(["profile", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: parse violated")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("labels.json", '{"dist": [[0, 0.5], [0.5, 0]], "labels": 5}'),
+    ("ragged.json", '{"dist": [[0, 0.5], [0.5]]}'),
+    ("strings.json", '{"dist": [["a", "b"], ["c", "d"]]}'),
+    ("objects.json", '{"dist": [[0, {}], [{}, 0]]}'),
+    ("ragged.csv", "a,b\n0,0.5\n0.5\n"),
+])
+def test_malformed_matrix_or_labels_is_a_parse_error(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["profile", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse violated")
+    assert "Traceback" not in err

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 import metriclab as ml
 import oracles
 from metriclab._util import as_float
-from metriclab.embedding import grid_capacity, place_children, _cube_gap
+from metriclab.embedding import grid_capacity, place_children
 from metriclab.errors import EmptyWindow, PackingInfeasible
 from conftest import euclidean_space
+from oracles import cube_gap as _cube_gap
 from test_ties import quantized_space
 
 
