@@ -208,11 +208,9 @@ class PartitionChain:
             raise ValueError("chain does not match the space")
         split.setflags(write=False)
         length = int(split[0, 0])
-        if thresholds is None:
-            thresholds = (None,) * length
-        if level_ids is None:
-            level_ids = tuple(range(length))
-        return cls(split, _chain_stats(space, split), tuple(thresholds), tuple(level_ids))
+        thresholds = (None,) * length if thresholds is None else tuple(thresholds)
+        level_ids = tuple(range(length)) if level_ids is None else tuple(level_ids)
+        return cls(split, _chain_stats(space, split), thresholds, level_ids)
 
     def __eq__(self, other):
         return (isinstance(other, PartitionChain) and np.array_equal(self.split, other.split)
@@ -227,14 +225,18 @@ class PartitionChain:
 
     @cached_property
     def labels(self) -> np.ndarray:
-        """(L, n) block ids: row l numbers the blocks of level l by least
-        member. The block of i at level l is {j : split[i, j] > l}, so its
-        least member is where the running maximum of row i first exceeds l."""
+        """(L, n) block ids, each level's blocks numbered by least member.
+        Point i leads its block from level _leads(split)[i] on; before, it
+        shares the block of the first j < i joined to it longest."""
         lvl = np.arange(len(self))
-        least = np.array([np.searchsorted(np.maximum.accumulate(row), lvl, side="right")
-                          for row in self.split])
-        rank = np.cumsum(_leads(self.split)[None, :] <= lvl[:, None], axis=1) - 1
-        labels = np.take_along_axis(rank, least.T, axis=1)
+        leads = _leads(self.split)
+        parent = np.argmax(np.tril(self.split == leads[:, None], -1), axis=1)
+        rows = np.zeros((len(leads), len(self)), dtype=np.intp)  # point by point
+        seen = np.zeros(len(self), dtype=np.intp)  # per level, the blocks led before i
+        for i, (lead, up) in enumerate(zip(leads.tolist(), parent.tolist())):
+            rows[i] = np.where(lvl >= lead, seen, rows[up])
+            seen[lead:] += 1
+        labels = np.ascontiguousarray(rows.T)
         labels.setflags(write=False)
         return labels
 
@@ -340,8 +342,7 @@ def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
     height above its subdominant distance.
     """
     heights, top = _merge_ranks(space.dist)
-    radii = list(heights[:0:-1])
-    return PartitionChain._from_split(space, len(heights) - top, [None] + radii)
+    return PartitionChain._from_split(space, len(heights) - top, [None] + list(heights[:0:-1]))
 
 
 def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionChain:

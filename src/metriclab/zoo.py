@@ -274,8 +274,8 @@ def _prefix_chain(space, coords: int, level_count: int, start_prefix: int):
     by_length = 1 + np.clip(coords - start_prefix - np.arange(coords + 1), 0, level_count - 1)
     by_xor = by_length[[k.bit_length() for k in range(space.n)]]
     idx = np.arange(space.n)
-    split = by_xor[idx[:, None] ^ idx[None, :]]
-    return PartitionChain._from_split(space, split, None, range(1, level_count + 1))
+    return PartitionChain._from_split(space, by_xor[idx[:, None] ^ idx[None, :]], None,
+                                      range(1, level_count + 1))
 
 
 def _product_space(family, depth, exact):
