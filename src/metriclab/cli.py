@@ -9,6 +9,7 @@ bound violations on a constructed object).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -310,9 +311,18 @@ _HANDLERS = {
 }
 
 
+def _require_finite(args) -> None:
+    """Reject a nan or infinite float option before any command runs."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--radius" if dest == "oracle_r" else "--" + dest.replace("_", "-")
+            raise MetricLabError(f"{flag} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require_finite(args)
         return _HANDLERS[args.command](args)
     except VerificationFailure as exc:
         sys.stderr.write(f"verification failure: {exc}\n")

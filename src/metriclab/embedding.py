@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, as_floats
 from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
 from .logratio import profile
-from .partitions import PartitionChain, _require_separating, classify_chain
+from .partitions import PartitionChain, _leads, _require_separating, classify_chain
 from .spaces import FiniteMetricSpace
 from .ultrametrize import (LOG_SLACK, _first_failure, _pair_logs, _window_start,
                            fit_holder_exponents)
@@ -172,19 +171,24 @@ def grid_capacity(delta_parent: float, delta_child: float, gamma_child: float,
 
 
 def place_children(center, delta_parent: float, delta_child: float,
-                   gamma_child: float, N: int, count: int):
-    """First ``count`` grid centers (lex cell order) of child cubes in a parent."""
+                   gamma_child: float, N: int, count: int) -> np.ndarray:
+    """First ``count`` child cube centers (lex cell order) in a parent, as rows."""
     per_axis, capacity = grid_capacity(delta_parent, delta_child, gamma_child, N)
     if count > capacity:
         raise PackingInfeasible(-1, count, capacity)
-    pitch = 2 * delta_child + gamma_child
     low = np.asarray(center, dtype=float) - (delta_parent - delta_child)
-    out = []
-    for cell in product(range(per_axis), repeat=N):
-        if len(out) == count:
-            break
-        out.append(low + pitch * np.asarray(cell, dtype=float))
-    return out
+    return low + (2 * delta_child + gamma_child) * _grid_cells(np.arange(count), per_axis, N)
+
+
+def _grid_cells(ranks, per_axis: int, N: int) -> np.ndarray:
+    """Float rows of the rank-th cells of the per_axis^N grid in lex order; a
+    base above every rank gives the same digits, so per_axis is capped there."""
+    cells = np.empty((len(ranks), N))
+    rest = np.asarray(ranks, dtype=np.intp)
+    base = min(per_axis, int(rest.max(initial=0)) + 1)
+    for axis in range(N - 1, -1, -1):
+        rest, cells[:, axis] = np.divmod(rest, base)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -256,51 +260,34 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
     if N < 1:
         raise ValueError("N must be at least 1")
     _require_separating(chain)
-    prof = profile(chain)
-    r_est = prof.estimate
+    r_est = profile(chain).estimate
     eps_ok = math.isfinite(r_est) and r_est > 1 and 0 < epsilon < min(1.0, r_est - 1)
     deltas = [as_float(st.delta) for st in chain.stats]
     gammas = [as_float(st.gamma) for st in chain.stats]
-    levels = chain.levels
-    # Level 1: free minimal grid.
-    first_blocks = levels[0].blocks
-    count0 = len(first_blocks)
+    labels, leads = chain.labels, _leads(chain.split)
+    # Level 1: free minimal grid. Block ids number blocks by least member.
+    count0 = chain.stats[0].cardinality
     side = 1
     while side ** N < count0:
         side += 1
-    pitch0 = 2 * deltas[0] + gammas[0]
-    centers: dict
-    box_center = {}
-    box_parent = {}
-    cells = []
-    for cell in product(range(side), repeat=N):
-        if len(cells) == count0:
-            break
-        cells.append(cell)
-    for block, cell in zip(first_blocks, cells):
-        box_center[(0, block)] = pitch0 * np.asarray(cell, dtype=float)
-        box_parent[(0, block)] = None
-    audits = [_audit_level(chain, 0, None, None, box_center, box_parent, deltas, gammas, tol)]
-    for lvl in range(1, len(levels)):
+    centers = (2 * deltas[0] + gammas[0]) * _grid_cells(np.arange(count0), side, N)
+    audits = [_audit_level(chain, 0, count0, None, centers, None, None, deltas, gammas, tol)]
+    for lvl in range(1, len(chain)):
         per_axis, capacity = grid_capacity(deltas[lvl - 1], deltas[lvl], gammas[lvl], N)
-        children_of = {}
-        for block in levels[lvl].blocks:
-            parent = _containing_block(levels[lvl - 1], block[0])
-            children_of.setdefault(parent, []).append(block)
-        required = max(len(v) for v in children_of.values())
+        required = _transition_required(chain, lvl - 1, lvl)
         if required > capacity:
             raise PackingInfeasible(int(chain.level_ids[lvl]), required, capacity)
-        for parent, kids in children_of.items():
-            spots = place_children(box_center[(lvl - 1, parent)], deltas[lvl - 1],
-                                   deltas[lvl], gammas[lvl], N, len(kids))
-            for block, spot in zip(kids, spots):
-                box_center[(lvl, block)] = spot
-                box_parent[(lvl, block)] = parent
-        audits.append(_audit_level(chain, lvl, required, capacity, box_center,
-                                   box_parent, deltas, gammas, tol))
-    coords = np.empty((space.n, N))
-    for block in levels[-1].blocks:
-        coords[block[0]] = box_center[(len(levels) - 1, block)]
+        # each block's parent (at its least member) and rank among its siblings
+        parent = labels[lvl - 1][leads <= lvl]
+        order = np.argsort(parent, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order)) - np.searchsorted(parent[order], parent[order])
+        prev = centers
+        centers = (prev[parent] - (deltas[lvl - 1] - deltas[lvl])
+                   + (2 * deltas[lvl] + gammas[lvl]) * _grid_cells(rank, per_axis, N))
+        audits.append(_audit_level(chain, lvl, required, capacity, centers, prev, parent,
+                                   deltas, gammas, tol))
+    coords = centers[labels[-1]]
     coords.setflags(write=False)
     box_dist = _box_matrix(coords)
     collide = box_dist + np.eye(space.n)
@@ -322,33 +309,20 @@ def _box_matrix(coords) -> np.ndarray:
     return np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
 
 
-def _containing_block(partition, point):
-    return partition.blocks[partition.block_of[point]]
-
-
-def _audit_level(chain, lvl, required, capacity, box_center, box_parent,
+def _audit_level(chain, lvl, required, capacity, centers, prev, parent,
                  deltas, gammas, tol):
-    blocks = chain.levels[lvl].blocks
+    """The audit of a level from its blocks' cube centres and their parents'."""
     # the box gap of two cubes of radius delta is their centres' box distance
     # less 2 delta; subtracting one constant keeps the rounded minimum
-    centers = np.array([box_center[(lvl, b)] for b in blocks])
-    between = _box_matrix(centers)[np.triu_indices(len(blocks), 1)]
+    between = _box_matrix(centers)[np.triu_indices(len(centers), 1)]
     min_gap = max(float(between.min()) - 2 * deltas[lvl], 0.0) if len(between) else math.inf
-    nested = True
-    commutes = True
+    nested = commutes = True
     if lvl > 0:
-        for block in blocks:
-            parent = box_parent[(lvl, block)]
-            if parent != _containing_block(chain.levels[lvl - 1], block[0]):
-                commutes = False
-            shift = np.abs(box_center[(lvl, block)] - box_center[(lvl - 1, parent)]).max()
-            if shift + deltas[lvl] > deltas[lvl - 1] + tol:
-                nested = False
-    if required is None:
-        required = len(blocks)
+        shift = np.abs(centers - prev[parent]).max(axis=1)
+        nested = not (shift + deltas[lvl] > deltas[lvl - 1] + tol).any()
+        commutes = bool((parent[chain.labels[lvl]] == chain.labels[lvl - 1]).all())
     return LevelAudit(int(chain.level_ids[lvl]), required, capacity, gammas[lvl],
-                      min_gap if math.isfinite(min_gap) else gammas[lvl],
-                      nested, commutes)
+                      min_gap if math.isfinite(min_gap) else gammas[lvl], nested, commutes)
 
 
 def select_embeddable_subchain(space: FiniteMetricSpace, chain: PartitionChain,

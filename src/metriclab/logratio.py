@@ -222,16 +222,16 @@ def threshold_min_R(space: FiniteMetricSpace, r, *,
     """Same minimum restricted to single-linkage (threshold) partitions."""
     chain = dendrogram_chain(space)
     best = None
-    for part, st in zip(chain.levels, chain.stats):
-        if not st.delta < r:
+    for lvl, st in enumerate(chain.stats):
+        if not st.delta < r or (require_positive_delta and st.delta == 0):
             continue
-        if require_positive_delta and st.delta == 0:
-            continue
-        if best is None or st.log_ratio < best[0]:
-            best = (st.log_ratio, part, st.delta, st.gamma)
+        if best is None or st.log_ratio < chain.stats[best].log_ratio:
+            best = lvl
     if best is None:
         return OracleResult(math.inf, Partition.trivial(space.n), math.inf, math.inf)
-    return OracleResult(best[0], best[1], as_float(best[2]), as_float(best[3]))
+    st = chain.stats[best]
+    return OracleResult(st.log_ratio, Partition.from_assignment(chain.labels[best]),
+                        as_float(st.delta), as_float(st.gamma))
 
 
 @dataclass(frozen=True)
@@ -275,6 +275,9 @@ def gap_bounds(space: FiniteMetricSpace, radii, *,
     splits {b, X - b} of the chain's blocks give an upper bound for G and the
     row is flagged.
     """
+    radii = sorted((as_float(x) for x in radii), reverse=True)
+    if not radii:
+        raise ValueError("need at least one radius")
     n = space.n
     use_exact = n <= ORACLE_SIZE_LIMIT if exact is None else exact
     chain = dendrogram_chain(space)
@@ -282,7 +285,7 @@ def gap_bounds(space: FiniteMetricSpace, radii, *,
     diam = as_float(space.diameter)
     deltas, gammas = map(as_floats, _label_stats(space, labels))
     rows = []
-    for r in sorted((as_float(x) for x in radii), reverse=True):
+    for r in radii:
         if not 0 < r <= diam:
             raise ValueError(f"radius {r} outside (0, diam] = (0, {diam}]")
         g_val = max(

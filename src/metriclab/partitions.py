@@ -190,14 +190,18 @@ class PartitionChain:
         levels = tuple(levels)
         if not levels:
             raise ValueError("chain needs at least one level")
-        for idx in range(1, len(levels)):
-            if not levels[idx].refines(levels[idx - 1]):
+        n = levels[0].n_points
+        split = np.zeros((n, n), dtype=np.int32)
+        for idx, p in enumerate(levels):
+            if p.n_points != n:
                 raise NotNested(idx)
-        if levels[0].n_points != space.n:
+            same = p.block_of[:, None] == p.block_of[None, :]
+            if idx and (same & ~joined).any():  # a pair this level joins and the last split
+                raise NotNested(idx)
+            split += same
+            joined = same
+        if n != space.n:
             raise ValueError("partition does not match the space")
-        split = np.zeros((space.n, space.n), dtype=np.int32)
-        for p in levels:
-            split += p.block_of[:, None] == p.block_of[None, :]
         return cls._from_split(space, split, thresholds, level_ids)
 
     @classmethod

@@ -85,10 +85,12 @@ class HolderFit:
 
 
 def _pair_logs(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major upper-triangle entries of a square matrix, and flog of each
-    entry (per entry, so exact and float matrices log exactly as a loop)."""
+    """Row-major upper-triangle entries of a square matrix, and the log of
+    each entry (per entry, so exact and float matrices log exactly as a
+    loop; only object entries can be Fractions that need flog)."""
     entries = np.asarray(matrix)[np.triu_indices(len(matrix), 1)]
-    return entries, np.fromiter(map(flog, entries.tolist()), dtype=float, count=entries.size)
+    log = flog if entries.dtype == object else math.log
+    return entries, np.fromiter(map(log, entries.tolist()), dtype=float, count=entries.size)
 
 
 def _first_failure(n: int, *failed):

@@ -5,8 +5,10 @@ place: the label-array kernel `partitions._label_stats`, the block extents
 `partitions._block_extents` read off one spanning tree, the one-level
 `with_singleton_terminal` and the `np.unique` spectrum of `ball_chain`,
 the chains built one `Partition` per level before split-first chains wrote
-their split matrix in closed form, and the per-pair box gaps of the
-embedding audit. Tests compare the two; `tree_connects` checks, by a
+their split matrix in closed form, the refines loop of
+`PartitionChain.from_partitions`, the level loop of `threshold_min_R`, and
+the embedding placed one parent block at a time through dicts keyed by
+(level, block), audited with per-pair box gaps. Tests compare the two; `tree_connects` checks, by a
 union-find, which blocks the spanning tree connects.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
@@ -15,17 +17,19 @@ derives from its split matrix.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from metriclab.logratio import OracleResult, set_partitions
-from metriclab._util import as_float
-from metriclab.embedding import _exact_separated, _greedy_separated, grid_capacity
-from metriclab.errors import NotSeparating, PackingInfeasible
+from metriclab.logratio import OracleResult, profile, set_partitions
+from metriclab._util import DEFAULT_TOL, as_float
+from metriclab.embedding import (EmbeddingResult, LevelAudit, _box_matrix, _exact_separated,
+                                 _greedy_separated, grid_capacity)
+from metriclab.errors import DepthOverflow, NotNested, NotSeparating, PackingInfeasible
 from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
                                   dendrogram_chain, induced_partition, largest_gap)
 from metriclab.spaces import _prim, _zero
+from metriclab.ultrametrize import fit_holder_exponents
 
 
 def _stats_of_assignment(space, assign):
@@ -342,3 +346,139 @@ def audit_min_gap(chain, level, box_center, deltas, gammas):
                        box_center[(level, b)], deltas[level])
         min_gap = min(min_gap, gap)
     return min_gap if math.isfinite(min_gap) else gammas[level]
+
+
+def from_partitions(space, levels, thresholds=None, level_ids=None):
+    """PartitionChain.from_partitions checking nesting with Partition.refines."""
+    levels = tuple(levels)
+    if not levels:
+        raise ValueError("chain needs at least one level")
+    for idx in range(1, len(levels)):
+        if not levels[idx].refines(levels[idx - 1]):
+            raise NotNested(idx)
+    if levels[0].n_points != space.n:
+        raise ValueError("partition does not match the space")
+    split = np.zeros((space.n, space.n), dtype=np.int32)
+    for p in levels:
+        split += p.block_of[:, None] == p.block_of[None, :]
+    return PartitionChain._from_split(space, split, thresholds, level_ids)
+
+
+def threshold_min_R(space, r, *, require_positive_delta=False):
+    """threshold_min_R scanning the dendrogram's levels one Partition at a
+    time; the first strict minimum wins."""
+    chain = dendrogram_chain(space)
+    best = None
+    for part, st in zip(chain.levels, chain.stats):
+        if not st.delta < r:
+            continue
+        if require_positive_delta and st.delta == 0:
+            continue
+        if best is None or st.log_ratio < best[0]:
+            best = (st.log_ratio, part, st.delta, st.gamma)
+    if best is None:
+        return OracleResult(math.inf, Partition.trivial(space.n), math.inf, math.inf)
+    return OracleResult(best[0], best[1], as_float(best[2]), as_float(best[3]))
+
+
+def place_children(center, delta_parent, delta_child, gamma_child, N, count):
+    """place_children as a list, walking the grid cells with itertools.product."""
+    per_axis, capacity = grid_capacity(delta_parent, delta_child, gamma_child, N)
+    if count > capacity:
+        raise PackingInfeasible(-1, count, capacity)
+    pitch = 2 * delta_child + gamma_child
+    low = np.asarray(center, dtype=float) - (delta_parent - delta_child)
+    out = []
+    for cell in product(range(per_axis), repeat=N):
+        if len(out) == count:
+            break
+        out.append(low + pitch * np.asarray(cell, dtype=float))
+    return out
+
+
+def _containing_block(partition, point):
+    return partition.blocks[partition.block_of[point]]
+
+
+def embed_chain(space, chain, N, p, epsilon, tol=DEFAULT_TOL):
+    """embed_chain placing the children of one parent block at a time, with
+    every cube centre and parent held in dicts keyed by (level, block)."""
+    if space.exact:
+        raise ValueError("embedding requires a float-mode space")
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    require_separating(chain)
+    r_est = profile(chain).estimate
+    eps_ok = math.isfinite(r_est) and r_est > 1 and 0 < epsilon < min(1.0, r_est - 1)
+    deltas = [as_float(st.delta) for st in chain.stats]
+    gammas = [as_float(st.gamma) for st in chain.stats]
+    levels = chain.levels
+    first_blocks = levels[0].blocks
+    count0 = len(first_blocks)
+    side = 1
+    while side ** N < count0:
+        side += 1
+    pitch0 = 2 * deltas[0] + gammas[0]
+    box_center = {}
+    box_parent = {}
+    cells = []
+    for cell in product(range(side), repeat=N):
+        if len(cells) == count0:
+            break
+        cells.append(cell)
+    for block, cell in zip(first_blocks, cells):
+        box_center[(0, block)] = pitch0 * np.asarray(cell, dtype=float)
+        box_parent[(0, block)] = None
+    audits = [_audit_level(chain, 0, None, None, box_center, box_parent, deltas, gammas, tol)]
+    for lvl in range(1, len(levels)):
+        per_axis, capacity = grid_capacity(deltas[lvl - 1], deltas[lvl], gammas[lvl], N)
+        children_of = {}
+        for block in levels[lvl].blocks:
+            parent = _containing_block(levels[lvl - 1], block[0])
+            children_of.setdefault(parent, []).append(block)
+        required = max(len(v) for v in children_of.values())
+        if required > capacity:
+            raise PackingInfeasible(int(chain.level_ids[lvl]), required, capacity)
+        for parent, kids in children_of.items():
+            spots = place_children(box_center[(lvl - 1, parent)], deltas[lvl - 1],
+                                   deltas[lvl], gammas[lvl], N, len(kids))
+            for block, spot in zip(kids, spots):
+                box_center[(lvl, block)] = spot
+                box_parent[(lvl, block)] = parent
+        audits.append(_audit_level(chain, lvl, required, capacity, box_center,
+                                   box_parent, deltas, gammas, tol))
+    coords = np.empty((space.n, N))
+    for block in levels[-1].blocks:
+        coords[block[0]] = box_center[(len(levels) - 1, block)]
+    coords.setflags(write=False)
+    box_dist = _box_matrix(coords)
+    collide = box_dist + np.eye(space.n)
+    if (collide <= 0).any():
+        i, j = map(int, np.argwhere(collide <= 0)[0])
+        raise DepthOverflow(
+            f"chain scales span more than float64 coordinates resolve; points "
+            f"{space.labels[i]} and {space.labels[j]} collide"
+        )
+    fitted = fit_holder_exponents(space.dist, box_dist)
+    return EmbeddingResult(N, coords, tuple(audits), fitted, chain, p, epsilon,
+                           r_est, not eps_ok)
+
+
+def _audit_level(chain, lvl, required, capacity, box_center, box_parent, deltas, gammas,
+                 tol):
+    """embed_chain's level audit, block by block, with the pair-loop minimum gap."""
+    blocks = chain.levels[lvl].blocks
+    nested = True
+    commutes = True
+    if lvl > 0:
+        for block in blocks:
+            parent = box_parent[(lvl, block)]
+            if parent != _containing_block(chain.levels[lvl - 1], block[0]):
+                commutes = False
+            shift = np.abs(box_center[(lvl, block)] - box_center[(lvl - 1, parent)]).max()
+            if shift + deltas[lvl] > deltas[lvl - 1] + tol:
+                nested = False
+    if required is None:
+        required = len(blocks)
+    return LevelAudit(int(chain.level_ids[lvl]), required, capacity, gammas[lvl],
+                      audit_min_gap(chain, lvl, box_center, deltas, gammas), nested, commutes)

@@ -169,3 +169,32 @@ def test_malformed_matrix_or_labels_is_a_parse_error(capsys, tmp_path, name, tex
     err = capsys.readouterr().err
     assert err.startswith("error: parse violated")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["ultrametrize", "--zoo", "seq_geometric", "--depth", "6", "--p", "nan",
+      "--epsilon", "0.1"], "--p"),
+    (["embed", "--zoo", "seq_geometric", "--depth", "6", "--N", "2", "--p", "2",
+      "--epsilon", "nan"], "--epsilon"),
+    (["oracle", "--zoo", "seq_geometric", "--depth", "4", "--radius", "nan"], "--radius"),
+    (["profile", "--zoo", "seq_polynomial", "--s", "inf", "--depth", "6"], "--s"),
+    (["dimension", "--zoo", "seq_geometric", "--depth", "6", "--window-r=-inf",
+      "--ratio-floor", "2"], "--window-r"),
+])
+def test_non_finite_float_option_is_an_input_error(capsys, argv, option):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {option} must be finite")
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    assert captured.out == ""
+
+
+def test_gap_bounds_without_radii_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "cloud.csv"
+    path.write_text(ml.to_csv(euclidean_space(2, 5)))
+    assert main(["gap-bounds", "--input", str(path), "--radii", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least one radius\n"
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="need at least one radius"):
+        ml.gap_bounds(euclidean_space(2, 5), [])

@@ -3,6 +3,9 @@ closed form, and the chain's labels and levels are read off it. Each is
 compared with the Partition-per-level code it replaced (tests/oracles.py)
 on clouds, tie-heavy quantized metrics and float and exact zoo samples."""
 
+import contextlib
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 import metriclab as ml
 import oracles
 from metriclab import embedding
-from metriclab.errors import NotSeparating, PackingInfeasible
+from metriclab.errors import (DepthOverflow, MetricLabError, NotNested, NotSeparating,
+                             PackingInfeasible)
 from metriclab.partitions import _require_separating
 from metriclab.ultrametrize import ensure_trivial_head
 from conftest import euclidean_space
@@ -80,7 +84,7 @@ def outcome(fn, *args):
     """The result of a call, or the type and message of its chain error."""
     try:
         return fn(*args)
-    except (NotSeparating, PackingInfeasible, ValueError) as exc:
+    except (NotNested, NotSeparating, PackingInfeasible, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -176,6 +180,34 @@ def test_levels_and_labels_read_off_split(seed, n, coarsenings):
 
 
 @CHECKS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 5), st.booleans())
+def test_from_partitions_nesting_equals_refines_loop(seed, n, count, nested):
+    # random label sequences, coarsened (nested) or drawn afresh, and now and
+    # then a level over a different number of points
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(0, n, n)]
+    for _ in range(count - 1):
+        top = rows[-1].max() + 1
+        rows.append(rng.integers(0, top // 2 + 1, top)[rows[-1]] if nested
+                    else rng.integers(0, n, n))
+    if rng.random() < 0.2:
+        rows[rng.integers(len(rows))] = rng.integers(0, n + 1, n + 1)
+    levels = [ml.Partition.from_assignment(row.tolist()) for row in reversed(rows)]
+    space = euclidean_space(seed, n) if n > 1 else ml.validate([[0.0]])
+    new = outcome(ml.PartitionChain.from_partitions, space, levels)
+    old = outcome(oracles.from_partitions, space, levels)
+    if isinstance(old, ml.PartitionChain):
+        assert new == old
+        return
+    assert new == old
+    with pytest.raises(NotNested if old[0] == "NotNested" else ValueError) as a:
+        ml.PartitionChain.from_partitions(space, levels)
+    with pytest.raises(type(a.value)) as b:
+        oracles.from_partitions(space, levels)
+    assert vars(a.value) == vars(b.value)
+
+
+@CHECKS
 @given(chains())
 def test_not_separating_reports_the_first_blocks_pair(case):
     space, chain = case
@@ -188,7 +220,7 @@ def test_not_separating_reports_the_first_blocks_pair(case):
         assert new.value.pair == old.value.pair
 
 
-# No builder, transform or profile makes a Partition.
+# No builder, transform, profile or embedding makes a Partition.
 
 def test_builders_transforms_and_profile_make_no_partition(monkeypatch):
     made = []
@@ -208,40 +240,104 @@ def test_builders_transforms_and_profile_make_no_partition(monkeypatch):
         cases.append(ml.sample(ml.make_family(kind), 5))
     for kind in EXACT_KINDS:
         cases.append(ml.sample(ml.make_family(kind), 5, exact=True))
+    embedded = 0
     for space, chain in cases:
         full = ml.with_singleton_terminal(space, chain)
         built = [(space, chain), (space, full), ml.induced_chain(space, full, range(1, space.n))]
         if not space.exact and full.proper_indices():  # a proper head, then {X} before it
-            built.append((space, ensure_trivial_head(
-                space, ml.select_embeddable_subchain(space, full, 8))))
+            thinned = ml.select_embeddable_subchain(space, full, 8)
+            built.append((space, ensure_trivial_head(space, thinned)))
+            with contextlib.suppress(DepthOverflow):  # raised once every level is placed
+                ml.embed_chain(space, thinned, 8, 2.0, 0.5)
+            embedded += 1
         for sp, ch in built:
             ml.profile(ch, space=sp)
-    assert made == []
+    assert made == [] and embedded >= 10
 
 
-# The embedding audit's minimum gap.
+# The embedding, placed one array step per level.
 
-def test_audit_min_gap_equals_pair_loop(monkeypatch):
-    real = embedding._audit_level
-    seen = []
+def assert_embedding_equals_oracle(space, chain, N):
+    """embed_chain equals the block-dict oracle: coords bytes, every
+    LevelAudit (realized_min_gap also against the pair loop, with its type
+    and sign bit), fitted, or the raised error's type and fields."""
+    try:
+        new = ml.embed_chain(space, chain, N, 2.0, 0.5)
+    except (MetricLabError, ValueError) as exc:
+        with pytest.raises(type(exc)) as old:
+            oracles.embed_chain(space, chain, N, 2.0, 0.5)
+        assert type(old.value) is type(exc)
+        assert (str(old.value), vars(old.value)) == (str(exc), vars(exc))
+        return None
+    old = oracles.embed_chain(space, chain, N, 2.0, 0.5)
+    assert new.coords.dtype == old.coords.dtype and new.coords.shape == old.coords.shape
+    assert new.coords.tobytes() == old.coords.tobytes()
+    assert not new.coords.flags.writeable
+    assert new.level_audit == old.level_audit
+    for a, b in zip(new.level_audit, old.level_audit):
+        for name in ("level_id", "required", "capacity", "gamma", "nested", "commutes"):
+            assert type(getattr(a, name)) is type(getattr(b, name))
+        assert type(a.realized_min_gap) is type(b.realized_min_gap) is float
+        assert np.signbit(a.realized_min_gap) == np.signbit(b.realized_min_gap)
+    assert new.fitted == old.fitted
+    assert (new.R_est, new.epsilon_warning) == (old.R_est, old.epsilon_warning)
+    return new
 
-    def checked(chain, lvl, required, capacity, box_center, box_parent, deltas, gammas, tol):
-        audit = real(chain, lvl, required, capacity, box_center, box_parent, deltas,
-                     gammas, tol)
-        seen.append((audit.realized_min_gap,
-                     oracles.audit_min_gap(chain, lvl, box_center, deltas, gammas)))
-        return audit
 
-    monkeypatch.setattr(embedding, "_audit_level", checked)
+def test_audit_min_gap_equals_pair_loop():
+    checked = 0
     for kind, depth, N in (("seq_geometric", 12, 2), ("seq_polynomial", 40, 11),
                            ("product_geometric", 5, 3), ("sqrt_ultra", 30, 4)):
         space, chain = ml.sample(ml.make_family(kind), depth)
         chain = ml.with_singleton_terminal(space, chain)
-        ml.embed_chain(space, ml.select_embeddable_subchain(space, chain, N), N, 2.0, 0.5)
+        result = assert_embedding_equals_oracle(
+            space, ml.select_embeddable_subchain(space, chain, N), N)
+        checked += len(result.level_audit)
     space = euclidean_space(7, 12)
     chain = ml.dendrogram_chain(space)
-    ml.embed_chain(space, ml.select_embeddable_subchain(space, chain, 6), 6, 2.0, 0.5)
-    assert len(seen) > 20
-    for new, old in seen:
-        assert type(new) is type(old) is float
-        assert new == old and np.signbit(new) == np.signbit(old)
+    result = assert_embedding_equals_oracle(
+        space, ml.select_embeddable_subchain(space, chain, 6), 6)
+    assert checked + len(result.level_audit) > 20
+
+
+@CHECKS
+@given(chains().filter(lambda case: not case[0].exact), st.integers(1, 8),
+       st.sampled_from((True, True, False)))
+def test_embed_chain_equals_block_dict_oracle(case, N, thin):
+    space, chain = case
+    chain = ml.with_singleton_terminal(space, chain)
+    if thin:
+        chain = outcome(embedding.select_embeddable_subchain, space, chain, N)
+        if not isinstance(chain, ml.PartitionChain):
+            return
+    assert_embedding_equals_oracle(space, chain, N)
+    # an unseparated terminal level is refused alike
+    if len(chain) > 1 and chain.stats[-2].cardinality < space.n:
+        head = ml.PartitionChain._from_split(space, np.minimum(chain.split, len(chain) - 1),
+                                             chain.thresholds[:-1], chain.level_ids[:-1])
+        assert_embedding_equals_oracle(space, head, N)
+
+
+@pytest.mark.parametrize("per_axis, N", [(1, 1), (3, 2), (2, 5), (7, 3), (40, 2)])
+def test_grid_cells_are_the_lex_product(per_axis, N):
+    count = min(per_axis ** N, 200)
+    cells = embedding._grid_cells(np.arange(count), per_axis, N)
+    lex = [cell for _, cell in zip(range(count), product(range(per_axis), repeat=N))]
+    assert cells.dtype == float and cells.tolist() == [list(map(float, c)) for c in lex]
+    new = embedding.place_children(np.full(N, 0.25), 0.5, 0.1, 0.05, N, 3)
+    old = oracles.place_children(np.full(N, 0.25), 0.5, 0.1, 0.05, N, 3)
+    assert new.shape == (3, N) and new.tobytes() == np.array(old).tobytes()
+
+
+def test_grid_cells_past_int64_per_axis():
+    # a base above every rank gives the last-axis digit alone; the
+    # product walk of the oracle cannot even size such a range
+    cells = embedding._grid_cells(np.arange(5), 10 ** 30, 3)
+    assert cells.tolist() == [[0.0, 0.0, float(r)] for r in range(5)]
+    space = ml.validate([[0, 1e-20, 0.5], [1e-20, 0, 0.5], [0.5, 0.5, 0]])
+    chain = ml.PartitionChain.from_partitions(
+        space, [ml.Partition.trivial(3), ml.Partition.singletons(3)])
+    with pytest.raises(OverflowError):
+        oracles.embed_chain(space, chain, 2, 2.0, 0.5)
+    with pytest.raises(DepthOverflow):  # the 1e-20 pair is below the ulp of 0.5
+        ml.embed_chain(space, chain, 2, 2.0, 0.5)

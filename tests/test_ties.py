@@ -5,6 +5,7 @@ import numpy as np
 
 import metriclab as ml
 from metriclab.logratio import set_partitions
+import oracles
 from oracles import _stats_of_assignment
 from metriclab.partitions import _log_ratio
 
@@ -58,3 +59,18 @@ def test_associated_endpoints_under_ties():
                         realized.add((min(i, j), max(i, j)))
         found = {pair for pair, _ in ml.associated_endpoints(sp)}
         assert found == realized
+
+
+def test_threshold_min_R_equals_level_loop_under_ties():
+    # every distance as a radius: delta < r is decided on ties, and tied
+    # log ratios go to the first level
+    for seed in range(30):
+        sp = quantized_space(seed, 4 + seed % 5, 1 + seed % 4)
+        for r in sorted({float(x) for x in sp.dist.ravel()} | {1.1}):
+            for positive in (False, True):
+                new = ml.threshold_min_R(sp, r, require_positive_delta=positive)
+                old = oracles.threshold_min_R(sp, r, require_positive_delta=positive)
+                assert (new.value, new.witness, new.delta, new.gamma) == \
+                    (old.value, old.witness, old.delta, old.gamma)
+                assert new.witness.blocks == old.witness.blocks
+                assert type(new.delta) is type(old.delta) is float
