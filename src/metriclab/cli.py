@@ -59,8 +59,15 @@ def _add_source(sub):
                      help="exact rational sampling for dyadic families")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any input error; 2 is for verification failures."""
+
+    def error(self, message):
+        raise MetricLabError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="metriclab",
         description="log-ratio analysis, compatible ultrametrics, and box-norm embeddings",
     )
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", required=True,
                    help="comma-separated radii, e.g. 0.5,0.25,0.125")
     p.add_argument("--heuristic", action="store_true",
-                   help="force the two-block heuristic for G regardless of size")
+                   help="report G as not exact regardless of size (same values)")
 
     p = subs.add_parser("oracle", help="brute-force minimum R over all partitions")
     _add_source(p)
@@ -126,15 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_space(args, zoo_chain=True):
+def _load_space(args, chain=True):
     """Resolve (space, chain, meta, family) from --input or --zoo; family is
-    None for --input."""
+    None for --input, and chain is None when chain=False."""
     if args.input and args.zoo:
         raise MetricLabError("give either --input or --zoo, not both")
     if args.input:
         space = _read_space(args.input, args.rescale)
-        chain = dendrogram_chain(space) if zoo_chain else None
-        return space, chain, {"input": str(Path(args.input)), "rescaled": space.rescaled}, None
+        built = dendrogram_chain(space) if chain else None
+        return space, built, {"input": str(Path(args.input)), "rescaled": space.rescaled}, None
     if not args.zoo:
         raise MetricLabError("a space source is required: --input or --zoo")
     params = {}
@@ -143,7 +150,7 @@ def _load_space(args, zoo_chain=True):
         if value is not None:
             params[key] = value
     family = make_family(args.zoo, **params)
-    space, chain = sample(family, args.depth, exact=args.exact)
+    space, built = sample(family, args.depth, exact=args.exact, chain=chain)
     meta = {
         "zoo": args.zoo,
         "params": dict(family.params),
@@ -152,7 +159,7 @@ def _load_space(args, zoo_chain=True):
         "exact_R": family.exact_R,
         "standing_hypothesis_ok": family.standing_hypothesis_ok,
     }
-    return space, chain, meta, family
+    return space, built, meta, family
 
 
 def _read_space(raw: str, rescale: bool) -> FiniteMetricSpace:
@@ -230,7 +237,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    space, _chain, meta, family = _load_space(args, zoo_chain=False)
+    space, _chain, meta, family = _load_space(args, chain=False)
     est = estimate_metric_dimension(space, args.window_r, args.ratio_floor)
     _emit(args, "dimension.json", {"dimension": est.to_report()}, meta,
           (*_SOURCE, "window_r", "ratio_floor"))
@@ -259,7 +266,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_hyperspace(args) -> int:
-    space, _chain, meta, _family = _load_space(args, zoo_chain=False)
+    space, _chain, meta, _family = _load_space(args, chain=False)
     hyper = hausdorff_hyperspace(space, args.max_subset_size)
     _emit(args, "hyperspace.json", {"points": hyper.n, "diameter": float(hyper.diameter)},
           meta, (*_SOURCE, "max_subset_size"))
@@ -269,7 +276,7 @@ def _cmd_hyperspace(args) -> int:
 
 
 def _cmd_gap_bounds(args) -> int:
-    space, _chain, meta, _family = _load_space(args, zoo_chain=False)
+    space, _chain, meta, _family = _load_space(args, chain=False)
     radii = [float(x) for x in args.radii.split(",") if x.strip()]
     bounds = gap_bounds(space, radii, exact=False if args.heuristic else None)
     _emit(args, "gap_bounds.json", {"gap_bounds": bounds.to_report()}, meta,
@@ -278,7 +285,7 @@ def _cmd_gap_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    space, _chain, meta, _family = _load_space(args, zoo_chain=False)
+    space, _chain, meta, _family = _load_space(args, chain=False)
     brute = brute_force_min_R(space, args.oracle_r)
     brute_pos = brute_force_min_R(space, args.oracle_r, require_positive_delta=True)
     thresh = threshold_min_R(space, args.oracle_r)
@@ -320,8 +327,8 @@ def _require_finite(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _require_finite(args)
         return _HANDLERS[args.command](args)
     except VerificationFailure as exc:

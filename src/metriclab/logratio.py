@@ -196,7 +196,8 @@ def brute_force_min_R(space: FiniteMetricSpace, r, *,
     partitions with delta > 0, the informative slice. Ties go to the first
     partition in set_partitions order.
     """
-    labels = _all_partitions(space.n, "oracle")
+    _within_oracle_limit(space.n, "oracle")
+    labels = np.array(list(set_partitions(space.n)), dtype=np.intp)
     deltas, gammas = _label_stats(space, labels)
     keep = deltas < r
     if require_positive_delta:
@@ -210,11 +211,9 @@ def brute_force_min_R(space: FiniteMetricSpace, r, *,
                         as_float(deltas[best]), as_float(gammas[best]))
 
 
-def _all_partitions(n: int, what: str) -> np.ndarray:
-    """The (Bell(n), n) label array of set_partitions(n), within the size limit."""
+def _within_oracle_limit(n: int, what: str) -> None:
     if n > ORACLE_SIZE_LIMIT:
         raise ExactModeSizeExceeded(f"{n} points exceeds {what} limit {ORACLE_SIZE_LIMIT}")
-    return np.array(list(set_partitions(n)), dtype=np.intp)
 
 
 def threshold_min_R(space: FiniteMetricSpace, r, *,
@@ -269,21 +268,27 @@ def gap_bounds(space: FiniteMetricSpace, radii, *,
     """G(r) = inf gamma over partitions with delta >= r, g(r) = sup gamma over
     partitions with delta <= r, plus the log-ratio bounds they induce.
 
-    g comes from the single-linkage chain, which is exact: the threshold
-    partition at gamma(a) dominates any partition a. G is exact by full
-    enumeration up to ORACLE_SIZE_LIMIT points; beyond it, the two-block
-    splits {b, X - b} of the chain's blocks give an upper bound for G and the
-    row is flagged.
+    Both are read off the single-linkage chain. g(r) is the largest gamma of
+    a level with delta <= r: the threshold partition at gamma(a) refines a,
+    so it dominates any partition a (Gower & Ross 1969). G(r) is the
+    closest-pair distance m, the gamma of the chain's all-singleton last
+    level, for every r in (0, diam]. Every partition with two or more blocks
+    has gamma >= m, and the trivial one has gamma = diam. For a closest pair
+    (x, y) with n >= 3, one of the splits {{x}, X - x} and {{y}, X - y} keeps
+    a diametral pair, so it has delta = diam >= r and gamma = m; for n = 2
+    only the trivial partition qualifies, and m = diam. exact, which
+    defaults to n <= ORACLE_SIZE_LIMIT and raises above it, only sets the
+    report's exact and G_exact flags: the rows' values do not depend on it.
     """
     radii = sorted((as_float(x) for x in radii), reverse=True)
     if not radii:
         raise ValueError("need at least one radius")
-    n = space.n
-    use_exact = n <= ORACLE_SIZE_LIMIT if exact is None else exact
+    use_exact = space.n <= ORACLE_SIZE_LIMIT if exact is None else exact
+    if use_exact:
+        _within_oracle_limit(space.n, "exact")
     chain = dendrogram_chain(space)
-    labels = _all_partitions(n, "exact") if use_exact else _two_block_splits(chain)
     diam = as_float(space.diameter)
-    deltas, gammas = map(as_floats, _label_stats(space, labels))
+    G_val = as_float(chain.stats[-1].gamma)
     rows = []
     for r in radii:
         if not 0 < r <= diam:
@@ -292,24 +297,9 @@ def gap_bounds(space: FiniteMetricSpace, radii, *,
             (as_float(st.gamma) for st in chain.stats if as_float(st.delta) <= r),
             default=0.0,
         )
-        if use_exact:
-            # equal by threshold dominance
-            g_val = max(g_val, float(gammas[deltas <= r].max(initial=0.0)))
-        # the trivial partition always qualifies, with gamma = diam
-        G_val = min(diam, float(gammas[deltas >= r].min(initial=math.inf)))
         lower = math.log(g_val) / math.log(r) if 0 < g_val < 1 and r < 1 else math.nan
         upper = math.log(G_val) / math.log(r) if 0 < G_val < 1 and r < 1 else math.nan
         rows.append(GapBoundsRow(r, g_val, G_val, bool(use_exact), lower, upper))
     smallest = rows[-1]
     return GapBoundsReport(tuple(rows), smallest.lower_ratio, smallest.upper_ratio,
                            use_exact)
-
-
-def _two_block_splits(chain: PartitionChain) -> np.ndarray:
-    """Labels of the splits {b, X - b} over the distinct blocks b of the
-    chain's levels with at least two blocks: the heuristic G candidates."""
-    blocks = sorted({b for p in chain.levels if p.cardinality > 1 for b in p.blocks})
-    labels = np.zeros((len(blocks), chain.levels[0].n_points), dtype=np.int8)
-    for row, b in zip(labels, blocks):
-        row[list(b)] = 1
-    return labels

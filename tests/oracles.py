@@ -1,7 +1,9 @@
 """Slow reference implementations kept as oracles for the fast paths.
 
 Each function is the code that `metriclab` ran before a faster path took its
-place: the label-array kernel `partitions._label_stats`, the block extents
+place: the label-array kernel `partitions._label_stats`, the heuristic G
+over the two-block splits `_two_block_splits` of the chain's blocks (both
+gap_bounds paths now read G off the chain's last level), the block extents
 `partitions._block_extents` read off one spanning tree, the one-level
 `with_singleton_terminal` and the `np.unique` spectrum of `ball_chain`,
 the chains built one `Partition` per level before split-first chains wrote
@@ -130,6 +132,17 @@ def gap_bounds_rows(space, radii, exact):
             G_val = heuristic_G(space, chain, r)
         rows.append((r, g_val, G_val))
     return rows
+
+
+def _two_block_splits(chain):
+    """Labels of the splits {b, X - b} over the distinct blocks b of the
+    chain's levels with at least two blocks: the candidates of the heuristic
+    G, and a many-row input for the label kernel."""
+    blocks = sorted({b for p in chain.levels if p.cardinality > 1 for b in p.blocks})
+    labels = np.zeros((len(blocks), chain.levels[0].n_points), dtype=np.int8)
+    for row, b in zip(labels, blocks):
+        row[list(b)] = 1
+    return labels
 
 
 def separated_count(space, center, r1, r2):

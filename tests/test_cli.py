@@ -3,6 +3,7 @@ import json
 import pytest
 
 import metriclab as ml
+from metriclab import cli
 from metriclab.cli import main
 from conftest import euclidean_space
 
@@ -198,3 +199,43 @@ def test_gap_bounds_without_radii_is_an_input_error(capsys, tmp_path):
     assert captured.out == ""
     with pytest.raises(ValueError, match="need at least one radius"):
         ml.gap_bounds(euclidean_space(2, 5), [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--bogus"],
+    ["dimension", "--zoo", "seq_geometric", "--window-r", "-inf", "--ratio-floor", "2"],
+    [],
+])
+def test_usage_errors_exit_one(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: metriclab")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(("usage: metriclab", "metriclab "))
+
+
+@pytest.mark.parametrize("argv, wants_chain", [
+    (["profile"], True),
+    (["dimension", "--window-r", "0.5", "--ratio-floor", "2"], False),
+    (["hyperspace", "--max-subset-size", "2"], False),
+    (["gap-bounds", "--radii", "0.5"], False),
+    (["oracle", "--radius", "0.5"], False),
+])
+def test_commands_that_drop_the_chain_do_not_build_it(capsys, monkeypatch, argv, wants_chain):
+    asked = []
+
+    def sample(family, depth, exact=False, chain=True):
+        asked.append(chain)
+        return ml.sample(family, depth, exact=exact, chain=chain)
+
+    monkeypatch.setattr(cli, "sample", sample)
+    assert main([*argv, "--zoo", "seq_geometric", "--depth", "4"]) == 0
+    assert asked == [wants_chain]

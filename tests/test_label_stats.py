@@ -14,9 +14,10 @@ import metriclab as ml
 import oracles
 from metriclab import partitions
 from metriclab._util import as_float
-from metriclab.logratio import _two_block_splits, set_partitions
+from metriclab.logratio import set_partitions
 from metriclab.partitions import _label_stats, _log_ratio
 from conftest import euclidean_space
+from oracles import _two_block_splits
 from test_ties import quantized_space
 
 CHECKS = settings(settings.get_profile("deterministic"), max_examples=30)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import metriclab as ml
+import oracles
+from metriclab import logratio, partitions
 from metriclab.errors import ExactModeSizeExceeded
 from metriclab.logratio import set_partitions
 from oracles import _stats_of_assignment
 from conftest import euclidean_space
+from test_ties import quantized_space
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -116,6 +119,38 @@ def test_gap_bounds_exact_size_guard():
     sp = euclidean_space(1, 9)
     with pytest.raises(ExactModeSizeExceeded):
         ml.gap_bounds(sp, [0.5], exact=True)
+
+
+@pytest.mark.parametrize("space", [quantized_space(3, 6, 2), euclidean_space(5, 20)],
+                         ids=["ties6", "cloud20"])
+@pytest.mark.parametrize("exact", [None, True, False])
+def test_gap_bounds_reads_G_off_the_chain_without_enumeration(monkeypatch, space, exact):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (partitions, logratio):
+        monkeypatch.setattr(module, "_label_stats",
+                            counted("_label_stats", partitions._label_stats))
+    monkeypatch.setattr(logratio, "set_partitions",
+                        counted("set_partitions", logratio.set_partitions))
+    radii = [0.5, 0.25, 0.125]
+    if exact and space.n > logratio.ORACLE_SIZE_LIMIT:
+        with pytest.raises(ExactModeSizeExceeded, match="^20 points exceeds exact limit 8$"):
+            ml.gap_bounds(space, radii, exact=exact)
+    else:
+        report = ml.gap_bounds(space, radii, exact=exact)
+        closest = float(space.dist[~np.eye(space.n, dtype=bool)].min())
+        assert [row.G for row in report.rows] == [closest] * 3
+        expect_exact = space.n <= logratio.ORACLE_SIZE_LIMIT if exact is None else exact
+        assert report.exact is expect_exact
+        assert [(row.r, row.g, row.G) for row in report.rows] == \
+            oracles.gap_bounds_rows(space, radii, expect_exact)
+    assert calls == []
 
 
 def test_brute_force_min_R_trivial_and_line(line3):
