@@ -34,6 +34,29 @@ def flog(x) -> float:
     return math.log(x)
 
 
+def dyadic_gap(a, b) -> Fraction:
+    """|a - b| of two exact numbers, without a gcd when both denominators
+    are powers of two.
+
+    Both numerators are shifted to the larger exponent q and subtracted;
+    the difference's trailing zeros, at most q of them, are stripped, which
+    leaves it coprime to its power-of-two denominator. The reduced Fraction
+    is built directly, as Fraction._from_coprime_ints does on Python 3.12.
+    Other denominators fall back to abs(a - b).
+    """
+    da, db = a.denominator, b.denominator
+    if da & (da - 1) or db & (db - 1):
+        return abs(a - b)
+    qa, qb = da.bit_length() - 1, db.bit_length() - 1
+    q = max(qa, qb)
+    diff = abs((a.numerator << (q - qa)) - (b.numerator << (q - qb)))
+    strip = min((diff & -diff).bit_length() - 1, q) if diff else q
+    out = object.__new__(Fraction)
+    out._numerator = diff >> strip
+    out._denominator = 1 << (q - strip)
+    return out
+
+
 def as_float(x) -> float:
     """float(x), with silent underflow to 0.0 for out-of-range Fractions."""
     if isinstance(x, Fraction):

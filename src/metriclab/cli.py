@@ -24,7 +24,8 @@ from .embedding import (
     verify_embedding_distortion,
 )
 from .errors import MetricLabError, VerificationFailure
-from .logratio import brute_force_min_R, gap_bounds, profile, threshold_min_R
+from .logratio import (_brute_minimum, _enumerated_stats, _threshold_minimum, gap_bounds,
+                       profile)
 from .partitions import dendrogram_chain, with_singleton_terminal
 from .spaces import (
     FiniteMetricSpace,
@@ -230,8 +231,8 @@ def _cmd_embed(args) -> int:
     _emit(args, "embedding.json", body, meta, (*_SOURCE, "N", "D", "p", "epsilon", "no_thin"))
     if args.coords_out:
         lines = [",".join(["label"] + [f"x{k+1}" for k in range(result.N)])]
-        for i, label in enumerate(space.labels):
-            lines.append(",".join([label] + [repr(float(x)) for x in result.coords[i]]))
+        for label, row in zip(space.labels, result.coords.tolist()):
+            lines.append(",".join([label, *map(repr, row)]))
         args.coords_out.write_text("\n".join(lines) + "\n")
     return 0
 
@@ -286,10 +287,11 @@ def _cmd_gap_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     space, _chain, meta, _family = _load_space(args, chain=False)
-    brute = brute_force_min_R(space, args.oracle_r)
-    brute_pos = brute_force_min_R(space, args.oracle_r, require_positive_delta=True)
-    thresh = threshold_min_R(space, args.oracle_r)
-    thresh_pos = threshold_min_R(space, args.oracle_r, require_positive_delta=True)
+    enumerated = _enumerated_stats(space)
+    brute, brute_pos = (_brute_minimum(enumerated, args.oracle_r, pos) for pos in (False, True))
+    chain = dendrogram_chain(space)
+    thresh, thresh_pos = (_threshold_minimum(chain, args.oracle_r, pos)
+                          for pos in (False, True))
     body = {
         "minimum": {"R": brute.value, "delta": brute.delta, "gamma": brute.gamma,
                     "witness": [list(b) for b in brute.witness.blocks]},

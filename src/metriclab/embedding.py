@@ -14,7 +14,7 @@ construction leaves free and makes coordinates bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,6 +219,7 @@ class EmbeddingResult:
     epsilon: float
     R_est: float
     epsilon_warning: bool
+    box_dist: np.ndarray = field(repr=False, compare=False)  # _box_matrix(coords)
 
     def box_distance(self, i: int, j: int) -> float:
         return float(np.max(np.abs(self.coords[i] - self.coords[j])))
@@ -290,6 +291,7 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
     coords = centers[labels[-1]]
     coords.setflags(write=False)
     box_dist = _box_matrix(coords)
+    box_dist.setflags(write=False)
     collide = box_dist + np.eye(space.n)
     if (collide <= 0).any():
         # scale span exceeds float64 resolution: deep offsets fall below the
@@ -301,7 +303,7 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
         )
     fitted = fit_holder_exponents(space.dist, box_dist)
     return EmbeddingResult(N, coords, tuple(audits), fitted, chain, p, epsilon,
-                           r_est, not eps_ok)
+                           r_est, not eps_ok, box_dist)
 
 
 def _box_matrix(coords) -> np.ndarray:
@@ -429,7 +431,7 @@ def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResul
     deltas = np.array([as_float(st.delta) for st in chain.stats])
     gammas = np.array([as_float(st.gamma) for st in chain.stats])
     lvl = chain.split[np.triu_indices(space.n, 1)]
-    norm, log_norm = _pair_logs(_box_matrix(result.coords))
+    norm, log_norm = _pair_logs(result.box_dist)
     box_ok = not ((norm < gammas[lvl] - tol).any()
                   or ((lvl > 0) & (norm > 2 * deltas[lvl - 1] + tol)).any())
     asserted = lvl >= burn_in if burn_in is not None else np.zeros(lvl.size, dtype=bool)
@@ -466,7 +468,7 @@ def image_ratio_report(space: FiniteMetricSpace, result: EmbeddingResult) -> dic
     image is rescaled to diameter 1 before profiling, which per-level ratios
     are not invariant under, so the report flags it.
     """
-    box = _box_matrix(result.coords)
+    box = result.box_dist
     diam = box.max()
     image = FiniteMetricSpace(space.labels, box / diam, _trusted=True)
     chain = PartitionChain._from_split(image, result.chain.split, result.chain.thresholds,

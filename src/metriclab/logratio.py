@@ -196,14 +196,23 @@ def brute_force_min_R(space: FiniteMetricSpace, r, *,
     partitions with delta > 0, the informative slice. Ties go to the first
     partition in set_partitions order.
     """
+    return _brute_minimum(_enumerated_stats(space), r, require_positive_delta)
+
+
+def _enumerated_stats(space: FiniteMetricSpace):
+    """(labels, deltas, gammas) of every partition, in set_partitions order."""
     _within_oracle_limit(space.n, "oracle")
     labels = np.array(list(set_partitions(space.n)), dtype=np.intp)
-    deltas, gammas = _label_stats(space, labels)
+    return (labels, *_label_stats(space, labels))
+
+
+def _brute_minimum(enumerated, r, require_positive_delta: bool) -> OracleResult:
+    labels, deltas, gammas = enumerated
     keep = deltas < r
     if require_positive_delta:
         keep &= deltas != 0
     if not keep.any():
-        return OracleResult(math.inf, Partition.trivial(space.n), math.inf, math.inf)
+        return OracleResult(math.inf, Partition.trivial(labels.shape[1]), math.inf, math.inf)
     labels, deltas, gammas = labels[keep], deltas[keep], gammas[keep]
     values = [_log_ratio(d, g) for d, g in zip(deltas, gammas)]
     best = int(np.argmin(values))
@@ -219,7 +228,10 @@ def _within_oracle_limit(n: int, what: str) -> None:
 def threshold_min_R(space: FiniteMetricSpace, r, *,
                     require_positive_delta: bool = False) -> OracleResult:
     """Same minimum restricted to single-linkage (threshold) partitions."""
-    chain = dendrogram_chain(space)
+    return _threshold_minimum(dendrogram_chain(space), r, require_positive_delta)
+
+
+def _threshold_minimum(chain: PartitionChain, r, require_positive_delta: bool) -> OracleResult:
     best = None
     for lvl, st in enumerate(chain.stats):
         if not st.delta < r or (require_positive_delta and st.delta == 0):
@@ -227,7 +239,7 @@ def threshold_min_R(space: FiniteMetricSpace, r, *,
         if best is None or st.log_ratio < chain.stats[best].log_ratio:
             best = lvl
     if best is None:
-        return OracleResult(math.inf, Partition.trivial(space.n), math.inf, math.inf)
+        return OracleResult(math.inf, Partition.trivial(len(chain.split)), math.inf, math.inf)
     st = chain.stats[best]
     return OracleResult(st.log_ratio, Partition.from_assignment(chain.labels[best]),
                         as_float(st.delta), as_float(st.gamma))

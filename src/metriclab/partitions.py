@@ -326,14 +326,25 @@ def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> 
     """Append the all-singleton level when the chain does not separate points.
 
     The pairs the chain never separated are split at the new level, so
-    split only gains a raised diagonal.
+    split only gains a raised diagonal and the old levels keep their stats.
+    The new level has delta zero and, as gamma, the smallest pair: the least
+    of the last level's gamma (when it has two blocks or more) and of the
+    pairs it joins.
     """
-    if chain.stats[-1].cardinality == len(chain.split):
+    if chain.split.shape != (space.n, space.n):
+        raise ValueError("chain does not match the space")
+    last = chain.stats[-1]
+    if last.cardinality == space.n:
         return chain
     split = chain.split.copy()
     np.fill_diagonal(split, len(chain) + 1)
-    return PartitionChain._from_split(space, split, chain.thresholds + (None,),
-                                      chain.level_ids + (chain.level_ids[-1] + 1,))
+    split.setflags(write=False)
+    gamma = space.dist[np.triu(chain.split == len(chain), 1)].min()
+    if last.cardinality > 1 and last.gamma < gamma:
+        gamma = last.gamma
+    terminal = PartitionStats(_zero(space.exact), gamma, 0.0, space.n)
+    return PartitionChain(split, chain.stats + (terminal,), chain.thresholds + (None,),
+                          chain.level_ids + (chain.level_ids[-1] + 1,))
 
 
 def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:

@@ -377,10 +377,9 @@ def to_csv(space: FiniteMetricSpace) -> str:
     if space.exact:
         raise ValueError("exact-mode spaces do not serialize to CSV")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(space.labels)
-    for row in space.dist:
-        writer.writerow([repr(float(x)) for x in row])
+    csv.writer(buf, lineterminator="\n").writerow(space.labels)  # quotes labels as needed
+    for row in space.dist.tolist():
+        buf.write(",".join(map(repr, row)) + "\n")
     return buf.getvalue()
 
 

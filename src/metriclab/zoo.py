@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import LN2, max_points
+from ._util import LN2, dyadic_gap, max_points
 from .errors import CapExceeded, DepthOverflow
 from .partitions import PartitionChain
 from .spaces import FiniteMetricSpace, _zero, _zeros, sup_product
@@ -245,13 +245,16 @@ def _pair_matrix(values, pair, exact):
     return dist
 
 
+_exact_gap = np.frompyfunc(dyadic_gap, 2, 1)  # exact values are 0 or 1/2^e: no gcd
+
+
 def _sequence_space(family, depth, exact):
     labels, pts = _sequence_points(family, depth, exact)
     if family.kind == "sqrt_ultra":
         # points are 1/n; the metric is max(sqrt(x), sqrt(y)), pts are the heights
         dist = _pair_matrix(pts, np.maximum, exact)
     else:
-        dist = _pair_matrix(pts, lambda a, b: np.abs(a - b), exact)
+        dist = _pair_matrix(pts, _exact_gap if exact else lambda a, b: np.abs(a - b), exact)
     return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=dist[0, 1])
 
 

@@ -5,7 +5,9 @@ place: the label-array kernel `partitions._label_stats`, the heuristic G
 over the two-block splits `_two_block_splits` of the chain's blocks (both
 gap_bounds paths now read G off the chain's last level), the block extents
 `partitions._block_extents` read off one spanning tree, the one-level
-`with_singleton_terminal` and the `np.unique` spectrum of `ball_chain`,
+`with_singleton_terminal` (rebuilt from the whole chain or from its split
+matrix), the exact sequence matrix by Fraction subtraction, the
+`csv.writer` rows of `to_csv`, and the `np.unique` spectrum of `ball_chain`,
 the chains built one `Partition` per level before split-first chains wrote
 their split matrix in closed form, the refines loop of
 `PartitionChain.from_partitions`, the level loop of `threshold_min_R`, and
@@ -18,6 +20,8 @@ they built, so that a test can compare them with the levels a fast chain
 derives from its split matrix.
 """
 
+import csv
+import io
 import math
 from itertools import combinations, product
 
@@ -225,6 +229,37 @@ def with_singleton_terminal(space, chain):
         chain.thresholds + (None,),
         chain.level_ids + (chain.level_ids[-1] + 1,),
     )
+
+
+def with_singleton_terminal_from_split(space, chain):
+    """with_singleton_terminal re-running the statistics of every level on
+    the split matrix with a raised diagonal."""
+    if chain.stats[-1].cardinality == space.n:
+        return chain
+    split = chain.split.copy()
+    np.fill_diagonal(split, len(chain) + 1)
+    return PartitionChain._from_split(space, split, chain.thresholds + (None,),
+                                      chain.level_ids + (chain.level_ids[-1] + 1,))
+
+
+def sequence_gaps(values):
+    """|x - y| of every pair of sequence values by Fraction subtraction, two
+    gcds per pair, as exact sequence samples were built before dyadic_gap."""
+    dist = np.empty((len(values), len(values)), dtype=object)
+    for i, x in enumerate(values):
+        for j, y in enumerate(values):
+            dist[i, j] = abs(x - y)
+    return dist
+
+
+def to_csv(space):
+    """to_csv with every matrix row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(space.labels)
+    for row in space.dist:
+        writer.writerow([repr(float(x)) for x in row])
+    return buf.getvalue()
 
 
 def ball_spectrum(space):
@@ -474,7 +509,7 @@ def embed_chain(space, chain, N, p, epsilon, tol=DEFAULT_TOL):
         )
     fitted = fit_holder_exponents(space.dist, box_dist)
     return EmbeddingResult(N, coords, tuple(audits), fitted, chain, p, epsilon,
-                           r_est, not eps_ok)
+                           r_est, not eps_ok, box_dist)
 
 
 def _audit_level(chain, lvl, required, capacity, box_center, box_parent, deltas, gammas,

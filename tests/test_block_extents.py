@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import logratio
+from metriclab import logratio, partitions
 from metriclab._util import as_float
 from metriclab.partitions import _block_extents
 from metriclab.zoo import product_factors
@@ -181,6 +181,47 @@ def test_with_singleton_terminal_rejects_another_space():
     other, _ = ml.sample(ml.make_family("seq_geometric"), 6)
     with pytest.raises(ValueError):
         ml.with_singleton_terminal(other, chain)
+
+
+def terminal_cases():
+    """Separating and non-separating chains: dendrograms and their first
+    levels, float and exact zoo chains, and one-level chains."""
+    cloud, ties = euclidean_space(4, 12), quantized_space(5, 9, 2)
+    out = []
+    for space in (cloud, ties):
+        chain = ml.dendrogram_chain(space)
+        out += [(space, chain)] + [
+            (space, ml.PartitionChain._from_split(space, np.minimum(chain.split, k)))
+            for k in (1, 2, len(chain) - 1)]
+    for kind in ml.KINDS:
+        out.append(ml.sample(ml.make_family(kind), 6 if kind.startswith(("seq", "sqrt")) else 3))
+    for kind, params in EXACT_FAMILIES:
+        out.append(ml.sample(ml.make_family(kind, **params),
+                             6 if kind.startswith("seq") else 3, exact=True))
+    for space in (cloud, ties, out[-1][0], out[-3][0]):
+        halves = [range(space.n // 2), range(space.n // 2, space.n)]
+        for level in (ml.Partition.trivial(space.n), ml.Partition(halves, space.n)):
+            out.append((space, ml.PartitionChain.from_partitions(space, [level])))
+    return out
+
+
+def test_with_singleton_terminal_appends_the_stats_of_a_rebuild(monkeypatch):
+    cases = terminal_cases()
+    rebuilt = [oracles.with_singleton_terminal_from_split(space, chain)
+               for space, chain in cases]
+    calls = []
+    stats = partitions._chain_stats
+    monkeypatch.setattr(partitions, "_chain_stats", lambda *a: calls.append(1) or stats(*a))
+    grown = 0
+    for (space, chain), old in zip(cases, rebuilt):
+        new = ml.with_singleton_terminal(space, chain)
+        assert new == old and new.stats == old.stats
+        for a, b in zip(new.stats, old.stats):
+            assert type(a.delta) is type(b.delta) and type(a.gamma) is type(b.gamma)
+        assert new.stats[:len(chain)] == chain.stats
+        assert not new.split.flags.writeable
+        grown += len(new) > len(chain)
+    assert calls == [] and grown > 20
 
 
 # Trusted builders pass the diameter they know.

@@ -3,9 +3,11 @@ import json
 import pytest
 
 import metriclab as ml
-from metriclab import cli
+from metriclab import cli, logratio
+from metriclab._util import dumps
 from metriclab.cli import main
 from conftest import euclidean_space
+from test_ties import quantized_space
 
 
 def run(capsys, argv):
@@ -239,3 +241,44 @@ def test_commands_that_drop_the_chain_do_not_build_it(capsys, monkeypatch, argv,
     monkeypatch.setattr(cli, "sample", sample)
     assert main([*argv, "--zoo", "seq_geometric", "--depth", "4"]) == 0
     assert asked == [wants_chain]
+
+
+@pytest.mark.parametrize("source, radius", [
+    (["--zoo", "seq_geometric", "--depth", "5"], 0.3),
+    (["--zoo", "cantor_factorial", "--depth", "3", "--exact"], 0.9),
+    (["--input", "q7.csv"], 0.8),
+    (["--input", "q7.csv"], 0.0),
+])
+def test_oracle_enumerates_once(capsys, monkeypatch, tmp_path, source, radius):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q7.csv").write_text(ml.to_csv(quantized_space(3, 7, 2)))
+    space = cli._load_space(cli.build_parser().parse_args(["oracle", *source, "--radius", "1"]),
+                            chain=False)[0]
+    expected = {
+        "minimum": ml.brute_force_min_R(space, radius),
+        "minimum_positive_delta": ml.brute_force_min_R(space, radius,
+                                                       require_positive_delta=True),
+        "threshold_minimum": ml.threshold_min_R(space, radius),
+        "threshold_minimum_positive_delta": ml.threshold_min_R(space, radius,
+                                                               require_positive_delta=True),
+    }
+    calls = {"stats": 0, "dendrogram": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(logratio, "_label_stats", counted("stats", logratio._label_stats))
+    for module in (cli, logratio):
+        monkeypatch.setattr(module, "dendrogram_chain",
+                            counted("dendrogram", ml.dendrogram_chain))
+    rc, out = run(capsys, ["oracle", *source, "--radius", str(radius)])
+    assert rc == 0 and calls == {"stats": 1, "dendrogram": 1}
+    doc = json.loads(out)
+    for key, result in expected.items():
+        fields = {"R": result.value, "delta": result.delta, "gamma": result.gamma,
+                  "witness": [list(b) for b in result.witness.blocks]}
+        assert doc[key] == json.loads(dumps({k: fields[k] for k in doc[key]}))
+    assert doc["agree"] == (expected["minimum"].value == expected["threshold_minimum"].value)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
+from metriclab import embedding
 from metriclab._util import as_float
 from metriclab.embedding import grid_capacity, place_children
 from metriclab.errors import EmptyWindow, PackingInfeasible
@@ -239,3 +240,18 @@ def test_verify_two_point_embedding_trivial():
     res = ml.embed_chain(sp, chain, 1, 2.0, 0.3)
     report = ml.verify_embedding_distortion(sp, res, 2.0, 0.3)
     assert report.box_sandwich_ok
+
+
+def test_distortion_check_and_image_report_reuse_the_box_matrix(monkeypatch):
+    space, chain = ml.sample(ml.make_family("seq_polynomial", s=2), 8)
+    chain = ml.with_singleton_terminal(space, chain)
+    result = ml.embed_chain(space, ml.select_embeddable_subchain(space, chain, 11), 11, 2.0, 0.5)
+    assert np.array_equal(result.box_dist, embedding._box_matrix(result.coords))
+    assert not result.box_dist.flags.writeable
+    before = (ml.verify_embedding_distortion(space, result, 2.0, 0.5).to_report(),
+              embedding.image_ratio_report(space, result))
+    built = []
+    monkeypatch.setattr(embedding, "_box_matrix", lambda coords: built.append(coords))
+    after = (ml.verify_embedding_distortion(space, result, 2.0, 0.5).to_report(),
+             embedding.image_ratio_report(space, result))
+    assert built == [] and after == before

@@ -1,10 +1,11 @@
 """Float and exact spaces share one numeric path. The dtype-specific loops it
-replaced are kept here as oracles: both sequence-sample loops, the Cantor
-double loop, the comparison-ultrametric loop, the exact Hausdorff triple
-loop, the symmetry and positivity loops of violations() and the Python
-greedy separated set. Each must agree with the shared code entry for entry,
-in value and in type (Fraction or float). Exact input is converted to
-Fraction once, and bad entries get typed errors."""
+replaced are kept here as oracles: both sequence-sample loops (the exact
+one through oracles.sequence_gaps), the Cantor double loop, the
+comparison-ultrametric loop, the exact Hausdorff triple loop, the symmetry
+and positivity loops of violations() and the Python greedy separated set.
+Each must agree with the shared code entry for entry, in value and in type
+(Fraction or float). Exact input is converted to Fraction once, and bad
+entries get typed errors."""
 
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclab as ml
+import oracles
 from metriclab._util import DEFAULT_TOL, as_float
 from metriclab.cli import main
 from metriclab.embedding import _greedy_separated
@@ -63,11 +65,7 @@ def sequence_space_oracle(family, depth, exact):
             for j in range(i + 1, n_pts):
                 dist[i, j] = dist[j, i] = max(heights[i], heights[j])
     elif exact:
-        dist = np.zeros((n_pts, n_pts), dtype=object)
-        dist[:] = Fraction(0)
-        for i in range(n_pts):
-            for j in range(i + 1, n_pts):
-                dist[i, j] = dist[j, i] = abs(pts[i] - pts[j])
+        dist = oracles.sequence_gaps(pts)
     else:
         arr = np.asarray(pts)
         dist = np.abs(arr[:, None] - arr[None, :])

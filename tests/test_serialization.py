@@ -1,11 +1,13 @@
 """CSV and JSON round trips: entries come back bit for bit and labels
-unchanged, also labels holding commas, quotes, spaces and non-ASCII text."""
+unchanged, also labels holding commas, quotes, spaces and non-ASCII text.
+to_csv writes the bytes of its csv.writer oracle."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclab as ml
+import oracles
 from conftest import euclidean_space
 from test_ties import quantized_space
 
@@ -44,3 +46,11 @@ def test_csv_round_trip(space):
 @given(labelled_spaces())
 def test_json_round_trip(space):
     same_space(ml.from_json(ml.to_json(space)), space)
+
+
+@CHECKS
+@given(labelled_spaces())
+def test_csv_rows_equal_csv_writer(space):
+    assert ml.to_csv(space) == oracles.to_csv(space)
+    tiny = ml.validate(space.dist * 1e-300, space.labels)  # subnormal and e-notation reprs
+    assert ml.to_csv(tiny) == oracles.to_csv(tiny)
