@@ -112,16 +112,19 @@ def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = Fals
 
 
 def _checked(matrix, labels, tol, exact):
-    """(entries, violations): the matrix in the mode's dtype, its exact
-    entries converted to Fraction, and what violations() reports on it.
-    Raises MetricViolation("parse") on a ragged or non-numeric matrix."""
+    """(entries, violations): the matrix as stored, in the mode's dtype (exact
+    entries converted to Fraction, a float matrix mirrored from its upper
+    triangle), and what violations() reports on it. Raises
+    MetricViolation("parse") on a ragged or non-numeric matrix."""
     try:
         m = np.asarray(matrix, dtype=object if exact else float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MetricViolation("parse", None, str(exc)) from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return m, [MetricViolation("shape", m.shape, "matrix must be square")]
     n = m.shape[0]
+    if n == 0:
+        return m, [MetricViolation("shape", m.shape, "matrix has no points")]
     if labels is not None and len(labels) != n:
         return m, [MetricViolation("labels", len(labels), f"expected {n} labels")]
     if labels is not None:
@@ -150,29 +153,43 @@ def _checked(matrix, labels, tol, exact):
                for i, j in zip(rows.tolist(), cols.tolist()))
     if out:
         return m, out
-    out.extend(_triangle_violations(m, n, tol, exact))
+    if not exact:
+        m = np.triu(m) + np.triu(m, 1).T  # canonicalize within-tolerance asymmetry
+    slack, witness = _worst_triple(m, np.add) if n > 2 else (0, None)
+    if slack > tol:
+        out.append(MetricViolation("triangle", witness))
     diam = m.max() if n > 1 else 0
     if diam > 1:
         out.append(DiameterExceedsOne(diam))
     return m, out
 
 
-def _triangle_violations(m, n, tol, exact):
-    if exact:
-        for i, j, k in combinations(range(n), 3):
-            for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
-                if m[a, b] > m[a, c] + m[c, b]:
-                    return [MetricViolation("triangle", (a, b, c))]
-        return []
-    for k in range(n):
-        slack = m - (m[:, k][:, None] + m[k, :][None, :])
-        bad = slack > tol
-        bad[k, :] = False
-        bad[:, k] = False
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            return [MetricViolation("triangle", (i, j, k))]
-    return []
+def _hull(m, combine):
+    """For each pair i < j in row-major order, the least combine(m[i, k],
+    m[k, j]) over k not in {i, j}: np.add for the triangle inequality,
+    np.maximum for the strong one. m must be exactly symmetric; the same
+    code runs on float64 and Fraction entries, one row at a time."""
+    n = len(m)
+    rows = []
+    for i in range(n - 1):
+        cand = combine(m[i, :, None], m[:, i + 1:])  # cand[k, j - i - 1]
+        cand[i] = np.inf
+        cand[np.arange(i + 1, n), np.arange(n - i - 1)] = np.inf
+        rows.append(cand.min(axis=0))
+    return np.concatenate(rows)
+
+
+def _worst_triple(m, combine):
+    """(slack, (i, j, k)) for n >= 3: the pair i < j where m[i, j] exceeds its
+    _hull by the most, first in row-major order, and the first k whose
+    combine(m[i, k], m[k, j]) is that hull."""
+    rows, cols = np.triu_indices(len(m), 1)
+    slack = m[rows, cols] - _hull(m, combine)
+    p = int(np.argmax(slack))
+    i, j = int(rows[p]), int(cols[p])
+    via = combine(m[i], m[:, j])
+    via[[i, j]] = np.inf
+    return slack[p], (i, j, int(np.argmin(via)))
 
 
 def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL,
@@ -192,8 +209,6 @@ def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL,
         rescaled = True
     if problems:
         raise problems[0]
-    if not exact:
-        m = np.triu(m) + np.triu(m, 1).T  # canonicalize within-tolerance asymmetry
     return FiniteMetricSpace(labels, m, exact=exact, rescaled=rescaled, _trusted=True)
 
 
@@ -267,25 +282,12 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
     triple. Exact spaces fail on any positive violation, float ones above tol.
     """
     m = space.dist
-    n = space.n
-    if n < 3 or (m == _subdominant(m)).all():
+    if space.n < 3 or (m == _subdominant(m)).all():
         return UltrametricCheck(True, None, _zero(space.exact))
-    hull = np.full((n, n), np.inf, dtype=m.dtype)
-    argk = np.zeros((n, n), dtype=int)
-    for k in range(n):
-        cand = np.maximum(m[:, k][:, None], m[k, :][None, :])
-        cand[k, :] = np.inf
-        cand[:, k] = np.inf
-        better = cand < hull
-        hull = np.where(better, cand, hull)
-        argk[better] = k
-    slack = m - hull
-    np.fill_diagonal(slack, -np.inf)
-    i, j = map(int, np.unravel_index(np.argmax(slack), slack.shape))
-    worst = slack[i, j] if space.exact else float(slack[i, j])
+    worst, witness = _worst_triple(m, np.maximum)
     if not space.exact and worst <= tol:
-        return UltrametricCheck(True, None, max(worst, 0.0))
-    return UltrametricCheck(False, (i, j, int(argk[i, j])), worst)
+        return UltrametricCheck(True, None, max(float(worst), 0.0))
+    return UltrametricCheck(False, witness, worst if space.exact else float(worst))
 
 
 # Single linkage. The components of {d < t} (or {d <= t}) are those of the
@@ -410,4 +412,9 @@ def from_json(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> 
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise MetricViolation("parse", None, '"labels" must be a list')
-    return validate(doc["dist"], labels, tol=tol, rescale=rescale)
+    dist = doc["dist"]
+    for i, row in enumerate(dist if isinstance(dist, list) else ()):
+        for j, x in enumerate(row if isinstance(row, list) else ()):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise MetricViolation("parse", (i, j), "entry is not a JSON number")
+    return validate(dist, labels, tol=tol, rescale=rescale)

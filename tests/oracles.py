@@ -12,8 +12,12 @@ the chains built one `Partition` per level before split-first chains wrote
 their split matrix in closed form, the refines loop of
 `PartitionChain.from_partitions`, the level loop of `threshold_min_R`, and
 the embedding placed one parent block at a time through dicts keyed by
-(level, block), audited with per-pair box gaps. Tests compare the two; `tree_connects` checks, by a
-union-find, which blocks the spanning tree connects.
+(level, block), audited with per-pair box gaps, and the two cubic searches
+that `spaces._hull` replaced: the triangle check (a `combinations` triple
+loop on exact matrices, a k-major sweep on float ones) and the hull sweep
+of `is_ultrametric` with its first-k matrix `argk`. Tests compare the two;
+`tree_connects` checks, by a union-find, which blocks the spanning tree
+connects.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
 they built, so that a test can compare them with the levels a fast chain
@@ -31,10 +35,11 @@ from metriclab.logratio import OracleResult, profile, set_partitions
 from metriclab._util import DEFAULT_TOL, as_float
 from metriclab.embedding import (EmbeddingResult, LevelAudit, _box_matrix, _exact_separated,
                                  _greedy_separated, grid_capacity)
-from metriclab.errors import DepthOverflow, NotNested, NotSeparating, PackingInfeasible
+from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
+                              PackingInfeasible)
 from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
                                   dendrogram_chain, induced_partition, largest_gap)
-from metriclab.spaces import _prim, _zero
+from metriclab.spaces import UltrametricCheck, _prim, _subdominant, _zero
 from metriclab.ultrametrize import fit_holder_exponents
 
 
@@ -250,6 +255,52 @@ def sequence_gaps(values):
         for j, y in enumerate(values):
             dist[i, j] = abs(x - y)
     return dist
+
+
+def triangle_violations(m, n, tol, exact):
+    """The triangle check of violations(): the first triple in combinations
+    order (any of its three orientations) on exact matrices, the first
+    k-major hit above tol on float ones."""
+    if exact:
+        for i, j, k in combinations(range(n), 3):
+            for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
+                if m[a, b] > m[a, c] + m[c, b]:
+                    return [MetricViolation("triangle", (a, b, c))]
+        return []
+    for k in range(n):
+        slack = m - (m[:, k][:, None] + m[k, :][None, :])
+        bad = slack > tol
+        bad[k, :] = False
+        bad[:, k] = False
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            return [MetricViolation("triangle", (i, j, k))]
+    return []
+
+
+def is_ultrametric(space, tol=DEFAULT_TOL):
+    """is_ultrametric with its failing-space search as one k sweep over the
+    whole matrix, keeping the hull and the first k reaching it in argk."""
+    m = space.dist
+    n = space.n
+    if n < 3 or (m == _subdominant(m)).all():
+        return UltrametricCheck(True, None, _zero(space.exact))
+    hull = np.full((n, n), np.inf, dtype=m.dtype)
+    argk = np.zeros((n, n), dtype=int)
+    for k in range(n):
+        cand = np.maximum(m[:, k][:, None], m[k, :][None, :])
+        cand[k, :] = np.inf
+        cand[:, k] = np.inf
+        better = cand < hull
+        hull = np.where(better, cand, hull)
+        argk[better] = k
+    slack = m - hull
+    np.fill_diagonal(slack, -np.inf)
+    i, j = map(int, np.unravel_index(np.argmax(slack), slack.shape))
+    worst = slack[i, j] if space.exact else float(slack[i, j])
+    if not space.exact and worst <= tol:
+        return UltrametricCheck(True, None, max(worst, 0.0))
+    return UltrametricCheck(False, (i, j, int(argk[i, j])), worst)
 
 
 def to_csv(space):

@@ -163,6 +163,8 @@ def test_malformed_json_input_is_a_parse_error(capsys, tmp_path, text):
     ("ragged.json", '{"dist": [[0, 0.5], [0.5]]}'),
     ("strings.json", '{"dist": [["a", "b"], ["c", "d"]]}'),
     ("objects.json", '{"dist": [[0, {}], [{}, 0]]}'),
+    ("booleans.json", '{"dist": [[0, true], [true, 0]]}'),
+    ("quoted.json", '{"dist": [[0, "0.5"], ["0.5", 0]]}'),
     ("ragged.csv", "a,b\n0,0.5\n0.5\n"),
 ])
 def test_malformed_matrix_or_labels_is_a_parse_error(capsys, tmp_path, name, text):
@@ -172,6 +174,14 @@ def test_malformed_matrix_or_labels_is_a_parse_error(capsys, tmp_path, name, tex
     err = capsys.readouterr().err
     assert err.startswith("error: parse violated")
     assert "Traceback" not in err
+
+
+def test_triangle_violation_in_csv_exits_one(capsys, tmp_path):
+    path = tmp_path / "bent.csv"
+    path.write_text("a,b,c\n0,1,0.4\n1,0,0.5\n0.4,0.5,0\n")
+    assert main(["profile", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: triangle violated at (0, 1, 2)\n"
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -4,13 +4,15 @@ one through oracles.sequence_gaps), the Cantor double loop, the
 comparison-ultrametric loop, the exact Hausdorff triple loop, the symmetry
 and positivity loops of violations() and the Python greedy separated set.
 Each must agree with the shared code entry for entry, in value and in type
-(Fraction or float). Exact input is converted to Fraction once, and bad
-entries get typed errors."""
+(Fraction or float). The triangle and strong-triangle checks share one hull
+kernel; the dtype-forked loops it replaced (oracles.triangle_violations,
+oracles.is_ultrametric) must give the same verdicts. Exact input is
+converted to Fraction once, and bad entries get typed errors."""
 
 import json
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,8 +24,7 @@ import oracles
 from metriclab._util import DEFAULT_TOL, as_float
 from metriclab.cli import main
 from metriclab.embedding import _greedy_separated
-from metriclab.errors import MetricViolation
-from metriclab.spaces import _triangle_violations
+from metriclab.errors import DiameterExceedsOne, MetricViolation
 from metriclab.zoo import _TINY_LOG2, _sequence_values
 from conftest import euclidean_space
 from test_ties import quantized_space
@@ -124,8 +125,9 @@ def hyperspace_oracle(space, k):
 
 
 def violations_oracle(matrix, tol, exact):
-    """violations() with its dtype-forked symmetry check and positivity loop
-    (labels and the size cap left out)."""
+    """violations() with its dtype-forked symmetry check, positivity loop and
+    triangle loop (labels and the size cap left out). The triangle loop reads
+    the float matrix mirrored from its upper triangle, as violations() does."""
     m = np.asarray(matrix, dtype=object if exact else float)
     n = m.shape[0]
     out = []
@@ -150,10 +152,12 @@ def violations_oracle(matrix, tol, exact):
                 )
     if out:
         return out
-    out.extend(_triangle_violations(m, n, tol, exact))
+    if not exact:
+        m = np.triu(m) + np.triu(m, 1).T
+    out.extend(oracles.triangle_violations(m, n, tol, exact))
     diam = m.max() if n > 1 else 0
     if diam > 1:
-        out.append(ml.DiameterExceedsOne(diam))
+        out.append(DiameterExceedsOne(diam))
     return out
 
 
@@ -168,6 +172,13 @@ def greedy_oracle(m, ball, r2):
 def described(problems):
     return [(type(p).__name__, getattr(p, "kind", None), getattr(p, "witness", None))
             for p in problems]
+
+
+def verdict(problems):
+    """described() without the triangle witness: the kernel names the pair
+    with the largest slack, the old loops the first violated triple they met."""
+    return [(name, kind, None if kind == "triangle" else witness)
+            for name, kind, witness in described(problems)]
 
 
 # Zoo builders.
@@ -276,8 +287,76 @@ edit = st.tuples(st.sampled_from(("bump", "zero", "diagonal")), st.integers(0, 9
        edits=st.lists(edit, max_size=4), exact=st.booleans())
 def test_violations_match_dtype_loops(seed, n, levels, edits, exact):
     m = broken(seed, n, levels, edits, exact)
-    assert described(ml.violations(m, exact=exact)) == \
-        described(violations_oracle(m, DEFAULT_TOL, exact))
+    assert verdict(ml.violations(m, exact=exact)) == \
+        verdict(violations_oracle(m, DEFAULT_TOL, exact))
+
+
+def dyadic_metric(seed, n):
+    """A tie-heavy metric of Fractions k/8: every entry, and every sum of two,
+    is exact in float64 too."""
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 9, size=(n, n))
+    w = np.minimum(w, w.T)
+    np.fill_diagonal(w, 0)
+    for k in range(n):
+        w = np.minimum(w, w[:, [k]] + w[[k], :])
+    return np.vectorize(lambda x: Fraction(int(x), 8), otypes=[object])(w)
+
+
+@st.composite
+def bumped(draw):
+    """(m, exact): a float cloud, a tie-heavy quantized metric or an exact
+    dyadic metric, with one pair raised on both sides (or none)."""
+    source = draw(st.sampled_from(("cloud", "ties", "dyadic")))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n = draw(st.integers(3, 12))
+    i, j = draw(st.sampled_from(list(combinations(range(n), 2))))
+    if source == "dyadic":
+        m = dyadic_metric(seed, n)
+        bump = draw(st.sampled_from((0, 1, 2, 4))) * Fraction(1, 8)
+    else:
+        m = (euclidean_space(seed, n) if source == "cloud"
+             else quantized_space(seed, n, draw(st.integers(1, 5)))).dist.copy()
+        bump = draw(st.sampled_from((0.0, 1e-13, 1e-6, 0.25, 0.5)))
+    m[i, j] = m[j, i] = m[i, j] + bump
+    return m, source == "dyadic"
+
+
+def worst_triangle_slack(m):
+    """max m[a, b] - (m[a, c] + m[c, b]) over all triples of distinct points."""
+    return max(m[a, b] - (m[a, c] + m[c, b])
+               for a, b, c in product(range(len(m)), repeat=3) if len({a, b, c}) == 3)
+
+
+def triangle_witness(m, exact):
+    found = [p.witness for p in ml.violations(m, exact=exact)
+             if getattr(p, "kind", None) == "triangle"]
+    return found[0] if found else None
+
+
+def ultrametric_check(m, exact):
+    sp = ml.FiniteMetricSpace([str(i) for i in range(len(m))], m, exact=exact, _trusted=True)
+    new, old = ml.is_ultrametric(sp), oracles.is_ultrametric(sp)
+    assert (new, type(new.violation)) == (old, type(old.violation))
+    return new
+
+
+@CHECKS
+@given(bumped())
+def test_hull_checks_match_the_old_loops(case):
+    m, exact = case
+    assert verdict(ml.violations(m, exact=exact)) == \
+        verdict(violations_oracle(m, DEFAULT_TOL, exact))
+    check = ultrametric_check(m, exact)
+    witness = triangle_witness(m, exact)
+    if witness is not None:
+        a, b, c = witness
+        assert len({a, b, c}) == 3
+        assert m[a, b] - (m[a, c] + m[c, b]) == worst_triangle_slack(m) > 0
+    if exact:  # the same matrix in float64 names the same triples
+        flt = m.astype(float)
+        assert triangle_witness(flt, False) == witness
+        assert ultrametric_check(flt, False).witness == check.witness
 
 
 @CHECKS

@@ -44,6 +44,39 @@ def test_validate_rejects_asymmetry_and_nonzero_diagonal():
     assert any(p.kind == "diagonal" for p in ml.violations([[0.1, 1], [1, 0]]))
 
 
+def test_untrusted_space_and_validate_store_one_symmetric_matrix():
+    # asymmetric within tol: both entry points mirror the upper triangle
+    m = [[0, .5, .6], [.5 + 1e-13, 0, .4], [.6, .4, 0]]
+    untrusted = ml.FiniteMetricSpace(["a", "b", "c"], m)
+    validated = ml.validate(m, ["a", "b", "c"])
+    assert np.array_equal(untrusted.dist, untrusted.dist.T)
+    assert np.array_equal(untrusted.dist, validated.dist)
+    assert untrusted.dist[1, 0] == 0.5
+
+
+def test_empty_matrix_is_a_shape_error():
+    empty = np.zeros((0, 0))
+    for build in (ml.validate, lambda m: ml.FiniteMetricSpace([], m)):
+        with pytest.raises(MetricViolation) as exc:
+            build(empty)
+        assert exc.value.kind == "shape"
+    assert [p.kind for p in ml.violations(empty)] == ["shape"]
+
+
+@pytest.mark.parametrize("entry", ["true", "false", '"0.5"', "null"])
+def test_json_entries_must_be_numbers(entry):
+    with pytest.raises(MetricViolation) as exc:
+        ml.from_json('{"dist": [[0, %s], [%s, 0]]}' % (entry, entry))
+    assert exc.value.kind == "parse" and exc.value.witness == (0, 1)
+
+
+def test_float_entry_beyond_float_range_is_a_parse_error():
+    big = "1" + "0" * 400
+    with pytest.raises(MetricViolation) as exc:
+        ml.from_json('{"dist": [[0, %s], [%s, 0]]}' % (big, big))
+    assert exc.value.kind == "parse"
+
+
 def test_diameter_above_one_needs_rescale():
     with pytest.raises(DiameterExceedsOne):
         ml.validate([[0, 2], [2, 0]])
