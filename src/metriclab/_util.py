@@ -34,26 +34,44 @@ def flog(x) -> float:
     return math.log(x)
 
 
-def dyadic_gap(a, b) -> Fraction:
-    """|a - b| of two exact numbers, without a gcd when both denominators
-    are powers of two.
+def dyadic_numerators(xs):
+    """(nums, q): exact numbers as Python ints over one denominator 2^q, the
+    largest of theirs, or None when some denominator is not a power of two.
 
-    Both numerators are shifted to the larger exponent q and subtracted;
-    the difference's trailing zeros, at most q of them, are stripped, which
-    leaves it coprime to its power-of-two denominator. The reduced Fraction
-    is built directly, as Fraction._from_coprime_ints does on Python 3.12.
-    Other denominators fall back to abs(a - b).
+    Each numerator is shifted left by q minus its own exponent. The scaling
+    by 2^q is exact and monotone, so sums, differences and comparisons of
+    the ints order as those of the numbers do, without a gcd.
     """
-    da, db = a.denominator, b.denominator
-    if da & (da - 1) or db & (db - 1):
-        return abs(a - b)
-    qa, qb = da.bit_length() - 1, db.bit_length() - 1
-    q = max(qa, qb)
-    diff = abs((a.numerator << (q - qa)) - (b.numerator << (q - qb)))
-    strip = min((diff & -diff).bit_length() - 1, q) if diff else q
-    out = object.__new__(Fraction)
-    out._numerator = diff >> strip
-    out._denominator = 1 << (q - strip)
+    try:
+        dens = [x.denominator for x in xs]
+    except AttributeError:  # a float or another non-rational entry
+        return None
+    if any(d & (d - 1) for d in dens):
+        return None
+    q = max((d.bit_length() for d in dens), default=1) - 1
+    return [x.numerator << (q + 1 - d.bit_length()) for x, d in zip(xs, dens)], q
+
+
+def dyadic_fractions(nums, q: int) -> np.ndarray:
+    """The reduced Fractions num / 2^q of Python ints, as an object array,
+    without a gcd: each num's trailing zeros, at most q of them, are
+    stripped, which leaves it coprime to its power-of-two denominator. The
+    Fractions are built directly, as Fraction._from_coprime_ints does on
+    Python 3.12, and share their denominators."""
+    powers = {}  # 2^e by e, for the exponents that occur
+    new = object.__new__
+    fractions = []
+    for num in nums:
+        strip = (num & -num).bit_length() - 1 if num else q
+        if strip > q:
+            strip = q
+        f = new(Fraction)
+        f._numerator = num >> strip
+        e = q - strip
+        f._denominator = powers.get(e) or powers.setdefault(e, 1 << e)
+        fractions.append(f)
+    out = np.empty(len(fractions), dtype=object)
+    out[:] = fractions
     return out
 
 

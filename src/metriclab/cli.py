@@ -246,9 +246,9 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    space, chain, meta, family = _load_space(args)
-    if family is None:
+    if not args.zoo:  # before --input is read, validated and chained
         raise MetricLabError("the zoo command needs --zoo")
+    space, chain, meta, family = _load_space(args)
     first = family.first_index
     table = formula_table(family, first + 1, first + args.depth - 1)
     _emit(args, "zoo.json", {"chain": chain.to_report(), "formulas": table}, meta)

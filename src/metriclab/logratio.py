@@ -140,9 +140,9 @@ def _property6(chain, space, proper):
     for i, j in zip(proper, proper[1:]):
         delta_i = as_float(chain.stats[i].delta)
         gamma_next = as_float(chain.stats[j].gamma)
-        sizes = np.bincount(chain.labels[i])
-        near = np.abs(as_floats(diameters[i]) - delta_i) <= 1e-15 + 1e-9 * abs(delta_i)
-        widest = np.flatnonzero((sizes >= 2) & near)
+        multi = np.flatnonzero(np.bincount(chain.labels[i]) >= 2)
+        near = np.abs(as_floats(diameters[i][multi]) - delta_i) <= 1e-15 + 1e-9 * abs(delta_i)
+        widest = multi[near]
         if not len(widest):
             continue
         gap = as_floats(gaps[i][widest])

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
-from .spaces import (FiniteMetricSpace, _merge_ranks, _prim, _subdominant, _zero,
+from .spaces import (FiniteMetricSpace, _gather, _merge_ranks, _prim, _subdominant, _zero,
                      is_ultrametric, subspace)
 
 
@@ -95,11 +96,18 @@ class PartitionStats:
 
 
 def _log_ratio(delta, gamma) -> float:
-    if delta == 0:
+    """R of a partition from its delta and gamma. A Fraction is tested
+    against 0 and 1 by its numerator and denominator, so no Fraction
+    comparison is made."""
+    if not delta:
         return 0.0
-    if delta >= 1 or gamma >= 1:
+    if _at_least_one(delta) or _at_least_one(gamma):
         return math.inf
     return flog(gamma) / flog(delta)
+
+
+def _at_least_one(x) -> bool:
+    return x.numerator >= x.denominator if isinstance(x, Fraction) else x >= 1
 
 
 def partition_stats(space: FiniteMetricSpace, partition: Partition) -> PartitionStats:
@@ -155,9 +163,12 @@ def threshold_partition(space: FiniteMetricSpace, t) -> Partition:
     pass down the Prim order (parents come first)."""
     if t <= 0:
         raise ValueError("threshold must be positive")
-    order, parent, weight = _prim(space.dist)
+    order, parent, weight = _prim(space.rank)
+    # on an exact space, an entry is below t exactly when its rank is below
+    # the count of values below t
+    below = t if space.values is None else np.searchsorted(space.values, t)
     label = list(range(space.n))
-    for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), (weight[1:] < t).tolist()):
+    for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), (weight[1:] < below).tolist()):
         if keep:
             label[v] = label[p]
     return Partition.from_assignment(label)
@@ -278,40 +289,39 @@ def _leads(split: np.ndarray) -> np.ndarray:
     return np.tril(split, -1).max(axis=1)
 
 
-def _chain_stats(space: FiniteMetricSpace, split: np.ndarray) -> tuple:
-    """partition_stats of every level, read off the split matrix.
-
-    delta of level l is the largest distance of a pair split after l, and
-    gamma the smallest of a pair split at or before l: one grouped max/min
-    over the upper triangle by split level, then a suffix max and a prefix
-    min. The cardinality of level l counts the points that lead a block at
-    l. Values stay matrix entries, so exact chains keep their Fractions.
-    """
+def _level_ranks(space: FiniteMetricSpace, split: np.ndarray):
+    """(delta, gamma): per level, the rank of the largest distance of a pair
+    split after it (0 when none is) and of the smallest of a pair split at
+    or before it (inf when none is). One grouped max/min of the ranks over
+    the upper triangle by split level, then a suffix max and a prefix min."""
     length = int(split[0, 0])
     upper = np.triu_indices(space.n, 1)
     keys = split[upper]
-    order = np.argsort(keys)
-    keys = keys[order]
-    values = space.dist[upper][order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    at = keys[starts].tolist()
-    top = dict(zip(at, np.maximum.reduceat(values, starts)))
-    low = dict(zip(at, np.minimum.reduceat(values, starts)))
-    deltas = []
-    run = _zero(space.exact)
-    for key in range(length, 0, -1):
-        if key in top and top[key] > run:
-            run = top[key]
-        deltas.append(run)
-    deltas.reverse()
-    cards = np.searchsorted(np.sort(_leads(split)), np.arange(length), side="right").tolist()
+    ranks = space.rank[upper]
+    top = np.zeros(length + 1)
+    np.maximum.at(top, keys, ranks)
+    low = np.full(length + 1, np.inf)
+    np.minimum.at(low, keys, ranks)
+    return np.maximum.accumulate(top[::-1])[-2::-1], np.minimum.accumulate(low)[:length]
+
+
+def _chain_stats(space: FiniteMetricSpace, split: np.ndarray) -> tuple:
+    """partition_stats of every level, read off the split matrix.
+
+    The extremes run on ranks (_level_ranks), and each level's delta and
+    gamma are gathered once, so exact chains keep their Fractions without
+    comparing any. The cardinality of level l counts the points that lead
+    a block at l; a level of one block has the space diameter as gamma.
+    """
+    delta, gamma = _level_ranks(space, split)
+    cards = np.searchsorted(np.sort(_leads(split)), np.arange(len(delta)), side="right")
+    zero = _zero(space.exact)
+    deltas = [v if r else zero for r, v in zip(delta.tolist(), _gather(space.values, delta))]
+    gammas = _gather(space.values, np.where(cards > 1, gamma, 0.0))
     stats = []
-    run = None
-    for lvl, card in enumerate(cards):
-        if lvl in low and (run is None or low[lvl] < run):
-            run = low[lvl]
-        gamma = run if card > 1 else space.diameter
-        stats.append(PartitionStats(deltas[lvl], gamma, _log_ratio(deltas[lvl], gamma), card))
+    for d, g, card in zip(deltas, gammas, cards.tolist()):
+        g = g if card > 1 else space.diameter
+        stats.append(PartitionStats(d, g, _log_ratio(d, g), card))
     return tuple(stats)
 
 
@@ -327,9 +337,9 @@ def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> 
 
     The pairs the chain never separated are split at the new level, so
     split only gains a raised diagonal and the old levels keep their stats.
-    The new level has delta zero and, as gamma, the smallest pair: the least
-    of the last level's gamma (when it has two blocks or more) and of the
-    pairs it joins.
+    The new level has delta zero and, as gamma, the smallest pair of the
+    space: the least of the last level's gamma (the smallest pair it
+    separates) and of the pairs it joins.
     """
     if chain.split.shape != (space.n, space.n):
         raise ValueError("chain does not match the space")
@@ -339,9 +349,7 @@ def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> 
     split = chain.split.copy()
     np.fill_diagonal(split, len(chain) + 1)
     split.setflags(write=False)
-    gamma = space.dist[np.triu(chain.split == len(chain), 1)].min()
-    if last.cardinality > 1 and last.gamma < gamma:
-        gamma = last.gamma
+    gamma = _gather(space.values, space.rank[np.triu_indices(space.n, 1)].min())
     terminal = PartitionStats(_zero(space.exact), gamma, 0.0, space.n)
     return PartitionChain(split, chain.stats + (terminal,), chain.thresholds + (None,),
                           chain.level_ids + (chain.level_ids[-1] + 1,))
@@ -356,8 +364,9 @@ def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
     tree edges shorter than r, so a pair stays joined through one level per
     height above its subdominant distance.
     """
-    heights, top = _merge_ranks(space.dist)
-    return PartitionChain._from_split(space, len(heights) - top, [None] + list(heights[:0:-1]))
+    heights, top = _merge_ranks(space.rank)
+    return PartitionChain._from_split(space, len(heights) - top,
+                                      [None] + list(_gather(space.values, heights[:0:-1])))
 
 
 def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionChain:
@@ -370,10 +379,11 @@ def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionC
         raise NotUltrametric(check.witness, check.violation)
     if space.n == 1:
         return PartitionChain._from_split(space, [[1]])
-    spectrum = np.unique(space.dist[np.triu_indices(space.n, 1)])
-    heights, top = _merge_ranks(space.dist)
+    spectrum = np.unique(space.rank[np.triu_indices(space.n, 1)])
+    heights, top = _merge_ranks(space.rank)
     joined = len(spectrum) - np.searchsorted(spectrum, heights, side="left")
-    return PartitionChain._from_split(space, joined[top], [as_float(r) for r in spectrum[::-1]],
+    return PartitionChain._from_split(space, joined[top],
+                                      [as_float(r) for r in _gather(space.values, spectrum[::-1])],
                                       range(1, len(spectrum) + 1))
 
 
@@ -384,9 +394,9 @@ def associated_endpoints(space: FiniteMetricSpace) -> list[tuple[tuple[int, int]
     graph with edges {d < d(x1, x2)}, that is when the subdominant
     ultrametric equals d on the pair.
     """
-    m = space.dist
-    rows, cols = np.nonzero(np.triu(m == _subdominant(m), 1))
-    out = [((i, j), m[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    rank = space.rank
+    rows, cols = np.nonzero(np.triu(rank == _subdominant(rank), 1))
+    out = [((i, j), space.dist[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
     out.sort(key=lambda item: (as_float(item[1]), item[0]), reverse=True)
     return out
 
@@ -397,7 +407,7 @@ def largest_gap(space: FiniteMetricSpace, indices=None):
     sub = space if indices is None else subspace(space, indices)
     if sub.n < 2:
         return _zero(sub.exact)
-    return _prim(sub.dist)[2].max()
+    return _gather(sub.values, _prim(sub.rank)[2].max())
 
 
 def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
@@ -414,8 +424,9 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
         edge is B's largest gap and connected is True. Dendrogram, ball and
         zoo chains have only such blocks; any other block's gap is not in
         gaps, and largest_gap(space, b) gives it.
-    Values are matrix entries (the zero of the mode for a singleton) and
-    are only compared, so exact chains never go through floats.
+    Both reductions run on ranks (the zero rank for a singleton), and each
+    level's array is gathered to matrix entries once, so exact chains never
+    go through floats nor compare Fractions.
     """
     n = space.n
     if chain.split.shape != (n, n):
@@ -423,7 +434,6 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     labels = chain.labels
     leads = _leads(chain.split)
     length = len(chain)
-    zero = _zero(space.exact)
 
     def bottom_up(ufunc, ends, keys, values, fill):
         order = np.argsort(keys, kind="stable")
@@ -440,13 +450,14 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
         return out
 
     i, j = np.triu_indices(n, 1)
-    diameters = bottom_up(np.maximum, i, chain.split[i, j], space.dist[i, j], zero)
-    order, parent, weight = _prim(space.dist)
+    diameters = bottom_up(np.maximum, i, chain.split[i, j], space.rank[i, j], 0.0)
+    order, parent, weight = _prim(space.rank)
     tree_keys = chain.split[order[1:], parent[1:]]
-    gaps = bottom_up(np.maximum, order[1:], tree_keys, weight[1:], zero)
+    gaps = bottom_up(np.maximum, order[1:], tree_keys, weight[1:], 0.0)
     edges = bottom_up(np.add, order[1:], tree_keys, np.ones(n - 1, dtype=np.intp), 0)
     connected = [e == np.bincount(row) - 1 for e, row in zip(edges, labels)]
-    return diameters, gaps, connected
+    return ([_gather(space.values, d) for d in diameters],
+            [_gather(space.values, g) for g in gaps], connected)
 
 
 @dataclass(frozen=True)

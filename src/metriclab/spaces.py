@@ -4,6 +4,13 @@ A space is a labeled point set with a symmetric distance matrix, normalized
 so the diameter is at most 1. Entries are float64 by default; an exact mode
 backs the matrix with Fractions for spaces whose distances underflow float64
 (deep sampled families). All operations are pure; instances never mutate.
+
+Single linkage and every arg-extremum depend only on the order of the
+distances (Carlsson & Memoli 2010), so each space also carries `rank`, a
+float64 matrix in the order of `dist`, and `values`, the table it indexes:
+an exact space holds its distinct Fractions ascending in values, with
+values[rank] == dist, and a float space is its own rank (values is None).
+Order-only code reads rank and gathers a value only where one is read.
 """
 
 from __future__ import annotations
@@ -18,26 +25,29 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, max_points
+from ._util import DEFAULT_TOL, dyadic_numerators, max_points
 from .errors import CapExceeded, DiameterExceedsOne, MetricViolation
 
 
 class FiniteMetricSpace:
     """Immutable labeled point set with a validated distance matrix."""
 
-    __slots__ = ("labels", "dist", "diameter", "exact", "rescaled")
+    __slots__ = ("labels", "dist", "diameter", "exact", "rescaled", "_values", "_rank")
 
     def __init__(self, labels, dist, *, exact=False, rescaled=False, _trusted=False,
-                 diameter=None):
-        """diameter, accepted only with _trusted, is the largest entry as the
-        builder already knows it, which spares a scan of all n^2 entries."""
+                 diameter=None, _ranks=None):
+        """diameter and _ranks, accepted only with _trusted, are what the
+        builder already knows: the largest entry, and an exact space's
+        (values, rank) pair. values may hold more Fractions than the matrix
+        does (a table shared with the space it came from); without the
+        pair, _ranked computes it on first read."""
         labels = tuple(str(x) for x in labels)
-        if diameter is not None and not _trusted:
-            raise ValueError("only a trusted builder may pass the diameter")
+        if (diameter is not None or _ranks is not None) and not _trusted:
+            raise ValueError("only a trusted builder may pass the diameter or ranks")
         if _trusted:
             matrix = np.asarray(dist, dtype=object if exact else float)
         else:
-            matrix, problems = _checked(dist, labels, DEFAULT_TOL, exact)
+            matrix, _ranks, problems = _checked(dist, labels, DEFAULT_TOL, exact)
             if problems:
                 raise problems[0]
         matrix.setflags(write=False)
@@ -45,9 +55,33 @@ class FiniteMetricSpace:
         self.dist = matrix
         self.exact = exact
         self.rescaled = rescaled
+        self._values, self._rank = (None, None) if _ranks is None or not exact else _ranks
+        for table in (self._values, self._rank):
+            if table is not None:
+                table.setflags(write=False)
         if diameter is None:
-            diameter = matrix.max() if len(labels) > 1 else _zero(exact)
+            diameter = _gather(self.values, self.rank.max()) if len(labels) > 1 else _zero(exact)
         self.diameter = diameter
+
+    @property
+    def rank(self) -> np.ndarray:
+        """float64 matrix ordered as dist: dist itself on a float space, the
+        index of each entry in values on an exact one (equal entries, equal
+        ranks; exact below 2^53)."""
+        return self._table()[1]
+
+    @property
+    def values(self):
+        """The ascending distinct Fractions that rank indexes, from
+        Fraction(0); None on a float space."""
+        return self._table()[0]
+
+    def _table(self):
+        if not self.exact:
+            return None, self.dist
+        if self._rank is None:
+            self._values, self._rank = _ranked(self.dist)
+        return self._values, self._rank
 
     @property
     def n(self) -> int:
@@ -62,6 +96,34 @@ class FiniteMetricSpace:
     def __repr__(self):
         mode = "exact" if self.exact else "float"
         return f"FiniteMetricSpace(n={self.n}, diameter={self.diameter}, {mode})"
+
+
+def _ranked(matrix, keys=None):
+    """(values, rank) of an exact matrix, by np.unique over the keys of its
+    entries: keys when given (one per entry), else those of its distinct
+    objects (a gathered matrix repeats a few): their dyadic numerators
+    (Python ints, see dyadic_numerators) when every denominator is a power
+    of two, else the entries themselves, ordered by Fraction comparisons."""
+    flat = matrix.ravel()
+    if keys is None:
+        ids = np.fromiter(map(id, flat.tolist()), dtype=np.intp, count=flat.size)
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        flat = flat[first]
+        shifted = dyadic_numerators(flat.tolist())
+        keys = flat if shifted is None else np.array(shifted[0], dtype=object)
+    else:
+        inverse = slice(None)
+    _, first, rank = np.unique(keys, return_index=True, return_inverse=True)
+    values, rank = flat[first], rank[inverse].reshape(matrix.shape).astype(float)
+    values.setflags(write=False)
+    rank.setflags(write=False)
+    return values, rank
+
+
+def _gather(values, ranks):
+    """The entries of the given ranks: values[ranks] for an exact space's
+    table, the ranks themselves for a float space's (values is None)."""
+    return ranks if values is None else values[np.asarray(ranks, dtype=np.intp)]
 
 
 def _zero(exact: bool):
@@ -108,37 +170,40 @@ def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = Fals
     Exact entries are compared exactly; tol only absorbs float rounding.
     A ragged or non-numeric matrix raises MetricViolation("parse").
     """
-    return _checked(matrix, labels, tol, exact)[1]
+    return _checked(matrix, labels, tol, exact)[2]
 
 
 def _checked(matrix, labels, tol, exact):
-    """(entries, violations): the matrix as stored, in the mode's dtype (exact
-    entries converted to Fraction, a float matrix mirrored from its upper
-    triangle), and what violations() reports on it. Raises
+    """(entries, ranks, violations): the matrix as stored, in the mode's
+    dtype (exact entries converted to Fraction, a float matrix mirrored from
+    its upper triangle), an exact space's (values, rank) pair when there is
+    no violation (None otherwise), and what violations() reports on it.
+    Dyadic exact entries are checked as integers over their common
+    power-of-two denominator, which the ranks then sort. Raises
     MetricViolation("parse") on a ragged or non-numeric matrix."""
     try:
         m = np.asarray(matrix, dtype=object if exact else float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MetricViolation("parse", None, str(exc)) from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return m, [MetricViolation("shape", m.shape, "matrix must be square")]
+        return m, None, [MetricViolation("shape", m.shape, "matrix must be square")]
     n = m.shape[0]
     if n == 0:
-        return m, [MetricViolation("shape", m.shape, "matrix has no points")]
+        return m, None, [MetricViolation("shape", m.shape, "matrix has no points")]
     if labels is not None and len(labels) != n:
-        return m, [MetricViolation("labels", len(labels), f"expected {n} labels")]
+        return m, None, [MetricViolation("labels", len(labels), f"expected {n} labels")]
     if labels is not None:
         seen = set()
         for label in map(str, labels):
             if label in seen:
-                return m, [MetricViolation("labels", label, "duplicate label")]
+                return m, None, [MetricViolation("labels", label, "duplicate label")]
             seen.add(label)
     if n > max_points():
-        return m, [CapExceeded(f"{n} points exceeds METRICLAB_MAX_POINTS cap")]
+        return m, None, [CapExceeded(f"{n} points exceeds METRICLAB_MAX_POINTS cap")]
     try:
         m = _entries(m, exact)
     except MetricViolation as exc:
-        return m, [exc]
+        return m, None, [exc]
     if exact:
         tol = 0
     out = [MetricViolation("diagonal", (i, i), "nonzero diagonal")
@@ -152,16 +217,23 @@ def _checked(matrix, labels, tol, exact):
     out.extend(MetricViolation("positivity", (i, j), "duplicate point (zero distance)")
                for i, j in zip(rows.tolist(), cols.tolist()))
     if out:
-        return m, out
-    if not exact:
+        return m, None, out
+    keys = None
+    if exact:  # integers scaled by 2^q sum and compare as the Fractions do
+        shifted = dyadic_numerators(m.ravel().tolist())
+        if shifted is not None:
+            keys = np.array(shifted[0], dtype=object)
+    else:
         m = np.triu(m) + np.triu(m, 1).T  # canonicalize within-tolerance asymmetry
-    slack, witness = _worst_triple(m, np.add) if n > 2 else (0, None)
+    summed = m if keys is None else keys.reshape(m.shape)
+    slack, witness = _worst_triple(summed, np.add) if n > 2 else (0, None)
     if slack > tol:
         out.append(MetricViolation("triangle", witness))
-    diam = m.max() if n > 1 else 0
+    ranks = _ranked(m, keys) if exact else None
+    diam = ranks[0][-1] if exact else m.max() if n > 1 else 0
     if diam > 1:
         out.append(DiameterExceedsOne(diam))
-    return m, out
+    return m, None if out else ranks, out
 
 
 def _hull(m, combine):
@@ -200,16 +272,17 @@ def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL,
     diameter instead of raising; the result is flagged so reports can note
     that per-partition ratios changed under the rescale.
     """
-    m, problems = _checked(matrix, labels, tol, exact)
+    m, ranks, problems = _checked(matrix, labels, tol, exact)
     if labels is None:
         labels = [f"p{i}" for i in range(m.shape[0] if m.ndim == 2 else 0)]
     rescaled = False
     if problems and rescale and all(isinstance(p, DiameterExceedsOne) for p in problems):
-        m, problems = _checked(m / m.max(), labels, tol, exact)
+        m, ranks, problems = _checked(m / m.max(), labels, tol, exact)
         rescaled = True
     if problems:
         raise problems[0]
-    return FiniteMetricSpace(labels, m, exact=exact, rescaled=rescaled, _trusted=True)
+    return FiniteMetricSpace(labels, m, exact=exact, rescaled=rescaled, _trusted=True,
+                             _ranks=ranks)
 
 
 def snowflake(space: FiniteMetricSpace, s: float) -> FiniteMetricSpace:
@@ -230,9 +303,10 @@ def subspace(space: FiniteMetricSpace, indices) -> FiniteMetricSpace:
     idx = sorted(dict.fromkeys(int(i) for i in indices))
     if not idx:
         raise ValueError("subspace needs at least one index")
-    sub = space.dist[np.ix_(idx, idx)]
-    return FiniteMetricSpace([space.labels[i] for i in idx], sub,
-                             exact=space.exact, _trusted=True)
+    sub = np.ix_(idx, idx)
+    return FiniteMetricSpace([space.labels[i] for i in idx], space.dist[sub],
+                             exact=space.exact, _trusted=True,
+                             _ranks=(space.values, space.rank[sub]) if space.exact else None)
 
 
 def sup_product(spaces, cap: int | None = None) -> FiniteMetricSpace:
@@ -247,20 +321,35 @@ def sup_product(spaces, cap: int | None = None) -> FiniteMetricSpace:
         if total > cap:
             raise CapExceeded(f"product cardinality exceeds cap {cap}")
     exact = any(sp.exact for sp in spaces)
+    tables, ranks = zip(*(_factor_table(sp, exact) for sp in spaces))
+    values = np.unique(np.concatenate(tables)) if exact else None
     labels = [""]
-    dist = _zeros((1, 1), exact)
+    rank = np.zeros((1, 1))
     diameter = _zero(exact)
-    for sp in spaces:
-        f = sp.dist if sp.exact == exact else _entries(sp.dist, exact)
+    for sp, table, f in zip(spaces, tables, ranks):
+        if exact:  # the factor's ranks, renumbered into the union of the tables
+            f = np.searchsorted(values, table).astype(float)[f.astype(np.intp)]
         diameter = max(diameter, sp.diameter if sp.exact == exact else Fraction(sp.diameter))
         nf = sp.n
-        grown = np.repeat(np.repeat(dist, nf, axis=0), nf, axis=1)
-        tiled = np.tile(f, dist.shape)
-        dist = np.maximum(grown, tiled)
+        grown = np.repeat(np.repeat(rank, nf, axis=0), nf, axis=1)
+        rank = np.maximum(grown, np.tile(f, rank.shape))
         labels = [f"{a}|{b}" if a else str(b) for a in labels for b in sp.labels]
     labels = [f"({x})" for x in labels] if len(spaces) > 1 else list(spaces[0].labels)
     # the sup of the coordinate distances peaks at the largest factor diameter
-    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=diameter)
+    return FiniteMetricSpace(labels, _gather(values, rank), exact=exact, _trusted=True, diameter=diameter,
+                             _ranks=(values, rank))
+
+
+def _factor_table(space, exact):
+    """(table, rank) of a product factor in the product's mode: its values
+    and rank, or, for a float factor of an exact product, its distinct
+    floats as Fractions (conversion keeps their order) and their indices."""
+    if space.exact or not exact:
+        return space.values, space.rank
+    floats, inverse = np.unique(space.dist, return_inverse=True)
+    table = np.empty(len(floats), dtype=object)
+    table[:] = [Fraction(x) for x in floats.tolist()]
+    return table, inverse.reshape(space.dist.shape).astype(float)
 
 
 @dataclass(frozen=True)
@@ -277,14 +366,15 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
     """Strong triangle inequality over all triples, with the worst witness.
 
     A space is ultrametric iff it equals its subdominant ultrametric
-    (Carlsson & Memoli 2010), so a passing space is accepted in O(n^2) exact
-    comparisons; only a failing one pays for the O(n^3) search of its worst
-    triple. Exact spaces fail on any positive violation, float ones above tol.
+    (Carlsson & Memoli 2010), so a passing space is accepted in O(n^2)
+    comparisons of its ranks; only a failing one pays for the O(n^3) search
+    of its worst triple, on the entries. Exact spaces fail on any positive
+    violation, float ones above tol.
     """
-    m = space.dist
-    if space.n < 3 or (m == _subdominant(m)).all():
+    rank = space.rank
+    if space.n < 3 or (rank == _subdominant(rank)).all():
         return UltrametricCheck(True, None, _zero(space.exact))
-    worst, witness = _worst_triple(m, np.maximum)
+    worst, witness = _worst_triple(space.dist, np.maximum)
     if not space.exact and worst <= tol:
         return UltrametricCheck(True, None, max(float(worst), 0.0))
     return UltrametricCheck(False, witness, worst if space.exact else float(worst))
@@ -300,8 +390,8 @@ def _prim(matrix):
     Returns arrays (order, parent, weight): step k attaches vertex order[k]
     through the edge to parent[k] of length weight[k], and every parent was
     attached at an earlier step. Step 0 is the root, its own parent, with
-    the diagonal entry as weight. Entries are only compared, never converted,
-    so Fraction matrices are ordered exactly.
+    the diagonal entry as weight. Entries are only compared, so the float64
+    rank of an exact space gives the tree of its Fractions.
     """
     n = len(matrix)
     order = np.zeros(n, dtype=np.intp)
@@ -336,8 +426,7 @@ def _merge_ranks(matrix):
     diagonal's zero, and top[i, j] the index in heights of u[i, j].
 
     Walking the Prim order, u[v, seen] = max(weight_v, u[parent_v, seen]),
-    on the ranks of the weights: a Fraction matrix adds only the exact
-    comparisons of one sort, and heights are entries of the matrix.
+    on the ranks of the weights; heights are entries of the matrix.
     """
     order, parent, weight = _prim(matrix)
     heights, rank = np.unique(weight, return_inverse=True)
@@ -360,17 +449,18 @@ def hausdorff_hyperspace(space: FiniteMetricSpace, max_subset_size: int | None =
         raise CapExceeded(f"{count} subsets exceeds hyperspace cap {cap}")
     members = [list(c) for j in range(1, k + 1) for c in combinations(range(n), j)]
     labels = ["{" + ",".join(space.labels[i] for i in c) + "}" for c in members]
-    m = space.dist
+    m = space.rank  # the Hausdorff distance is a max of mins: order only
     so = len(members)
-    mind = np.empty((so, n), dtype=m.dtype)
+    mind = np.empty((so, n))
     for p, c in enumerate(members):
         mind[p] = m[c].min(axis=0)
-    directed = np.empty((so, so), dtype=m.dtype)
+    directed = np.empty((so, so))
     for q, c in enumerate(members):
         directed[:, q] = mind[:, c].max(axis=1)
-    dist = np.maximum(directed, directed.T)
-    np.fill_diagonal(dist, _zero(space.exact))
-    return FiniteMetricSpace(labels, dist, exact=space.exact, _trusted=True)
+    rank = np.maximum(directed, directed.T)
+    np.fill_diagonal(rank, 0.0)
+    return FiniteMetricSpace(labels, _gather(space.values, rank), exact=space.exact, _trusted=True,
+                             _ranks=(space.values, rank))
 
 
 # Serialization. CSV: first row labels, then the full symmetric matrix.

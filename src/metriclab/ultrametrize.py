@@ -21,8 +21,8 @@ import numpy as np
 from ._util import DEFAULT_TOL, as_float, flog
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile
-from .partitions import PartitionChain, _require_separating, classify_chain
-from .spaces import FiniteMetricSpace, _subdominant, is_ultrametric
+from .partitions import PartitionChain, _level_ranks, _require_separating, classify_chain
+from .spaces import FiniteMetricSpace, _gather, _subdominant, is_ultrametric
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
 
@@ -45,25 +45,28 @@ def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> Part
 
 def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> np.ndarray:
     """rho matrix of the chain ultrametric; requires a separating terminal level."""
-    chain = ensure_trivial_head(space, chain)
-    _require_separating(chain)
-    # a pair split at level l gets the delta of level l - 1; the diagonal
-    # reads the last delta, 0
-    deltas = np.array([st.delta for st in chain.stats], dtype=object if space.exact else float)
-    rho = deltas[chain.split - 1]
-    rho.setflags(write=False)
-    return rho
+    return ultrametric_space_from_chain(space, chain).dist
 
 
 def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> FiniteMetricSpace:
-    rho = ultrametric_from_chain(space, chain)
-    return FiniteMetricSpace(space.labels, rho, exact=space.exact, _trusted=True)
+    """The chain ultrametric as a space. Every delta is an entry of d, so
+    rho's ranks index d's values: a pair split at level l gets the delta
+    rank of level l - 1, and the diagonal reads the last one, 0."""
+    chain = ensure_trivial_head(space, chain)
+    _require_separating(chain)
+    rank = _level_ranks(space, chain.split)[0][chain.split - 1]
+    return _on_table(space, rank)
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Single-linkage merge heights: the largest ultrametric below d."""
-    return FiniteMetricSpace(space.labels, _subdominant(space.dist), exact=space.exact,
-                             _trusted=True)
+    return _on_table(space, _subdominant(space.rank))
+
+
+def _on_table(space: FiniteMetricSpace, rank: np.ndarray) -> FiniteMetricSpace:
+    """The trusted space on space's points whose ranks index space's values."""
+    return FiniteMetricSpace(space.labels, _gather(space.values, rank), exact=space.exact,
+                             _trusted=True, _ranks=(space.values, rank))
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,39 @@ class HolderFit:
         return {"s": self.s, "t": self.t, "c1": self.c1, "c2": self.c2}
 
 
-def _pair_logs(matrix) -> tuple[np.ndarray, np.ndarray]:
+def _pair_logs(matrix, table=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-major upper-triangle entries of a square matrix, and the log of
-    each entry (per entry, so exact and float matrices log exactly as a
-    loop; only object entries can be Fractions that need flog)."""
+    each entry. Without table, each entry is logged on its own (only object
+    entries can be Fractions that need flog). With table, the logs of an
+    exact space's values (_value_logs), matrix holds ranks into those
+    values and each log is gathered, bit for bit the one a loop takes."""
     entries = np.asarray(matrix)[np.triu_indices(len(matrix), 1)]
+    if table is not None:
+        return entries, table[entries.astype(np.intp)]
     log = flog if entries.dtype == object else math.log
     return entries, np.fromiter(map(log, entries.tolist()), dtype=float, count=entries.size)
+
+
+def _shared_ranks(space: FiniteMetricSpace, other: FiniteMetricSpace):
+    """(table, rank, other_rank): both spaces' ranks in one table of values,
+    so that their entries compare as floats. A chain's rho shares d's
+    values, whose table serves both; another exact space is renumbered into
+    the union of the two tables. Float spaces give (None, dist, dist)."""
+    table = space.values
+    if other.values is table:
+        return table, space.rank, other.rank
+    table = np.unique(np.concatenate((table, other.values)))
+    return table, *(np.searchsorted(table, sp.values).astype(float)[sp.rank.astype(np.intp)]
+                     for sp in (space, other))
+
+
+def _value_logs(table):
+    """flog of each value of a table, once per distinct value (-inf for its
+    leading zero); None for no table."""
+    if table is None:
+        return None
+    logs = np.fromiter(map(flog, table[1:].tolist()), dtype=float, count=len(table) - 1)
+    return np.concatenate(([-math.inf], logs))
 
 
 def _first_failure(n: int, *failed):
@@ -241,25 +270,27 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     log_gamma_m = flog(chain.stats[m_pos].gamma)
     first_term = (r_est + epsilon) * log_witness if math.isfinite(log_witness) else math.inf
     log_k = min(first_term, log_gamma_m - exponent * log_delta0)
-    rho = ultrametric_from_chain(space, chain)
-    check = is_ultrametric(
-        FiniteMetricSpace(space.labels, rho, exact=space.exact, _trusted=True), tol)
+    rho = ultrametric_space_from_chain(space, chain)
+    check = is_ultrametric(rho, tol)
     if not check.ok:
         raise CertificateViolated(check.witness, "strong triangle", as_float(check.violation))
-    d, log_d = _pair_logs(space.dist)
-    r, log_r = _pair_logs(rho)
+    table, d_rank, rho_rank = _shared_ranks(space, rho)  # d <= rho compares ranks
+    logs = _value_logs(table)
+    d, log_d = _pair_logs(d_rank, logs)
+    r, log_r = _pair_logs(rho_rank, logs)
     low = log_d - exponent * log_r
     hit = _first_failure(space.n, d > r, low < log_k - LOG_SLACK)
     if hit:
         k, pair, which = hit
         if which == 0:
-            raise CertificateViolated(pair, "d <= rho", as_float(d[k] - r[k]))
+            gap = _gather(table, d[k]) - _gather(table, r[k])
+            raise CertificateViolated(pair, "d <= rho", as_float(gap))
         raise CertificateViolated(pair, "K rho^exp <= d", float(low[k] - log_k))
     up = log_d - log_r
     k_low = int(low.argmin())
     k_up = int(up.argmax())
     return UltrametricCertificate(
-        rho=rho,
+        rho=rho.dist,
         p=p,
         epsilon=epsilon,
         R_est=r_est,

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import LN2, dyadic_gap, max_points
+from ._util import LN2, dyadic_fractions, dyadic_numerators, max_points
 from .errors import CapExceeded, DepthOverflow
 from .partitions import PartitionChain
 from .spaces import FiniteMetricSpace, _zero, _zeros, sup_product
@@ -228,34 +228,41 @@ def _sequence_points(family, depth, exact):
     return labels, [_zero(exact)] + _sequence_values(family, depth, exact)
 
 
-def _pair_matrix(values, pair, exact):
-    """Symmetric matrix of pair(values[i], values[j]) with a zero diagonal.
+def _pair_space(labels, values, pair, exact):
+    """The trusted space of pair(values[i], values[j]) with a zero diagonal.
 
     On a sequence sample (0, then decreasing r_n) both |x - y| and
     max(x, y) peak at the pair (0, r_first), so entry [0, 1] is the
-    diameter.
-
-    Each unordered pair is computed once, a row at a time, and mirrored: on
-    Fraction values the arithmetic is what the build costs.
+    diameter. Each unordered pair is computed once, a row at a time. Exact
+    values are dyadic (0 or 1/2^e): pair runs on their numerators over the
+    common denominator 2^q, np.unique ranks those Python ints, and one
+    reduced Fraction is built per distinct value.
     """
-    arr = np.asarray(values, dtype=object if exact else float)
-    dist = _zeros((len(arr), len(arr)), exact)
-    for i in range(len(arr) - 1):
-        dist[i, i + 1:] = dist[i + 1:, i] = pair(arr[i], arr[i + 1:])
-    return dist
-
-
-_exact_gap = np.frompyfunc(dyadic_gap, 2, 1)  # exact values are 0 or 1/2^e: no gcd
+    n = len(values)
+    if exact:
+        nums, q = dyadic_numerators(values)
+        arr = np.array(nums, dtype=object)
+    else:
+        arr = np.asarray(values, dtype=float)
+    upper = np.concatenate([[0]] + [pair(arr[i], arr[i + 1:]) for i in range(n - 1)])
+    rows, cols = np.triu_indices(n, 1)
+    if not exact:
+        dist = np.zeros((n, n))
+        dist[rows, cols] = dist[cols, rows] = upper[1:]
+        return FiniteMetricSpace(labels, dist, _trusted=True, diameter=dist[0, 1])
+    distinct, inverse = np.unique(upper, return_inverse=True)  # upper[0] makes values[0] zero
+    table = dyadic_fractions(distinct.tolist(), q)
+    rank = np.zeros((n, n))
+    rank[rows, cols] = rank[cols, rows] = inverse[1:]
+    return FiniteMetricSpace(labels, table[rank.astype(np.intp)], exact=True, _trusted=True,
+                             diameter=table[int(rank[0, 1])], _ranks=(table, rank))
 
 
 def _sequence_space(family, depth, exact):
     labels, pts = _sequence_points(family, depth, exact)
-    if family.kind == "sqrt_ultra":
-        # points are 1/n; the metric is max(sqrt(x), sqrt(y)), pts are the heights
-        dist = _pair_matrix(pts, np.maximum, exact)
-    else:
-        dist = _pair_matrix(pts, _exact_gap if exact else lambda a, b: np.abs(a - b), exact)
-    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=dist[0, 1])
+    # sqrt_ultra: points are 1/n; the metric is max(sqrt(x), sqrt(y)), pts are the heights
+    pair = np.maximum if family.kind == "sqrt_ultra" else lambda a, b: np.abs(a - b)
+    return _pair_space(labels, pts, pair, exact)
 
 
 def _sequence_chain(space, family, depth):
@@ -295,8 +302,9 @@ def product_factors(family, depth, exact=False):
             raise DepthOverflow(f"product factor underflows at n={n}")
         m = _zeros((2, 2), exact)
         m[0, 1] = m[1, 0] = v
+        ranks = (np.array([m[0, 0], v]), np.array([[0.0, 1.0], [1.0, 0.0]])) if exact else None
         out.append(FiniteMetricSpace(["0", f"r{n}"], m, exact=exact, _trusted=True,
-                                     diameter=m[0, 1]))
+                                     diameter=m[0, 1], _ranks=ranks))
     return out
 
 
@@ -318,12 +326,15 @@ def _cantor_space(family, depth, exact):
     # labels are the binary digits of i, so points i and j first differ at
     # coordinate depth - L + 1 for L the bit length of i ^ j; L = 0 on the diagonal
     by_length = np.asarray([_zero(exact)] + vals[::-1], dtype=object if exact else float)
-    by_xor = by_length[[k.bit_length() for k in range(n_pts)]]
     idx = np.arange(n_pts)
-    dist = by_xor[idx[:, None] ^ idx[None, :]]
+    length = np.array([k.bit_length() for k in range(n_pts)])[idx[:, None] ^ idx[None, :]]
+    ranks = None
+    if exact:  # the table has ties (k = 1 and k = 2 both give r): rank it densely
+        table, by_rank = np.unique(by_length, return_inverse=True)
+        ranks = table, by_rank.astype(float)[length]
     # points differing in the first coordinate are the farthest apart
-    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True,
-                             diameter=by_length[-1])
+    return FiniteMetricSpace(labels, by_length[length], exact=exact, _trusted=True,
+                             diameter=by_length[-1], _ranks=ranks)
 
 
 def sample(family: AnalyticFamily, depth: int, exact: bool = False,
@@ -366,9 +377,7 @@ def comparison_ultrametric(family: AnalyticFamily, depth: int,
     max(x, y) for distinct points, with rho(0, r_n) = r_n."""
     if family.chain_style != "sequence":
         raise ValueError("comparison ultrametric applies to sequence families")
-    labels, pts = _sequence_points(family, depth, exact)
-    dist = _pair_matrix(pts, np.maximum, exact)
-    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=dist[0, 1])
+    return _pair_space(*_sequence_points(family, depth, exact), np.maximum, exact)
 
 
 def formula_table(family: AnalyticFamily, n_from: int, n_to: int):

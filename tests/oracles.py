@@ -15,9 +15,11 @@ the embedding placed one parent block at a time through dicts keyed by
 (level, block), audited with per-pair box gaps, and the two cubic searches
 that `spaces._hull` replaced: the triangle check (a `combinations` triple
 loop on exact matrices, a k-major sweep on float ones) and the hull sweep
-of `is_ultrametric` with its first-k matrix `argk`. Tests compare the two;
-`tree_connects` checks, by a union-find, which blocks the spanning tree
-connects.
+of `is_ultrametric` with its first-k matrix `argk`, and the kernels that
+compared Fractions before exact spaces carried float64 ranks (the last
+section: each reads `space.dist` where the kernel now reads `space.rank`).
+Tests compare the two; `tree_connects` checks, by a union-find, which
+blocks the spanning tree connects.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
 they built, so that a test can compare them with the levels a fast chain
@@ -32,14 +34,17 @@ from itertools import combinations, product
 import numpy as np
 
 from metriclab.logratio import OracleResult, profile, set_partitions
-from metriclab._util import DEFAULT_TOL, as_float
+from metriclab._util import DEFAULT_TOL, as_float, flog
 from metriclab.embedding import (EmbeddingResult, LevelAudit, _box_matrix, _exact_separated,
                                  _greedy_separated, grid_capacity)
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
 from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
-                                  dendrogram_chain, induced_partition, largest_gap)
-from metriclab.spaces import UltrametricCheck, _prim, _subdominant, _zero
+                                  _require_separating, dendrogram_chain, induced_partition,
+                                  largest_gap)
+from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _merge_ranks, _prim,
+                              _subdominant, _zero, _zeros)
+from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
 from metriclab.ultrametrize import fit_holder_exponents
 
 
@@ -581,3 +586,126 @@ def _audit_level(chain, lvl, required, capacity, box_center, box_parent, deltas,
         required = len(blocks)
     return LevelAudit(int(chain.level_ids[lvl]), required, capacity, gammas[lvl],
                       audit_min_gap(chain, lvl, box_center, deltas, gammas), nested, commutes)
+
+
+# Before exact spaces carried float64 ranks, these kernels compared the
+# entries of dist themselves, which on Fractions cross-multiplies integers.
+
+def log_ratio(delta, gamma) -> float:
+    """_log_ratio by comparisons with 0 and 1."""
+    if delta == 0:
+        return 0.0
+    if delta >= 1 or gamma >= 1:
+        return math.inf
+    return flog(gamma) / flog(delta)
+
+
+def chain_stats(space, split):
+    """_chain_stats as a grouped max/min of the entries (argsort, then
+    reduceat), a suffix max and a prefix min by comparisons."""
+    length = int(split[0, 0])
+    upper = np.triu_indices(space.n, 1)
+    keys = split[upper]
+    order = np.argsort(keys)
+    keys = keys[order]
+    values = space.dist[upper][order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    at = keys[starts].tolist()
+    top = dict(zip(at, np.maximum.reduceat(values, starts)))
+    low = dict(zip(at, np.minimum.reduceat(values, starts)))
+    deltas = []
+    run = _zero(space.exact)
+    for key in range(length, 0, -1):
+        if key in top and top[key] > run:
+            run = top[key]
+        deltas.append(run)
+    deltas.reverse()
+    leads = np.tril(split, -1).max(axis=1)
+    cards = np.searchsorted(np.sort(leads), np.arange(length), side="right").tolist()
+    stats = []
+    run = None
+    for lvl, card in enumerate(cards):
+        if lvl in low and (run is None or low[lvl] < run):
+            run = low[lvl]
+        gamma = run if card > 1 else space.diameter
+        stats.append(PartitionStats(deltas[lvl], gamma, log_ratio(deltas[lvl], gamma), card))
+    return tuple(stats)
+
+
+def chain_on_values(space, split, thresholds=None, level_ids=None):
+    """PartitionChain._from_split with the stats of chain_stats."""
+    split = np.asarray(split, dtype=np.int32)
+    length = int(split[0, 0])
+    return PartitionChain(split, chain_stats(space, split),
+                          (None,) * length if thresholds is None else tuple(thresholds),
+                          tuple(range(length)) if level_ids is None else tuple(level_ids))
+
+
+def dendrogram_chain_on_values(space):
+    """dendrogram_chain on the merge ranks of dist."""
+    heights, top = _merge_ranks(space.dist)
+    return chain_on_values(space, len(heights) - top, [None] + list(heights[:0:-1]))
+
+
+def ball_chain_on_values(space):
+    """ball_chain (of an ultrametric space) on the spectrum of dist."""
+    if space.n == 1:
+        return chain_on_values(space, [[1]])
+    spectrum = np.unique(space.dist[np.triu_indices(space.n, 1)])
+    heights, top = _merge_ranks(space.dist)
+    joined = len(spectrum) - np.searchsorted(spectrum, heights, side="left")
+    return chain_on_values(space, joined[top], [as_float(r) for r in spectrum[::-1]],
+                           range(1, len(spectrum) + 1))
+
+
+def threshold_partition(space, t):
+    """threshold_partition on the spanning tree of dist."""
+    order, parent, weight = _prim(space.dist)
+    return _components(order, parent, weight < t)
+
+
+def associated_endpoints(space):
+    """associated_endpoints where dist equals its subdominant ultrametric."""
+    m = space.dist
+    rows, cols = np.nonzero(np.triu(m == _subdominant(m), 1))
+    out = [((i, j), m[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    out.sort(key=lambda item: (as_float(item[1]), item[0]), reverse=True)
+    return out
+
+
+def tree_gap(space):
+    """largest_gap of the whole space: the longest edge of the tree of dist."""
+    return _prim(space.dist)[2].max() if space.n > 1 else _zero(space.exact)
+
+
+def ultrametric_from_chain(space, chain):
+    """rho as the chain's stats deltas gathered by split level."""
+    chain = _trivial_head(space, chain)
+    _require_separating(chain)
+    deltas = np.array([st.delta for st in chain.stats], dtype=object if space.exact else float)
+    return deltas[chain.split - 1]
+
+
+def sup_product(spaces):
+    """sup_product as np.maximum of the grown and tiled entries (each float
+    factor of an exact product converted entry by entry)."""
+    exact = any(sp.exact for sp in spaces)
+    dist = _zeros((1, 1), exact)
+    for sp in spaces:
+        f = sp.dist if sp.exact == exact else _entries(sp.dist, exact)
+        nf = sp.n
+        dist = np.maximum(np.repeat(np.repeat(dist, nf, axis=0), nf, axis=1),
+                          np.tile(f, dist.shape))
+    return dist
+
+
+def hausdorff_dist(space, max_subset_size):
+    """hausdorff_hyperspace's matrix from mins and maxes of the entries."""
+    m = space.dist
+    members = [list(c) for j in range(1, max_subset_size + 1)
+               for c in combinations(range(space.n), j)]
+    mind = np.array([m[c].min(axis=0) for c in members], dtype=m.dtype)
+    directed = np.array([mind[:, c].max(axis=1) for c in members], dtype=m.dtype).T
+    dist = np.maximum(directed, directed.T)
+    np.fill_diagonal(dist, _zero(space.exact))
+    return dist

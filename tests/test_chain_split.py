@@ -319,13 +319,7 @@ def test_certificate_equals_pair_loop(case, p, epsilon, scale):
     # scaling rho keeps it ultrametric; below 1 it drops under d, above 1 it
     # can break the lower bound, so both raising paths are exercised
     space, chain = case
-    build = ultrametrize.ultrametric_from_chain
-
-    def scaled(sp, ch):
-        factor = scale if sp.exact else float(scale)
-        return build(sp, ch) * factor
-
-    with mock.patch.object(ultrametrize, "ultrametric_from_chain", scaled):
+    with scaled_rho(scale if space.exact else float(scale)):
         new = outcome(ml.certificate, space, chain, p, epsilon)
         old = outcome(certificate_oracle, space, chain, p, epsilon)
     if isinstance(old, tuple):
@@ -376,13 +370,23 @@ def test_distortion_check_equals_pair_loop(family, depth, N, p, epsilon, burn_in
         assert dumps(new.to_report()) == dumps(old.to_report())
 
 
+def scaled_rho(factor):
+    """Patch the chain ultrametric to factor * rho, a space of its own
+    values, which ultrametric_from_chain (read by the oracles) returns too."""
+    build = ultrametrize.ultrametric_space_from_chain
+
+    def scaled(sp, ch):
+        return ml.FiniteMetricSpace(sp.labels, build(sp, ch).dist * factor, exact=sp.exact,
+                                    _trusted=True)
+
+    return mock.patch.object(ultrametrize, "ultrametric_space_from_chain", scaled)
+
+
 def test_failing_inputs_raise_at_the_loops_pair():
     # fixed inputs where each vectorised check must raise, as the loop did
     space, chain = ml.sample(ml.make_family("seq_geometric"), 8, exact=True)
     full = ml.with_singleton_terminal(space, chain)
-    build = ultrametrize.ultrametric_from_chain
-    with mock.patch.object(ultrametrize, "ultrametric_from_chain",
-                           lambda sp, ch: build(sp, ch) * Fraction(1, 2)):
+    with scaled_rho(Fraction(1, 2)):
         new = outcome(ml.certificate, space, full, 2.0, 0.5)
         assert new[0] == "CertificateViolated"
         assert new == outcome(certificate_oracle, space, full, 2.0, 0.5)

@@ -292,3 +292,13 @@ def test_oracle_enumerates_once(capsys, monkeypatch, tmp_path, source, radius):
                   "witness": [list(b) for b in result.witness.blocks]}
         assert doc[key] == json.loads(dumps({k: fields[k] for k in doc[key]}))
     assert doc["agree"] == (expected["minimum"].value == expected["threshold_minimum"].value)
+
+
+def test_zoo_refuses_input_before_reading_it(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "q7.csv"
+    path.write_text(ml.to_csv(quantized_space(7, 7)))
+    read = []
+    monkeypatch.setattr(cli, "_read_space", lambda *args: read.append(args))
+    assert main(["zoo", "--input", str(path)]) == 1
+    assert "error: the zoo command needs --zoo" in capsys.readouterr().err
+    assert read == []

@@ -1,8 +1,9 @@
 """Exact sequence samples take |a - b| of dyadic values by shifts
-(`_util.dyadic_gap`) instead of Fraction subtraction, whose two gcds ran on
-integers of up to 2^(n!) bits. Every entry must be the Fraction the
-subtraction gave, with the same numerator, denominator and hash; the
-subtraction is kept as `oracles.sequence_gaps`."""
+(`_util.dyadic_numerators`, then `_util.dyadic_fractions` of the distinct
+differences) instead of Fraction subtraction, whose two gcds ran on integers
+of up to 2^(n!) bits. Every entry must be the Fraction the subtraction gave,
+with the same numerator, denominator and hash; the subtraction is kept as
+`oracles.sequence_gaps`."""
 
 from fractions import Fraction
 
@@ -12,10 +13,20 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab._util import dyadic_gap
+from metriclab._util import dyadic_fractions, dyadic_numerators
 from metriclab.zoo import _sequence_points
 
 CHECKS = settings(settings.get_profile("deterministic"), max_examples=200)
+
+
+def dyadic_gap(a, b):
+    """|a - b| through the two helpers, as the sequence samples take it, or
+    by subtraction when a denominator is not a power of two."""
+    shifted = dyadic_numerators((a, b))
+    if shifted is None:
+        return abs(a - b)
+    (x, y), q = shifted
+    return dyadic_fractions([abs(x - y)], q)[0]
 
 
 def same_fraction(new, old):
