@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, as_floats
+from ._util import DEFAULT_TOL, as_float
 from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
 from .logratio import profile
 from .partitions import PartitionChain, _leads, _require_separating, classify_chain
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _gather, _rank_bound
 from .ultrametrize import (LOG_SLACK, _first_failure, _pair_logs, _window_start,
                            fit_holder_exponents)
 
@@ -32,12 +32,15 @@ def separated_count(space: FiniteMetricSpace, center: int, r1, r2) -> int:
     the closed r1-ball around the center point.
 
     Greedy in point-index order; exact maximum by branch and bound when the
-    ball holds at most 20 points.
+    ball holds at most 20 points. Both run on ranks: the ball compares
+    as_float of entries with as_float(r1), the separation entries with r2.
     """
     if not 0 < r2 < r1:
         raise ValueError("need 0 < r2 < r1")
-    m = space.dist
-    ball = np.flatnonzero(as_floats(m[center]) <= as_float(r1)).tolist()
+    m = space.rank
+    r1 = as_float(r1)
+    ball = np.flatnonzero(m[center] <= _rank_bound(space, r1, True, as_float)).tolist()
+    r2 = _rank_bound(space, r2, True)
     greedy = _greedy_separated(m, ball, r2)
     if len(ball) <= 20:
         return _exact_separated(m, ball, r2, greedy)
@@ -114,14 +117,14 @@ def estimate_metric_dimension(space: FiniteMetricSpace, r: float, t: float,
     if n == 1:
         win = (float(r), float(t))
         return DimensionEstimate((), 0.0, win, (win[0] / 2, win[1] * 2), None)
-    m = space.dist
     if centers is None:
         if n <= 16:
             centers = list(range(n))
         else:
             step = max(1, n // 16)
             centers = list(range(0, n, step))[:16]
-    d_pos = as_float(m[m > 0].min())
+    rank = space.rank
+    d_pos = as_float(_gather(space.values, rank[rank > 0].min()))
     if r1_values is None:
         r1_values = []
         value = float(r) / 2

@@ -23,8 +23,8 @@ import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
-from .spaces import (FiniteMetricSpace, _gather, _merge_ranks, _prim, _subdominant, _zero,
-                     is_ultrametric, subspace)
+from .spaces import (FiniteMetricSpace, _gather, _merge_ranks, _prim, _rank_bound, _subdominant,
+                     _zero, is_ultrametric, subspace)
 
 
 class Partition:
@@ -124,7 +124,7 @@ _CHUNK_ENTRIES = 1 << 20  # label pairs compared at once by _label_stats
 def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarray]:
     """delta and gamma of every row of a (B, n) array of block labels.
 
-    The upper-triangle pairs are sorted by distance once; per row, delta is
+    The upper-triangle pairs are sorted by rank once; per row, delta is
     the last same-block pair (the zero of the mode when there is none) and
     gamma the first pair across blocks (the space diameter for one block).
     Both come back as object arrays of the matrix entries themselves, so a
@@ -134,7 +134,7 @@ def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarr
     """
     labels = np.asarray(labels)
     i, j = np.triu_indices(space.n, 1)
-    order = np.argsort(space.dist[i, j])
+    order = np.argsort(space.rank[i, j])
     i, j = i[order], j[order]
     pairs = len(order)
     delta_at = np.full(len(labels), pairs, dtype=np.intp)
@@ -164,9 +164,7 @@ def threshold_partition(space: FiniteMetricSpace, t) -> Partition:
     if t <= 0:
         raise ValueError("threshold must be positive")
     order, parent, weight = _prim(space.rank)
-    # on an exact space, an entry is below t exactly when its rank is below
-    # the count of values below t
-    below = t if space.values is None else np.searchsorted(space.values, t)
+    below = _rank_bound(space, t)
     label = list(range(space.n))
     for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), (weight[1:] < below).tolist()):
         if keep:
@@ -392,13 +390,14 @@ def associated_endpoints(space: FiniteMetricSpace) -> list[tuple[tuple[int, int]
 
     (x1, x2) qualifies exactly when they fall in different components of the
     graph with edges {d < d(x1, x2)}, that is when the subdominant
-    ultrametric equals d on the pair.
+    ultrametric equals d on the pair. Pairs come by decreasing distance,
+    then decreasing pair.
     """
     rank = space.rank
     rows, cols = np.nonzero(np.triu(rank == _subdominant(rank), 1))
-    out = [((i, j), space.dist[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    out.sort(key=lambda item: (as_float(item[1]), item[0]), reverse=True)
-    return out
+    ranked = sorted(zip(rank[rows, cols].tolist(), zip(rows.tolist(), cols.tolist())),
+                    reverse=True)
+    return [(pair, space.dist[pair]) for _, pair in ranked]
 
 
 def largest_gap(space: FiniteMetricSpace, indices=None):

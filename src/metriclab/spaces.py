@@ -15,6 +15,7 @@ Order-only code reads rank and gathers a value only where one is read.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -32,15 +33,15 @@ from .errors import CapExceeded, DiameterExceedsOne, MetricViolation
 class FiniteMetricSpace:
     """Immutable labeled point set with a validated distance matrix."""
 
-    __slots__ = ("labels", "dist", "diameter", "exact", "rescaled", "_values", "_rank")
+    __slots__ = ("labels", "dist", "diameter", "exact", "rescaled", "values", "rank")
 
     def __init__(self, labels, dist, *, exact=False, rescaled=False, _trusted=False,
                  diameter=None, _ranks=None):
         """diameter and _ranks, accepted only with _trusted, are what the
         builder already knows: the largest entry, and an exact space's
         (values, rank) pair. values may hold more Fractions than the matrix
-        does (a table shared with the space it came from); without the
-        pair, _ranked computes it on first read."""
+        does (a table shared with the space it came from); an exact space
+        built without the pair is ranked here, by _ranked."""
         labels = tuple(str(x) for x in labels)
         if (diameter is not None or _ranks is not None) and not _trusted:
             raise ValueError("only a trusted builder may pass the diameter or ranks")
@@ -55,33 +56,17 @@ class FiniteMetricSpace:
         self.dist = matrix
         self.exact = exact
         self.rescaled = rescaled
-        self._values, self._rank = (None, None) if _ranks is None or not exact else _ranks
-        for table in (self._values, self._rank):
+        if not exact:
+            _ranks = (None, matrix)
+        elif _ranks is None:
+            _ranks = _ranked(matrix)
+        self.values, self.rank = _ranks
+        for table in _ranks:
             if table is not None:
                 table.setflags(write=False)
         if diameter is None:
             diameter = _gather(self.values, self.rank.max()) if len(labels) > 1 else _zero(exact)
         self.diameter = diameter
-
-    @property
-    def rank(self) -> np.ndarray:
-        """float64 matrix ordered as dist: dist itself on a float space, the
-        index of each entry in values on an exact one (equal entries, equal
-        ranks; exact below 2^53)."""
-        return self._table()[1]
-
-    @property
-    def values(self):
-        """The ascending distinct Fractions that rank indexes, from
-        Fraction(0); None on a float space."""
-        return self._table()[0]
-
-    def _table(self):
-        if not self.exact:
-            return None, self.dist
-        if self._rank is None:
-            self._values, self._rank = _ranked(self.dist)
-        return self._values, self._rank
 
     @property
     def n(self) -> int:
@@ -99,25 +84,43 @@ class FiniteMetricSpace:
 
 
 def _ranked(matrix, keys=None):
-    """(values, rank) of an exact matrix, by np.unique over the keys of its
-    entries: keys when given (one per entry), else those of its distinct
-    objects (a gathered matrix repeats a few): their dyadic numerators
-    (Python ints, see dyadic_numerators) when every denominator is a power
-    of two, else the entries themselves, ordered by Fraction comparisons."""
+    """(values, rank) of an exact array, by np.unique over keys, one per
+    entry in the same order (such as its dyadic_numerators), or else over
+    the entries themselves, by Fraction comparisons."""
     flat = matrix.ravel()
-    if keys is None:
-        ids = np.fromiter(map(id, flat.tolist()), dtype=np.intp, count=flat.size)
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        flat = flat[first]
-        shifted = dyadic_numerators(flat.tolist())
-        keys = flat if shifted is None else np.array(shifted[0], dtype=object)
-    else:
-        inverse = slice(None)
-    _, first, rank = np.unique(keys, return_index=True, return_inverse=True)
-    values, rank = flat[first], rank[inverse].reshape(matrix.shape).astype(float)
-    values.setflags(write=False)
-    rank.setflags(write=False)
-    return values, rank
+    _, first, rank = np.unique(flat if keys is None else keys, return_index=True,
+                               return_inverse=True)
+    return flat[first], rank.reshape(matrix.shape).astype(float)
+
+
+def _union(*pairs):
+    """(table, ranks): (table, rank) pairs renumbered into the union of their
+    tables, so that ranks from different tables compare. Pairs that share
+    one table object (a space and the rho or subspace built on it, or float
+    spaces, whose table is None) keep their ranks, with no sort of values."""
+    tables = [table for table, _ in pairs]
+    if all(table is tables[0] for table in tables):
+        return tables[0], [rank for _, rank in pairs]
+    union = np.unique(np.concatenate(tables))
+    return union, [np.searchsorted(union, table).astype(float)[rank.astype(np.intp)]
+                   for table, rank in pairs]
+
+
+def _rank_bound(space, t, inclusive=False, key=None):
+    """Threshold t on the rank scale: an entry is below t (at most t when
+    inclusive) exactly when its rank is below (at most) the bound; t itself
+    on a float space. On an exact space, the count of values below t (the
+    index of the last value at most t), by a bisection that compares
+    key(value) with t, or else the value with a finite t as cross-multiplied
+    integers, without a Fraction comparison."""
+    if space.values is None:
+        return t
+    if key is None and not math.isinf(t):
+        q = Fraction(t)
+        t, key = 0, lambda v: v.numerator * q.denominator - q.numerator * v.denominator  # v - t
+    if inclusive:
+        return float(bisect.bisect_right(space.values, t, key=key) - 1)
+    return float(bisect.bisect_left(space.values, t, key=key))
 
 
 def _gather(values, ranks):
@@ -321,14 +324,11 @@ def sup_product(spaces, cap: int | None = None) -> FiniteMetricSpace:
         if total > cap:
             raise CapExceeded(f"product cardinality exceeds cap {cap}")
     exact = any(sp.exact for sp in spaces)
-    tables, ranks = zip(*(_factor_table(sp, exact) for sp in spaces))
-    values = np.unique(np.concatenate(tables)) if exact else None
+    values, ranks = _union(*(_factor_table(sp, exact) for sp in spaces))
     labels = [""]
     rank = np.zeros((1, 1))
     diameter = _zero(exact)
-    for sp, table, f in zip(spaces, tables, ranks):
-        if exact:  # the factor's ranks, renumbered into the union of the tables
-            f = np.searchsorted(values, table).astype(float)[f.astype(np.intp)]
+    for sp, f in zip(spaces, ranks):
         diameter = max(diameter, sp.diameter if sp.exact == exact else Fraction(sp.diameter))
         nf = sp.n
         grown = np.repeat(np.repeat(rank, nf, axis=0), nf, axis=1)
@@ -476,7 +476,10 @@ def to_csv(space: FiniteMetricSpace) -> str:
 
 
 def from_csv(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> FiniteMetricSpace:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise MetricViolation("parse", None, str(exc)) from exc
     if len(rows) < 2:
         raise MetricViolation("parse", None, "need a label row plus matrix rows")
     labels = rows[0]
@@ -496,7 +499,10 @@ def to_json(space: FiniteMetricSpace) -> str:
 
 
 def from_json(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> FiniteMetricSpace:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # arrays nested deeper than the parser recurses
+        raise MetricViolation("parse", None, str(exc)) from exc
     if not isinstance(doc, dict) or "dist" not in doc:
         raise MetricViolation("parse", None, 'need a JSON object with a "dist" matrix')
     labels = doc.get("labels")

@@ -22,7 +22,7 @@ from ._util import DEFAULT_TOL, as_float, flog
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile
 from .partitions import PartitionChain, _level_ranks, _require_separating, classify_chain
-from .spaces import FiniteMetricSpace, _gather, _subdominant, is_ultrametric
+from .spaces import FiniteMetricSpace, _gather, _subdominant, _union, is_ultrametric
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
 
@@ -98,19 +98,6 @@ def _pair_logs(matrix, table=None) -> tuple[np.ndarray, np.ndarray]:
         return entries, table[entries.astype(np.intp)]
     log = flog if entries.dtype == object else math.log
     return entries, np.fromiter(map(log, entries.tolist()), dtype=float, count=entries.size)
-
-
-def _shared_ranks(space: FiniteMetricSpace, other: FiniteMetricSpace):
-    """(table, rank, other_rank): both spaces' ranks in one table of values,
-    so that their entries compare as floats. A chain's rho shares d's
-    values, whose table serves both; another exact space is renumbered into
-    the union of the two tables. Float spaces give (None, dist, dist)."""
-    table = space.values
-    if other.values is table:
-        return table, space.rank, other.rank
-    table = np.unique(np.concatenate((table, other.values)))
-    return table, *(np.searchsorted(table, sp.values).astype(float)[sp.rank.astype(np.intp)]
-                     for sp in (space, other))
 
 
 def _value_logs(table):
@@ -274,7 +261,8 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     check = is_ultrametric(rho, tol)
     if not check.ok:
         raise CertificateViolated(check.witness, "strong triangle", as_float(check.violation))
-    table, d_rank, rho_rank = _shared_ranks(space, rho)  # d <= rho compares ranks
+    # d <= rho compares ranks; rho's table is d's, so no values are sorted
+    table, (d_rank, rho_rank) = _union((space.values, space.rank), (rho.values, rho.rank))
     logs = _value_logs(table)
     d, log_d = _pair_logs(d_rank, logs)
     r, log_r = _pair_logs(rho_rank, logs)

@@ -23,7 +23,7 @@ import numpy as np
 from ._util import LN2, dyadic_fractions, dyadic_numerators, max_points
 from .errors import CapExceeded, DepthOverflow
 from .partitions import PartitionChain
-from .spaces import FiniteMetricSpace, _zero, _zeros, sup_product
+from .spaces import FiniteMetricSpace, _ranked, _zero, _zeros, sup_product
 
 KINDS = ("seq_factorial", "seq_power_tower", "seq_geometric", "seq_polynomial",
          "seq_log", "product_geometric", "cantor_factorial", "sqrt_ultra")
@@ -302,9 +302,7 @@ def product_factors(family, depth, exact=False):
             raise DepthOverflow(f"product factor underflows at n={n}")
         m = _zeros((2, 2), exact)
         m[0, 1] = m[1, 0] = v
-        ranks = (np.array([m[0, 0], v]), np.array([[0.0, 1.0], [1.0, 0.0]])) if exact else None
-        out.append(FiniteMetricSpace(["0", f"r{n}"], m, exact=exact, _trusted=True,
-                                     diameter=m[0, 1], _ranks=ranks))
+        out.append(FiniteMetricSpace(["0", f"r{n}"], m, exact=exact, _trusted=True))
     return out
 
 
@@ -330,8 +328,8 @@ def _cantor_space(family, depth, exact):
     length = np.array([k.bit_length() for k in range(n_pts)])[idx[:, None] ^ idx[None, :]]
     ranks = None
     if exact:  # the table has ties (k = 1 and k = 2 both give r): rank it densely
-        table, by_rank = np.unique(by_length, return_inverse=True)
-        ranks = table, by_rank.astype(float)[length]
+        table, by_rank = _ranked(by_length)
+        ranks = table, by_rank[length]
     # points differing in the first coordinate are the farthest apart
     return FiniteMetricSpace(labels, by_length[length], exact=exact, _trusted=True,
                              diameter=by_length[-1], _ranks=ranks)

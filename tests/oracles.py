@@ -17,7 +17,8 @@ that `spaces._hull` replaced: the triangle check (a `combinations` triple
 loop on exact matrices, a k-major sweep on float ones) and the hull sweep
 of `is_ultrametric` with its first-k matrix `argk`, and the kernels that
 compared Fractions before exact spaces carried float64 ranks (the last
-section: each reads `space.dist` where the kernel now reads `space.rank`).
+section: each reads `space.dist` where the kernel now reads `space.rank`),
+with the renumbering of rank tables that `spaces._union` replaced.
 Tests compare the two; `tree_connects` checks, by a union-find, which
 blocks the spanning tree connects.
 
@@ -669,7 +670,7 @@ def associated_endpoints(space):
     m = space.dist
     rows, cols = np.nonzero(np.triu(m == _subdominant(m), 1))
     out = [((i, j), m[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    out.sort(key=lambda item: (as_float(item[1]), item[0]), reverse=True)
+    out.sort(key=lambda item: (item[1], item[0]), reverse=True)
     return out
 
 
@@ -684,6 +685,14 @@ def ultrametric_from_chain(space, chain):
     _require_separating(chain)
     deltas = np.array([st.delta for st in chain.stats], dtype=object if space.exact else float)
     return deltas[chain.split - 1]
+
+
+def union_ranks(pairs):
+    """(table, ranks): (table, rank) pairs renumbered into the np.unique of
+    their concatenated tables, shared or not, as sup_product did inline
+    and the certificate did for two tables before spaces._union."""
+    table = np.unique(np.concatenate([t for t, _ in pairs]))
+    return table, [np.searchsorted(table, t).astype(float)[r.astype(np.intp)] for t, r in pairs]
 
 
 def sup_product(spaces):

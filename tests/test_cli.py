@@ -166,6 +166,8 @@ def test_malformed_json_input_is_a_parse_error(capsys, tmp_path, text):
     ("booleans.json", '{"dist": [[0, true], [true, 0]]}'),
     ("quoted.json", '{"dist": [[0, "0.5"], ["0.5", 0]]}'),
     ("ragged.csv", "a,b\n0,0.5\n0.5\n"),
+    pytest.param("long.csv", "a,b\n0," + "1" * 200_000 + "\n1,0\n", id="field-over-csv-limit"),
+    pytest.param("deep.json", '{"dist": ' + "[" * 100_000, id="json-nested-too-deeply"),
 ])
 def test_malformed_matrix_or_labels_is_a_parse_error(capsys, tmp_path, name, text):
     path = tmp_path / name

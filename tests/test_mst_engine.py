@@ -121,7 +121,7 @@ def associated_oracle(space):
             cache[t] = threshold_oracle(space, t).block_of
         if cache[t][i] != cache[t][j]:
             out.append(((i, j), t))
-    out.sort(key=lambda item: (as_float(item[1]), item[0]), reverse=True)
+    out.sort(key=lambda item: (item[1], item[0]), reverse=True)
     return out
 
 

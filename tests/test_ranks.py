@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import cli, logratio, partitions, spaces, ultrametrize
+from metriclab import cli, embedding, logratio, partitions, spaces, ultrametrize
 from metriclab._util import dumps
+from metriclab.errors import EmptyWindow
 from metriclab.partitions import _block_extents
 from metriclab.spaces import _worst_triple
 from metriclab.zoo import _sequence_points, product_factors
@@ -221,11 +222,14 @@ def test_exact_triangle_check_on_integers(case):
 
 
 def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
-    """Exact ultrametrize on Cantor depth 6 and profile on seq_factorial
-    depth 9 and on Cantor depth 6 compare no Fraction inside _chain_stats,
-    _prim, _merge_ranks, _block_extents, is_ultrametric's accept test (a
-    passing rho) or the certificate's d <= rho check, whose operands are
-    float64 ranks."""
+    """Exact ultrametrize on Cantor depth 6, profile on seq_factorial depth
+    9 and on Cantor depth 6, oracle on seq_geometric depth 6, dimension on
+    seq_geometric depth 60 and Cantor depth 6, partition_stats and
+    associated_endpoints compare no Fraction inside _chain_stats, _prim,
+    _merge_ranks, _block_extents, is_ultrametric's accept test (a passing
+    rho), the certificate's d <= rho check, whose operands are float64
+    ranks, _label_stats, separated_count, estimate_metric_dimension or
+    associated_endpoints."""
     inside = [0]
     counts = {"inside": 0, "outside": 0}
     calls = {}
@@ -266,17 +270,95 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     watched(partitions, "_chain_stats")
     watched(logratio, "_block_extents")
     watched(ultrametrize, "is_ultrametric", accepts)
-    watched(ultrametrize, "_shared_ranks")
+    watched(ultrametrize, "_union")
     watched(ultrametrize, "_pair_logs", float_ranks)
     watched(ultrametrize, "_first_failure")
+    for module in (partitions, logratio):
+        watched(module, "_label_stats")
+    watched(embedding, "separated_count")
+    watched(cli, "estimate_metric_dimension")
+    watched(partitions, "associated_endpoints")
     for argv in (["ultrametrize", "--zoo", "cantor_factorial", "--r", "0.5", "--depth", "6",
                   "--exact", "--p", "2", "--epsilon", "0.5"],
                  ["profile", "--zoo", "seq_factorial", "--depth", "9", "--exact"],
                  ["profile", "--zoo", "cantor_factorial", "--r", "0.5", "--depth", "6",
-                  "--exact"]):
+                  "--exact"],
+                 ["oracle", "--zoo", "seq_geometric", "--depth", "6", "--exact",
+                  "--radius", "0.5"],
+                 ["dimension", "--zoo", "seq_geometric", "--depth", "60", "--exact",
+                  "--window-r", "0.0625", "--ratio-floor", "16"],
+                 ["dimension", "--zoo", "cantor_factorial", "--r", "0.5", "--depth", "6",
+                  "--exact", "--window-r", "0.5", "--ratio-floor", "2"]):
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
+    space, chain = ml.sample(ml.make_family("cantor_factorial", r=0.5), 6, exact=True)
+    for level in chain.levels:
+        partitions.partition_stats(space, level)
+    partitions.associated_endpoints(space)
     assert counts["inside"] == 0
     assert counts["outside"] > 0  # the patch sees the comparisons made elsewhere
     assert set(calls) == {"_prim", "_merge_ranks", "_chain_stats", "_block_extents",
-                          "is_ultrametric", "_shared_ranks", "_pair_logs", "_first_failure"}
+                          "is_ultrametric", "_union", "_pair_logs", "_first_failure",
+                          "_label_stats", "separated_count", "estimate_metric_dimension",
+                          "associated_endpoints"}
+
+
+def test_exact_dimension_equals_float_where_float_is_exact():
+    """Down to 2^-60 (seq_geometric) and 2^-120 (Cantor depth 6) float64
+    holds every distance exactly, so the exact estimate, on ranks, is the
+    float one; also on every other point, a subspace whose shared table
+    holds distances that none of its pairs takes."""
+    cases = [("seq_geometric", {}, depth) for depth in (2, 5, 20, 60)]
+    cases += [("cantor_factorial", {"r": 0.5}, depth) for depth in range(1, 7)]
+    for kind, params, depth in cases:
+        family = ml.make_family(kind, **params)
+        exact = ml.sample(family, depth, exact=True, chain=False)[0]
+        flt = ml.sample(family, depth, chain=False)[0]
+        half = range(0, exact.n, 2)
+        for r, t in ((0.0625, 16), (0.5, 2), (1.0, 1.5)):
+            assert dimension(exact, r, t) == dimension(flt, r, t)
+            assert dimension(ml.subspace(exact, half), r, t) == \
+                dimension(ml.subspace(flt, half), r, t)
+
+
+def dimension(space, r, t):
+    try:
+        return ml.estimate_metric_dimension(space, r, t)
+    except EmptyWindow as exc:
+        return str(exc)
+
+
+@CHECKS
+@given(exact_spaces(), exact_spaces())
+def test_union_equals_the_renumbering_it_replaced(case, other_case):
+    space, other = case[0], other_case[0]
+    sub = ml.subspace(space, range(0, space.n, 2))
+    rho = ml.subdominant_ultrametric(space)
+    for spaces_ in ((space, other), (space, sub, rho), (space, space), (other, space, sub)):
+        pairs = [(sp.values, sp.rank) for sp in spaces_]
+        table, ranks = spaces._union(*pairs)
+        old_table, old_ranks = oracles.union_ranks(pairs)
+        same_entries(table, old_table)
+        for sp, rank, old_rank in zip(spaces_, ranks, old_ranks):
+            assert np.array_equal(rank, old_rank)
+            same_entries(table[rank.astype(np.intp)], sp.dist)
+        if all(sp.values is space.values for sp in spaces_):
+            assert table is space.values  # shared: no values sorted
+    rank = euclidean_space(1, 3).rank
+    table, ranks = spaces._union((None, rank), (None, rank))
+    assert table is None and all(r is rank for r in ranks)
+
+
+def test_associated_endpoints_order_exact_distances_below_float():
+    """On Cantor depth 9, r = 0.5, distances reach 2^-40320: pairs come by
+    exact decreasing distance, then decreasing pair, though as_float ties
+    every distance under 2^-1074 at 0.0."""
+    space, _ = ml.sample(ml.make_family("cantor_factorial", r=0.5), 9, exact=True, chain=False)
+    found = ml.associated_endpoints(space)
+    assert len(found) == space.n * (space.n - 1) // 2  # an ultrametric: every pair
+    keys = [(d, pair) for pair, d in found]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert all(d == space.dist[pair] for pair, d in found)
+    # (510, 511) first differ at the last coordinate, 2^-8!, (509, 511) at 2^-7!
+    where = {pair: k for k, (pair, _) in enumerate(found)}
+    assert where[(509, 511)] < where[(510, 511)]
