@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring  # json.dumps(s, ensure_ascii=False) of a str
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def _emit(obj, out: list[str], indent: int, depth: int) -> None:
     elif isinstance(obj, Fraction):
         out.append(_fmt_float(as_float(obj)))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -147,7 +148,7 @@ def _emit(obj, out: list[str], indent: int, depth: int) -> None:
         out.append("{\n")
         items = list(obj.items())
         for i, (key, value) in enumerate(items):
-            out.append(pad_in + '"' + str(key) + '": ')
+            out.append(pad_in + encode_basestring(str(key)) + ": ")
             _emit(value, out, indent, depth + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")

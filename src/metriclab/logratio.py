@@ -172,10 +172,10 @@ def nondiscreteness_check(chain: PartitionChain) -> NondiscretenessReport:
     A finite sample always bottoms out at its minimum pairwise distance; a
     terminal all-singleton level marks that the space was fully resolved.
     """
-    gammas = [as_float(st.gamma) for st in chain.stats if st.cardinality >= 2]
+    gammas = [st.gamma for st in chain.stats if st.cardinality >= 2]
     decreasing = all(b < a for a, b in zip(gammas, gammas[1:]))
     discrete = bool(chain.stats[-1].delta == 0)
-    terminal = gammas[-1] if gammas else 0.0
+    terminal = as_float(gammas[-1]) if gammas else 0.0
     return NondiscretenessReport(decreasing, discrete, terminal)
 
 

@@ -14,6 +14,7 @@ Conventions for a partition a of a space with diameter <= 1:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,63 +29,72 @@ from .spaces import (FiniteMetricSpace, _gather, _merge_ranks, _prim, _rank_boun
 
 
 class Partition:
-    """Canonical partition: blocks sorted by least point index."""
+    """A partition as its canonical label row block_of, blocks numbered by
+    least member, and blocks, their members ascending. The constructor drops
+    empty blocks; the rest must be disjoint and cover 0..n_points-1."""
 
-    __slots__ = ("blocks", "block_of", "n_points", "space_ref")
+    __slots__ = ("blocks", "block_of")
 
-    def __init__(self, blocks, n_points: int, space_ref: str | None = None):
-        cleaned = sorted((tuple(sorted(b)) for b in blocks if len(b)), key=lambda b: b[0])
-        seen: list[int] = []
-        for b in cleaned:
-            seen.extend(b)
-        if sorted(seen) != list(range(n_points)):
+    def __init__(self, blocks, n_points: int):
+        blocks = list(blocks)
+        members = np.fromiter(itertools.chain.from_iterable(blocks), np.intp)
+        if not np.array_equal(np.sort(members), np.arange(n_points)):
             raise ValueError("blocks must be disjoint, nonempty, and cover all indices")
-        self.blocks = tuple(cleaned)
-        self.n_points = n_points
-        self.space_ref = space_ref
-        assign = np.empty(n_points, dtype=int)
-        for bid, b in enumerate(cleaned):
-            for i in b:
-                assign[i] = bid
-        assign.setflags(write=False)
-        self.block_of = assign
+        assign = np.empty(n_points, dtype=np.intp)
+        assign[members] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        self._label(assign)
+
+    def _label(self, assign) -> None:
+        """Number the blocks of an assignment by least member, by one np.unique."""
+        _, first, inverse = np.unique(assign, return_index=True, return_inverse=True)
+        self.block_of = np.argsort(np.argsort(first))[inverse]
+        self.block_of.setflags(write=False)
+        self.blocks = tuple(map(tuple, _blocks(self.block_of)))
 
     @classmethod
-    def from_assignment(cls, assign, space_ref=None) -> "Partition":
-        assign = list(assign)
-        blocks: dict = {}
-        for i, a in enumerate(assign):
-            blocks.setdefault(a, []).append(i)
-        return cls(blocks.values(), len(assign), space_ref)
+    def from_assignment(cls, assign) -> "Partition":
+        part = cls.__new__(cls)
+        part._label(assign)
+        return part
 
     @classmethod
     def trivial(cls, n_points: int) -> "Partition":
-        return cls([range(n_points)], n_points)
+        return cls.from_assignment(np.zeros(n_points, dtype=np.intp))
 
     @classmethod
     def singletons(cls, n_points: int) -> "Partition":
-        return cls([[i] for i in range(n_points)], n_points)
+        return cls.from_assignment(np.arange(n_points))
+
+    @property
+    def n_points(self) -> int:
+        return len(self.block_of)
 
     @property
     def cardinality(self) -> int:
         return len(self.blocks)
 
     def refines(self, coarser: "Partition") -> bool:
-        """True when every block of self sits inside one block of coarser."""
-        if self.n_points != coarser.n_points:
-            return False
-        return all(
-            len({coarser.block_of[i] for i in b}) == 1 for b in self.blocks
-        )
+        """True when every block of self sits inside one block of coarser:
+        there are as many distinct (own, coarser) label pairs as own labels."""
+        return self.n_points == coarser.n_points and len(np.unique(
+            self.block_of * coarser.cardinality + coarser.block_of)) == self.cardinality
 
     def __eq__(self, other):
-        return isinstance(other, Partition) and self.blocks == other.blocks
+        return isinstance(other, Partition) and np.array_equal(self.block_of, other.block_of)
 
     def __hash__(self):
         return hash(self.blocks)
 
     def __repr__(self):
         return f"Partition({list(map(list, self.blocks))})"
+
+
+def _blocks(labels) -> list[list[int]]:
+    """The members of each block of canonical labels, ascending, in label
+    order: one stable argsort, cut at the running block sizes."""
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 @dataclass(frozen=True)
@@ -202,13 +212,9 @@ class PartitionChain:
         n = levels[0].n_points
         split = np.zeros((n, n), dtype=np.int32)
         for idx, p in enumerate(levels):
-            if p.n_points != n:
+            if idx and not p.refines(levels[idx - 1]):
                 raise NotNested(idx)
-            same = p.block_of[:, None] == p.block_of[None, :]
-            if idx and (same & ~joined).any():  # a pair this level joins and the last split
-                raise NotNested(idx)
-            split += same
-            joined = same
+            split += p.block_of[:, None] == p.block_of[None, :]
         if n != space.n:
             raise ValueError("partition does not match the space")
         return cls._from_split(space, split, thresholds, level_ids)
@@ -255,8 +261,8 @@ class PartitionChain:
 
     @cached_property
     def levels(self) -> tuple:
-        """The partitions, coarse to fine."""
-        return tuple(Partition.from_assignment(row) for row in self.labels.tolist())
+        """The partitions, coarse to fine: a view of labels that no kernel reads."""
+        return tuple(Partition.from_assignment(row) for row in self.labels)
 
     def proper_indices(self) -> list[int]:
         """Levels carrying log-ratio information: >= 2 blocks and delta > 0."""
@@ -271,7 +277,7 @@ class PartitionChain:
                 {
                     "id": int(self.level_ids[i]),
                     "threshold": None if self.thresholds[i] is None else as_float(self.thresholds[i]),
-                    "blocks": [list(map(int, b)) for b in self.levels[i].blocks],
+                    "blocks": _blocks(self.labels[i]),
                     "delta": as_float(st.delta),
                     "gamma": as_float(st.gamma),
                     "R": st.log_ratio,
@@ -527,13 +533,9 @@ def classify_chain(chain: PartitionChain, p: float, tol: float = DEFAULT_TOL) ->
 def induced_partition(partition: Partition, indices) -> Partition:
     """Trace of a partition on a subset, re-indexed to 0..k-1."""
     idx = sorted(dict.fromkeys(int(i) for i in indices))
-    pos = {orig: new for new, orig in enumerate(idx)}
-    blocks = []
-    for b in partition.blocks:
-        kept = [pos[i] for i in b if i in pos]
-        if kept:
-            blocks.append(kept)
-    return Partition(blocks, len(idx))
+    if idx and not 0 <= idx[0] <= idx[-1] < partition.n_points:
+        raise ValueError("indices must lie in 0..n_points-1")
+    return Partition.from_assignment(partition.block_of[idx])
 
 
 def induced_chain(space: FiniteMetricSpace, chain: PartitionChain, indices):

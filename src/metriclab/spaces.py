@@ -501,7 +501,7 @@ def to_json(space: FiniteMetricSpace) -> str:
 def from_json(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> FiniteMetricSpace:
     try:
         doc = json.loads(text)
-    except RecursionError as exc:  # arrays nested deeper than the parser recurses
+    except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, or nested too deeply
         raise MetricViolation("parse", None, str(exc)) from exc
     if not isinstance(doc, dict) or "dist" not in doc:
         raise MetricViolation("parse", None, 'need a JSON object with a "dist" matrix')

@@ -16,10 +16,12 @@ the embedding placed one parent block at a time through dicts keyed by
 that `spaces._hull` replaced: the triangle check (a `combinations` triple
 loop on exact matrices, a k-major sweep on float ones) and the hull sweep
 of `is_ultrametric` with its first-k matrix `argk`, and the kernels that
-compared Fractions before exact spaces carried float64 ranks (the last
-section: each reads `space.dist` where the kernel now reads `space.rank`),
-with the renumbering of rank tables that `spaces._union` replaced.
-Tests compare the two; `tree_connects` checks, by a union-find, which
+compared Fractions before exact spaces carried float64 ranks (a section
+of their own: each reads `space.dist` where the kernel now reads `space.rank`),
+with the renumbering of rank tables that `spaces._union` replaced, and
+`Partition` as tuples of blocks (`BlockPartition`) with its trace
+`induced_partition` and the chain report that printed the blocks of its
+levels. Tests compare the two; `tree_connects` checks, by a union-find, which
 blocks the spanning tree connects.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
@@ -41,8 +43,7 @@ from metriclab.embedding import (EmbeddingResult, LevelAudit, _box_matrix, _exac
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
 from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
-                                  _require_separating, dendrogram_chain, induced_partition,
-                                  largest_gap)
+                                  _require_separating, dendrogram_chain, largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _merge_ranks, _prim,
                               _subdominant, _zero, _zeros)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
@@ -398,8 +399,8 @@ def ensure_trivial_head(space, chain):
 
 def induced_levels(chain, indices):
     """induced_chain's levels as the trace of every partition."""
-    return ([induced_partition(p, indices) for p in chain.levels], chain.thresholds,
-            chain.level_ids)
+    traced = [induced_partition(p, indices) for p in chain.levels]
+    return [Partition(t.blocks, t.n_points) for t in traced], chain.thresholds, chain.level_ids
 
 
 def select_embeddable_subchain(space, chain, N):
@@ -454,12 +455,13 @@ def audit_min_gap(chain, level, box_center, deltas, gammas):
 
 
 def from_partitions(space, levels, thresholds=None, level_ids=None):
-    """PartitionChain.from_partitions checking nesting with Partition.refines."""
+    """PartitionChain.from_partitions checking nesting with the refines loop
+    of BlockPartition."""
     levels = tuple(levels)
     if not levels:
         raise ValueError("chain needs at least one level")
     for idx in range(1, len(levels)):
-        if not levels[idx].refines(levels[idx - 1]):
+        if not BlockPartition.of(levels[idx]).refines(BlockPartition.of(levels[idx - 1])):
             raise NotNested(idx)
     if levels[0].n_points != space.n:
         raise ValueError("partition does not match the space")
@@ -718,3 +720,102 @@ def hausdorff_dist(space, max_subset_size):
     dist = np.maximum(directed, directed.T)
     np.fill_diagonal(dist, _zero(space.exact))
     return dist
+
+
+# Before a Partition was its canonical label row, it kept tuples of blocks,
+# built by per-point loops and a dict grouping, and reports printed the
+# blocks of the chain's levels.
+
+class BlockPartition:
+    """Canonical partition: blocks sorted by least point index."""
+
+    __slots__ = ("blocks", "block_of", "n_points")
+
+    def __init__(self, blocks, n_points: int):
+        cleaned = sorted((tuple(sorted(b)) for b in blocks if len(b)), key=lambda b: b[0])
+        seen: list[int] = []
+        for b in cleaned:
+            seen.extend(b)
+        if sorted(seen) != list(range(n_points)):
+            raise ValueError("blocks must be disjoint, nonempty, and cover all indices")
+        self.blocks = tuple(cleaned)
+        self.n_points = n_points
+        assign = np.empty(n_points, dtype=int)
+        for bid, b in enumerate(cleaned):
+            for i in b:
+                assign[i] = bid
+        assign.setflags(write=False)
+        self.block_of = assign
+
+    @classmethod
+    def of(cls, partition) -> "BlockPartition":
+        return cls(partition.blocks, partition.n_points)
+
+    @classmethod
+    def from_assignment(cls, assign) -> "BlockPartition":
+        assign = list(assign)
+        blocks: dict = {}
+        for i, a in enumerate(assign):
+            blocks.setdefault(a, []).append(i)
+        return cls(blocks.values(), len(assign))
+
+    @classmethod
+    def trivial(cls, n_points: int) -> "BlockPartition":
+        return cls([range(n_points)], n_points)
+
+    @classmethod
+    def singletons(cls, n_points: int) -> "BlockPartition":
+        return cls([[i] for i in range(n_points)], n_points)
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.blocks)
+
+    def refines(self, coarser: "BlockPartition") -> bool:
+        """True when every block of self sits inside one block of coarser."""
+        if self.n_points != coarser.n_points:
+            return False
+        return all(
+            len({coarser.block_of[i] for i in b}) == 1 for b in self.blocks
+        )
+
+    def __eq__(self, other):
+        return isinstance(other, BlockPartition) and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+
+def induced_partition(partition, indices) -> BlockPartition:
+    """Trace of a partition on a subset, re-indexed to 0..k-1."""
+    idx = sorted(dict.fromkeys(int(i) for i in indices))
+    pos = {orig: new for new, orig in enumerate(idx)}
+    blocks = []
+    for b in partition.blocks:
+        kept = [pos[i] for i in b if i in pos]
+        if kept:
+            blocks.append(kept)
+    return BlockPartition(blocks, len(idx))
+
+
+def chain_levels(chain) -> tuple:
+    """The chain's partitions, coarse to fine, from its labels."""
+    return tuple(BlockPartition.from_assignment(row) for row in chain.labels.tolist())
+
+
+def chain_report(chain) -> dict:
+    """PartitionChain.to_report printing the blocks of chain_levels."""
+    levels = chain_levels(chain)
+    return {
+        "levels": [
+            {
+                "id": int(chain.level_ids[i]),
+                "threshold": None if chain.thresholds[i] is None else as_float(chain.thresholds[i]),
+                "blocks": [list(map(int, b)) for b in levels[i].blocks],
+                "delta": as_float(st.delta),
+                "gamma": as_float(st.gamma),
+                "R": st.log_ratio,
+            }
+            for i, st in enumerate(chain.stats)
+        ]
+    }

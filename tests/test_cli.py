@@ -168,6 +168,7 @@ def test_malformed_json_input_is_a_parse_error(capsys, tmp_path, text):
     ("ragged.csv", "a,b\n0,0.5\n0.5\n"),
     pytest.param("long.csv", "a,b\n0," + "1" * 200_000 + "\n1,0\n", id="field-over-csv-limit"),
     pytest.param("deep.json", '{"dist": ' + "[" * 100_000, id="json-nested-too-deeply"),
+    pytest.param("garbage.json", "garbage", id="not-json"),
 ])
 def test_malformed_matrix_or_labels_is_a_parse_error(capsys, tmp_path, name, text):
     path = tmp_path / name
@@ -176,6 +177,14 @@ def test_malformed_matrix_or_labels_is_a_parse_error(capsys, tmp_path, name, tex
     err = capsys.readouterr().err
     assert err.startswith("error: parse violated")
     assert "Traceback" not in err
+
+
+def test_report_with_a_control_character_is_valid_json(capsys):
+    radii = "0.5,\n0.25\t"
+    rc, out = run(capsys, ["gap-bounds", "--zoo", "seq_geometric", "--depth", "5",
+                           "--radii", radii])
+    assert rc == 0
+    assert json.loads(out)["config"]["radii"] == radii
 
 
 def test_triangle_violation_in_csv_exits_one(capsys, tmp_path):

@@ -83,6 +83,15 @@ def test_nondiscreteness_check():
     assert prof.estimate > 2.5
 
 
+@pytest.mark.parametrize("depth", [6, 9])
+def test_nondiscreteness_compares_exact_gammas(depth):
+    # from depth 7 on, gammas 2^-n! lie below the smallest float
+    space, chain = ml.sample(ml.make_family("seq_factorial"), depth, exact=True)
+    report = ml.nondiscreteness_check(chain)
+    assert report.gamma_decreasing and not report.discrete_terminal
+    assert type(report.terminal_gamma) is float
+
+
 def test_gap_bounds_trivial_radius():
     sp = euclidean_space(21, 6, scale=0.8)
     report = ml.gap_bounds(sp, [float(sp.diameter)])

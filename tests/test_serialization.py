@@ -1,6 +1,9 @@
 """CSV and JSON round trips: entries come back bit for bit and labels
 unchanged, also labels holding commas, quotes, spaces and non-ASCII text.
-to_csv writes the bytes of its csv.writer oracle."""
+to_csv writes the bytes of its csv.writer oracle, and reports write their
+strings and keys as JSON strings."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
+from metriclab._util import dumps
 from conftest import euclidean_space
 from test_ties import quantized_space
 
@@ -54,3 +58,12 @@ def test_csv_rows_equal_csv_writer(space):
     assert ml.to_csv(space) == oracles.to_csv(space)
     tiny = ml.validate(space.dist * 1e-300, space.labels)  # subnormal and e-notation reprs
     assert ml.to_csv(tiny) == oracles.to_csv(tiny)
+
+
+def test_strings_and_keys_are_escaped_as_json():
+    text = 'tab\there, "quoted", back\\slash, bell\x07, nul\x00, é, \x7f'
+    out = dumps({text: [text, "plain"], "key": None})
+    assert out == ('{\n  ' + json.dumps(text, ensure_ascii=False) + ': [\n    '
+                   + json.dumps(text, ensure_ascii=False) + ',\n    "plain"\n  ],\n'
+                   '  "key": null\n}')
+    assert json.loads(out) == {text: [text, "plain"], "key": None}

@@ -220,17 +220,17 @@ def test_not_separating_reports_the_first_blocks_pair(case):
         assert new.value.pair == old.value.pair
 
 
-# No builder, transform, profile or embedding makes a Partition.
+# No builder, transform, profile, report or embedding makes a Partition.
 
 def test_builders_transforms_and_profile_make_no_partition(monkeypatch):
     made = []
-    real = ml.Partition.__init__
+    real = ml.Partition._label  # every constructor numbers its blocks here
 
     def counted(self, *args, **kwargs):
         made.append(1)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(ml.Partition, "__init__", counted)
+    monkeypatch.setattr(ml.Partition, "_label", counted)
     monkeypatch.setattr(ml.PartitionChain, "from_partitions", None)  # any call raises
     cases = []
     for space in (euclidean_space(3, 25), quantized_space(4, 12, 3)):
@@ -252,6 +252,7 @@ def test_builders_transforms_and_profile_make_no_partition(monkeypatch):
             embedded += 1
         for sp, ch in built:
             ml.profile(ch, space=sp)
+            ch.to_report()
     assert made == [] and embedded >= 10
 
 
