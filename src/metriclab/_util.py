@@ -112,6 +112,38 @@ def dumps(obj, indent: int = 2) -> str:
     return "".join(out)
 
 
+def _plain(items, pad: str, pad_in: str):
+    """The JSON text of a list whose items are all plain ints or finite
+    floats, written with one join; None at the first item that is not one.
+    Bools, np.generic, Fractions, nan, inf and containers take _emit."""
+    if not items:
+        return "[]"
+    texts = []
+    for x in items:
+        if type(x) is int:
+            texts.append(int.__repr__(x))
+        elif type(x) is float and math.isfinite(x):
+            texts.append(format(x, ".17g"))
+        else:
+            return None
+    return "[\n" + pad_in + (",\n" + pad_in).join(texts) + "\n" + pad + "]"
+
+
+def _bulk(obj, pad: str, pad_in: str, pad_row: str):
+    """The JSON text of a list of plain numbers or of a list of such lists,
+    or None when obj is neither."""
+    text = _plain(obj, pad, pad_in)
+    if text is not None:
+        return text
+    rows = []
+    for row in obj:
+        text = _plain(row, pad_in, pad_row) if isinstance(row, (list, tuple)) else None
+        if text is None:
+            return None
+        rows.append(text)
+    return "[\n" + pad_in + (",\n" + pad_in).join(rows) + "\n" + pad + "]"
+
+
 def _emit(obj, out: list[str], indent: int, depth: int) -> None:
     pad = " " * (indent * depth)
     pad_in = " " * (indent * (depth + 1))
@@ -132,8 +164,9 @@ def _emit(obj, out: list[str], indent: int, depth: int) -> None:
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
+        text = _bulk(obj, pad, pad_in, pad_in + " " * indent)
+        if text is not None:
+            out.append(text)
             return
         out.append("[\n")
         for i, item in enumerate(obj):

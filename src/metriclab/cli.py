@@ -9,6 +9,7 @@ bound violations on a constructed object).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -67,7 +68,13 @@ class _Parser(argparse.ArgumentParser):
         raise MetricLabError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    Parsing reads the parser and returns a fresh namespace, so every
+    `main` call can share it; callers must not add to it.
+    """
     ap = _Parser(
         prog="metriclab",
         description="log-ratio analysis, compatible ultrametrics, and box-norm embeddings",

@@ -306,6 +306,9 @@ def subspace(space: FiniteMetricSpace, indices) -> FiniteMetricSpace:
     idx = sorted(dict.fromkeys(int(i) for i in indices))
     if not idx:
         raise ValueError("subspace needs at least one index")
+    if not 0 <= idx[0] <= idx[-1] < space.n:  # a bare gather would wrap negative indices
+        bad = idx[0] if idx[0] < 0 else idx[-1]
+        raise ValueError(f"index {bad} is outside 0..{space.n - 1}")
     sub = np.ix_(idx, idx)
     return FiniteMetricSpace([space.labels[i] for i in idx], space.dist[sub],
                              exact=space.exact, _trusted=True,

@@ -21,7 +21,8 @@ of their own: each reads `space.dist` where the kernel now reads `space.rank`),
 with the renumbering of rank tables that `spaces._union` replaced, and
 `Partition` as tuples of blocks (`BlockPartition`) with its trace
 `induced_partition` and the chain report that printed the blocks of its
-levels. Tests compare the two; `tree_connects` checks, by a union-find, which
+levels, and the report emitter `dumps` that made one recursive call per list
+element. Tests compare the two; `tree_connects` checks, by a union-find, which
 blocks the spanning tree connects.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
@@ -32,12 +33,14 @@ derives from its split matrix.
 import csv
 import io
 import math
+from fractions import Fraction
 from itertools import combinations, product
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from metriclab.logratio import OracleResult, profile, set_partitions
-from metriclab._util import DEFAULT_TOL, as_float, flog
+from metriclab._util import DEFAULT_TOL, _fmt_float, as_float, flog
 from metriclab.embedding import (EmbeddingResult, LevelAudit, _box_matrix, _exact_separated,
                                  _greedy_separated, grid_capacity)
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
@@ -819,3 +822,57 @@ def chain_report(chain) -> dict:
             for i, st in enumerate(chain.stats)
         ]
     }
+
+
+# Before dumps wrote lists of plain numbers with one join, it emitted every
+# element through one recursive call.
+
+def dumps(obj, indent: int = 2) -> str:
+    """metriclab._util.dumps with one _emit call per list element."""
+    out: list[str] = []
+    _emit(obj, out, indent, 0)
+    return "".join(out)
+
+
+def _emit(obj, out: list, indent: int, depth: int) -> None:
+    pad = " " * (indent * depth)
+    pad_in = " " * (indent * (depth + 1))
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, Fraction):
+        out.append(_fmt_float(as_float(obj)))
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(obj):
+            out.append(pad_in)
+            _emit(item, out, indent, depth + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(obj.items())
+        for i, (key, value) in enumerate(items):
+            out.append(pad_in + encode_basestring(str(key)) + ": ")
+            _emit(value, out, indent, depth + 1)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} in a report")

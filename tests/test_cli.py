@@ -3,6 +3,7 @@ import json
 import pytest
 
 import metriclab as ml
+import test_cli_golden
 from metriclab import cli, logratio
 from metriclab._util import dumps
 from metriclab.cli import main
@@ -313,3 +314,37 @@ def test_zoo_refuses_input_before_reading_it(capsys, monkeypatch, tmp_path):
     assert main(["zoo", "--input", str(path)]) == 1
     assert "error: the zoo command needs --zoo" in capsys.readouterr().err
     assert read == []
+
+
+def test_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("name", ["profile_q6", "ultrametrize_q6"])
+def test_usage_error_then_valid_call_gives_golden_bytes(capsys, tmp_path, name):
+    assert main(["profile", "--bogus"]) == 1
+    assert capsys.readouterr().err.startswith("error: metriclab")
+    assert test_cli_golden._digest(tmp_path / name, name) == test_cli_golden.DIGESTS[name]
+
+
+def test_back_to_back_commands_do_not_share_options(capsys, monkeypatch, tmp_path):
+    seen = []
+    for command, handler in cli._HANDLERS.items():
+        monkeypatch.setitem(cli._HANDLERS, command,
+                            lambda args, handler=handler: seen.append(args) or handler(args))
+    plain = ["ultrametrize", "--zoo", "seq_geometric", "--depth", "5", "--p", "2",
+             "--epsilon", "0.5"]
+    ultrametrize = [*plain, "--rho-out", str(tmp_path / "rho.csv"), "--out", str(tmp_path / "out")]
+    profile = ["profile", "--zoo", "seq_geometric", "--depth", "5"]
+    fresh = cli.build_parser.__wrapped__()  # an uncached parser as the reference
+    for order in ([ultrametrize, profile, plain], [profile, ultrametrize, plain]):
+        seen.clear()
+        for argv in order:
+            assert main(argv) == 0
+        assert [vars(args) for args in seen] == [vars(fresh.parse_args(argv)) for argv in order]
+        with_files, profiled, last = (seen[order.index(argv)]
+                                      for argv in (ultrametrize, profile, plain))
+        assert with_files.rho_out == tmp_path / "rho.csv"
+        assert not hasattr(with_files, "burn_epsilon")
+        assert not hasattr(profiled, "rho_out") and profiled.out is None
+        assert last.rho_out is None and last.out is None

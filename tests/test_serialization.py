@@ -1,7 +1,8 @@
 """CSV and JSON round trips: entries come back bit for bit and labels
 unchanged, also labels holding commas, quotes, spaces and non-ASCII text.
 to_csv writes the bytes of its csv.writer oracle, and reports write their
-strings and keys as JSON strings."""
+strings and keys as JSON strings and every object with the bytes of the
+one-call-per-element emitter."""
 
 import json
 
@@ -67,3 +68,27 @@ def test_strings_and_keys_are_escaped_as_json():
                    + json.dumps(text, ensure_ascii=False) + ',\n    "plain"\n  ],\n'
                    '  "key": null\n}')
     assert json.loads(out) == {text: [text, "plain"], "key": None}
+
+
+# Plain ints and floats take the bulk path; the other numbers look like them
+# but must keep their own output: bools, numpy scalars, Fractions, nan and inf.
+PLAIN = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                  st.just(-0.0))
+NUMBER = st.one_of(PLAIN, st.booleans(), st.just(float("nan")), st.just(float("inf")),
+                   st.just(float("-inf")), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                   st.floats().map(np.float64), st.booleans().map(np.bool_), st.fractions())
+LEAF = st.one_of(st.none(), st.text(LABEL_CHARS, max_size=3), NUMBER,
+                 st.lists(PLAIN, max_size=6), st.lists(st.lists(PLAIN, max_size=4), max_size=4))
+REPORTS = st.recursive(
+    LEAF,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(LABEL_CHARS, max_size=3), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(CHECKS, max_examples=300)
+@given(REPORTS)
+def test_dumps_equals_the_per_element_emitter(obj):
+    assert dumps(obj) == oracles.dumps(obj)
+    assert dumps(obj, indent=0) == oracles.dumps(obj, indent=0)
+

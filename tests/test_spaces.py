@@ -227,6 +227,17 @@ def test_subspace_restriction():
             assert sub.dist[a, b] == sp.dist[i, j]
 
 
+@pytest.mark.parametrize("index", [-1, -5, 5, 99])
+def test_subspace_index_out_of_range_is_a_value_error(index):
+    sp = ml.sample(ml.make_family("seq_geometric"), 4, chain=False)[0]
+    assert sp.n == 5
+    with pytest.raises(ValueError, match=f"index {index} is outside 0..4"):
+        ml.subspace(sp, [0, index, 2])
+    chain = ml.dendrogram_chain(sp)
+    with pytest.raises(ValueError, match=f"index {index} is outside 0..4"):
+        ml.induced_chain(sp, chain, [index, 1])
+
+
 def test_validate_respects_env_point_cap(monkeypatch):
     monkeypatch.setenv("METRICLAB_MAX_POINTS", "3")
     problems = ml.violations(np.zeros((5, 5)) + 0.5 - 0.5 * np.eye(5))
