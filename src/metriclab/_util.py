@@ -76,6 +76,17 @@ def dyadic_fractions(nums, q: int) -> np.ndarray:
     return out
 
 
+def per_distinct(fn, x, dtype=float) -> np.ndarray:
+    """fn of every entry of a float array, in an array of x's shape, with
+    one fn call per distinct value. Values are told apart by their bit
+    patterns (np.unique over the uint64 view), so -0.0 and 0.0, or two
+    floats one ulp apart, each get fn of exactly their own float."""
+    x = np.ascontiguousarray(x, dtype=float)
+    bits, where = np.unique(x.view(np.uint64), return_inverse=True)
+    out = np.fromiter(map(fn, bits.view(float).tolist()), dtype=dtype, count=len(bits))
+    return out[where].reshape(x.shape)
+
+
 def as_float(x) -> float:
     """float(x), with silent underflow to 0.0 for out-of-range Fractions."""
     if isinstance(x, Fraction):

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._util import dumps
+from ._util import dumps, per_distinct
 from .embedding import (
     embed_chain,
     estimate_metric_dimension,
@@ -25,8 +25,8 @@ from .embedding import (
     verify_embedding_distortion,
 )
 from .errors import MetricLabError, VerificationFailure
-from .logratio import (_brute_minimum, _enumerated_stats, _threshold_minimum, gap_bounds,
-                       profile)
+from .logratio import (_brute_minimum, _enumerated_stats, _require_radius, _threshold_minimum,
+                       gap_bounds, profile)
 from .partitions import dendrogram_chain, with_singleton_terminal
 from .spaces import (
     FiniteMetricSpace,
@@ -147,6 +147,9 @@ def _load_space(args, chain=True):
     if args.input and args.zoo:
         raise MetricLabError("give either --input or --zoo, not both")
     if args.input:
+        if args.exact:  # files are read as floats; exact mode never falls back to float
+            raise MetricLabError("--exact samples zoo families only; --input files are "
+                                 "read in float")
         space = _read_space(args.input, args.rescale)
         built = dendrogram_chain(space) if chain else None
         return space, built, {"input": str(Path(args.input)), "rescaled": space.rescaled}, None
@@ -238,8 +241,9 @@ def _cmd_embed(args) -> int:
     _emit(args, "embedding.json", body, meta, (*_SOURCE, "N", "D", "p", "epsilon", "no_thin"))
     if args.coords_out:
         lines = [",".join(["label"] + [f"x{k+1}" for k in range(result.N)])]
-        for label, row in zip(space.labels, result.coords.tolist()):
-            lines.append(",".join([label, *map(repr, row)]))
+        texts = per_distinct(repr, result.coords, object).tolist()
+        for label, row in zip(space.labels, texts):
+            lines.append(",".join([label, *row]))
         args.coords_out.write_text("\n".join(lines) + "\n")
     return 0
 
@@ -293,6 +297,7 @@ def _cmd_gap_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _require_radius(args.oracle_r)
     space, _chain, meta, _family = _load_space(args, chain=False)
     enumerated = _enumerated_stats(space)
     brute, brute_pos = (_brute_minimum(enumerated, args.oracle_r, pos) for pos in (False, True))

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float
+from ._util import DEFAULT_TOL, as_float, per_distinct
 from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
 from .logratio import profile
 from .partitions import PartitionChain, _leads, _require_separating, classify_chain
 from .spaces import FiniteMetricSpace, _gather, _rank_bound
-from .ultrametrize import (LOG_SLACK, _first_failure, _pair_logs, _window_start,
-                           fit_holder_exponents)
+from .ultrametrize import (LOG_SLACK, _first_failure, _holder_fit, _pair_logs, _upper,
+                           _window_start)
 
 
 def separated_count(space: FiniteMetricSpace, center: int, r1, r2) -> int:
@@ -304,7 +304,8 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
             f"chain scales span more than float64 coordinates resolve; points "
             f"{space.labels[i]} and {space.labels[j]} collide"
         )
-    fitted = fit_holder_exponents(space.dist, box_dist)
+    # a box-norm image takes few values: each is logged once
+    fitted = _holder_fit(_pair_logs(space.dist)[1], per_distinct(math.log, _upper(box_dist)))
     return EmbeddingResult(N, coords, tuple(audits), fitted, chain, p, epsilon,
                            r_est, not eps_ok, box_dist)
 
@@ -434,7 +435,8 @@ def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResul
     deltas = np.array([as_float(st.delta) for st in chain.stats])
     gammas = np.array([as_float(st.gamma) for st in chain.stats])
     lvl = chain.split[np.triu_indices(space.n, 1)]
-    norm, log_norm = _pair_logs(result.box_dist)
+    norm = _upper(result.box_dist)
+    log_norm = per_distinct(math.log, norm)  # a box-norm image takes few values
     box_ok = not ((norm < gammas[lvl] - tol).any()
                   or ((lvl > 0) & (norm > 2 * deltas[lvl - 1] + tol)).any())
     asserted = lvl >= burn_in if burn_in is not None else np.zeros(lvl.size, dtype=bool)

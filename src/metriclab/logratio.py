@@ -14,18 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_float, as_floats
+from ._util import as_float, as_floats, flog, per_distinct
 from .errors import ExactModeSizeExceeded
 from .partitions import (
     Partition,
     PartitionChain,
     _block_extents,
+    _at_least_one,
     _label_stats,
-    _log_ratio,
     dendrogram_chain,
     largest_gap,
 )
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _gather, _rank_bound
 
 ORACLE_SIZE_LIMIT = 8
 
@@ -35,7 +35,8 @@ def set_partitions(n: int):
 
     A restricted-growth string a satisfies a[0] = 0 and
     a[i] <= max(a[:i]) + 1; block ids appear in first-seen order, which makes
-    the enumeration deterministic.
+    the enumeration deterministic. Rows are yielded one at a time, in O(n)
+    memory; the oracle reads the same strings as one table (_rgs_table).
     """
     if n == 0:
         return
@@ -50,6 +51,23 @@ def set_partitions(n: int):
             yield from rec(i + 1, max(top, v))
 
     yield from rec(1, 0)
+
+
+def _rgs_table(n: int) -> np.ndarray:
+    """The Bell(n) x n table of every restricted-growth string of length
+    n >= 1, in set_partitions order, built one column at a time: a row
+    whose largest id so far is m gets m + 2 children, which append
+    0..m + 1 in order."""
+    table = np.zeros((1, n), dtype=np.intp)
+    top = np.zeros(1, dtype=np.intp)
+    for i in range(1, n):
+        counts = top + 2
+        parent = np.repeat(np.arange(len(table)), counts)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        table = table[parent]
+        table[:, i] = value
+        top = np.maximum(top[parent], value)
+    return table
 
 
 @dataclass(frozen=True)
@@ -196,28 +214,60 @@ def brute_force_min_R(space: FiniteMetricSpace, r, *,
     partitions with delta > 0, the informative slice. Ties go to the first
     partition in set_partitions order.
     """
+    _require_radius(r)
     return _brute_minimum(_enumerated_stats(space), r, require_positive_delta)
 
 
 def _enumerated_stats(space: FiniteMetricSpace):
-    """(labels, deltas, gammas) of every partition, in set_partitions order."""
+    """(space, labels, delta ranks, gamma ranks) of every partition, in
+    set_partitions order. The stats of the rank matrix are the ranks of
+    the stats, since its entries are ordered as the space's are."""
     _within_oracle_limit(space.n, "oracle")
-    labels = np.array(list(set_partitions(space.n)), dtype=np.intp)
-    return (labels, *_label_stats(space, labels))
+    labels = _rgs_table(space.n)
+    ranks = FiniteMetricSpace(space.labels, space.rank, _trusted=True)
+    deltas, gammas = _label_stats(ranks, labels)
+    return space, labels, deltas.astype(float), gammas.astype(float)
 
 
 def _brute_minimum(enumerated, r, require_positive_delta: bool) -> OracleResult:
-    labels, deltas, gammas = enumerated
-    keep = deltas < r
+    space, labels, deltas, gammas = enumerated
+    keep = deltas < _rank_bound(space, r)
     if require_positive_delta:
-        keep &= deltas != 0
+        keep &= deltas != 0  # rank 0 is the zero of the space
     if not keep.any():
         return OracleResult(math.inf, Partition.trivial(labels.shape[1]), math.inf, math.inf)
     labels, deltas, gammas = labels[keep], deltas[keep], gammas[keep]
-    values = [_log_ratio(d, g) for d, g in zip(deltas, gammas)]
+    values = _log_ratios(space, deltas, gammas)
     best = int(np.argmin(values))
-    return OracleResult(values[best], Partition.from_assignment(labels[best]),
-                        as_float(deltas[best]), as_float(gammas[best]))
+    delta, gamma = _gather(space.values, [deltas[best], gammas[best]])
+    return OracleResult(float(values[best]), Partition.from_assignment(labels[best]),
+                        as_float(delta), as_float(gamma))
+
+
+def _log_ratios(space: FiniteMetricSpace, deltas, gammas) -> np.ndarray:
+    """_log_ratio of each (delta, gamma) pair given by ranks: the flog of
+    each distinct value, +inf for one of at least 1 and -inf for zero,
+    then one division."""
+    def log(rank):
+        if not rank:
+            return -math.inf
+        value = _gather(space.values, rank)
+        return math.inf if _at_least_one(value) else flog(value)
+
+    log_d = per_distinct(log, deltas)
+    log_g = per_distinct(log, gammas)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = log_g / log_d
+    ratios[(log_d == math.inf) | (log_g == math.inf)] = math.inf
+    ratios[deltas == 0] = 0.0
+    return ratios
+
+
+def _require_radius(r) -> None:
+    """Refuse a negative (or nan) radius. The minima over delta < r are
+    taken for any r >= 0; r = 0 selects no partition and gives inf."""
+    if not r >= 0:
+        raise ValueError(f"radius {r} is not at least 0")
 
 
 def _within_oracle_limit(n: int, what: str) -> None:
@@ -228,6 +278,7 @@ def _within_oracle_limit(n: int, what: str) -> None:
 def threshold_min_R(space: FiniteMetricSpace, r, *,
                     require_positive_delta: bool = False) -> OracleResult:
     """Same minimum restricted to single-linkage (threshold) partitions."""
+    _require_radius(r)
     return _threshold_minimum(dendrogram_chain(space), r, require_positive_delta)
 
 

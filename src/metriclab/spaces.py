@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, dyadic_numerators, max_points
+from ._util import DEFAULT_TOL, dyadic_numerators, max_points, per_distinct
 from .errors import CapExceeded, DiameterExceedsOne, MetricViolation
 
 
@@ -473,8 +473,8 @@ def to_csv(space: FiniteMetricSpace) -> str:
         raise ValueError("exact-mode spaces do not serialize to CSV")
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(space.labels)  # quotes labels as needed
-    for row in space.dist.tolist():
-        buf.write(",".join(map(repr, row)) + "\n")
+    rows = per_distinct(repr, space.dist, object).tolist()
+    buf.writelines(",".join(row) + "\n" for row in rows)
     return buf.getvalue()
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, flog
+from ._util import DEFAULT_TOL, as_float, flog, per_distinct
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile
 from .partitions import PartitionChain, _level_ranks, _require_separating, classify_chain
@@ -87,13 +87,20 @@ class HolderFit:
         return {"s": self.s, "t": self.t, "c1": self.c1, "c2": self.c2}
 
 
+def _upper(matrix) -> np.ndarray:
+    """Row-major upper-triangle entries of a square matrix."""
+    return np.asarray(matrix)[np.triu_indices(len(matrix), 1)]
+
+
 def _pair_logs(matrix, table=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-major upper-triangle entries of a square matrix, and the log of
     each entry. Without table, each entry is logged on its own (only object
     entries can be Fractions that need flog). With table, the logs of an
     exact space's values (_value_logs), matrix holds ranks into those
-    values and each log is gathered, bit for bit the one a loop takes."""
-    entries = np.asarray(matrix)[np.triu_indices(len(matrix), 1)]
+    values and each log is gathered, bit for bit the one a loop takes.
+    A float matrix whose values repeat (rho, a box-norm image) is logged
+    once per distinct value instead: per_distinct(math.log, _upper(m))."""
+    entries = _upper(matrix)
     if table is not None:
         return entries, table[entries.astype(np.intp)]
     log = flog if entries.dtype == object else math.log
@@ -128,8 +135,11 @@ def _pair_at(n: int, k: int) -> tuple[int, int]:
 
 
 def fit_holder_exponents(d1, d2) -> HolderFit:
-    _, u = _pair_logs(d1)
-    _, v = _pair_logs(d2)
+    return _holder_fit(_pair_logs(d1)[1], _pair_logs(d2)[1])
+
+
+def _holder_fit(u, v) -> HolderFit:
+    """The HolderFit of d2 against d1 from the logs of their pairs, u and v."""
     both = (u < 0) & (v < 0)
     if both.any():
         slopes = v[both] / u[both]
@@ -257,6 +267,13 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     log_gamma_m = flog(chain.stats[m_pos].gamma)
     first_term = (r_est + epsilon) * log_witness if math.isfinite(log_witness) else math.inf
     log_k = min(first_term, log_gamma_m - exponent * log_delta0)
+    # rho takes the positive deltas of the levels; past float range on the
+    # log scale, exponent * log rho and K carry no meaning
+    if not (math.isfinite(log_k)
+            and all(math.isfinite(exponent * flog(st.delta)) for st in positive)):
+        raise CertificateRefused(
+            f"exponent p(R+eps) = {exponent} overflows the log scale: "
+            "exponent * log delta or log K is not finite")
     rho = ultrametric_space_from_chain(space, chain)
     check = is_ultrametric(rho, tol)
     if not check.ok:
@@ -265,7 +282,11 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     table, (d_rank, rho_rank) = _union((space.values, space.rank), (rho.values, rho.rank))
     logs = _value_logs(table)
     d, log_d = _pair_logs(d_rank, logs)
-    r, log_r = _pair_logs(rho_rank, logs)
+    if logs is None:  # a float rho takes one value per level: log each once
+        r = _upper(rho_rank)
+        log_r = per_distinct(math.log, r)
+    else:
+        r, log_r = _pair_logs(rho_rank, logs)
     low = log_d - exponent * log_r
     hit = _first_failure(space.n, d > r, low < log_k - LOG_SLACK)
     if hit:

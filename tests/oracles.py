@@ -22,8 +22,11 @@ with the renumbering of rank tables that `spaces._union` replaced, and
 `Partition` as tuples of blocks (`BlockPartition`) with its trace
 `induced_partition` and the chain report that printed the blocks of its
 levels, and the report emitter `dumps` that made one recursive call per list
-element. Tests compare the two; `tree_connects` checks, by a union-find, which
-blocks the spanning tree connects.
+element. `per_entry` applies a function to each entry of an array, where
+the program's `per_distinct` calls it once per distinct value (the text of
+`to_csv`, the logs of rho and of box-norm matrices). Tests compare the two;
+`tree_connects` checks, by a union-find, which blocks the spanning tree
+connects.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
 they built, so that a test can compare them with the levels a fast chain
@@ -51,6 +54,12 @@ from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _me
                               _subdominant, _zero, _zeros)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
 from metriclab.ultrametrize import fit_holder_exponents
+
+
+def per_entry(fn, x, dtype=float):
+    """fn of every entry of x, one call per entry, in an array of x's shape."""
+    x = np.asarray(x)
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=dtype).reshape(x.shape)
 
 
 def _stats_of_assignment(space, assign):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -348,3 +349,61 @@ def test_back_to_back_commands_do_not_share_options(capsys, monkeypatch, tmp_pat
         assert not hasattr(with_files, "burn_epsilon")
         assert not hasattr(profiled, "rho_out") and profiled.out is None
         assert last.rho_out is None and last.out is None
+
+
+@pytest.mark.parametrize("radius", ["-1", "-1e-300"])
+def test_oracle_negative_radius_is_an_input_error(capsys, monkeypatch, radius):
+    """Refused before any partition is enumerated or any chain built."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("a refused radius reached the enumeration")
+
+    for module, name in ((logratio, "_rgs_table"), (logratio, "dendrogram_chain"),
+                         (cli, "dendrogram_chain")):
+        monkeypatch.setattr(module, name, unreached)
+    assert main(["oracle", "--zoo", "seq_geometric", "--depth", "5", f"--radius={radius}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: radius {float(radius)} is not at least 0\n"
+    assert captured.out == ""
+    space = euclidean_space(3, 5)
+    for fn in (ml.brute_force_min_R, ml.threshold_min_R):
+        with pytest.raises(ValueError, match="is not at least 0"):
+            fn(space, float(radius))
+
+
+def test_oracle_radius_above_the_diameter_selects_partitions(capsys):
+    rc, out = run(capsys, ["oracle", "--zoo", "seq_geometric", "--depth", "5",
+                           "--radius", "5"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["minimum"]["R"] == 0.0  # the all-singleton partition, delta 0 < 5
+    assert doc["minimum_positive_delta"]["R"] != "inf"
+
+
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_ultrametrize_overflowing_exponent_is_refused_without_a_warning(capsys, exact):
+    argv = ["ultrametrize", "--zoo", "seq_geometric", "--depth", "6", *exact,
+            "--p", "1e308", "--epsilon", "0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the call
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: exponent p(R+eps) = 1.5e+308 overflows")
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name, text", [
+    ("line.csv", "a,b,c\n0,0.5,1\n0.5,0,0.5\n1,0.5,0\n"),
+    ("line.json", json.dumps({"labels": ["a", "b", "c"],
+                              "dist": [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]]})),
+])
+def test_input_with_exact_is_an_input_error(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["profile", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["profile", "--input", str(path), "--exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --exact samples zoo families only; --input files are "
+                            "read in float\n")
+    assert captured.out == ""

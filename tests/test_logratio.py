@@ -147,6 +147,7 @@ def test_gap_bounds_reads_G_off_the_chain_without_enumeration(monkeypatch, space
                             counted("_label_stats", partitions._label_stats))
     monkeypatch.setattr(logratio, "set_partitions",
                         counted("set_partitions", logratio.set_partitions))
+    monkeypatch.setattr(logratio, "_rgs_table", counted("_rgs_table", logratio._rgs_table))
     radii = [0.5, 0.25, 0.125]
     if exact and space.n > logratio.ORACLE_SIZE_LIMIT:
         with pytest.raises(ExactModeSizeExceeded, match="^20 points exceeds exact limit 8$"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -191,3 +192,19 @@ def test_subdominant_ultrametric_brackets_d():
     assert ml.is_ultrametric(above).ok
     assert (below.dist <= sp.dist + 1e-15).all()
     assert (sp.dist <= above.dist + 1e-15).all()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_certificate_refuses_an_exponent_past_the_log_scale(exact):
+    """exponent * log delta overflows at some level: refused, with no numpy
+    overflow warning; a p just small enough still gets its certificate."""
+    space, chain = ml.sample(ml.make_family("seq_geometric"), 6, exact=exact)
+    chain = ml.with_singleton_terminal(space, chain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertificateRefused, match="overflows the log scale"):
+            ml.certificate(space, chain, 1e308, 0.5)
+        with pytest.raises(CertificateRefused, match="overflows the log scale"):
+            ml.certificate(space, chain, math.inf, 0.5)
+        cert = ml.certificate(space, chain, 1e300, 0.5)
+    assert math.isfinite(cert.log_K)
