@@ -35,7 +35,6 @@ from .partitions import (
     induced_partition,
     largest_gap,
     partition_stats,
-    pushforward_chain,
     threshold_partition,
     with_singleton_terminal,
 )
@@ -58,6 +57,7 @@ from .ultrametrize import (
     UltrametricCertificate,
     certificate,
     fit_holder_exponents,
+    pushforward_chain,
     subdominant_ultrametric,
     ultrametric_from_chain,
     ultrametric_space_from_chain,

@@ -222,11 +222,10 @@ def _cmd_embed(args) -> int:
     space, chain, meta, family = _load_space(args)
     chain = with_singleton_terminal(space, chain)
     N = args.N
-    prof = profile(chain)
     if N is None:
         if args.D is None:
             raise MetricLabError("embed needs --N or --D")
-        r_est = prof.estimate
+        r_est = profile(chain).estimate
         N = min_embedding_dimension(args.D, r_est, r_est - 1.0)
     work = chain if args.no_thin else select_embeddable_subchain(space, chain, N)
     result = embed_chain(space, work, N, args.p, args.epsilon)

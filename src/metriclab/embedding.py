@@ -21,10 +21,9 @@ import numpy as np
 from ._util import DEFAULT_TOL, as_float, per_distinct
 from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
 from .logratio import profile
-from .partitions import PartitionChain, _leads, _require_separating, classify_chain
+from .partitions import PartitionChain, _decay_witness, _leads, _require_separating
 from .spaces import FiniteMetricSpace, _gather, _rank_bound
-from .ultrametrize import (LOG_SLACK, _first_failure, _holder_fit, _pair_logs, _upper,
-                           _window_start)
+from .ultrametrize import LOG_SLACK, _first_failure, _holder_fit, _pair_logs, _window_start
 
 
 def separated_count(space: FiniteMetricSpace, center: int, r1, r2) -> int:
@@ -305,7 +304,9 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
             f"{space.labels[i]} and {space.labels[j]} collide"
         )
     # a box-norm image takes few values: each is logged once
-    fitted = _holder_fit(_pair_logs(space.dist)[1], per_distinct(math.log, _upper(box_dist)))
+    pairs = np.triu_indices(space.n, 1)
+    fitted = _holder_fit(_pair_logs(space.dist, pairs)[1],
+                         per_distinct(math.log, box_dist[pairs]))
     return EmbeddingResult(N, coords, tuple(audits), fitted, chain, p, epsilon,
                            r_est, not eps_ok, box_dist)
 
@@ -422,29 +423,25 @@ def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResul
     asserted: the constants are tail statements.
     """
     chain = result.chain
-    if len([st for st in chain.stats if st.delta > 0]) >= 2:
-        log_a = classify_chain(chain, p).log_p_witness
-    else:
-        # single-scale chain: no decay transitions, and no proper level can
-        # open a burn-in window, so the constants are never asserted
-        log_a = math.inf
+    log_a = _decay_witness(chain.stats, p)[1]
     r_est = result.R_est
     exponent = p * (r_est + epsilon)
     if burn_in is None:
         burn_in = _window_start(chain, r_est, epsilon)
     deltas = np.array([as_float(st.delta) for st in chain.stats])
     gammas = np.array([as_float(st.gamma) for st in chain.stats])
-    lvl = chain.split[np.triu_indices(space.n, 1)]
-    norm = _upper(result.box_dist)
+    pairs = np.triu_indices(space.n, 1)
+    lvl = chain.split[pairs]
+    norm = result.box_dist[pairs]
     log_norm = per_distinct(math.log, norm)  # a box-norm image takes few values
     box_ok = not ((norm < gammas[lvl] - tol).any()
                   or ((lvl > 0) & (norm > 2 * deltas[lvl - 1] + tol)).any())
     asserted = lvl >= burn_in if burn_in is not None else np.zeros(lvl.size, dtype=bool)
-    _, log_d = _pair_logs(space.dist)
+    _, log_d = _pair_logs(space.dist, pairs)
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic
         low = log_norm - ((r_est + epsilon) * log_a + exponent * log_d)
         up = (math.log(2) - log_a / p + log_d / exponent) - log_norm
-    hit = _first_failure(space.n, asserted & (low < -LOG_SLACK), asserted & (up < -LOG_SLACK))
+    hit = _first_failure(pairs, asserted & (low < -LOG_SLACK), asserted & (up < -LOG_SLACK))
     if hit:
         k, pair, which = hit
         raise BoundViolated(pair, int(chain.level_ids[lvl[k]]), float((low, up)[which][k]))

@@ -487,29 +487,40 @@ class ChainClassReport:
         }
 
 
-def classify_chain(chain: PartitionChain, p: float, tol: float = DEFAULT_TOL) -> ChainClassReport:
-    """Witness constant a = min delta_{n+1} / delta_n^p over the chain, the
-    per-level ratio sequence, and the gamma-versus-delta dichotomy flags.
+def _decay_witness(stats, p) -> tuple[float, float]:
+    """(a, log a) for the decay witness a = min delta_{n+1} / delta_n^p over
+    consecutive levels whose deltas are both positive, or (inf, inf) when
+    fewer than two levels have positive delta and no decay is seen.
+    Transitions into a terminal all-singleton level are skipped, so on a
+    truncated chain a says nothing about the pairs first split there
+    (ROADMAP item 1). classify_chain, the certificate and the distortion
+    check all read a here."""
+    positive = [i for i, st in enumerate(stats) if st.delta > 0]
+    if len(positive) < 2:
+        return math.inf, math.inf
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    log_witness = math.inf
+    for a_idx, b_idx in zip(positive, positive[1:]):
+        if b_idx == a_idx + 1:
+            log_ratio = flog(stats[b_idx].delta) - p * flog(stats[a_idx].delta)
+            log_witness = min(log_witness, log_ratio)
+    try:
+        return math.exp(log_witness), log_witness
+    except OverflowError:
+        return math.inf, log_witness
 
-    Transitions into a terminal all-singleton level are skipped; the witness
-    concerns how fast positive diameters are allowed to decay.
-    """
+
+def classify_chain(chain: PartitionChain, p: float, tol: float = DEFAULT_TOL) -> ChainClassReport:
+    """Witness constant a = min delta_{n+1} / delta_n^p over the chain
+    (_decay_witness), the per-level ratio sequence, and the gamma-versus-delta
+    dichotomy flags."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     stats = chain.stats
-    positive = [i for i, st in enumerate(stats) if st.delta > 0]
-    if len(positive) < 2:
+    if sum(st.delta > 0 for st in stats) < 2:
         raise ValueError("chain needs at least two levels with positive delta")
-    log_witness = math.inf
-    for a_idx, b_idx in zip(positive, positive[1:]):
-        if b_idx != a_idx + 1:
-            continue
-        log_ratio = flog(stats[b_idx].delta) - p * flog(stats[a_idx].delta)
-        log_witness = min(log_witness, log_ratio)
-    try:
-        witness = math.exp(log_witness)
-    except OverflowError:
-        witness = math.inf
+    witness, log_witness = _decay_witness(stats, p)
     deltas = [st.delta for st in stats]
     delta_monotone = all(b <= a for a, b in zip(deltas, deltas[1:]))
     r_seq = tuple(st.log_ratio for st in stats)
@@ -547,51 +558,3 @@ def induced_chain(space: FiniteMetricSpace, chain: PartitionChain, indices):
     idx = sorted(dict.fromkeys(int(i) for i in indices))
     return sub, PartitionChain._from_split(sub, chain.split[np.ix_(idx, idx)],
                                            chain.thresholds, chain.level_ids)
-
-
-@dataclass(frozen=True)
-class PushforwardReport:
-    fit: object
-    p: float
-    p_prime: float
-    a: float
-    a_prime: float
-    base_stats: tuple
-    image_stats: tuple
-    gamma_bounds_ok: bool
-    delta_bounds_ok: bool
-
-
-def pushforward_chain(space: FiniteMetricSpace, image: FiniteMetricSpace,
-                      chain: PartitionChain, p: float, fit=None,
-                      tol: float = DEFAULT_TOL) -> PushforwardReport:
-    """Transport a chain through a bi-Holder distortion d -> d'.
-
-    Given c1 d^t <= d' <= c2 d^s on all pairs, the image chain keeps the same
-    partitions with p' = (t/s) p and witness a' = (c1 / c2^{p'}) a^t, and each
-    level's gap obeys c1 gamma^t <= gamma' <= c2 gamma^s (same for delta).
-    """
-    from .ultrametrize import fit_holder_exponents, verify_holder_fit
-
-    if fit is None:
-        fit = fit_holder_exponents(space.dist, image.dist)
-    verify_holder_fit(space.dist, image.dist, fit, tol=tol)
-    base = classify_chain(chain, p, tol=tol)
-    image_chain = PartitionChain._from_split(image, chain.split, chain.thresholds,
-                                             chain.level_ids)
-    p_prime = (fit.t / fit.s) * p
-    a_prime = (fit.c1 / fit.c2 ** p_prime) * base.p_witness ** fit.t
-    gamma_ok = True
-    delta_ok = True
-    for st_b, st_i in zip(chain.stats, image_chain.stats):
-        g, gi = as_float(st_b.gamma), as_float(st_i.gamma)
-        d, di = as_float(st_b.delta), as_float(st_i.delta)
-        if not (fit.c1 * g ** fit.t <= gi * (1 + 1e-9) + tol
-                and gi <= fit.c2 * g ** fit.s * (1 + 1e-9) + tol):
-            gamma_ok = False
-        if d > 0 and di > 0:
-            if not (fit.c1 * d ** fit.t <= di * (1 + 1e-9) + tol
-                    and di <= fit.c2 * d ** fit.s * (1 + 1e-9) + tol):
-                delta_ok = False
-    return PushforwardReport(fit, p, p_prime, base.p_witness, a_prime,
-                             chain.stats, image_chain.stats, gamma_ok, delta_ok)

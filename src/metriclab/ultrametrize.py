@@ -7,8 +7,11 @@ gamma(alpha_m) * delta(alpha_0)^(-p(R+eps))} and checks
 
     K * rho^(p(R+eps)) <= d <= rho
 
-on every pair. Verification runs in log space so it survives distances far
-below float underflow in exact-mode spaces.
+on every pair, a being partitions._decay_witness (infinite, so the first
+term drops, when fewer than two levels have positive delta). Verification
+runs in log space so it survives distances far below float underflow in
+exact-mode spaces; each check builds its pair index once. The Holder fit
+and its check live here too, with the pushforward of a chain that reads them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 from ._util import DEFAULT_TOL, as_float, flog, per_distinct
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile
-from .partitions import PartitionChain, _level_ranks, _require_separating, classify_chain
+from .partitions import (PartitionChain, _decay_witness, _level_ranks, _require_separating,
+                         classify_chain)
 from .spaces import FiniteMetricSpace, _gather, _subdominant, _union, is_ultrametric
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
@@ -87,20 +91,14 @@ class HolderFit:
         return {"s": self.s, "t": self.t, "c1": self.c1, "c2": self.c2}
 
 
-def _upper(matrix) -> np.ndarray:
-    """Row-major upper-triangle entries of a square matrix."""
-    return np.asarray(matrix)[np.triu_indices(len(matrix), 1)]
-
-
-def _pair_logs(matrix, table=None) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major upper-triangle entries of a square matrix, and the log of
-    each entry. Without table, each entry is logged on its own (only object
-    entries can be Fractions that need flog). With table, the logs of an
-    exact space's values (_value_logs), matrix holds ranks into those
-    values and each log is gathered, bit for bit the one a loop takes.
-    A float matrix whose values repeat (rho, a box-norm image) is logged
-    once per distinct value instead: per_distinct(math.log, _upper(m))."""
-    entries = _upper(matrix)
+def _pair_logs(matrix, pairs, table=None) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a square matrix at pairs, the row-major upper triangle
+    np.triu_indices(n, 1) its caller builds once, and the log of each entry.
+    Without table, each entry is logged on its own (only object entries can
+    be Fractions that need flog). With table, the logs of an exact space's
+    values (_value_logs), matrix holds ranks into those values and each log
+    is gathered, bit for bit the one a loop takes."""
+    entries = np.asarray(matrix)[pairs]
     if table is not None:
         return entries, table[entries.astype(np.intp)]
     log = flog if entries.dtype == object else math.log
@@ -116,8 +114,8 @@ def _value_logs(table):
     return np.concatenate(([-math.inf], logs))
 
 
-def _first_failure(n: int, *failed):
-    """(k, (i, j), which) for the first row-major pair failing any mask,
+def _first_failure(pairs, *failed):
+    """(k, (i, j), which) for the first pair of pairs failing any mask,
     which being the first mask it fails, or None. Masks are per-pair failures
     of each inequality, in the order a pair's inequalities are checked."""
     bad = np.logical_or.reduce(failed)
@@ -125,17 +123,17 @@ def _first_failure(n: int, *failed):
         return None
     k = int(bad.argmax())
     which = next(w for w, mask in enumerate(failed) if mask[k])
-    return k, _pair_at(n, k), which
+    return k, (int(pairs[0][k]), int(pairs[1][k])), which
 
 
-def _pair_at(n: int, k: int) -> tuple[int, int]:
-    """The k-th pair (i, j), i < j, of the row-major upper triangle."""
-    rows, cols = np.triu_indices(n, 1)
-    return int(rows[k]), int(cols[k])
+def _holder_logs(d1, d2):
+    """(pairs, u, v): the upper-triangle pairs and the logs of d1 and d2 there."""
+    pairs = np.triu_indices(len(d1), 1)
+    return pairs, _pair_logs(d1, pairs)[1], _pair_logs(d2, pairs)[1]
 
 
 def fit_holder_exponents(d1, d2) -> HolderFit:
-    return _holder_fit(_pair_logs(d1)[1], _pair_logs(d2)[1])
+    return _holder_fit(*_holder_logs(d1, d2)[1:])
 
 
 def _holder_fit(u, v) -> HolderFit:
@@ -154,16 +152,66 @@ def _holder_fit(u, v) -> HolderFit:
 
 def verify_holder_fit(d1, d2, fit: HolderFit, tol: float = DEFAULT_TOL) -> None:
     """Raise DistortionBoundsViolated unless c1 d1^t <= d2 <= c2 d1^s pairwise."""
-    _, u = _pair_logs(d1)
-    _, v = _pair_logs(d2)
+    _check_holder_fit(*_holder_logs(d1, d2), fit)
+
+
+def _check_holder_fit(pairs, u, v, fit: HolderFit) -> None:
+    """verify_holder_fit on the logs u and v of the two matrices at pairs."""
     if not u.size:  # the fit of a point has c2 = 0, whose log is undefined
         return
-    hit = _first_failure(len(d1),
+    hit = _first_failure(pairs,
                          v > math.log(fit.c2) + fit.s * u + LOG_SLACK,
                          v < math.log(fit.c1) + fit.t * u - LOG_SLACK)
     if hit:
         _, pair, which = hit
         raise DistortionBoundsViolated(pair, ("upper bound", "lower bound")[which])
+
+
+@dataclass(frozen=True)
+class PushforwardReport:
+    fit: object
+    p: float
+    p_prime: float
+    a: float
+    a_prime: float
+    base_stats: tuple
+    image_stats: tuple
+    gamma_bounds_ok: bool
+    delta_bounds_ok: bool
+
+
+def pushforward_chain(space: FiniteMetricSpace, image: FiniteMetricSpace,
+                      chain: PartitionChain, p: float, fit=None,
+                      tol: float = DEFAULT_TOL) -> PushforwardReport:
+    """Transport a chain through a bi-Holder distortion d -> d'.
+
+    Given c1 d^t <= d' <= c2 d^s on all pairs, the image chain keeps the same
+    partitions with p' = (t/s) p and witness a' = (c1 / c2^{p'}) a^t, and each
+    level's gap obeys c1 gamma^t <= gamma' <= c2 gamma^s (same for delta).
+    The logs of d and d' are taken once, for the fit and for its check.
+    """
+    pairs, u, v = _holder_logs(space.dist, image.dist)
+    if fit is None:
+        fit = _holder_fit(u, v)
+    _check_holder_fit(pairs, u, v, fit)
+    base = classify_chain(chain, p, tol=tol)
+    image_chain = PartitionChain._from_split(image, chain.split, chain.thresholds,
+                                             chain.level_ids)
+    p_prime = (fit.t / fit.s) * p
+    a_prime = (fit.c1 / fit.c2 ** p_prime) * base.p_witness ** fit.t
+
+    def within(x, y) -> bool:  # c1 x^t <= y <= c2 x^s, up to relative and absolute slack
+        return (fit.c1 * x ** fit.t <= y * (1 + 1e-9) + tol
+                and y <= fit.c2 * x ** fit.s * (1 + 1e-9) + tol)
+
+    gamma_ok = delta_ok = True
+    for st_b, st_i in zip(chain.stats, image_chain.stats):
+        gamma_ok &= within(as_float(st_b.gamma), as_float(st_i.gamma))
+        d, di = as_float(st_b.delta), as_float(st_i.delta)
+        if d > 0 and di > 0:
+            delta_ok &= within(d, di)
+    return PushforwardReport(fit, p, p_prime, base.p_witness, a_prime,
+                             chain.stats, image_chain.stats, gamma_ok, delta_ok)
 
 
 def _window_start(chain: PartitionChain, r_est: float, epsilon: float) -> int | None:
@@ -233,16 +281,7 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     chain = ensure_trivial_head(space, chain)
-    positive = [st for st in chain.stats if st.delta > 0]
-    if len(positive) >= 2:
-        report = classify_chain(chain, p, tol=tol)
-        witness = report.p_witness
-        log_witness = report.log_p_witness
-    else:
-        # a fully resolved sample with a single scale carries no decay
-        # constraint; the witness is vacuous and K uses its second term
-        witness = math.inf
-        log_witness = math.inf
+    witness, log_witness = _decay_witness(chain.stats, p)
     if math.isnan(log_witness) or log_witness == -math.inf:
         raise CertificateRefused("chain has no positive decay witness a")
     prof = profile(chain)
@@ -270,7 +309,8 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     # rho takes the positive deltas of the levels; past float range on the
     # log scale, exponent * log rho and K carry no meaning
     if not (math.isfinite(log_k)
-            and all(math.isfinite(exponent * flog(st.delta)) for st in positive)):
+            and all(math.isfinite(exponent * flog(st.delta))
+                    for st in chain.stats if st.delta > 0)):
         raise CertificateRefused(
             f"exponent p(R+eps) = {exponent} overflows the log scale: "
             "exponent * log delta or log K is not finite")
@@ -281,14 +321,15 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     # d <= rho compares ranks; rho's table is d's, so no values are sorted
     table, (d_rank, rho_rank) = _union((space.values, space.rank), (rho.values, rho.rank))
     logs = _value_logs(table)
-    d, log_d = _pair_logs(d_rank, logs)
+    pairs = np.triu_indices(space.n, 1)
+    d, log_d = _pair_logs(d_rank, pairs, logs)
     if logs is None:  # a float rho takes one value per level: log each once
-        r = _upper(rho_rank)
+        r = rho_rank[pairs]
         log_r = per_distinct(math.log, r)
     else:
-        r, log_r = _pair_logs(rho_rank, logs)
+        r, log_r = _pair_logs(rho_rank, pairs, logs)
     low = log_d - exponent * log_r
-    hit = _first_failure(space.n, d > r, low < log_k - LOG_SLACK)
+    hit = _first_failure(pairs, d > r, low < log_k - LOG_SLACK)
     if hit:
         k, pair, which = hit
         if which == 0:
@@ -312,6 +353,6 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
         lower_residual=_safe_exp(float(low[k_low])),
         upper_residual=_safe_exp(float(up[k_up])),
         lower_sandwich_skipped=skip_lower,
-        worst_lower_pair=_pair_at(space.n, k_low),
-        worst_upper_pair=_pair_at(space.n, k_up),
+        worst_lower_pair=(int(pairs[0][k_low]), int(pairs[1][k_low])),
+        worst_upper_pair=(int(pairs[0][k_up]), int(pairs[1][k_up])),
     )

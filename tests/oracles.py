@@ -26,7 +26,10 @@ element. `per_entry` applies a function to each entry of an array, where
 the program's `per_distinct` calls it once per distinct value (the text of
 `to_csv`, the logs of rho and of box-norm matrices). Tests compare the two;
 `tree_connects` checks, by a union-find, which blocks the spanning tree
-connects.
+connects. `decay_witness` is the witness rule that `classify_chain`, the
+certificate and the distortion check each kept before `_decay_witness`, and
+`pushforward_chain` the pushforward that took the logs of d and d' in the
+fit and again in its check.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
 they built, so that a test can compare them with the levels a fast chain
@@ -49,11 +52,12 @@ from metriclab.embedding import (EmbeddingResult, LevelAudit, _box_matrix, _exac
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
 from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
-                                  _require_separating, dendrogram_chain, largest_gap)
+                                  _require_separating, classify_chain, dendrogram_chain,
+                                  largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _merge_ranks, _prim,
                               _subdominant, _zero, _zeros)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
-from metriclab.ultrametrize import fit_holder_exponents
+from metriclab.ultrametrize import PushforwardReport, fit_holder_exponents, verify_holder_fit
 
 
 def per_entry(fn, x, dtype=float):
@@ -885,3 +889,55 @@ def _emit(obj, out: list, indent: int, depth: int) -> None:
         out.append(pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+
+
+# Before partitions._decay_witness, classify_chain ran the witness loop and
+# the certificate and the distortion check each called it behind their own
+# "fewer than two positive scales" branch.
+
+def decay_witness(chain, p):
+    """(a, log a) as the certificate read it from classify_chain."""
+    positive = [i for i, st in enumerate(chain.stats) if st.delta > 0]
+    if len(positive) < 2:
+        return math.inf, math.inf
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    log_witness = math.inf
+    for a_idx, b_idx in zip(positive, positive[1:]):
+        if b_idx != a_idx + 1:
+            continue
+        log_ratio = flog(chain.stats[b_idx].delta) - p * flog(chain.stats[a_idx].delta)
+        log_witness = min(log_witness, log_ratio)
+    try:
+        witness = math.exp(log_witness)
+    except OverflowError:
+        witness = math.inf
+    return witness, log_witness
+
+
+# pushforward_chain as it stood in partitions.py, fitting and checking the
+# Holder bounds through the public functions, each logging both matrices.
+
+def pushforward_chain(space, image, chain, p, fit=None, tol=DEFAULT_TOL):
+    if fit is None:
+        fit = fit_holder_exponents(space.dist, image.dist)
+    verify_holder_fit(space.dist, image.dist, fit, tol=tol)
+    base = classify_chain(chain, p, tol=tol)
+    image_chain = PartitionChain._from_split(image, chain.split, chain.thresholds,
+                                             chain.level_ids)
+    p_prime = (fit.t / fit.s) * p
+    a_prime = (fit.c1 / fit.c2 ** p_prime) * base.p_witness ** fit.t
+    gamma_ok = True
+    delta_ok = True
+    for st_b, st_i in zip(chain.stats, image_chain.stats):
+        g, gi = as_float(st_b.gamma), as_float(st_i.gamma)
+        d, di = as_float(st_b.delta), as_float(st_i.delta)
+        if not (fit.c1 * g ** fit.t <= gi * (1 + 1e-9) + tol
+                and gi <= fit.c2 * g ** fit.s * (1 + 1e-9) + tol):
+            gamma_ok = False
+        if d > 0 and di > 0:
+            if not (fit.c1 * d ** fit.t <= di * (1 + 1e-9) + tol
+                    and di <= fit.c2 * d ** fit.s * (1 + 1e-9) + tol):
+                delta_ok = False
+    return PushforwardReport(fit, p, p_prime, base.p_witness, a_prime,
+                             chain.stats, image_chain.stats, gamma_ok, delta_ok)
