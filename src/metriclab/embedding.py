@@ -222,9 +222,12 @@ class EmbeddingResult:
     R_est: float
     epsilon_warning: bool
     box_dist: np.ndarray = field(repr=False, compare=False)  # _box_matrix(coords)
+    # (d, log of d at the upper-triangle pairs): the fit's logs, which the
+    # distortion check reuses when it is given the same matrix
+    d_logs: tuple = field(repr=False, compare=False)
 
     def box_distance(self, i: int, j: int) -> float:
-        return float(np.max(np.abs(self.coords[i] - self.coords[j])))
+        return float(self.box_dist[i, j])
 
     def to_report(self) -> dict:
         return {
@@ -274,7 +277,9 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
     while side ** N < count0:
         side += 1
     centers = (2 * deltas[0] + gammas[0]) * _grid_cells(np.arange(count0), side, N)
-    audits = [_audit_level(chain, 0, count0, None, centers, None, None, deltas, gammas, tol)]
+    box = _box_matrix(centers)
+    audits = [_audit_level(chain, 0, count0, None, box, centers, None, None, deltas, gammas,
+                           tol)]
     for lvl in range(1, len(chain)):
         per_axis, capacity = grid_capacity(deltas[lvl - 1], deltas[lvl], gammas[lvl], N)
         required = _transition_required(chain, lvl - 1, lvl)
@@ -288,48 +293,74 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
         prev = centers
         centers = (prev[parent] - (deltas[lvl - 1] - deltas[lvl])
                    + (2 * deltas[lvl] + gammas[lvl]) * _grid_cells(rank, per_axis, N))
-        audits.append(_audit_level(chain, lvl, required, capacity, centers, prev, parent,
+        del box  # the parent level's matrix goes before this level's is built
+        box = _box_matrix(centers)
+        audits.append(_audit_level(chain, lvl, required, capacity, box, centers, prev, parent,
                                    deltas, gammas, tol))
-    coords = centers[labels[-1]]
-    coords.setflags(write=False)
-    box_dist = _box_matrix(coords)
-    box_dist.setflags(write=False)
-    collide = box_dist + np.eye(space.n)
-    if (collide <= 0).any():
+    # the last level separates points and numbers its blocks by least member,
+    # so its blocks are the points in order: labels[-1] is 0..n-1, and its
+    # centres and box matrix are the coordinates and theirs
+    coords, box_dist = centers, box
+    if _closest(box_dist) <= 0:
         # scale span exceeds float64 resolution: deep offsets fall below the
         # ulp of the coordinate magnitude and points land on the same center
-        i, j = map(int, np.argwhere(collide <= 0)[0])
+        i, j = next((i, j) for i, j in np.argwhere(box_dist <= 0).tolist() if i != j)
         raise DepthOverflow(
             f"chain scales span more than float64 coordinates resolve; points "
             f"{space.labels[i]} and {space.labels[j]} collide"
         )
+    coords.setflags(write=False)
+    box_dist.setflags(write=False)
     # a box-norm image takes few values: each is logged once
     pairs = np.triu_indices(space.n, 1)
-    fitted = _holder_fit(_pair_logs(space.dist, pairs)[1],
-                         per_distinct(math.log, box_dist[pairs]))
+    log_d = _pair_logs(space.dist, pairs)[1]
+    fitted = _holder_fit(log_d, per_distinct(math.log, box_dist[pairs]))
     return EmbeddingResult(N, coords, tuple(audits), fitted, chain, p, epsilon,
-                           r_est, not eps_ok, box_dist)
+                           r_est, not eps_ok, box_dist, (space.dist, log_d))
 
 
 def _box_matrix(coords) -> np.ndarray:
-    """Box-norm (sup) distances between all pairs of embedded points."""
-    return np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+    """Box-norm (sup) distances between all pairs of embedded points, built
+    one axis at a time in two n x n buffers. Subtraction, abs and max are
+    exact and max does not depend on order, so the result is bit for bit
+    the max over axes of the broadcast n x n x N differences."""
+    n, N = coords.shape
+    box = np.zeros((n, n))
+    step = np.empty((n, n))
+    for x in coords.T:
+        np.subtract(x[:, None], x[None, :], out=step)
+        np.abs(step, out=step)
+        np.maximum(box, step, out=box)
+    return box
 
 
-def _audit_level(chain, lvl, required, capacity, centers, prev, parent,
+def _closest(box) -> float:
+    """The least off-diagonal entry of a box-norm matrix (inf below two
+    points). The matrix is symmetric, so this is the least over pairs; its
+    diagonal, x - x of finite coordinates, is +0.0 and is set back after."""
+    if len(box) < 2:
+        return math.inf
+    np.fill_diagonal(box, math.inf)
+    closest = float(box.min())
+    np.fill_diagonal(box, 0.0)
+    return closest
+
+
+def _audit_level(chain, lvl, required, capacity, box, centers, prev, parent,
                  deltas, gammas, tol):
-    """The audit of a level from its blocks' cube centres and their parents'."""
+    """The audit of a level from its blocks' box matrix, cube centres and
+    their parents'."""
     # the box gap of two cubes of radius delta is their centres' box distance
     # less 2 delta; subtracting one constant keeps the rounded minimum
-    between = _box_matrix(centers)[np.triu_indices(len(centers), 1)]
-    min_gap = max(float(between.min()) - 2 * deltas[lvl], 0.0) if len(between) else math.inf
+    closest = _closest(box)
+    min_gap = max(closest - 2 * deltas[lvl], 0.0) if math.isfinite(closest) else gammas[lvl]
     nested = commutes = True
     if lvl > 0:
         shift = np.abs(centers - prev[parent]).max(axis=1)
         nested = not (shift + deltas[lvl] > deltas[lvl - 1] + tol).any()
         commutes = bool((parent[chain.labels[lvl]] == chain.labels[lvl - 1]).all())
     return LevelAudit(int(chain.level_ids[lvl]), required, capacity, gammas[lvl],
-                      min_gap if math.isfinite(min_gap) else gammas[lvl], nested, commutes)
+                      min_gap, nested, commutes)
 
 
 def select_embeddable_subchain(space: FiniteMetricSpace, chain: PartitionChain,
@@ -437,7 +468,9 @@ def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResul
     box_ok = not ((norm < gammas[lvl] - tol).any()
                   or ((lvl > 0) & (norm > 2 * deltas[lvl - 1] + tol)).any())
     asserted = lvl >= burn_in if burn_in is not None else np.zeros(lvl.size, dtype=bool)
-    _, log_d = _pair_logs(space.dist, pairs)
+    embedded, log_d = result.d_logs
+    if space.dist is not embedded:
+        log_d = _pair_logs(space.dist, pairs)[1]
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic
         low = log_norm - ((r_est + epsilon) * log_a + exponent * log_d)
         up = (math.log(2) - log_a / p + log_d / exponent) - log_norm

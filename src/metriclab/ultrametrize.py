@@ -150,7 +150,7 @@ def _holder_fit(u, v) -> HolderFit:
     return HolderFit(s, t, math.exp(log_c1), math.exp(log_c2))
 
 
-def verify_holder_fit(d1, d2, fit: HolderFit, tol: float = DEFAULT_TOL) -> None:
+def verify_holder_fit(d1, d2, fit: HolderFit) -> None:
     """Raise DistortionBoundsViolated unless c1 d1^t <= d2 <= c2 d1^s pairwise."""
     _check_holder_fit(*_holder_logs(d1, d2), fit)
 

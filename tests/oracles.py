@@ -12,10 +12,12 @@ the chains built one `Partition` per level before split-first chains wrote
 their split matrix in closed form, the refines loop of
 `PartitionChain.from_partitions`, the level loop of `threshold_min_R`, and
 the embedding placed one parent block at a time through dicts keyed by
-(level, block), audited with per-pair box gaps, and the two cubic searches
-that `spaces._hull` replaced: the triangle check (a `combinations` triple
-loop on exact matrices, a k-major sweep on float ones) and the hull sweep
-of `is_ultrametric` with its first-k matrix `argk`, and the kernels that
+(level, block), audited with per-pair box gaps, its box-norm matrix
+`box_matrix` reduced from the broadcast n x n x N differences, and the two
+cubic searches that `spaces._hull` replaced: the triangle check (a
+`combinations` triple loop on exact matrices, a k-major sweep on float
+ones) and the hull sweep of
+`is_ultrametric` with its first-k matrix `argk`, and the kernels that
 compared Fractions before exact spaces carried float64 ranks (a section
 of their own: each reads `space.dist` where the kernel now reads `space.rank`),
 with the renumbering of rank tables that `spaces._union` replaced, and
@@ -47,7 +49,7 @@ import numpy as np
 
 from metriclab.logratio import OracleResult, profile, set_partitions
 from metriclab._util import DEFAULT_TOL, _fmt_float, as_float, flog
-from metriclab.embedding import (EmbeddingResult, LevelAudit, _box_matrix, _exact_separated,
+from metriclab.embedding import (EmbeddingResult, LevelAudit, _exact_separated,
                                  _greedy_separated, grid_capacity)
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
@@ -574,7 +576,7 @@ def embed_chain(space, chain, N, p, epsilon, tol=DEFAULT_TOL):
     for block in levels[-1].blocks:
         coords[block[0]] = box_center[(len(levels) - 1, block)]
     coords.setflags(write=False)
-    box_dist = _box_matrix(coords)
+    box_dist = box_matrix(coords)
     collide = box_dist + np.eye(space.n)
     if (collide <= 0).any():
         i, j = map(int, np.argwhere(collide <= 0)[0])
@@ -583,8 +585,15 @@ def embed_chain(space, chain, N, p, epsilon, tol=DEFAULT_TOL):
             f"{space.labels[i]} and {space.labels[j]} collide"
         )
     fitted = fit_holder_exponents(space.dist, box_dist)
+    # no logs of d are kept: the distortion check takes them afresh
     return EmbeddingResult(N, coords, tuple(audits), fitted, chain, p, epsilon,
-                           r_est, not eps_ok, box_dist)
+                           r_est, not eps_ok, box_dist, (None, None))
+
+
+def box_matrix(coords):
+    """embedding._box_matrix as the max over axes of the broadcast
+    n x n x N array of differences."""
+    return np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
 
 
 def _audit_level(chain, lvl, required, capacity, box_center, box_parent, deltas, gammas,
@@ -921,7 +930,7 @@ def decay_witness(chain, p):
 def pushforward_chain(space, image, chain, p, fit=None, tol=DEFAULT_TOL):
     if fit is None:
         fit = fit_holder_exponents(space.dist, image.dist)
-    verify_holder_fit(space.dist, image.dist, fit, tol=tol)
+    verify_holder_fit(space.dist, image.dist, fit)
     base = classify_chain(chain, p, tol=tol)
     image_chain = PartitionChain._from_split(image, chain.split, chain.thresholds,
                                              chain.level_ids)
