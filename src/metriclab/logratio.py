@@ -19,9 +19,11 @@ from .errors import ExactModeSizeExceeded
 from .partitions import (
     Partition,
     PartitionChain,
-    _block_extents,
     _at_least_one,
+    _block_extents,
+    _block_offsets,
     _label_stats,
+    _level_chunks,
     dendrogram_chain,
     largest_gap,
 )
@@ -131,45 +133,65 @@ def profile(chain: PartitionChain, epsilon: float = 0.05,
             liminf.append(running)
         liminf.reverse()
     estimate = liminf[-1] if liminf else 0.0
-    burn_in = None
-    for pos, i in enumerate(proper):
-        tail = r_vals[pos:]
-        if all(abs(r - estimate) < epsilon for r in tail if math.isfinite(r)) and all(
-            math.isfinite(r) == math.isfinite(estimate) for r in tail
-        ):
-            burn_in = int(chain.level_ids[i])
-            break
+    start = _settled_from(r_vals, estimate, epsilon)
+    burn_in = None if start is None else int(chain.level_ids[proper[start]])
     discrete_terminal = bool(chain.stats[-1].delta == 0)
     prop6 = _property6(chain, space, proper)
     return LogRatioProfile(tuple(rows), tuple(liminf), estimate, burn_in,
                            epsilon, discrete_terminal, prop6)
 
 
+def _settled_from(r_vals, estimate: float, epsilon: float) -> int | None:
+    """The first position from which every R sits within epsilon of the
+    estimate, finite exactly when it is, found by one scan back from the
+    end: the position after the last R that does not; None when the last
+    does not, or there is none."""
+    finite = math.isfinite(estimate)
+    start = len(r_vals)
+    while start and (math.isfinite(r_vals[start - 1]) == finite and (
+            not finite or abs(r_vals[start - 1] - estimate) < epsilon)):
+        start -= 1
+    return start if start < len(r_vals) else None
+
+
 def _property6(chain, space, proper):
+    """delta strictly decreasing over the proper levels and, with a space,
+    the gap constant: the largest, over consecutive proper levels i and j,
+    of the least largest gap of a widest block of level i (at least two
+    members, diameter within tolerance of delta_i) over gamma_j. One pass
+    over the level chunks of _block_extents' output reduces every widest
+    block at once; largest_gap runs only on the widest blocks that the
+    spanning tree does not connect."""
     deltas = [as_float(chain.stats[i].delta) for i in proper]
     decreasing = all(b < a for a, b in zip(deltas, deltas[1:]))
     report = {"delta_strictly_decreasing": bool(decreasing), "gap_constant": None}
     if space is None or len(proper) < 2:
         return report
-    if any(as_float(chain.stats[j].gamma) <= 0 for j in proper[1:]):
+    gammas = np.array([as_float(chain.stats[j].gamma) for j in proper[1:]])
+    if (gammas <= 0).any():
         return report  # a gap ratio over an underflowed gamma is undefined
+    deltas = np.array(deltas[:-1])  # deltas[s] and gammas[s] pair up, s a level's slot
     diameters, gaps, connected = _block_extents(space, chain)
-    worst = 0.0
-    for i, j in zip(proper, proper[1:]):
-        delta_i = as_float(chain.stats[i].delta)
-        gamma_next = as_float(chain.stats[j].gamma)
-        multi = np.flatnonzero(np.bincount(chain.labels[i]) >= 2)
-        near = np.abs(as_floats(diameters[i][multi]) - delta_i) <= 1e-15 + 1e-9 * abs(delta_i)
-        widest = multi[near]
-        if not len(widest):
-            continue
-        gap = as_floats(gaps[i][widest])
-        for k in np.flatnonzero(~connected[i][widest]).tolist():
-            gap[k] = as_float(largest_gap(space, np.flatnonzero(chain.labels[i] == widest[k])))
+    offsets = _block_offsets(chain)
+    slot = np.full(len(chain), -1)
+    slot[proper[:-1]] = np.arange(len(deltas))
+    best = np.full(len(deltas), np.inf)
+    for lo, hi, block in _level_chunks(chain, offsets):
+        at = np.repeat(slot[lo:hi], np.diff(offsets[lo:hi + 1]))  # each block's slot
+        widest = np.flatnonzero((at >= 0) & (np.bincount(block, minlength=len(at)) >= 2))
+        delta = deltas[at[widest]]
+        diam = as_floats(np.concatenate(diameters[lo:hi])[widest])
+        widest = widest[np.abs(diam - delta) <= 1e-15 + 1e-9 * np.abs(delta)]
+        gap = as_floats(np.concatenate(gaps[lo:hi])[widest])
+        for k in np.flatnonzero(~np.concatenate(connected[lo:hi])[widest]).tolist():
+            number = offsets[lo] + widest[k]
+            level = int(np.searchsorted(offsets, number, side="right")) - 1
+            members = np.flatnonzero(chain.labels[level] == number - offsets[level])
+            gap[k] = as_float(largest_gap(space, members))
         with np.errstate(over="ignore"):  # a gap over a tiny gamma may overflow to inf
-            best = float((gap / gamma_next).min())
-        if math.isfinite(best):
-            worst = max(worst, best)
+            np.minimum.at(best, at[widest], gap / gammas[at[widest]])
+    best = best[np.isfinite(best)]
+    worst = float(best.max()) if len(best) else 0.0
     report["gap_constant"] = worst if worst > 0 else None
     return report
 

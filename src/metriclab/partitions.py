@@ -420,8 +420,7 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
 
     Returns (diameters, gaps, connected): one array per level, indexed like
     that level's blocks. An item with split key k lies inside one block of
-    every level before k, so one bottom-up pass gives each block the
-    reduction of its children plus the items first split at the next level:
+    every level before k:
       - the diameter is the largest pair inside the block;
       - the largest gap reads the whole space's spanning tree. When the
         tree edges inside a block B number |B| - 1, they connect B and, by
@@ -429,40 +428,99 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
         edge is B's largest gap and connected is True. Dendrogram, ball and
         zoo chains have only such blocks; any other block's gap is not in
         gaps, and largest_gap(space, b) gives it.
-    Both reductions run on ranks (the zero rank for a singleton), and each
-    level's array is gathered to matrix entries once, so exact chains never
-    go through floats nor compare Fractions.
+    Each item raises its end point's entry at level k - 1; a reverse
+    accumulate over the levels then holds, at (level, point), the reduction
+    of the items that level still joins there, and one grouped reduction by
+    (level, block) gives every block. Max and add are exact here and
+    order-free, so this is the bottom-up reduction of children plus new
+    items, bit for bit (the edge counts are float sums of ones, exact far
+    beyond any n). Levels go in chunks of _chunk_rows levels, finest first,
+    each carrying the accumulate's first row to the next, so the
+    temporaries stay O(n^2) however many levels the chain has.
+    Both reductions run on ranks (the zero rank for a singleton), gathered
+    to matrix entries once, so exact chains never go through floats nor
+    compare Fractions.
     """
     n = space.n
     if chain.split.shape != (n, n):
         raise ValueError("chain does not match the space")
-    labels = chain.labels
-    leads = _leads(chain.split)
-    length = len(chain)
-
-    def bottom_up(ufunc, ends, keys, values, fill):
-        order = np.argsort(keys, kind="stable")
-        ends, values = ends[order], values[order]
-        starts = np.searchsorted(keys[order], np.arange(length + 2))
-        out = [None] * length
-        for lvl in range(length - 1, -1, -1):
-            acc = np.full(chain.stats[lvl].cardinality, fill, dtype=values.dtype)
-            if lvl + 1 < length:  # the least members of the children, in block order
-                ufunc.at(acc, labels[lvl][leads <= lvl + 1], out[lvl + 1])
-            lo, hi = starts[lvl + 1], starts[lvl + 2]
-            ufunc.at(acc, labels[lvl][ends[lo:hi]], values[lo:hi])
-            out[lvl] = acc
-        return out
-
-    i, j = np.triu_indices(n, 1)
-    diameters = bottom_up(np.maximum, i, chain.split[i, j], space.rank[i, j], 0.0)
     order, parent, weight = _prim(space.rank)
-    tree_keys = chain.split[order[1:], parent[1:]]
-    gaps = bottom_up(np.maximum, order[1:], tree_keys, weight[1:], 0.0)
-    edges = bottom_up(np.add, order[1:], tree_keys, np.ones(n - 1, dtype=np.intp), 0)
-    connected = [e == np.bincount(row) - 1 for e, row in zip(edges, labels)]
-    return ([_gather(space.values, d) for d in diameters],
-            [_gather(space.values, g) for g in gaps], connected)
+    ends, tree_keys, weight = order[1:], chain.split[order[1:], parent[1:]], weight[1:]
+    offsets = _block_offsets(chain)
+    diameters, gaps = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+    connected = np.empty(offsets[-1], dtype=bool)
+    carry = [np.zeros(n), np.zeros(n), np.zeros(n)]
+    for lo, hi, block in _level_chunks(chain, offsets):
+        here = slice(offsets[lo], offsets[hi])
+        take = (tree_keys > lo) & (tree_keys <= hi)
+        at = (tree_keys[take] - (lo + 1)) * n + ends[take]
+        edges = np.zeros(offsets[hi] - offsets[lo])
+        for k, (ufunc, out) in enumerate(((np.maximum, diameters[here]),
+                                          (np.maximum, gaps[here]), (np.add, edges))):
+            acc = np.zeros((hi - lo, n))  # one at a time, to bound the temporaries
+            if k == 0:
+                _raise_pairs(acc, space.rank, chain.split, lo)
+            else:  # the tree edges: their weights, then their count
+                ufunc.at(acc.reshape(-1), at, weight[take] if k == 1 else 1.0)
+            carry[k] = _suffix_blocks(ufunc, acc, carry[k], block, out)
+        connected[here] = edges == np.bincount(block, minlength=len(edges)) - 1
+        del block  # before the next chunk's is built
+    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    return tuple([flat[lo:hi] for lo, hi in bounds] for flat in
+                 (_gather(space.values, diameters), _gather(space.values, gaps), connected))
+
+
+def _raise_pairs(acc, rank, split, lo) -> None:
+    """Raise acc[k - 1 - lo, i] to rank[i, j] for every pair i < j whose
+    split key k falls in the chunk's levels lo..lo + len(acc) - 1, reading
+    the matrices in pieces of _chunk_rows rows."""
+    levels, n = acc.shape
+    rows = _chunk_rows(n)
+    for r0 in range(0, n, rows):
+        keys = split[r0:r0 + rows]
+        q = np.flatnonzero((keys > lo) & (keys <= lo + levels)
+                           & (np.arange(n) > np.arange(r0, r0 + len(keys))[:, None]))
+        values = rank[r0:r0 + rows].reshape(-1)[q]
+        at = keys.reshape(-1)[q] - (lo + 1)
+        at *= n
+        q //= n
+        q += r0
+        np.add(at, q, out=q)
+        np.maximum.at(acc.reshape(-1), q, values)
+
+
+def _suffix_blocks(ufunc, acc, carry, block, out) -> np.ndarray:
+    """Reduce each column of a chunk's (level, point) entries over the
+    levels from each one down, the carried row of the next finer chunk
+    included, then reduce them into out by block; returns the chunk's
+    first row, the next coarser chunk's carry."""
+    ufunc(acc[-1], carry, out=acc[-1])
+    ufunc.accumulate(acc[::-1], axis=0, out=acc[::-1])
+    ufunc.at(out, block, acc.reshape(-1))
+    return acc[0].copy()
+
+
+def _chunk_rows(n: int) -> int:
+    """Levels per chunk, and matrix rows per piece of pairs, for a space of
+    n points: about _CHUNK_ENTRIES (level, point) entries, and no more
+    entries than the space has pairs."""
+    return max(1, min(_CHUNK_ENTRIES, n * (n - 1) // 2) // n)
+
+
+def _block_offsets(chain: PartitionChain) -> np.ndarray:
+    """Where each level's blocks start when the blocks of all levels are
+    numbered in one row, level after level; the last entry counts them all."""
+    return np.concatenate(([0], np.cumsum([st.cardinality for st in chain.stats])))
+
+
+def _level_chunks(chain: PartitionChain, offsets: np.ndarray):
+    """The levels in chunks of _chunk_rows levels, finest first: (lo, hi,
+    block), where block[(l - lo) * n + p] is the number, less offsets[lo],
+    of p's block at level l among all blocks."""
+    step = _chunk_rows(len(chain.split))
+    for hi in range(len(chain), 0, -step):
+        lo = max(hi - step, 0)
+        yield lo, hi, (chain.labels[lo:hi] + (offsets[lo:hi] - offsets[lo])[:, None]).reshape(-1)
 
 
 @dataclass(frozen=True)

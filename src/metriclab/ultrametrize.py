@@ -97,12 +97,17 @@ def _pair_logs(matrix, pairs, table=None) -> tuple[np.ndarray, np.ndarray]:
     Without table, each entry is logged on its own (only object entries can
     be Fractions that need flog). With table, the logs of an exact space's
     values (_value_logs), matrix holds ranks into those values and each log
-    is gathered, bit for bit the one a loop takes."""
+    is gathered, bit for bit the one a loop takes. Numeric entries are read
+    through a memoryview, one Python number at a time, so no list of them
+    is built."""
     entries = np.asarray(matrix)[pairs]
     if table is not None:
         return entries, table[entries.astype(np.intp)]
-    log = flog if entries.dtype == object else math.log
-    return entries, np.fromiter(map(log, entries.tolist()), dtype=float, count=entries.size)
+    if entries.dtype == object:
+        log, items = flog, entries.tolist()
+    else:
+        log, items = math.log, memoryview(entries)
+    return entries, np.fromiter(map(log, items), dtype=float, count=entries.size)
 
 
 def _value_logs(table):

@@ -31,7 +31,11 @@ the program's `per_distinct` calls it once per distinct value (the text of
 connects. `decay_witness` is the witness rule that `classify_chain`, the
 certificate and the distortion check each kept before `_decay_witness`, and
 `pushforward_chain` the pushforward that took the logs of d and d' in the
-fit and again in its check.
+fit and again in its check. `block_extents_by_level` is the kernel of
+`partitions._block_extents` that reduced each level's children and new
+items bottom up, one level at a time, before the suffix reduction over
+whole chunks of levels, and `settled_from` the burn-in loop of `profile`
+that rescanned the tail of the R sequence from each proper level.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
 they built, so that a test can compare them with the levels a fast chain
@@ -53,11 +57,11 @@ from metriclab.embedding import (EmbeddingResult, LevelAudit, _exact_separated,
                                  _greedy_separated, grid_capacity)
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
-from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
-                                  _require_separating, classify_chain, dendrogram_chain,
-                                  largest_gap)
-from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _merge_ranks, _prim,
-                              _subdominant, _zero, _zeros)
+from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _leads,
+                                  _log_ratio, _require_separating, classify_chain,
+                                  dendrogram_chain, largest_gap)
+from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
+                              _merge_ranks, _prim, _subdominant, _zero, _zeros)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
 from metriclab.ultrametrize import PushforwardReport, fit_holder_exponents, verify_holder_fit
 
@@ -229,6 +233,55 @@ def block_extents(space, chain):
                  for b in level.blocks]
         out.append((diams, [largest_gap(space, b) for b in level.blocks]))
     return out
+
+
+def block_extents_by_level(space, chain):
+    """partitions._block_extents as three bottom-up passes of one level
+    each: a block reduces its children's values (through their least
+    members) and the items first split at the next level."""
+    n = space.n
+    if chain.split.shape != (n, n):
+        raise ValueError("chain does not match the space")
+    labels = chain.labels
+    leads = _leads(chain.split)
+    length = len(chain)
+
+    def bottom_up(ufunc, ends, keys, values, fill):
+        order = np.argsort(keys, kind="stable")
+        ends, values = ends[order], values[order]
+        starts = np.searchsorted(keys[order], np.arange(length + 2))
+        out = [None] * length
+        for lvl in range(length - 1, -1, -1):
+            acc = np.full(chain.stats[lvl].cardinality, fill, dtype=values.dtype)
+            if lvl + 1 < length:  # the least members of the children, in block order
+                ufunc.at(acc, labels[lvl][leads <= lvl + 1], out[lvl + 1])
+            lo, hi = starts[lvl + 1], starts[lvl + 2]
+            ufunc.at(acc, labels[lvl][ends[lo:hi]], values[lo:hi])
+            out[lvl] = acc
+        return out
+
+    i, j = np.triu_indices(n, 1)
+    diameters = bottom_up(np.maximum, i, chain.split[i, j], space.rank[i, j], 0.0)
+    order, parent, weight = _prim(space.rank)
+    tree_keys = chain.split[order[1:], parent[1:]]
+    gaps = bottom_up(np.maximum, order[1:], tree_keys, weight[1:], 0.0)
+    edges = bottom_up(np.add, order[1:], tree_keys, np.ones(n - 1, dtype=np.intp), 0)
+    connected = [e == np.bincount(row) - 1 for e, row in zip(edges, labels)]
+    return ([_gather(space.values, d) for d in diameters],
+            [_gather(space.values, g) for g in gaps], connected)
+
+
+def settled_from(r_vals, estimate, epsilon):
+    """profile's burn-in position: the first whose tail of R values all sit
+    within epsilon of the estimate, finite exactly when it is; None if no
+    tail does. Each position rescans its whole tail."""
+    for pos in range(len(r_vals)):
+        tail = r_vals[pos:]
+        if all(abs(r - estimate) < epsilon for r in tail if math.isfinite(r)) and all(
+            math.isfinite(r) == math.isfinite(estimate) for r in tail
+        ):
+            return pos
+    return None
 
 
 def tree_connects(space, block):
