@@ -24,7 +24,7 @@ from .embedding import (
     select_embeddable_subchain,
     verify_embedding_distortion,
 )
-from .errors import MetricLabError, VerificationFailure
+from .errors import MetricLabError, MetricViolation, VerificationFailure
 from .logratio import (_brute_minimum, _enumerated_stats, _require_radius, _threshold_minimum,
                        gap_bounds, profile)
 from .partitions import dendrogram_chain, with_singleton_terminal
@@ -174,10 +174,16 @@ def _load_space(args, chain=True):
 
 
 def _read_space(raw: str, rescale: bool) -> FiniteMetricSpace:
-    """A space file: JSON by its .json suffix, CSV otherwise."""
+    """A space file: JSON by its .json suffix, CSV otherwise. Files are
+    UTF-8, a leading byte-order mark dropped, read in universal newline
+    mode; text that is not UTF-8 is a parse violation."""
     path = Path(raw)
     loader = from_json if path.suffix.lower() == ".json" else from_csv
-    return loader(path.read_text(), rescale=rescale)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise MetricViolation("parse", None, f"{path} is not UTF-8: {exc}") from exc
+    return loader(text, rescale=rescale)
 
 
 def _emit(args, name: str, body: dict, meta: dict, keys=()) -> None:

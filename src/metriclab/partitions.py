@@ -24,8 +24,8 @@ import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
-from .spaces import (FiniteMetricSpace, _gather, _merge_ranks, _prim, _rank_bound, _subdominant,
-                     _zero, is_ultrametric, subspace)
+from .spaces import (FiniteMetricSpace, _gather, _merge_ranks, _rank_bound, _spanning_tree,
+                     _subdominant, _zero, is_ultrametric, subspace)
 
 
 class Partition:
@@ -173,7 +173,7 @@ def threshold_partition(space: FiniteMetricSpace, t) -> Partition:
     pass down the Prim order (parents come first)."""
     if t <= 0:
         raise ValueError("threshold must be positive")
-    order, parent, weight = _prim(space.rank)
+    order, parent, weight = _spanning_tree(space)
     below = _rank_bound(space, t)
     label = list(range(space.n))
     for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), (weight[1:] < below).tolist()):
@@ -368,7 +368,7 @@ def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
     tree edges shorter than r, so a pair stays joined through one level per
     height above its subdominant distance.
     """
-    heights, top = _merge_ranks(space.rank)
+    heights, top = _merge_ranks(_spanning_tree(space))
     return PartitionChain._from_split(space, len(heights) - top,
                                       [None] + list(_gather(space.values, heights[:0:-1])))
 
@@ -384,7 +384,7 @@ def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionC
     if space.n == 1:
         return PartitionChain._from_split(space, [[1]])
     spectrum = np.unique(space.rank[np.triu_indices(space.n, 1)])
-    heights, top = _merge_ranks(space.rank)
+    heights, top = _merge_ranks(_spanning_tree(space))
     joined = len(spectrum) - np.searchsorted(spectrum, heights, side="left")
     return PartitionChain._from_split(space, joined[top],
                                       [as_float(r) for r in _gather(space.values, spectrum[::-1])],
@@ -400,7 +400,7 @@ def associated_endpoints(space: FiniteMetricSpace) -> list[tuple[tuple[int, int]
     then decreasing pair.
     """
     rank = space.rank
-    rows, cols = np.nonzero(np.triu(rank == _subdominant(rank), 1))
+    rows, cols = np.nonzero(np.triu(rank == _subdominant(_spanning_tree(space)), 1))
     ranked = sorted(zip(rank[rows, cols].tolist(), zip(rows.tolist(), cols.tolist())),
                     reverse=True)
     return [(pair, space.dist[pair]) for _, pair in ranked]
@@ -412,7 +412,7 @@ def largest_gap(space: FiniteMetricSpace, indices=None):
     sub = space if indices is None else subspace(space, indices)
     if sub.n < 2:
         return _zero(sub.exact)
-    return _gather(sub.values, _prim(sub.rank)[2].max())
+    return _gather(sub.values, _spanning_tree(sub)[2].max())
 
 
 def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
@@ -444,7 +444,7 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     n = space.n
     if chain.split.shape != (n, n):
         raise ValueError("chain does not match the space")
-    order, parent, weight = _prim(space.rank)
+    order, parent, weight = _spanning_tree(space)
     ends, tree_keys, weight = order[1:], chain.split[order[1:], parent[1:]], weight[1:]
     offsets = _block_offsets(chain)
     diameters, gaps = np.zeros(offsets[-1]), np.zeros(offsets[-1])

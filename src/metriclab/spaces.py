@@ -3,7 +3,8 @@
 A space is a labeled point set with a symmetric distance matrix, normalized
 so the diameter is at most 1. Entries are float64 by default; an exact mode
 backs the matrix with Fractions for spaces whose distances underflow float64
-(deep sampled families). All operations are pure; instances never mutate.
+(deep sampled families). All operations are pure; instances never mutate,
+but for the spanning tree a space keeps once it has built it.
 
 Single linkage and every arg-extremum depend only on the order of the
 distances (Carlsson & Memoli 2010), so each space also carries `rank`, a
@@ -33,7 +34,7 @@ from .errors import CapExceeded, DiameterExceedsOne, MetricViolation
 class FiniteMetricSpace:
     """Immutable labeled point set with a validated distance matrix."""
 
-    __slots__ = ("labels", "dist", "diameter", "exact", "rescaled", "values", "rank")
+    __slots__ = ("labels", "dist", "diameter", "exact", "rescaled", "values", "rank", "_mst")
 
     def __init__(self, labels, dist, *, exact=False, rescaled=False, _trusted=False,
                  diameter=None, _ranks=None):
@@ -67,6 +68,7 @@ class FiniteMetricSpace:
         if diameter is None:
             diameter = _gather(self.values, self.rank.max()) if len(labels) > 1 else _zero(exact)
         self.diameter = diameter
+        self._mst = None  # its spanning tree, built on first use by _spanning_tree
 
     @property
     def n(self) -> int:
@@ -374,8 +376,7 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
     of its worst triple, on the entries. Exact spaces fail on any positive
     violation, float ones above tol.
     """
-    rank = space.rank
-    if space.n < 3 or (rank == _subdominant(rank)).all():
+    if space.n < 3 or (space.rank == _subdominant(_spanning_tree(space))).all():
         return UltrametricCheck(True, None, _zero(space.exact))
     worst, witness = _worst_triple(space.dist, np.maximum)
     if not space.exact and worst <= tol:
@@ -385,7 +386,19 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
 
 # Single linkage. The components of {d < t} (or {d <= t}) are those of the
 # minimum-spanning-tree edges below t (Gower & Ross 1969), so one tree
-# answers every single-linkage question.
+# answers every single-linkage question, and a space builds it once.
+
+def _spanning_tree(space: FiniteMetricSpace):
+    """_prim of the space's rank, built on the first call and kept on the
+    space, which never changes: every later call returns the same arrays,
+    read-only."""
+    if space._mst is None:
+        tree = _prim(space.rank)
+        for part in tree:
+            part.setflags(write=False)
+        space._mst = tree
+    return space._mst
+
 
 def _prim(matrix):
     """Prim's minimum spanning tree of a dense distance matrix, from vertex 0.
@@ -417,23 +430,25 @@ def _prim(matrix):
     return order, parent, weight
 
 
-def _subdominant(matrix) -> np.ndarray:
-    """Single-linkage merge heights: u[i, j] is the longest edge on the tree
-    path from i to j, the largest ultrametric below the matrix."""
-    heights, top = _merge_ranks(matrix)
+def _subdominant(tree) -> np.ndarray:
+    """Single-linkage merge heights of a matrix, from its _prim tree: u[i, j]
+    is the longest edge on the tree path from i to j, the largest
+    ultrametric below the matrix."""
+    heights, top = _merge_ranks(tree)
     return heights[top]
 
 
-def _merge_ranks(matrix):
-    """(heights, top): the distinct spanning-tree weights, ascending from the
-    diagonal's zero, and top[i, j] the index in heights of u[i, j].
+def _merge_ranks(tree):
+    """(heights, top) of a matrix, from its _prim tree: the distinct
+    spanning-tree weights, ascending from the diagonal's zero, and top[i, j]
+    the index in heights of u[i, j].
 
     Walking the Prim order, u[v, seen] = max(weight_v, u[parent_v, seen]),
     on the ranks of the weights; heights are entries of the matrix.
     """
-    order, parent, weight = _prim(matrix)
+    order, parent, weight = tree
     heights, rank = np.unique(weight, return_inverse=True)
-    top = np.zeros(matrix.shape, dtype=np.intp)
+    top = np.zeros((len(order), len(order)), dtype=np.intp)
     for k in range(1, len(order)):
         seen = order[:k]
         top[order[k], seen] = top[seen, order[k]] = np.maximum(top[parent[k], seen], rank[k])
@@ -479,18 +494,57 @@ def to_csv(space: FiniteMetricSpace) -> str:
 
 
 def from_csv(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> FiniteMetricSpace:
+    """The space of a CSV text: the first nonblank row labels, then the rows.
+
+    csv.reader reads the label row, so a quoted label may hold commas and
+    line breaks. np.loadtxt then parses every matrix row in one C pass,
+    into the float64 array that validate checks: fields may be quoted with
+    '"', padded with whitespace, and spelled as Python's float() spells
+    them (nan and inf included), less digit-group underscores and
+    non-ASCII digits; blank lines are skipped. Lines end in LF or CRLF: a
+    bare CR inside a line is refused here, as csv.reader refuses it, and
+    the CLI reads files in universal newline mode, which makes it an LF.
+    Raises MetricViolation("parse") on any text loadtxt refuses.
+    """
+    buf = io.StringIO(text)
     try:
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        labels = next((row for row in csv.reader(buf) if row), None)
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         raise MetricViolation("parse", None, str(exc)) from exc
-    if len(rows) < 2:
+    start = buf.tell()
+    if labels is None or len(text.rstrip("\r\n")) <= start:  # no row after the labels
         raise MetricViolation("parse", None, "need a label row plus matrix rows")
-    labels = rows[0]
+    _require_short_fields(text)
     try:
-        matrix = [[float(x) for x in row] for row in rows[1:]]
+        matrix = np.loadtxt(buf, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                            dtype=float)
     except ValueError as exc:
         raise MetricViolation("parse", None, str(exc)) from exc
     return validate(matrix, labels, tol=tol, rescale=rescale)
+
+
+def _require_short_fields(text: str) -> None:
+    """Refuse a field over csv.field_size_limit(), as csv.reader does;
+    loadtxt has no such limit and reads a long run of digits as inf.
+
+    A field with a comma in it is no number, so loadtxt refuses it anyway;
+    any other field lies in one run of characters between commas. A run
+    over the limit covers a whole aligned block of limit // 2 + 1 of the
+    text's UTF-8 bytes (at least one per character), so when every block
+    holds a comma, one numpy pass clears the text; otherwise csv.reader
+    decides.
+    """
+    limit = csv.field_size_limit()
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    size = limit // 2 + 1
+    blocks = raw[:len(raw) // size * size].reshape(-1, size)
+    if (blocks == ord(",")).any(axis=1).all():
+        return
+    try:
+        for _ in csv.reader(io.StringIO(text)):
+            pass
+    except csv.Error as exc:
+        raise MetricViolation("parse", None, str(exc)) from exc
 
 
 def to_json(space: FiniteMetricSpace) -> str:

@@ -26,7 +26,7 @@ from .errors import CertificateRefused, CertificateViolated, DistortionBoundsVio
 from .logratio import profile
 from .partitions import (PartitionChain, _decay_witness, _level_ranks, _require_separating,
                          classify_chain)
-from .spaces import FiniteMetricSpace, _gather, _subdominant, _union, is_ultrametric
+from .spaces import FiniteMetricSpace, _gather, _spanning_tree, _subdominant, _union, is_ultrametric
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
 
@@ -64,7 +64,7 @@ def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Single-linkage merge heights: the largest ultrametric below d."""
-    return _on_table(space, _subdominant(space.rank))
+    return _on_table(space, _subdominant(_spanning_tree(space)))
 
 
 def _on_table(space: FiniteMetricSpace, rank: np.ndarray) -> FiniteMetricSpace:

@@ -7,7 +7,8 @@ gap_bounds paths now read G off the chain's last level), the block extents
 `partitions._block_extents` read off one spanning tree, the one-level
 `with_singleton_terminal` (rebuilt from the whole chain or from its split
 matrix), the exact sequence matrix by Fraction subtraction, the
-`csv.writer` rows of `to_csv`, and the `np.unique` spectrum of `ball_chain`,
+`csv.writer` rows of `to_csv`, the `csv.reader` rows of `from_csv` with
+one `float()` per field, and the `np.unique` spectrum of `ball_chain`,
 the chains built one `Partition` per level before split-first chains wrote
 their split matrix in closed form, the refines loop of
 `PartitionChain.from_partitions`, the level loop of `threshold_min_R`, and
@@ -61,7 +62,7 @@ from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _le
                                   _log_ratio, _require_separating, classify_chain,
                                   dendrogram_chain, largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
-                              _merge_ranks, _prim, _subdominant, _zero, _zeros)
+                              _merge_ranks, _prim, _subdominant, _zero, _zeros, validate)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
 from metriclab.ultrametrize import PushforwardReport, fit_holder_exponents, verify_holder_fit
 
@@ -361,7 +362,7 @@ def is_ultrametric(space, tol=DEFAULT_TOL):
     whole matrix, keeping the hull and the first k reaching it in argk."""
     m = space.dist
     n = space.n
-    if n < 3 or (m == _subdominant(m)).all():
+    if n < 3 or (m == _subdominant(_prim(m))).all():
         return UltrametricCheck(True, None, _zero(space.exact))
     hull = np.full((n, n), np.inf, dtype=m.dtype)
     argk = np.zeros((n, n), dtype=int)
@@ -389,6 +390,23 @@ def to_csv(space):
     for row in space.dist:
         writer.writerow([repr(float(x)) for x in row])
     return buf.getvalue()
+
+
+def from_csv(text, *, tol=DEFAULT_TOL, rescale=False):
+    """from_csv with every row through csv.reader and every field through
+    Python's float(), into a list of lists for validate."""
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise MetricViolation("parse", None, str(exc)) from exc
+    if len(rows) < 2:
+        raise MetricViolation("parse", None, "need a label row plus matrix rows")
+    labels = rows[0]
+    try:
+        matrix = [[float(x) for x in row] for row in rows[1:]]
+    except ValueError as exc:
+        raise MetricViolation("parse", None, str(exc)) from exc
+    return validate(matrix, labels, tol=tol, rescale=rescale)
 
 
 def ball_spectrum(space):
@@ -724,7 +742,7 @@ def chain_on_values(space, split, thresholds=None, level_ids=None):
 
 def dendrogram_chain_on_values(space):
     """dendrogram_chain on the merge ranks of dist."""
-    heights, top = _merge_ranks(space.dist)
+    heights, top = _merge_ranks(_prim(space.dist))
     return chain_on_values(space, len(heights) - top, [None] + list(heights[:0:-1]))
 
 
@@ -733,7 +751,7 @@ def ball_chain_on_values(space):
     if space.n == 1:
         return chain_on_values(space, [[1]])
     spectrum = np.unique(space.dist[np.triu_indices(space.n, 1)])
-    heights, top = _merge_ranks(space.dist)
+    heights, top = _merge_ranks(_prim(space.dist))
     joined = len(spectrum) - np.searchsorted(spectrum, heights, side="left")
     return chain_on_values(space, joined[top], [as_float(r) for r in spectrum[::-1]],
                            range(1, len(spectrum) + 1))
@@ -748,7 +766,7 @@ def threshold_partition(space, t):
 def associated_endpoints(space):
     """associated_endpoints where dist equals its subdominant ultrametric."""
     m = space.dist
-    rows, cols = np.nonzero(np.triu(m == _subdominant(m), 1))
+    rows, cols = np.nonzero(np.triu(m == _subdominant(_prim(m)), 1))
     out = [((i, j), m[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
     out.sort(key=lambda item: (item[1], item[0]), reverse=True)
     return out

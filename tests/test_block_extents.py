@@ -54,7 +54,9 @@ def chains(draw):
         space, chain = ml.sample(ml.make_family(kind, **params), depth, exact=True)
     elif source == "zoo":
         kind = draw(st.sampled_from(ml.KINDS))
-        depth = draw(st.integers(1, 8 if kind.startswith(("seq", "sqrt")) else 4))
+        # float seq_factorial values underflow from depth 7 on (DepthOverflow)
+        top = 6 if kind == "seq_factorial" else 8 if kind.startswith(("seq", "sqrt")) else 4
+        depth = draw(st.integers(1, top))
         space, chain = ml.sample(ml.make_family(kind), depth)
     else:
         if source == "cloud":

@@ -9,26 +9,16 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, reject
+from hypothesis import given
 from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
 from metriclab import logratio, partitions
-from metriclab.errors import DepthOverflow
 from metriclab.partitions import _block_extents
 from metriclab.ultrametrize import _pair_logs
 from conftest import euclidean_space
 from test_block_extents import CHECKS, chains
-
-
-@st.composite
-def sampled_chains(draw):
-    """chains(), less its float zoo draws too deep to sample."""
-    try:
-        return draw(chains())
-    except DepthOverflow:
-        reject()
 
 
 def same_array(new, old):
@@ -40,7 +30,7 @@ def same_array(new, old):
 
 
 @CHECKS
-@given(sampled_chains(), st.sampled_from((1, 40, partitions._CHUNK_ENTRIES)))
+@given(chains(), st.sampled_from((1, 40, partitions._CHUNK_ENTRIES)))
 def test_block_extents_equal_the_level_loop(case, chunk):
     """Every per-level array, diameters, gaps and connected, in chunks of
     one level and one matrix row up to the default chunks."""
@@ -97,7 +87,7 @@ def test_burn_in_excludes_values_exactly_epsilon_away():
 
 
 @CHECKS
-@given(sampled_chains(), st.sampled_from((0.01, 0.05, 0.5)))
+@given(chains(), st.sampled_from((0.01, 0.05, 0.5)))
 def test_profile_burn_in_equals_the_tail_loop(case, epsilon):
     space, chain = case
     report = ml.profile(chain, epsilon)

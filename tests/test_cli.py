@@ -5,7 +5,7 @@ import pytest
 
 import metriclab as ml
 import test_cli_golden
-from metriclab import cli, logratio
+from metriclab import cli, logratio, partitions, spaces
 from metriclab._util import dumps
 from metriclab.cli import main
 from conftest import euclidean_space
@@ -179,6 +179,79 @@ def test_malformed_matrix_or_labels_is_a_parse_error(capsys, tmp_path, name, tex
     err = capsys.readouterr().err
     assert err.startswith("error: parse violated")
     assert "Traceback" not in err
+
+
+BOM = "\ufeff"
+
+
+def test_a_bom_never_reaches_a_csv_label(capsys, tmp_path):
+    a, b = tmp_path / "bom.csv", tmp_path / "two.csv"
+    a.write_text(BOM + "a,b\n0,1\n1,0\n", encoding="utf-8")
+    b.write_text("x,y\n0,0.5\n0.5,0\n", encoding="utf-8")
+    rc, _ = run(capsys, ["product", str(a), str(b), "--out", str(tmp_path)])
+    assert rc == 0
+    written = (tmp_path / "product.csv").read_text(encoding="utf-8")
+    assert BOM not in written
+    assert written.splitlines()[0] == "(a|x),(a|y),(b|x),(b|y)"
+
+
+def test_a_bom_prefixed_json_file_loads(capsys, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_text(BOM + json.dumps({"labels": ["a", "b"], "dist": [[0, 0.5], [0.5, 0]]}),
+                    encoding="utf-8")
+    rc, out = run(capsys, ["profile", "--input", str(path)])
+    assert rc == 0
+    assert json.loads(out)["config"]["input"] == str(path)
+
+
+@pytest.mark.parametrize("name", ["latin.csv", "latin.json"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, name):
+    path = tmp_path / name
+    text = ("caf\u00e9,b\n0,1\n1,0\n" if name.endswith(".csv")
+            else '{"labels": ["caf\u00e9", "b"], "dist": [[0, 1], [1, 0]]}')
+    path.write_bytes(text.encode("latin-1"))
+    assert main(["profile", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse violated") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_bare_cr_line_endings_are_read(capsys, tmp_path):
+    lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+    text = ml.to_csv(euclidean_space(4, 6))
+    lf.write_bytes(text.encode())
+    cr.write_bytes(text.replace("\n", "\r").encode())
+    rc, out_cr = run(capsys, ["profile", "--input", str(cr)])
+    assert rc == 0
+    rc, out_lf = run(capsys, ["profile", "--input", str(lf)])
+    assert rc == 0
+    assert json.loads(out_cr)["profile"] == json.loads(out_lf)["profile"]
+
+
+@pytest.mark.parametrize("line", ["0,1\n  \n1,0\n", "0,1_0\n1_0,0\n"],
+                         ids=["whitespace-only-line", "digit-group-underscore"])
+def test_csv_rows_loadtxt_refuses_exit_one(capsys, tmp_path, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n" + line)
+    assert main(["profile", "--input", str(path), "--rescale"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse violated")
+    assert "Traceback" not in err
+
+
+def test_profile_input_builds_one_spanning_tree(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "cloud.csv"
+    path.write_text(ml.to_csv(euclidean_space(5, 40)))
+    rc, before = run(capsys, ["profile", "--input", str(path)])
+    calls = []
+    prim = spaces._prim
+    for module in (spaces, partitions, logratio, cli):  # every binding of _prim
+        if hasattr(module, "_prim"):
+            monkeypatch.setattr(module, "_prim", lambda m: calls.append(len(m)) or prim(m))
+    rc, after = run(capsys, ["profile", "--input", str(path)])
+    assert rc == 0
+    assert calls == [40]
+    assert after == before
 
 
 def test_report_with_a_control_character_is_valid_json(capsys):
