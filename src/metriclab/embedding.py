@@ -21,7 +21,7 @@ import numpy as np
 from ._util import DEFAULT_TOL, as_float, per_distinct
 from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
 from .logratio import profile
-from .partitions import PartitionChain, _decay_witness, _leads, _require_separating
+from .partitions import PartitionChain, _decay_witness, _require_separating
 from .spaces import FiniteMetricSpace, _gather, _rank_bound
 from .ultrametrize import LOG_SLACK, _first_failure, _holder_fit, _pair_logs, _window_start
 
@@ -270,7 +270,6 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
     eps_ok = math.isfinite(r_est) and r_est > 1 and 0 < epsilon < min(1.0, r_est - 1)
     deltas = [as_float(st.delta) for st in chain.stats]
     gammas = [as_float(st.gamma) for st in chain.stats]
-    labels, leads = chain.labels, _leads(chain.split)
     # Level 1: free minimal grid. Block ids number blocks by least member.
     count0 = chain.stats[0].cardinality
     side = 1
@@ -282,11 +281,11 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
                            tol)]
     for lvl in range(1, len(chain)):
         per_axis, capacity = grid_capacity(deltas[lvl - 1], deltas[lvl], gammas[lvl], N)
-        required = _transition_required(chain, lvl - 1, lvl)
+        # each block's parent and rank among its siblings
+        parent = _parents(chain, lvl - 1, lvl)
+        required = int(np.bincount(parent).max())
         if required > capacity:
             raise PackingInfeasible(int(chain.level_ids[lvl]), required, capacity)
-        # each block's parent (at its least member) and rank among its siblings
-        parent = labels[lvl - 1][leads <= lvl]
         order = np.argsort(parent, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order)) - np.searchsorted(parent[order], parent[order])
@@ -379,35 +378,28 @@ def select_embeddable_subchain(space: FiniteMetricSpace, chain: PartitionChain,
     deltas = [as_float(st.delta) for st in chain.stats]
     gammas = [as_float(st.gamma) for st in chain.stats]
     picked = [proper[0]]
-    cur = proper[0]
     while True:
-        found = None
-        for nxt in range(cur + 1, len(chain)):
-            required = _transition_required(chain, cur, nxt)
-            _, capacity = grid_capacity(deltas[cur], deltas[nxt], gammas[nxt], N)
-            if required <= capacity:
-                found = nxt
-                break
+        cur = picked[-1]
+        found = next((nxt for nxt in range(cur + 1, len(chain))
+                      if np.bincount(_parents(chain, cur, nxt)).max()
+                      <= grid_capacity(deltas[cur], deltas[nxt], gammas[nxt], N)[1]), None)
         if found is None:
             break
         picked.append(found)
-        cur = found
-    if chain.stats[picked[-1]].cardinality < len(chain.split):
+    if chain.stats[picked[-1]].cardinality < len(chain.order):
         required = int(np.bincount(chain.labels[picked[-1]]).max())
         raise PackingInfeasible(int(chain.level_ids[picked[-1]]), required, 0)
-    return PartitionChain._from_split(
-        space,
-        np.searchsorted(picked, chain.split, side="left"),
-        [chain.thresholds[i] for i in picked],
-        [chain.level_ids[i] for i in picked],
-    )
+    # a kept level's split is the first kept level at or after the old one
+    return PartitionChain._of_leaves(space, chain.order, np.searchsorted(picked, chain.h),
+                                     len(picked), [chain.thresholds[i] for i in picked],
+                                     [chain.level_ids[i] for i in picked])
 
 
-def _transition_required(chain, coarse, fine) -> int:
-    """The most blocks of level fine inside one block of level coarse."""
+def _parents(chain, coarse, fine) -> np.ndarray:
+    """The block of level coarse that holds each block of level fine."""
     parent = np.empty(chain.stats[fine].cardinality, dtype=np.intp)
     parent[chain.labels[fine]] = chain.labels[coarse]
-    return int(np.bincount(parent).max())
+    return parent
 
 
 @dataclass(frozen=True)
@@ -506,9 +498,9 @@ def image_ratio_report(space: FiniteMetricSpace, result: EmbeddingResult) -> dic
     box = result.box_dist
     diam = box.max()
     image = FiniteMetricSpace(space.labels, box / diam, _trusted=True)
-    chain = PartitionChain._from_split(image, result.chain.split, result.chain.thresholds,
-                                       result.chain.level_ids)
-    prof = profile(chain)
+    c = result.chain
+    prof = profile(PartitionChain._of_leaves(image, c.order, c.h, len(c), c.thresholds,
+                                             c.level_ids, c.split))
     spread = (result.p * (result.R_est + result.epsilon)) ** 2
     low = result.R_est / spread if math.isfinite(result.R_est) else 0.0
     return {

@@ -312,7 +312,7 @@ def _threshold_minimum(chain: PartitionChain, r, require_positive_delta: bool) -
         if best is None or st.log_ratio < chain.stats[best].log_ratio:
             best = lvl
     if best is None:
-        return OracleResult(math.inf, Partition.trivial(len(chain.split)), math.inf, math.inf)
+        return OracleResult(math.inf, Partition.trivial(len(chain.order)), math.inf, math.inf)
     st = chain.stats[best]
     return OracleResult(st.log_ratio, Partition.from_assignment(chain.labels[best]),
                         as_float(st.delta), as_float(st.gamma))

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
-from .spaces import (FiniteMetricSpace, _gather, _merge_ranks, _rank_bound, _spanning_tree,
+from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _rank_bound, _spanning_tree,
                      _subdominant, _zero, is_ultrametric, subspace)
 
 
@@ -169,67 +169,70 @@ def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarr
 
 def threshold_partition(space: FiniteMetricSpace, t) -> Partition:
     """Components of the graph with edges {d(x, y) < t}; guarantees gamma >= t.
-    They are those of the spanning-tree edges shorter than t, found in one
-    pass down the Prim order (parents come first)."""
+    They are those of the spanning-tree edges shorter than t: the runs of
+    the Prim order cut where a weight of at least t attaches a point."""
     if t <= 0:
         raise ValueError("threshold must be positive")
-    order, parent, weight = _spanning_tree(space)
-    below = _rank_bound(space, t)
-    label = list(range(space.n))
-    for v, p, keep in zip(order[1:].tolist(), parent[1:].tolist(), (weight[1:] < below).tolist()):
-        if keep:
-            label[v] = label[p]
-    return Partition.from_assignment(label)
+    order, _, weight = _spanning_tree(space)
+    return Partition.from_assignment(np.cumsum(weight >= _rank_bound(space, t))[np.argsort(order)])
 
 
 @dataclass(frozen=True, eq=False)
 class PartitionChain:
     """Nested partitions, coarse to fine, with per-level stats.
 
-    split[i, j] is the first level whose partition separates i and j, or
-    len(chain) when none does (always on the diagonal): the chain's one
-    datum, its dendrogram in level units. Level l joins i and j exactly when
-    l < split[i, j]; the stats and every pairwise check read split, and
-    labels and levels are views of it, built on first use. Chains are equal
-    when split, stats, thresholds and level_ids are.
+    The datum is a leaf order, in which every block of every level is a
+    run, and h[p], the first level that separates order[p] and order[p + 1]
+    (len(chain) when none does). A chain of length L is the dendrogram of
+    the pseudo-ultrametric L - split (Carlsson & Memoli 2010), so
+    split[order[p], order[q]] = min(h[p..q-1]). split, labels and levels are
+    read-only views built on first use: level l joins i and j exactly when
+    l < split[i, j], and its blocks are the runs of order cut where h <= l.
+    Chains are equal when split, stats, thresholds and level_ids are.
 
     thresholds[i] is the merge radius that produced level i (None for levels
     not born from a merge, like a leading trivial partition). level_ids keeps
     external numbering for sampled families; defaults to positional indices.
     """
 
-    split: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
     stats: tuple
     thresholds: tuple
     level_ids: tuple
 
     @classmethod
     def from_partitions(cls, space, levels, thresholds=None, level_ids=None) -> "PartitionChain":
-        """The chain of untrusted partitions, checked to nest."""
+        """The chain of untrusted partitions, checked to nest. A sort by
+        labels, coarsest first, keeps blocks in runs; a pair of adjacent
+        points splits after the levels they agree on."""
         levels = tuple(levels)
         if not levels:
             raise ValueError("chain needs at least one level")
-        n = levels[0].n_points
-        split = np.zeros((n, n), dtype=np.int32)
-        for idx, p in enumerate(levels):
-            if idx and not p.refines(levels[idx - 1]):
+        for idx in range(1, len(levels)):
+            if not levels[idx].refines(levels[idx - 1]):
                 raise NotNested(idx)
-            split += p.block_of[:, None] == p.block_of[None, :]
-        if n != space.n:
+        if levels[0].n_points != space.n:
             raise ValueError("partition does not match the space")
-        return cls._from_split(space, split, thresholds, level_ids)
+        rows = np.array([p.block_of for p in levels])
+        order = np.lexsort(rows[::-1])
+        agree = (rows[:, order[:-1]] == rows[:, order[1:]]).sum(axis=0)
+        return cls._of_leaves(space, order, agree, len(levels), thresholds, level_ids)
 
     @classmethod
-    def _from_split(cls, space, split, thresholds=None, level_ids=None) -> "PartitionChain":
-        """The chain of a nested split matrix; its diagonal is the level count."""
-        split = np.asarray(split, dtype=np.int32)
-        if split.shape != (space.n, space.n):
+    def _of_leaves(cls, space, order, h, length, thresholds=None, level_ids=None,
+                   split=None) -> "PartitionChain":
+        """The chain of a leaf order and its adjacent split levels, with the
+        stats read off its split view (split, when the caller holds it)."""
+        order, h = np.asarray(order, dtype=np.intp), np.asarray(h, dtype=np.int32)
+        if len(order) != space.n:
             raise ValueError("chain does not match the space")
-        split.setflags(write=False)
-        length = int(split[0, 0])
+        split = _leaf_matrix(order, h, np.minimum, length) if split is None else split
         thresholds = (None,) * length if thresholds is None else tuple(thresholds)
         level_ids = tuple(range(length)) if level_ids is None else tuple(level_ids)
-        return cls(split, _chain_stats(space, split), thresholds, level_ids)
+        order.setflags(write=False)
+        h.setflags(write=False)
+        return _holding(split, cls(order, h, _chain_stats(space, split, h), thresholds, level_ids))
 
     def __eq__(self, other):
         return (isinstance(other, PartitionChain) and np.array_equal(self.split, other.split)
@@ -243,19 +246,24 @@ class PartitionChain:
         return len(self.stats)
 
     @cached_property
+    def split(self) -> np.ndarray:
+        """(n, n): the first level that separates i and j, or len(chain)."""
+        return _leaf_matrix(self.order, self.h, np.minimum, len(self))
+
+    @cached_property
     def labels(self) -> np.ndarray:
-        """(L, n) block ids, each level's blocks numbered by least member.
-        Point i leads its block from level _leads(split)[i] on; before, it
-        shares the block of the first j < i joined to it longest."""
-        lvl = np.arange(len(self))
-        leads = _leads(self.split)
-        parent = np.argmax(np.tril(self.split == leads[:, None], -1), axis=1)
-        rows = np.zeros((len(leads), len(self)), dtype=np.intp)  # point by point
-        seen = np.zeros(len(self), dtype=np.intp)  # per level, the blocks led before i
-        for i, (lead, up) in enumerate(zip(leads.tolist(), parent.tolist())):
-            rows[i] = np.where(lvl >= lead, seen, rows[up])
-            seen[lead:] += 1
-        labels = np.ascontiguousarray(rows.T)
+        """(L, n) block ids, each level's blocks numbered by least member:
+        a run's least member leads its block, whose number counts the
+        leaders before it."""
+        n, length = len(self.order), len(self)
+        # over flat (level, leaf) positions: where each run starts, and the
+        # flat (level, point) index of its least member
+        starts = np.flatnonzero(np.insert(self.h <= np.arange(length)[:, None], 0, True, axis=1))
+        led = starts // n * n + np.minimum.reduceat(np.tile(self.order, length), starts)
+        number = np.cumsum(np.bincount(led, minlength=length * n).reshape(length, n), axis=1) - 1
+        of_leaf = np.repeat(led, np.diff(starts, append=length * n))  # each leaf's run leader
+        labels = np.take(number.reshape(-1)[of_leaf].reshape(length, n), np.argsort(self.order),
+                         axis=1)
         labels.setflags(write=False)
         return labels
 
@@ -266,10 +274,7 @@ class PartitionChain:
 
     def proper_indices(self) -> list[int]:
         """Levels carrying log-ratio information: >= 2 blocks and delta > 0."""
-        return [
-            i for i, st in enumerate(self.stats)
-            if st.cardinality >= 2 and st.delta > 0
-        ]
+        return [i for i, st in enumerate(self.stats) if st.cardinality >= 2 and st.delta > 0]
 
     def to_report(self) -> dict:
         return {
@@ -287,10 +292,10 @@ class PartitionChain:
         }
 
 
-def _leads(split: np.ndarray) -> np.ndarray:
-    """max over j < i of split[i, j]: point i is the least member of its
-    block at every level from this one on (0 for point 0)."""
-    return np.tril(split, -1).max(axis=1)
+def _holding(split, chain: PartitionChain) -> PartitionChain:
+    """chain, its split view set to split (where cached_property keeps it)."""
+    chain.__dict__["split"] = split
+    return chain
 
 
 def _level_ranks(space: FiniteMetricSpace, split: np.ndarray):
@@ -309,29 +314,27 @@ def _level_ranks(space: FiniteMetricSpace, split: np.ndarray):
     return np.maximum.accumulate(top[::-1])[-2::-1], np.minimum.accumulate(low)[:length]
 
 
-def _chain_stats(space: FiniteMetricSpace, split: np.ndarray) -> tuple:
+def _chain_stats(space: FiniteMetricSpace, split: np.ndarray, h: np.ndarray) -> tuple:
     """partition_stats of every level, read off the split matrix.
 
     The extremes run on ranks (_level_ranks), and each level's delta and
     gamma are gathered once, so exact chains keep their Fractions without
-    comparing any. The cardinality of level l counts the points that lead
-    a block at l; a level of one block has the space diameter as gamma.
+    comparing any. Level l has 1 + #{h <= l} blocks, the runs of the leaf
+    order; a level of one block has the space diameter as gamma.
     """
     delta, gamma = _level_ranks(space, split)
-    cards = np.searchsorted(np.sort(_leads(split)), np.arange(len(delta)), side="right")
+    cards = 1 + np.searchsorted(np.sort(h), np.arange(len(delta)), side="right")
     zero = _zero(space.exact)
     deltas = [v if r else zero for r, v in zip(delta.tolist(), _gather(space.values, delta))]
-    gammas = _gather(space.values, np.where(cards > 1, gamma, 0.0))
-    stats = []
-    for d, g, card in zip(deltas, gammas, cards.tolist()):
-        g = g if card > 1 else space.diameter
-        stats.append(PartitionStats(d, g, _log_ratio(d, g), card))
-    return tuple(stats)
+    gammas = [g if card > 1 else space.diameter for g, card
+              in zip(_gather(space.values, np.where(cards > 1, gamma, 0.0)), cards.tolist())]
+    return tuple(PartitionStats(d, g, _log_ratio(d, g), card)
+                 for d, g, card in zip(deltas, gammas, cards.tolist()))
 
 
 def _require_separating(chain: PartitionChain) -> None:
     """Raise NotSeparating on the first row-major pair the last level joins."""
-    if chain.stats[-1].cardinality < len(chain.split):
+    if chain.stats[-1].cardinality < len(chain.order):
         i, j = np.argwhere(np.triu(chain.split == len(chain), 1))[0].tolist()
         raise NotSeparating((i, j))
 
@@ -339,24 +342,23 @@ def _require_separating(chain: PartitionChain) -> None:
 def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
     """Append the all-singleton level when the chain does not separate points.
 
-    The pairs the chain never separated are split at the new level, so
-    split only gains a raised diagonal and the old levels keep their stats.
-    The new level has delta zero and, as gamma, the smallest pair of the
-    space: the least of the last level's gamma (the smallest pair it
-    separates) and of the pairs it joins.
+    The pairs the chain never separated are split at the new level, so h and
+    the old levels' stats stay, and the source's split view is handed on
+    with a raised diagonal. The new level has delta zero and, as gamma, the
+    smallest pair of the space.
     """
-    if chain.split.shape != (space.n, space.n):
+    if len(chain.order) != space.n:
         raise ValueError("chain does not match the space")
-    last = chain.stats[-1]
-    if last.cardinality == space.n:
+    if chain.stats[-1].cardinality == space.n:
         return chain
     split = chain.split.copy()
     np.fill_diagonal(split, len(chain) + 1)
     split.setflags(write=False)
     gamma = _gather(space.values, space.rank[np.triu_indices(space.n, 1)].min())
     terminal = PartitionStats(_zero(space.exact), gamma, 0.0, space.n)
-    return PartitionChain(split, chain.stats + (terminal,), chain.thresholds + (None,),
-                          chain.level_ids + (chain.level_ids[-1] + 1,))
+    return _holding(split, PartitionChain(chain.order, chain.h, chain.stats + (terminal,),
+                                          chain.thresholds + (None,),
+                                          chain.level_ids + (chain.level_ids[-1] + 1,)))
 
 
 def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
@@ -366,29 +368,32 @@ def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
     its recorded radius, and its gamma equals that radius exactly. There is
     one level per distinct minimum-spanning-tree edge length r, joined by the
     tree edges shorter than r, so a pair stays joined through one level per
-    height above its subdominant distance.
+    height above its subdominant distance: adjacent leaves of the Prim order
+    split at the count of heights from the later one's weight up.
     """
-    heights, top = _merge_ranks(_spanning_tree(space))
-    return PartitionChain._from_split(space, len(heights) - top,
-                                      [None] + list(_gather(space.values, heights[:0:-1])))
+    order, _, weight = _spanning_tree(space)
+    heights, rank = np.unique(weight, return_inverse=True)
+    return PartitionChain._of_leaves(space, order, len(heights) - rank[1:], len(heights),
+                                     [None] + list(_gather(space.values, heights[:0:-1])))
 
 
 def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionChain:
     """Closed-ball partitions of an ultrametric space, one level per value
     of the distance spectrum r_1 > r_2 > ...; level n has delta = r_n and
     gamma = r_{n-1}. Level n joins the pairs whose subdominant distance is
-    at most r_n (the components of the tree edges up to r_n)."""
+    at most r_n (the components of the tree edges up to r_n), so adjacent
+    leaves of the Prim order split at the count of values from its weight up."""
     check = is_ultrametric(space, tol)
     if not check.ok:
         raise NotUltrametric(check.witness, check.violation)
     if space.n == 1:
-        return PartitionChain._from_split(space, [[1]])
+        return PartitionChain._of_leaves(space, [0], [], 1)
     spectrum = np.unique(space.rank[np.triu_indices(space.n, 1)])
-    heights, top = _merge_ranks(_spanning_tree(space))
-    joined = len(spectrum) - np.searchsorted(spectrum, heights, side="left")
-    return PartitionChain._from_split(space, joined[top],
-                                      [as_float(r) for r in _gather(space.values, spectrum[::-1])],
-                                      range(1, len(spectrum) + 1))
+    order, _, weight = _spanning_tree(space)
+    h = len(spectrum) - np.searchsorted(spectrum, weight[1:])
+    return PartitionChain._of_leaves(space, order, h, len(spectrum),
+                                     [as_float(r) for r in _gather(space.values, spectrum[::-1])],
+                                     range(1, len(spectrum) + 1))
 
 
 def associated_endpoints(space: FiniteMetricSpace) -> list[tuple[tuple[int, int], object]]:
@@ -442,7 +447,7 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     compare Fractions.
     """
     n = space.n
-    if chain.split.shape != (n, n):
+    if len(chain.order) != n:
         raise ValueError("chain does not match the space")
     order, parent, weight = _spanning_tree(space)
     ends, tree_keys, weight = order[1:], chain.split[order[1:], parent[1:]], weight[1:]
@@ -517,7 +522,7 @@ def _level_chunks(chain: PartitionChain, offsets: np.ndarray):
     """The levels in chunks of _chunk_rows levels, finest first: (lo, hi,
     block), where block[(l - lo) * n + p] is the number, less offsets[lo],
     of p's block at level l among all blocks."""
-    step = _chunk_rows(len(chain.split))
+    step = _chunk_rows(len(chain.order))
     for hi in range(len(chain), 0, -step):
         lo = max(hi - step, 0)
         yield lo, hi, (chain.labels[lo:hi] + (offsets[lo:hi] - offsets[lo])[:, None]).reshape(-1)
@@ -610,9 +615,12 @@ def induced_partition(partition: Partition, indices) -> Partition:
 def induced_chain(space: FiniteMetricSpace, chain: PartitionChain, indices):
     """Restrict a chain to a subspace; returns (subspace, chain on it).
 
-    Consecutive induced levels may coincide; refinement is preserved.
+    The kept points keep their leaf order, and two of them split at the
+    least level between them. Consecutive induced levels may coincide.
     """
     sub = subspace(space, indices)
-    idx = sorted(dict.fromkeys(int(i) for i in indices))
-    return sub, PartitionChain._from_split(sub, chain.split[np.ix_(idx, idx)],
-                                           chain.thresholds, chain.level_ids)
+    kept = np.flatnonzero(np.isin(chain.order, list(indices)))  # leaf positions, ascending
+    h = np.minimum.reduceat(chain.h[:kept[-1]], kept[:-1]) if len(kept) > 1 else []
+    order = np.argsort(np.argsort(chain.order[kept]))  # ranks: the points of sub
+    return sub, PartitionChain._of_leaves(sub, order, h, len(chain), chain.thresholds,
+                                          chain.level_ids)

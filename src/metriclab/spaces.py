@@ -386,7 +386,9 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
 
 # Single linkage. The components of {d < t} (or {d <= t}) are those of the
 # minimum-spanning-tree edges below t (Gower & Ross 1969), so one tree
-# answers every single-linkage question, and a space builds it once.
+# answers every single-linkage question, and a space builds it once. Its
+# Prim order is a leaf order: every cluster is a run of it, so _leaf_matrix
+# writes the subdominant, like every chain's split, from n - 1 adjacent values.
 
 def _spanning_tree(space: FiniteMetricSpace):
     """_prim of the space's rank, built on the first call and kept on the
@@ -431,28 +433,25 @@ def _prim(matrix):
 
 
 def _subdominant(tree) -> np.ndarray:
-    """Single-linkage merge heights of a matrix, from its _prim tree: u[i, j]
-    is the longest edge on the tree path from i to j, the largest
-    ultrametric below the matrix."""
-    heights, top = _merge_ranks(tree)
-    return heights[top]
+    """Single-linkage merge heights of a matrix, the largest ultrametric below
+    it, from its _prim tree: the tree path from order[p] to order[q] peaks
+    at the largest weight attached after p, up to q."""
+    order, _, weight = tree
+    return _leaf_matrix(order, weight[1:], np.maximum, weight[0])
 
 
-def _merge_ranks(tree):
-    """(heights, top) of a matrix, from its _prim tree: the distinct
-    spanning-tree weights, ascending from the diagonal's zero, and top[i, j]
-    the index in heights of u[i, j].
-
-    Walking the Prim order, u[v, seen] = max(weight_v, u[parent_v, seen]),
-    on the ranks of the weights; heights are entries of the matrix.
-    """
-    order, parent, weight = tree
-    heights, rank = np.unique(weight, return_inverse=True)
-    top = np.zeros((len(order), len(order)), dtype=np.intp)
-    for k in range(1, len(order)):
-        seen = order[:k]
-        top[order[k], seen] = top[seen, order[k]] = np.maximum(top[parent[k], seen], rank[k])
-    return heights, top
+def _leaf_matrix(order, h, ufunc, fill) -> np.ndarray:
+    """The read-only M[order[p], order[q]] = ufunc.reduce(h[p..q-1]) of a leaf
+    order and the values h of its adjacent leaves, fill (ufunc's identity on
+    h) on the diagonal. Row p holds fill up to column p, then h[p..]: one
+    accumulate, the transpose and a gather through the inverse order."""
+    m = np.where(np.tri(len(order), dtype=bool), fill, np.insert(h, 0, fill))
+    ufunc.accumulate(m, axis=1, out=m)
+    out = ufunc(m, m.T)
+    back = np.argsort(order)
+    np.take(out, back, axis=0, out=m)
+    np.take(m, back, axis=1, out=out).setflags(write=False)
+    return out
 
 
 def hausdorff_hyperspace(space: FiniteMetricSpace, max_subset_size: int | None = None,
@@ -497,27 +496,28 @@ def from_csv(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> F
     """The space of a CSV text: the first nonblank row labels, then the rows.
 
     csv.reader reads the label row, so a quoted label may hold commas and
-    line breaks. np.loadtxt then parses every matrix row in one C pass,
-    into the float64 array that validate checks: fields may be quoted with
-    '"', padded with whitespace, and spelled as Python's float() spells
-    them (nan and inf included), less digit-group underscores and
-    non-ASCII digits; blank lines are skipped. Lines end in LF or CRLF: a
-    bare CR inside a line is refused here, as csv.reader refuses it, and
-    the CLI reads files in universal newline mode, which makes it an LF.
-    Raises MetricViolation("parse") on any text loadtxt refuses.
+    line breaks; np.loadtxt then parses the matrix rows in one C pass. Both
+    read the text's lines, split at LF, with no wider copy of the text.
+    Fields may be quoted with '"', padded with whitespace, and spelled as
+    Python's float() spells them (nan and inf included), less digit-group
+    underscores and non-ASCII digits; blank lines are skipped. A bare CR
+    inside a line is refused, as csv.reader refuses it (the CLI reads files
+    in universal newline mode). Raises MetricViolation("parse") on any text
+    loadtxt refuses.
     """
-    buf = io.StringIO(text)
-    try:
-        labels = next((row for row in csv.reader(buf) if row), None)
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        raise MetricViolation("parse", None, str(exc)) from exc
-    start = buf.tell()
-    if labels is None or len(text.rstrip("\r\n")) <= start:  # no row after the labels
-        raise MetricViolation("parse", None, "need a label row plus matrix rows")
     _require_short_fields(text)
+    lines = text.split("\n")
+    reader = csv.reader(line + "\n" for line in lines)  # the LF of a quoted line break
     try:
-        matrix = np.loadtxt(buf, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                            dtype=float)
+        labels = next((row for row in reader if row), None)
+    except csv.Error as exc:  # such as a bare CR in a label
+        raise MetricViolation("parse", None, str(exc)) from exc
+    rows = lines[reader.line_num:]
+    if labels is None or not any(row.strip("\r") for row in rows):
+        raise MetricViolation("parse", None, "need a label row plus matrix rows")
+    try:
+        matrix = np.loadtxt((row + "\n" for row in rows), delimiter=",", quotechar='"',
+                            comments=None, ndmin=2, dtype=float)
     except ValueError as exc:
         raise MetricViolation("parse", None, str(exc)) from exc
     return validate(matrix, labels, tol=tol, rescale=rescale)

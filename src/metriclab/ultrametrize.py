@@ -26,7 +26,8 @@ from .errors import CertificateRefused, CertificateViolated, DistortionBoundsVio
 from .logratio import profile
 from .partitions import (PartitionChain, _decay_witness, _level_ranks, _require_separating,
                          classify_chain)
-from .spaces import FiniteMetricSpace, _gather, _spanning_tree, _subdominant, _union, is_ultrametric
+from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _spanning_tree, _subdominant, _union,
+                     is_ultrametric)
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
 
@@ -43,8 +44,9 @@ def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> Part
     """Prepend {X} when the chain starts with a proper partition."""
     if chain.stats[0].cardinality == 1:
         return chain
-    return PartitionChain._from_split(space, chain.split + 1, (None,) + chain.thresholds,
-                                      (int(chain.level_ids[0]) - 1,) + chain.level_ids)
+    return PartitionChain._of_leaves(space, chain.order, chain.h + 1, len(chain) + 1,
+                                     (None,) + chain.thresholds,
+                                     (int(chain.level_ids[0]) - 1,) + chain.level_ids)
 
 
 def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> np.ndarray:
@@ -55,11 +57,12 @@ def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> n
 def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> FiniteMetricSpace:
     """The chain ultrametric as a space. Every delta is an entry of d, so
     rho's ranks index d's values: a pair split at level l gets the delta
-    rank of level l - 1, and the diagonal reads the last one, 0."""
+    rank of level l - 1, the largest over its adjacent leaves (deltas fall
+    level by level), and the diagonal reads the last one, 0."""
     chain = ensure_trivial_head(space, chain)
     _require_separating(chain)
-    rank = _level_ranks(space, chain.split)[0][chain.split - 1]
-    return _on_table(space, rank)
+    delta = _level_ranks(space, chain.split)[0]
+    return _on_table(space, _leaf_matrix(chain.order, delta[chain.h - 1], np.maximum, 0.0))
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -200,8 +203,8 @@ def pushforward_chain(space: FiniteMetricSpace, image: FiniteMetricSpace,
         fit = _holder_fit(u, v)
     _check_holder_fit(pairs, u, v, fit)
     base = classify_chain(chain, p, tol=tol)
-    image_chain = PartitionChain._from_split(image, chain.split, chain.thresholds,
-                                             chain.level_ids)
+    image_chain = PartitionChain._of_leaves(image, chain.order, chain.h, len(chain),
+                                            chain.thresholds, chain.level_ids, chain.split)
     p_prime = (fit.t / fit.s) * p
     a_prime = (fit.c1 / fit.c2 ** p_prime) * base.p_witness ** fit.t
 

@@ -266,26 +266,22 @@ def _sequence_space(family, depth, exact):
 
 
 def _sequence_chain(space, family, depth):
-    """Level k joins 0 with r_(first+k), r_(first+k+1), ...: points i, j > 0
-    stay joined through level min(i, j) - 1, and 0 and j through j - 1."""
-    idx = np.arange(depth + 1)
-    split = np.minimum.outer(idx, idx)
-    split[0] = split[:, 0] = idx
-    np.fill_diagonal(split, depth)
-    first = family.first_index
-    return PartitionChain._from_split(space, split, None, range(first, first + depth))
+    """Level k joins 0 with r_(first+k), r_(first+k+1), ...: in the leaf
+    order 1, ..., depth, 0 the adjacent points split at 1, ..., depth."""
+    first, idx = family.first_index, np.arange(depth + 1)
+    return PartitionChain._of_leaves(space, np.roll(idx, -1), idx[1:], depth, None,
+                                     range(first, first + depth))
 
 
 def _prefix_chain(space, coords: int, level_count: int, start_prefix: int):
     """Ball chain of a binary-coordinate space: level i+1 groups points
     sharing the first start_prefix + i coordinates (level 1 is the whole
-    space). Points are in lexicographic coordinate order, so i and j share
-    coords - L of them, L the bit length of i ^ j."""
+    space). The points' lexicographic order is a leaf order: k and k + 1
+    share coords - L coordinates, L the bit length of k ^ (k + 1)."""
     by_length = 1 + np.clip(coords - start_prefix - np.arange(coords + 1), 0, level_count - 1)
-    by_xor = by_length[[k.bit_length() for k in range(space.n)]]
-    idx = np.arange(space.n)
-    return PartitionChain._from_split(space, by_xor[idx[:, None] ^ idx[None, :]], None,
-                                      range(1, level_count + 1))
+    adjacent = [(k ^ (k + 1)).bit_length() for k in range(space.n - 1)]
+    return PartitionChain._of_leaves(space, np.arange(space.n), by_length[adjacent],
+                                     level_count, None, range(1, level_count + 1))
 
 
 def _product_space(family, depth, exact):

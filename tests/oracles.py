@@ -58,11 +58,11 @@ from metriclab.embedding import (EmbeddingResult, LevelAudit, _exact_separated,
                                  _greedy_separated, grid_capacity)
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
-from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _leads,
+from metriclab.partitions import (Partition, PartitionChain, PartitionStats,
                                   _log_ratio, _require_separating, classify_chain,
                                   dendrogram_chain, largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
-                              _merge_ranks, _prim, _subdominant, _zero, _zeros, validate)
+                              _prim, _zero, _zeros, validate)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
 from metriclab.ultrametrize import PushforwardReport, fit_holder_exponents, verify_holder_fit
 
@@ -244,7 +244,7 @@ def block_extents_by_level(space, chain):
     if chain.split.shape != (n, n):
         raise ValueError("chain does not match the space")
     labels = chain.labels
-    leads = _leads(chain.split)
+    leads = split_leads(chain.split)
     length = len(chain)
 
     def bottom_up(ufunc, ends, keys, values, fill):
@@ -322,8 +322,8 @@ def with_singleton_terminal_from_split(space, chain):
         return chain
     split = chain.split.copy()
     np.fill_diagonal(split, len(chain) + 1)
-    return PartitionChain._from_split(space, split, chain.thresholds + (None,),
-                                      chain.level_ids + (chain.level_ids[-1] + 1,))
+    return from_split(space, split, chain.thresholds + (None,),
+                      chain.level_ids + (chain.level_ids[-1] + 1,))
 
 
 def sequence_gaps(values):
@@ -362,7 +362,7 @@ def is_ultrametric(space, tol=DEFAULT_TOL):
     whole matrix, keeping the hull and the first k reaching it in argk."""
     m = space.dist
     n = space.n
-    if n < 3 or (m == _subdominant(_prim(m))).all():
+    if n < 3 or (m == subdominant(_prim(m))).all():
         return UltrametricCheck(True, None, _zero(space.exact))
     hull = np.full((n, n), np.inf, dtype=m.dtype)
     argk = np.zeros((n, n), dtype=int)
@@ -554,10 +554,7 @@ def from_partitions(space, levels, thresholds=None, level_ids=None):
             raise NotNested(idx)
     if levels[0].n_points != space.n:
         raise ValueError("partition does not match the space")
-    split = np.zeros((space.n, space.n), dtype=np.int32)
-    for p in levels:
-        split += p.block_of[:, None] == p.block_of[None, :]
-    return PartitionChain._from_split(space, split, thresholds, level_ids)
+    return from_split(space, split_of_levels(levels), thresholds, level_ids)
 
 
 def threshold_min_R(space, r, *, require_positive_delta=False):
@@ -732,17 +729,15 @@ def chain_stats(space, split):
 
 
 def chain_on_values(space, split, thresholds=None, level_ids=None):
-    """PartitionChain._from_split with the stats of chain_stats."""
-    split = np.asarray(split, dtype=np.int32)
-    length = int(split[0, 0])
-    return PartitionChain(split, chain_stats(space, split),
-                          (None,) * length if thresholds is None else tuple(thresholds),
-                          tuple(range(length)) if level_ids is None else tuple(level_ids))
+    """from_split with the stats of chain_stats."""
+    chain = from_split(space, split, thresholds, level_ids)
+    return PartitionChain(chain.order, chain.h, chain_stats(space, chain.split),
+                          chain.thresholds, chain.level_ids)
 
 
 def dendrogram_chain_on_values(space):
     """dendrogram_chain on the merge ranks of dist."""
-    heights, top = _merge_ranks(_prim(space.dist))
+    heights, top = merge_ranks(_prim(space.dist))
     return chain_on_values(space, len(heights) - top, [None] + list(heights[:0:-1]))
 
 
@@ -751,7 +746,7 @@ def ball_chain_on_values(space):
     if space.n == 1:
         return chain_on_values(space, [[1]])
     spectrum = np.unique(space.dist[np.triu_indices(space.n, 1)])
-    heights, top = _merge_ranks(_prim(space.dist))
+    heights, top = merge_ranks(_prim(space.dist))
     joined = len(spectrum) - np.searchsorted(spectrum, heights, side="left")
     return chain_on_values(space, joined[top], [as_float(r) for r in spectrum[::-1]],
                            range(1, len(spectrum) + 1))
@@ -766,7 +761,7 @@ def threshold_partition(space, t):
 def associated_endpoints(space):
     """associated_endpoints where dist equals its subdominant ultrametric."""
     m = space.dist
-    rows, cols = np.nonzero(np.triu(m == _subdominant(_prim(m)), 1))
+    rows, cols = np.nonzero(np.triu(m == subdominant(_prim(m)), 1))
     out = [((i, j), m[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
     out.sort(key=lambda item: (item[1], item[0]), reverse=True)
     return out
@@ -1003,8 +998,7 @@ def pushforward_chain(space, image, chain, p, fit=None, tol=DEFAULT_TOL):
         fit = fit_holder_exponents(space.dist, image.dist)
     verify_holder_fit(space.dist, image.dist, fit)
     base = classify_chain(chain, p, tol=tol)
-    image_chain = PartitionChain._from_split(image, chain.split, chain.thresholds,
-                                             chain.level_ids)
+    image_chain = from_split(image, chain.split, chain.thresholds, chain.level_ids)
     p_prime = (fit.t / fit.s) * p
     a_prime = (fit.c1 / fit.c2 ** p_prime) * base.p_witness ** fit.t
     gamma_ok = True
@@ -1021,3 +1015,77 @@ def pushforward_chain(space, image, chain, p, fit=None, tol=DEFAULT_TOL):
                 delta_ok = False
     return PushforwardReport(fit, p, p_prime, base.p_witness, a_prime,
                              chain.stats, image_chain.stats, gamma_ok, delta_ok)
+
+
+# Before a chain was a leaf order and the split levels of its adjacent
+# leaves, its datum was the n x n split matrix itself: builders wrote it
+# (the single-linkage ones through merge_ranks' n-step loop), labels walked
+# it point by point, and from_partitions summed one n x n mask per level.
+
+def merge_ranks(tree):
+    """(heights, top) of a matrix, from its _prim tree: the distinct
+    spanning-tree weights, ascending from the diagonal's zero, and top[i, j]
+    the index in heights of u[i, j]. Walking the Prim order, u[v, seen] =
+    max(weight_v, u[parent_v, seen]), on the ranks of the weights."""
+    order, parent, weight = tree
+    heights, rank = np.unique(weight, return_inverse=True)
+    top = np.zeros((len(order), len(order)), dtype=np.intp)
+    for k in range(1, len(order)):
+        seen = order[:k]
+        top[order[k], seen] = top[seen, order[k]] = np.maximum(top[parent[k], seen], rank[k])
+    return heights, top
+
+
+def subdominant(tree):
+    """spaces._subdominant through merge_ranks."""
+    heights, top = merge_ranks(tree)
+    return heights[top]
+
+
+def split_of_levels(levels):
+    """The split matrix of nested partitions: one n x n mask sum per level."""
+    n = levels[0].n_points
+    split = np.zeros((n, n), dtype=np.int32)
+    for p in levels:
+        split += p.block_of[:, None] == p.block_of[None, :]
+    return split
+
+
+def split_leads(split):
+    """max over j < i of split[i, j]: point i is the least member of its
+    block at every level from this one on (0 for point 0)."""
+    return np.tril(split, -1).max(axis=1)
+
+
+def split_labels(split):
+    """PartitionChain.labels walking the points: point i leads its block
+    from level split_leads(split)[i] on; before, it shares the block of the
+    first j < i joined to it longest."""
+    length = int(split[0, 0])
+    lvl = np.arange(length)
+    leads = split_leads(split)
+    parent = np.argmax(np.tril(split == leads[:, None], -1), axis=1)
+    rows = np.zeros((len(leads), length), dtype=np.intp)
+    seen = np.zeros(length, dtype=np.intp)  # per level, the blocks led before i
+    for i, (lead, up) in enumerate(zip(leads.tolist(), parent.tolist())):
+        rows[i] = np.where(lvl >= lead, seen, rows[up])
+        seen[lead:] += 1
+    return np.ascontiguousarray(rows.T)
+
+
+def from_split(space, split, thresholds=None, level_ids=None):
+    """PartitionChain._from_split: the chain of a nested split matrix, its
+    diagonal the level count. The leaves are the Prim order of the
+    pseudo-ultrametric length - split, which keeps every block a run; a
+    split that is not nested has no such order and raises ValueError."""
+    split = np.asarray(split, dtype=np.int32)
+    if split.shape != (space.n, space.n):
+        raise ValueError("chain does not match the space")
+    length = int(split[0, 0])
+    order = _prim((length - split).astype(float))[0]
+    h = split[order[:-1], order[1:]]
+    chain = PartitionChain._of_leaves(space, order, h, length, thresholds, level_ids)
+    if not np.array_equal(chain.split, split):
+        raise ValueError("split is not nested")
+    return chain
+

@@ -193,7 +193,7 @@ def terminal_cases():
     for space in (cloud, ties):
         chain = ml.dendrogram_chain(space)
         out += [(space, chain)] + [
-            (space, ml.PartitionChain._from_split(space, np.minimum(chain.split, k)))
+            (space, oracles.from_split(space, np.minimum(chain.split, k)))
             for k in (1, 2, len(chain) - 1)]
     for kind in ml.KINDS:
         out.append(ml.sample(ml.make_family(kind), 6 if kind.startswith(("seq", "sqrt")) else 3))

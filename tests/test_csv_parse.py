@@ -4,7 +4,8 @@ the same labels and the same float64 bytes, or the same typed error, on the
 texts to_csv and np.savetxt write and on their variants with quoted, padded
 and oversized fields, blank lines, LF, CRLF or bare-CR line ends, and
 ragged or missing rows; the spellings only float() reads; and the memory
-both take on a 300-point cloud."""
+both take on a 300-point cloud, where the parse itself holds about the
+text plus the array."""
 
 import csv
 import io
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
+from metriclab import spaces
 from metriclab.errors import DiameterExceedsOne, MetricViolation
 from conftest import euclidean_space
 
@@ -124,6 +126,14 @@ def test_spellings_only_float_reads_are_a_parse_error(field):
     assert err.value.kind == "parse"
 
 
+@pytest.mark.parametrize("body", ['"0\n",0.5\n0.5,0\n', '"0\n.5",0.5\n0.5,0\n',
+                                  '0,"0.\n5"\n0.5,0\n', '0,0.5\r\n0.5,"0\r\n"\r\n'])
+def test_quoted_line_breaks_in_rows_equal_the_oracle(body):
+    # a line break inside quotes stays in the field: "0.\n5" is no number
+    text = "a,b\n" + body
+    assert outcome(ml.from_csv, text) == outcome(oracles.from_csv, text)
+
+
 def test_validate_errors_pass_through():
     with pytest.raises(MetricViolation) as err:
         ml.from_csv("a,b,c\n0,1,0.4\n1,0,0.5\n0.4,0.5,0\n")
@@ -142,3 +152,15 @@ def test_from_csv_peaks_below_the_per_field_parser():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] < peaks[1]
+
+
+def test_from_csv_parses_in_about_the_text_plus_the_array(monkeypatch):
+    text = ml.to_csv(euclidean_space(0, 300))
+    monkeypatch.setattr(spaces, "validate", lambda matrix, labels, **_: matrix)  # the parse alone
+    tracemalloc.start()
+    matrix = spaces.from_csv(text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # an io.StringIO of the text alone would take 4 bytes a character
+    assert matrix.shape == (300, 300) and peak <= 1.3 * len(text) + 3 * matrix.nbytes
+

@@ -226,7 +226,7 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     9 and on Cantor depth 6, oracle on seq_geometric depth 6, dimension on
     seq_geometric depth 60 and Cantor depth 6, partition_stats and
     associated_endpoints compare no Fraction inside _chain_stats, _prim,
-    _merge_ranks, _block_extents, is_ultrametric's accept test (a passing
+    _leaf_matrix, _block_extents, is_ultrametric's accept test (a passing
     rho), the certificate's d <= rho check, whose operands are float64
     ranks, _label_stats, separated_count, estimate_metric_dimension or
     associated_endpoints."""
@@ -265,8 +265,8 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
         assert out.ok
 
     watched(spaces, "_prim")  # _spanning_tree's one call per space
-    for module in (spaces, partitions):
-        watched(module, "_merge_ranks")
+    for module in (spaces, partitions, ultrametrize):
+        watched(module, "_leaf_matrix")
     watched(partitions, "_chain_stats")
     watched(logratio, "_block_extents")
     watched(ultrametrize, "is_ultrametric", accepts)
@@ -297,7 +297,7 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     partitions.associated_endpoints(space)
     assert counts["inside"] == 0
     assert counts["outside"] > 0  # the patch sees the comparisons made elsewhere
-    assert set(calls) == {"_prim", "_merge_ranks", "_chain_stats", "_block_extents",
+    assert set(calls) == {"_prim", "_leaf_matrix", "_chain_stats", "_block_extents",
                           "is_ultrametric", "_union", "_pair_logs", "_first_failure",
                           "_label_stats", "separated_count", "estimate_metric_dimension",
                           "associated_endpoints"}

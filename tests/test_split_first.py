@@ -314,8 +314,8 @@ def test_embed_chain_equals_block_dict_oracle(case, N, thin):
     assert_embedding_equals_oracle(space, chain, N)
     # an unseparated terminal level is refused alike
     if len(chain) > 1 and chain.stats[-2].cardinality < space.n:
-        head = ml.PartitionChain._from_split(space, np.minimum(chain.split, len(chain) - 1),
-                                             chain.thresholds[:-1], chain.level_ids[:-1])
+        head = oracles.from_split(space, np.minimum(chain.split, len(chain) - 1),
+                                  chain.thresholds[:-1], chain.level_ids[:-1])
         assert_embedding_equals_oracle(space, head, N)
 
 
