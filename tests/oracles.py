@@ -36,11 +36,16 @@ fit and again in its check. `block_extents_by_level` is the kernel of
 `partitions._block_extents` that reduced each level's children and new
 items bottom up, one level at a time, before the suffix reduction over
 whole chunks of levels, and `settled_from` the burn-in loop of `profile`
-that rescanned the tail of the R sequence from each proper level.
+that rescanned the tail of the R sequence from each proper level. The last
+section holds the code of chains whose datum was the n x n split matrix:
+the single-linkage `merge_ranks` loop and `subdominant`, the per-level
+mask sums `split_of_levels` of `from_partitions`, the point-by-point
+`split_labels` walk with its `split_leads`, and `from_split`, the chain of
+a given split matrix.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
 they built, so that a test can compare them with the levels a fast chain
-derives from its split matrix.
+derives from its leaf order.
 """
 
 import csv
@@ -545,7 +550,7 @@ def audit_min_gap(chain, level, box_center, deltas, gammas):
 
 def from_partitions(space, levels, thresholds=None, level_ids=None):
     """PartitionChain.from_partitions checking nesting with the refines loop
-    of BlockPartition."""
+    of BlockPartition, then summing one same-block mask per level."""
     levels = tuple(levels)
     if not levels:
         raise ValueError("chain needs at least one level")
