@@ -500,7 +500,7 @@ def image_ratio_report(space: FiniteMetricSpace, result: EmbeddingResult) -> dic
     image = FiniteMetricSpace(space.labels, box / diam, _trusted=True)
     c = result.chain
     prof = profile(PartitionChain._of_leaves(image, c.order, c.h, len(c), c.thresholds,
-                                             c.level_ids, c.split))
+                                             c.level_ids))
     spread = (result.p * (result.R_est + result.epsilon)) ** 2
     low = result.R_est / spread if math.isfinite(result.R_est) else 0.0
     return {

@@ -24,8 +24,8 @@ import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
-from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _rank_bound, _spanning_tree,
-                     _subdominant, _zero, is_ultrametric, subspace)
+from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _leaf_rows, _rank_bound,
+                     _spanning_tree, _subdominant, _zero, is_ultrametric, subspace)
 
 
 class Partition:
@@ -128,7 +128,7 @@ def partition_stats(space: FiniteMetricSpace, partition: Partition) -> Partition
     return PartitionStats(delta, gamma, _log_ratio(delta, gamma), partition.cardinality)
 
 
-_CHUNK_ENTRIES = 1 << 20  # label pairs compared at once by _label_stats
+_CHUNK_ENTRIES = 1 << 20  # entries compared at once by _label_stats and _pair_runs
 
 
 def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +188,9 @@ class PartitionChain:
     split[order[p], order[q]] = min(h[p..q-1]). split, labels and levels are
     read-only views built on first use: level l joins i and j exactly when
     l < split[i, j], and its blocks are the runs of order cut where h <= l.
-    Chains are equal when split, stats, thresholds and level_ids are.
+    No builder or stat reads split; they read the pairs from (order, h)
+    (_pair_runs). Chains are equal when split, stats, thresholds and
+    level_ids are.
 
     thresholds[i] is the merge radius that produced level i (None for levels
     not born from a merge, like a leading trivial partition). level_ids keeps
@@ -220,19 +222,18 @@ class PartitionChain:
         return cls._of_leaves(space, order, agree, len(levels), thresholds, level_ids)
 
     @classmethod
-    def _of_leaves(cls, space, order, h, length, thresholds=None, level_ids=None,
-                   split=None) -> "PartitionChain":
+    def _of_leaves(cls, space, order, h, length, thresholds=None,
+                   level_ids=None) -> "PartitionChain":
         """The chain of a leaf order and its adjacent split levels, with the
-        stats read off its split view (split, when the caller holds it)."""
+        stats read off its pairs (_pair_runs)."""
         order, h = np.asarray(order, dtype=np.intp), np.asarray(h, dtype=np.int32)
         if len(order) != space.n:
             raise ValueError("chain does not match the space")
-        split = _leaf_matrix(order, h, np.minimum, length) if split is None else split
         thresholds = (None,) * length if thresholds is None else tuple(thresholds)
         level_ids = tuple(range(length)) if level_ids is None else tuple(level_ids)
         order.setflags(write=False)
         h.setflags(write=False)
-        return _holding(split, cls(order, h, _chain_stats(space, split, h), thresholds, level_ids))
+        return cls(order, h, _chain_stats(space, order, h, length), thresholds, level_ids)
 
     def __eq__(self, other):
         return (isinstance(other, PartitionChain) and np.array_equal(self.split, other.split)
@@ -292,37 +293,49 @@ class PartitionChain:
         }
 
 
-def _holding(split, chain: PartitionChain) -> PartitionChain:
-    """chain, its split view set to split (where cached_property keeps it)."""
-    chain.__dict__["split"] = split
-    return chain
+def _pair_runs(space: FiniteMetricSpace, order, h, length):
+    """Every pair of a chain, read from (order, h) in blocks of leaf rows of
+    about _CHUNK_ENTRIES entries. Along row p, the split levels of
+    (order[p], order[q]), q > p, are a running minimum of h; each run of
+    equal level yields the point order[p], the level, and the run's largest
+    and least rank, as arrays per block."""
+    n, lo = len(order), 0
+    while lo < n - 1:  # the last leaf row holds no pair
+        width = n - lo
+        rows = min(max(1, _CHUNK_ENTRIES // width), width - 1)
+        # fill length + 1, past every level, marks the columns q <= p; the
+        # row before ends on a pair, so a row's fill starts a run
+        levels = _leaf_rows(h[lo:], np.minimum, length + 1, rows).reshape(-1)
+        starts = np.flatnonzero(np.insert(levels[1:] != levels[:-1], 0, True))
+        real = levels[starts] <= length
+        ranks = space.rank[order[lo:lo + rows, None], order[lo:]].reshape(-1)
+        yield (order[lo + starts[real] // width], levels[starts[real]],
+               np.maximum.reduceat(ranks, starts)[real], np.minimum.reduceat(ranks, starts)[real])
+        lo += rows
 
 
-def _level_ranks(space: FiniteMetricSpace, split: np.ndarray):
+def _level_ranks(space: FiniteMetricSpace, order, h, length):
     """(delta, gamma): per level, the rank of the largest distance of a pair
     split after it (0 when none is) and of the smallest of a pair split at
-    or before it (inf when none is). One grouped max/min of the ranks over
-    the upper triangle by split level, then a suffix max and a prefix min."""
-    length = int(split[0, 0])
-    upper = np.triu_indices(space.n, 1)
-    keys = split[upper]
-    ranks = space.rank[upper]
+    or before it (inf when none is). One grouped max/min of the pair runs'
+    ranks by split level, then a suffix max and a prefix min."""
     top = np.zeros(length + 1)
-    np.maximum.at(top, keys, ranks)
     low = np.full(length + 1, np.inf)
-    np.minimum.at(low, keys, ranks)
+    for _, keys, high, least in _pair_runs(space, order, h, length):
+        np.maximum.at(top, keys, high)
+        np.minimum.at(low, keys, least)
     return np.maximum.accumulate(top[::-1])[-2::-1], np.minimum.accumulate(low)[:length]
 
 
-def _chain_stats(space: FiniteMetricSpace, split: np.ndarray, h: np.ndarray) -> tuple:
-    """partition_stats of every level, read off the split matrix.
+def _chain_stats(space: FiniteMetricSpace, order, h, length) -> tuple:
+    """partition_stats of every level, read off the chain's pairs.
 
     The extremes run on ranks (_level_ranks), and each level's delta and
     gamma are gathered once, so exact chains keep their Fractions without
     comparing any. Level l has 1 + #{h <= l} blocks, the runs of the leaf
     order; a level of one block has the space diameter as gamma.
     """
-    delta, gamma = _level_ranks(space, split)
+    delta, gamma = _level_ranks(space, order, h, length)
     cards = 1 + np.searchsorted(np.sort(h), np.arange(len(delta)), side="right")
     zero = _zero(space.exact)
     deltas = [v if r else zero for r, v in zip(delta.tolist(), _gather(space.values, delta))]
@@ -343,22 +356,17 @@ def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> 
     """Append the all-singleton level when the chain does not separate points.
 
     The pairs the chain never separated are split at the new level, so h and
-    the old levels' stats stay, and the source's split view is handed on
-    with a raised diagonal. The new level has delta zero and, as gamma, the
-    smallest pair of the space.
+    the old levels' stats stay. The new level has delta zero and, as gamma,
+    the smallest pair of the space.
     """
     if len(chain.order) != space.n:
         raise ValueError("chain does not match the space")
     if chain.stats[-1].cardinality == space.n:
         return chain
-    split = chain.split.copy()
-    np.fill_diagonal(split, len(chain) + 1)
-    split.setflags(write=False)
-    gamma = _gather(space.values, space.rank[np.triu_indices(space.n, 1)].min())
-    terminal = PartitionStats(_zero(space.exact), gamma, 0.0, space.n)
-    return _holding(split, PartitionChain(chain.order, chain.h, chain.stats + (terminal,),
-                                          chain.thresholds + (None,),
-                                          chain.level_ids + (chain.level_ids[-1] + 1,)))
+    least = np.min(space.rank, where=~np.eye(space.n, dtype=bool), initial=np.inf)
+    terminal = PartitionStats(_zero(space.exact), _gather(space.values, least), 0.0, space.n)
+    return PartitionChain(chain.order, chain.h, chain.stats + (terminal,),
+                          chain.thresholds + (None,), chain.level_ids + (chain.level_ids[-1] + 1,))
 
 
 def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
@@ -426,14 +434,15 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     Returns (diameters, gaps, connected): one array per level, indexed like
     that level's blocks. An item with split key k lies inside one block of
     every level before k:
-      - the diameter is the largest pair inside the block;
+      - the diameter is the largest pair inside the block (_pair_runs);
       - the largest gap reads the whole space's spanning tree. When the
         tree edges inside a block B number |B| - 1, they connect B and, by
         the cut property, form a minimum spanning tree of B, so its largest
         edge is B's largest gap and connected is True. Dendrogram, ball and
         zoo chains have only such blocks; any other block's gap is not in
-        gaps, and largest_gap(space, b) gives it.
-    Each item raises its end point's entry at level k - 1; a reverse
+        gaps, and largest_gap(space, b) gives it. An edge splits at the
+        least h between its ends' leaf positions.
+    Each item raises its point's entry at level k - 1; a reverse
     accumulate over the levels then holds, at (level, point), the reduction
     of the items that level still joins there, and one grouped reduction by
     (level, block) gives every block. Max and add are exact here and
@@ -450,48 +459,33 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     if len(chain.order) != n:
         raise ValueError("chain does not match the space")
     order, parent, weight = _spanning_tree(space)
-    ends, tree_keys, weight = order[1:], chain.split[order[1:], parent[1:]], weight[1:]
+    at = np.argsort(chain.order)[np.stack((order[1:], parent[1:]), axis=1)]
+    at.sort(axis=1)  # each tree edge's leaf positions, ascending
+    tree_keys = np.minimum.reduceat(np.append(chain.h, len(chain)), at.reshape(-1))[::2]
+    runs = [np.concatenate(part) for part in zip(*_pair_runs(space, chain.order, chain.h,
+                                                             len(chain)))]
+    points, keys, high = runs[:3] if runs else [np.zeros(0, dtype=np.intp)] * 3
+    items = ((keys, points, high, np.maximum), (tree_keys, order[1:], weight[1:], np.maximum),
+             (tree_keys, order[1:], np.ones(n - 1), np.add))
     offsets = _block_offsets(chain)
     diameters, gaps = np.zeros(offsets[-1]), np.zeros(offsets[-1])
     connected = np.empty(offsets[-1], dtype=bool)
     carry = [np.zeros(n), np.zeros(n), np.zeros(n)]
     for lo, hi, block in _level_chunks(chain, offsets):
         here = slice(offsets[lo], offsets[hi])
-        take = (tree_keys > lo) & (tree_keys <= hi)
-        at = (tree_keys[take] - (lo + 1)) * n + ends[take]
         edges = np.zeros(offsets[hi] - offsets[lo])
-        for k, (ufunc, out) in enumerate(((np.maximum, diameters[here]),
-                                          (np.maximum, gaps[here]), (np.add, edges))):
+        for k, ((item_keys, item_points, values, ufunc), out) in enumerate(
+                zip(items, (diameters[here], gaps[here], edges))):
+            take = (item_keys > lo) & (item_keys <= hi)
             acc = np.zeros((hi - lo, n))  # one at a time, to bound the temporaries
-            if k == 0:
-                _raise_pairs(acc, space.rank, chain.split, lo)
-            else:  # the tree edges: their weights, then their count
-                ufunc.at(acc.reshape(-1), at, weight[take] if k == 1 else 1.0)
+            ufunc.at(acc.reshape(-1), (item_keys[take] - (lo + 1)) * n + item_points[take],
+                     values[take])
             carry[k] = _suffix_blocks(ufunc, acc, carry[k], block, out)
         connected[here] = edges == np.bincount(block, minlength=len(edges)) - 1
         del block  # before the next chunk's is built
     bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     return tuple([flat[lo:hi] for lo, hi in bounds] for flat in
                  (_gather(space.values, diameters), _gather(space.values, gaps), connected))
-
-
-def _raise_pairs(acc, rank, split, lo) -> None:
-    """Raise acc[k - 1 - lo, i] to rank[i, j] for every pair i < j whose
-    split key k falls in the chunk's levels lo..lo + len(acc) - 1, reading
-    the matrices in pieces of _chunk_rows rows."""
-    levels, n = acc.shape
-    rows = _chunk_rows(n)
-    for r0 in range(0, n, rows):
-        keys = split[r0:r0 + rows]
-        q = np.flatnonzero((keys > lo) & (keys <= lo + levels)
-                           & (np.arange(n) > np.arange(r0, r0 + len(keys))[:, None]))
-        values = rank[r0:r0 + rows].reshape(-1)[q]
-        at = keys.reshape(-1)[q] - (lo + 1)
-        at *= n
-        q //= n
-        q += r0
-        np.add(at, q, out=q)
-        np.maximum.at(acc.reshape(-1), q, values)
 
 
 def _suffix_blocks(ufunc, acc, carry, block, out) -> np.ndarray:
@@ -506,9 +500,8 @@ def _suffix_blocks(ufunc, acc, carry, block, out) -> np.ndarray:
 
 
 def _chunk_rows(n: int) -> int:
-    """Levels per chunk, and matrix rows per piece of pairs, for a space of
-    n points: about _CHUNK_ENTRIES (level, point) entries, and no more
-    entries than the space has pairs."""
+    """Levels per chunk for a space of n points: about _CHUNK_ENTRIES
+    (level, point) entries, and no more entries than the space has pairs."""
     return max(1, min(_CHUNK_ENTRIES, n * (n - 1) // 2) // n)
 
 

@@ -443,15 +443,22 @@ def _subdominant(tree) -> np.ndarray:
 def _leaf_matrix(order, h, ufunc, fill) -> np.ndarray:
     """The read-only M[order[p], order[q]] = ufunc.reduce(h[p..q-1]) of a leaf
     order and the values h of its adjacent leaves, fill (ufunc's identity on
-    h) on the diagonal. Row p holds fill up to column p, then h[p..]: one
-    accumulate, the transpose and a gather through the inverse order."""
-    m = np.where(np.tri(len(order), dtype=bool), fill, np.insert(h, 0, fill))
-    ufunc.accumulate(m, axis=1, out=m)
+    h) on the diagonal: its _leaf_rows, the transpose and a gather through
+    the inverse order."""
+    m = _leaf_rows(h, ufunc, fill, len(order))
     out = ufunc(m, m.T)
     back = np.argsort(order)
     np.take(out, back, axis=0, out=m)
     np.take(m, back, axis=1, out=out).setflags(write=False)
     return out
+
+
+def _leaf_rows(h, ufunc, fill, rows) -> np.ndarray:
+    """The first rows of that matrix in leaf order, upper part only: row p
+    holds fill up to column p, then the running ufunc of h[p..]."""
+    m = np.where(np.tri(rows, len(h) + 1, dtype=bool), fill, np.insert(h, 0, fill))
+    ufunc.accumulate(m, axis=1, out=m)
+    return m
 
 
 def hausdorff_hyperspace(space: FiniteMetricSpace, max_subset_size: int | None = None,

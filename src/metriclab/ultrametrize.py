@@ -61,7 +61,7 @@ def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain
     level by level), and the diagonal reads the last one, 0."""
     chain = ensure_trivial_head(space, chain)
     _require_separating(chain)
-    delta = _level_ranks(space, chain.split)[0]
+    delta = _level_ranks(space, chain.order, chain.h, len(chain))[0]
     return _on_table(space, _leaf_matrix(chain.order, delta[chain.h - 1], np.maximum, 0.0))
 
 
@@ -204,7 +204,7 @@ def pushforward_chain(space: FiniteMetricSpace, image: FiniteMetricSpace,
     _check_holder_fit(pairs, u, v, fit)
     base = classify_chain(chain, p, tol=tol)
     image_chain = PartitionChain._of_leaves(image, chain.order, chain.h, len(chain),
-                                            chain.thresholds, chain.level_ids, chain.split)
+                                            chain.thresholds, chain.level_ids)
     p_prime = (fit.t / fit.s) * p
     a_prime = (fit.c1 / fit.c2 ** p_prime) * base.p_witness ** fit.t
 

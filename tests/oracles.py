@@ -40,8 +40,10 @@ that rescanned the tail of the R sequence from each proper level. The last
 section holds the code of chains whose datum was the n x n split matrix:
 the single-linkage `merge_ranks` loop and `subdominant`, the per-level
 mask sums `split_of_levels` of `from_partitions`, the point-by-point
-`split_labels` walk with its `split_leads`, and `from_split`, the chain of
-a given split matrix.
+`split_labels` walk with its `split_leads`, `from_split`, the chain of
+a given split matrix, and `level_ranks`, the per-level extreme ranks that
+the stats and rho read off the split matrix's upper triangle before
+`partitions._pair_runs` read them from (order, h).
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
 they built, so that a test can compare them with the levels a fast chain
@@ -1094,3 +1096,17 @@ def from_split(space, split, thresholds=None, level_ids=None):
         raise ValueError("split is not nested")
     return chain
 
+
+def level_ranks(space, split):
+    """partitions._level_ranks read off the split matrix: one grouped
+    max/min of the ranks over the upper triangle by split level, then a
+    suffix max and a prefix min."""
+    length = int(split[0, 0])
+    upper = np.triu_indices(space.n, 1)
+    keys = split[upper]
+    ranks = space.rank[upper]
+    top = np.zeros(length + 1)
+    np.maximum.at(top, keys, ranks)
+    low = np.full(length + 1, np.inf)
+    np.minimum.at(low, keys, ranks)
+    return np.maximum.accumulate(top[::-1])[-2::-1], np.minimum.accumulate(low)[:length]

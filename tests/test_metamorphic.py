@@ -4,10 +4,15 @@ Relabeling: a permutation sigma of the points moves no statistic. Chain
 stats and thresholds, profile reports, certificate constants, gap bounds
 and ultrametric verdicts stay equal, and split is permuted exactly by
 sigma. Closure: rho and the subdominant ultrametric are ultrametric, so
-is_ultrametric accepts them and ball_chain builds on them. Inputs are
-clouds, tie-heavy quantized metrics and zoo samples, float and exact, up to
-about 300 points."""
+is_ultrametric accepts them and ball_chain builds on them; a float space
+comes back bit for bit from its CSV text. Stability: single linkage is
+1-Lipschitz in the sup norm (Carlsson & Memoli 2010), so the subdominant
+ultrametrics and largest gaps of a cloud and of a jittered copy differ by
+at most the largest change of a distance. Snowflake: d^s keeps every
+dendrogram level and every R. Inputs are clouds, tie-heavy quantized
+metrics and zoo samples, float and exact, up to about 300 points."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -122,3 +127,52 @@ def test_rho_and_the_subdominant_are_ultrametric(case):
         assert len(balls) == max(len(np.unique(ultra.rank)) - 1, 1)
         if space.exact:
             assert all(isinstance(st.delta, Fraction) for st in balls.stats)
+
+
+@CHECKS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300), st.sampled_from((1e-9, 1e-4, 0.05)))
+def test_single_linkage_moves_no_more_than_the_distances(seed, n, jitter):
+    """Both clouds are scaled by one common factor. The bound holds exactly
+    in float: each side is a difference of two entries of the matrices, and
+    rounding is monotone."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    moved = pts + rng.normal(scale=jitter, size=pts.shape)
+    dx, dy = (np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1)) for p in (pts, moved))
+    scale = max(dx.max(), dy.max())
+    x, y = (ml.FiniteMetricSpace([str(i) for i in range(n)], d / scale, _trusted=True)
+            for d in (dx, dy))
+    bound = np.abs(x.dist - y.dist).max()
+    ux, uy = ml.subdominant_ultrametric(x).dist, ml.subdominant_ultrametric(y).dist
+    assert np.abs(ux - uy).max() <= bound
+    assert abs(ml.largest_gap(x) - ml.largest_gap(y)) <= bound
+
+
+@CHECKS
+@given(spaces())
+def test_csv_round_trip_is_bit_exact(case):
+    space, _ = case
+    assume(not space.exact)  # exact spaces do not serialize to CSV
+    back = ml.from_csv(ml.to_csv(space))
+    assert back.labels == space.labels
+    assert back.dist.dtype == space.dist.dtype and back.dist.tobytes() == space.dist.tobytes()
+
+
+@CHECKS
+@given(st.sampled_from(("cloud", "ties")), st.integers(0, 2 ** 32 - 1), st.integers(2, 300),
+       st.floats(0.05, 1.0))
+def test_snowflake_keeps_every_level_and_ratio(source, seed, n, s):
+    """Spaces of diameter 0.9, as acceptance criterion 8 takes them, so that
+    no log of a delta nears zero."""
+    if source == "cloud":
+        space = euclidean_space(seed, n, scale=0.9)
+    else:
+        ties = quantized_space(seed, max(n, 3), 3)
+        space = ml.FiniteMetricSpace(ties.labels, 0.9 * ties.dist, _trusted=True)
+    chain, snow = ml.dendrogram_chain(space), ml.dendrogram_chain(ml.snowflake(space, s))
+    assert np.array_equal(snow.labels, chain.labels)
+    for new, old in zip(snow.stats, chain.stats):
+        if math.isfinite(old.log_ratio):
+            assert abs(new.log_ratio - old.log_ratio) <= 1e-12
+        else:
+            assert new.log_ratio == old.log_ratio

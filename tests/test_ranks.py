@@ -9,6 +9,7 @@ metrics. The exact triangle check, on integers when every denominator is a
 power of two, is checked against the Fraction hull; a counting test makes
 sure no Fraction comparison comes back into the rank kernels."""
 
+import inspect
 import io
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -225,8 +226,8 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     """Exact ultrametrize on Cantor depth 6, profile on seq_factorial depth
     9 and on Cantor depth 6, oracle on seq_geometric depth 6, dimension on
     seq_geometric depth 60 and Cantor depth 6, partition_stats and
-    associated_endpoints compare no Fraction inside _chain_stats, _prim,
-    _leaf_matrix, _block_extents, is_ultrametric's accept test (a passing
+    associated_endpoints compare no Fraction inside _chain_stats, the pair
+    stream _pair_runs, _prim, _leaf_matrix, _block_extents, is_ultrametric's accept test (a passing
     rho), the certificate's d <= rho check, whose operands are float64
     ranks, _label_stats, separated_count, estimate_metric_dimension or
     associated_endpoints."""
@@ -250,6 +251,8 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
             inside[0] += 1
             try:
                 out = fn(*args, **kwargs)
+                if inspect.isgenerator(out):  # run a stream while it is watched
+                    out = iter(list(out))
             finally:
                 inside[0] -= 1
             calls[name] = calls.get(name, 0) + 1
@@ -268,6 +271,7 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     for module in (spaces, partitions, ultrametrize):
         watched(module, "_leaf_matrix")
     watched(partitions, "_chain_stats")
+    watched(partitions, "_pair_runs")
     watched(logratio, "_block_extents")
     watched(ultrametrize, "is_ultrametric", accepts)
     watched(ultrametrize, "_union")
@@ -297,10 +301,10 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     partitions.associated_endpoints(space)
     assert counts["inside"] == 0
     assert counts["outside"] > 0  # the patch sees the comparisons made elsewhere
-    assert set(calls) == {"_prim", "_leaf_matrix", "_chain_stats", "_block_extents",
-                          "is_ultrametric", "_union", "_pair_logs", "_first_failure",
-                          "_label_stats", "separated_count", "estimate_metric_dimension",
-                          "associated_endpoints"}
+    assert set(calls) == {"_prim", "_leaf_matrix", "_chain_stats", "_pair_runs",
+                          "_block_extents", "is_ultrametric", "_union", "_pair_logs",
+                          "_first_failure", "_label_stats", "separated_count",
+                          "estimate_metric_dimension", "associated_endpoints"}
 
 
 def test_exact_dimension_equals_float_where_float_is_exact():
