@@ -23,7 +23,7 @@ from .partitions import (
     _block_extents,
     _block_offsets,
     _label_stats,
-    _level_chunks,
+    _run_labels,
     dendrogram_chain,
     largest_gap,
 )
@@ -157,41 +157,35 @@ def _settled_from(r_vals, estimate: float, epsilon: float) -> int | None:
 def _property6(chain, space, proper):
     """delta strictly decreasing over the proper levels and, with a space,
     the gap constant: the largest, over consecutive proper levels i and j,
-    of the least largest gap of a widest block of level i (at least two
-    members, diameter within tolerance of delta_i) over gamma_j. One pass
-    over the level chunks of _block_extents' output reduces every widest
-    block at once; largest_gap runs only on the widest blocks that the
-    spanning tree does not connect."""
+    of the least largest gap of a widest block of level i (a nonzero
+    diameter, so two members or more, within tolerance of delta_i) over
+    gamma_j, in one pass over _block_extents' output; largest_gap runs
+    only on widest blocks that the spanning tree does not connect."""
     deltas = [as_float(chain.stats[i].delta) for i in proper]
     decreasing = all(b < a for a, b in zip(deltas, deltas[1:]))
     report = {"delta_strictly_decreasing": bool(decreasing), "gap_constant": None}
     if space is None or len(proper) < 2:
         return report
-    gammas = np.array([as_float(chain.stats[j].gamma) for j in proper[1:]])
-    if (gammas <= 0).any():
+    # delta_i and the next proper gamma, nan where i has no next proper level
+    delta, gamma = np.full(len(chain), np.nan), np.full(len(chain), np.nan)
+    delta[proper[:-1]] = deltas[:-1]
+    gamma[proper[:-1]] = [as_float(chain.stats[j].gamma) for j in proper[1:]]
+    if (gamma <= 0).any():
         return report  # a gap ratio over an underflowed gamma is undefined
-    deltas = np.array(deltas[:-1])  # deltas[s] and gammas[s] pair up, s a level's slot
-    diameters, gaps, connected = _block_extents(space, chain)
+    diameters, gaps, connected = (np.concatenate(x) for x in _block_extents(space, chain))
     offsets = _block_offsets(chain)
-    slot = np.full(len(chain), -1)
-    slot[proper[:-1]] = np.arange(len(deltas))
-    best = np.full(len(deltas), np.inf)
-    for lo, hi, block in _level_chunks(chain, offsets):
-        at = np.repeat(slot[lo:hi], np.diff(offsets[lo:hi + 1]))  # each block's slot
-        widest = np.flatnonzero((at >= 0) & (np.bincount(block, minlength=len(at)) >= 2))
-        delta = deltas[at[widest]]
-        diam = as_floats(np.concatenate(diameters[lo:hi])[widest])
-        widest = widest[np.abs(diam - delta) <= 1e-15 + 1e-9 * np.abs(delta)]
-        gap = as_floats(np.concatenate(gaps[lo:hi])[widest])
-        for k in np.flatnonzero(~np.concatenate(connected[lo:hi])[widest]).tolist():
-            number = offsets[lo] + widest[k]
-            level = int(np.searchsorted(offsets, number, side="right")) - 1
-            members = np.flatnonzero(chain.labels[level] == number - offsets[level])
-            gap[k] = as_float(largest_gap(space, members))
-        with np.errstate(over="ignore"):  # a gap over a tiny gamma may overflow to inf
-            np.minimum.at(best, at[widest], gap / gammas[at[widest]])
-    best = best[np.isfinite(best)]
-    worst = float(best.max()) if len(best) else 0.0
+    wide = np.flatnonzero(diameters)  # blocks numbered level after level
+    delta_of = np.repeat(delta, np.diff(np.searchsorted(wide, offsets)))
+    wide = wide[np.abs(as_floats(diameters[wide]) - delta_of) <= 1e-15 + 1e-9 * np.abs(delta_of)]
+    level = np.searchsorted(offsets, wide, side="right") - 1
+    gap = as_floats(gaps[wide])
+    for k in np.flatnonzero(~connected[wide]).tolist():
+        row = _run_labels(chain.order, chain.h, level[k:k + 1])[0]
+        gap[k] = as_float(largest_gap(space, np.flatnonzero(row == wide[k] - offsets[level[k]])))
+    best = np.full(len(chain), np.inf)
+    with np.errstate(over="ignore"):  # a gap over a tiny gamma may overflow to inf
+        np.minimum.at(best, level, gap / gamma[level])
+    worst = float(np.max(best, where=np.isfinite(best), initial=0.0))  # ratios are >= 0
     report["gap_constant"] = worst if worst > 0 else None
     return report
 

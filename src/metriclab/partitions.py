@@ -121,11 +121,12 @@ def _at_least_one(x) -> bool:
 
 
 def partition_stats(space: FiniteMetricSpace, partition: Partition) -> PartitionStats:
-    """Exact delta, gamma, and log ratio of a partition."""
+    """Exact delta, gamma, and log ratio of a partition, as a one-level chain: leaves
+    block by block, h 0 across blocks and 1 inside (int32, for _leaf_rows' fill 2)."""
     if partition.n_points != space.n:
         raise ValueError("partition does not match the space")
-    (delta,), (gamma,) = _label_stats(space, partition.block_of[None])
-    return PartitionStats(delta, gamma, _log_ratio(delta, gamma), partition.cardinality)
+    order = np.argsort(partition.block_of, kind="stable")
+    return _chain_stats(space, order, np.int32(np.diff(partition.block_of[order]) == 0), 1)[0]
 
 
 _CHUNK_ENTRIES = 1 << 20  # entries compared at once by _label_stats and _pair_runs
@@ -253,20 +254,8 @@ class PartitionChain:
 
     @cached_property
     def labels(self) -> np.ndarray:
-        """(L, n) block ids, each level's blocks numbered by least member:
-        a run's least member leads its block, whose number counts the
-        leaders before it."""
-        n, length = len(self.order), len(self)
-        # over flat (level, leaf) positions: where each run starts, and the
-        # flat (level, point) index of its least member
-        starts = np.flatnonzero(np.insert(self.h <= np.arange(length)[:, None], 0, True, axis=1))
-        led = starts // n * n + np.minimum.reduceat(np.tile(self.order, length), starts)
-        number = np.cumsum(np.bincount(led, minlength=length * n).reshape(length, n), axis=1) - 1
-        of_leaf = np.repeat(led, np.diff(starts, append=length * n))  # each leaf's run leader
-        labels = np.take(number.reshape(-1)[of_leaf].reshape(length, n), np.argsort(self.order),
-                         axis=1)
-        labels.setflags(write=False)
-        return labels
+        """(L, n) block ids of every level (_run_labels)."""
+        return _run_labels(self.order, self.h, np.arange(len(self)))
 
     @cached_property
     def levels(self) -> tuple:
@@ -291,6 +280,22 @@ class PartitionChain:
                 for i, st in enumerate(self.stats)
             ]
         }
+
+
+def _run_labels(order, h, levels) -> np.ndarray:
+    """Read-only (len(levels), n) block ids of the given levels of a chain's
+    (order, h), each level's blocks numbered by least member: a run's least
+    member leads its block, whose number counts the leaders before it."""
+    n, rows = len(order), len(levels)
+    # over flat (row, leaf) positions: where each run starts, and the flat
+    # (row, point) index of its least member
+    starts = np.flatnonzero(np.insert(h <= np.asarray(levels)[:, None], 0, True, axis=1))
+    led = starts // n * n + np.minimum.reduceat(np.tile(order, rows), starts)
+    number = np.cumsum(np.bincount(led, minlength=rows * n).reshape(rows, n), axis=1) - 1
+    of_leaf = np.repeat(led, np.diff(starts, append=rows * n))  # each leaf's run leader
+    labels = np.take(number.reshape(-1)[of_leaf].reshape(rows, n), np.argsort(order), axis=1)
+    labels.setflags(write=False)
+    return labels
 
 
 def _pair_runs(space: FiniteMetricSpace, order, h, length):
@@ -348,7 +353,9 @@ def _chain_stats(space: FiniteMetricSpace, order, h, length) -> tuple:
 def _require_separating(chain: PartitionChain) -> None:
     """Raise NotSeparating on the first row-major pair the last level joins."""
     if chain.stats[-1].cardinality < len(chain.order):
-        i, j = np.argwhere(np.triu(chain.split == len(chain), 1))[0].tolist()
+        row = _run_labels(chain.order, chain.h, [len(chain) - 1])[0]
+        # the two least members of the first block of two or more
+        i, j = np.flatnonzero(row == np.argmax(np.bincount(row) > 1))[:2].tolist()
         raise NotSeparating((i, j))
 
 
@@ -396,7 +403,7 @@ def ball_chain(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> PartitionC
         raise NotUltrametric(check.witness, check.violation)
     if space.n == 1:
         return PartitionChain._of_leaves(space, [0], [], 1)
-    spectrum = np.unique(space.rank[np.triu_indices(space.n, 1)])
+    spectrum = np.unique(space.rank)[1:]  # past the diagonal's zero rank
     order, _, weight = _spanning_tree(space)
     h = len(spectrum) - np.searchsorted(spectrum, weight[1:])
     return PartitionChain._of_leaves(space, order, h, len(spectrum),
@@ -448,7 +455,7 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     (level, block) gives every block. Max and add are exact here and
     order-free, so this is the bottom-up reduction of children plus new
     items, bit for bit (the edge counts are float sums of ones, exact far
-    beyond any n). Levels go in chunks of _chunk_rows levels, finest first,
+    beyond any n). Levels go in chunks (_level_chunks), finest first,
     each carrying the accumulate's first row to the next, so the
     temporaries stay O(n^2) however many levels the chain has.
     Both reductions run on ranks (the zero rank for a singleton), gathered
@@ -499,12 +506,6 @@ def _suffix_blocks(ufunc, acc, carry, block, out) -> np.ndarray:
     return acc[0].copy()
 
 
-def _chunk_rows(n: int) -> int:
-    """Levels per chunk for a space of n points: about _CHUNK_ENTRIES
-    (level, point) entries, and no more entries than the space has pairs."""
-    return max(1, min(_CHUNK_ENTRIES, n * (n - 1) // 2) // n)
-
-
 def _block_offsets(chain: PartitionChain) -> np.ndarray:
     """Where each level's blocks start when the blocks of all levels are
     numbered in one row, level after level; the last entry counts them all."""
@@ -512,13 +513,16 @@ def _block_offsets(chain: PartitionChain) -> np.ndarray:
 
 
 def _level_chunks(chain: PartitionChain, offsets: np.ndarray):
-    """The levels in chunks of _chunk_rows levels, finest first: (lo, hi,
-    block), where block[(l - lo) * n + p] is the number, less offsets[lo],
-    of p's block at level l among all blocks."""
-    step = _chunk_rows(len(chain.order))
+    """The levels in chunks of about _CHUNK_ENTRIES (level, point) entries,
+    and no more than the space has pairs, finest first: (lo, hi, block),
+    where block[(l - lo) * n + p] is the number, less offsets[lo], of p's
+    block at level l among all blocks, its labels cut for the chunk alone."""
+    n = len(chain.order)
+    step = max(1, min(_CHUNK_ENTRIES, n * (n - 1) // 2) // n)
     for hi in range(len(chain), 0, -step):
         lo = max(hi - step, 0)
-        yield lo, hi, (chain.labels[lo:hi] + (offsets[lo:hi] - offsets[lo])[:, None]).reshape(-1)
+        labels = _run_labels(chain.order, chain.h, np.arange(lo, hi))
+        yield lo, hi, (labels + (offsets[lo:hi] - offsets[lo])[:, None]).reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ import numpy as np
 from ._util import DEFAULT_TOL, as_float, flog, per_distinct
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile
-from .partitions import (PartitionChain, _decay_witness, _level_ranks, _require_separating,
-                         classify_chain)
-from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _spanning_tree, _subdominant, _union,
-                     is_ultrametric)
+from .partitions import (PartitionChain, PartitionStats, _decay_witness, _log_ratio,
+                         _require_separating, classify_chain)
+from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _rank_bound, _spanning_tree,
+                     _subdominant, _union, is_ultrametric)
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
 
@@ -41,12 +41,14 @@ def _safe_exp(x: float) -> float:
 
 
 def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
-    """Prepend {X} when the chain starts with a proper partition."""
+    """Prepend {X}, delta and gamma the diameter, when the chain starts with a proper one."""
     if chain.stats[0].cardinality == 1:
         return chain
-    return PartitionChain._of_leaves(space, chain.order, chain.h + 1, len(chain) + 1,
-                                     (None,) + chain.thresholds,
-                                     (int(chain.level_ids[0]) - 1,) + chain.level_ids)
+    h, top = chain.h + 1, space.diameter
+    h.setflags(write=False)
+    head = PartitionStats(top, top, _log_ratio(top, top), 1)
+    return PartitionChain(chain.order, h, (head,) + chain.stats, (None,) + chain.thresholds,
+                          (int(chain.level_ids[0]) - 1,) + chain.level_ids)
 
 
 def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> np.ndarray:
@@ -56,12 +58,12 @@ def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> n
 
 def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> FiniteMetricSpace:
     """The chain ultrametric as a space. Every delta is an entry of d, so
-    rho's ranks index d's values: a pair split at level l gets the delta
-    rank of level l - 1, the largest over its adjacent leaves (deltas fall
-    level by level), and the diagonal reads the last one, 0."""
+    rho's ranks index d's values: a pair split at level l gets the rank
+    (_rank_bound) of the stats' delta of level l - 1, the largest over its
+    adjacent leaves (deltas fall), and the diagonal reads the last one, 0."""
     chain = ensure_trivial_head(space, chain)
     _require_separating(chain)
-    delta = _level_ranks(space, chain.order, chain.h, len(chain))[0]
+    delta = np.array([_rank_bound(space, st.delta, True) for st in chain.stats])
     return _on_table(space, _leaf_matrix(chain.order, delta[chain.h - 1], np.maximum, 0.0))
 
 

@@ -35,8 +35,10 @@ certificate and the distortion check each kept before `_decay_witness`, and
 fit and again in its check. `block_extents_by_level` is the kernel of
 `partitions._block_extents` that reduced each level's children and new
 items bottom up, one level at a time, before the suffix reduction over
-whole chunks of levels, and `settled_from` the burn-in loop of `profile`
-that rescanned the tail of the R sequence from each proper level. The last
+whole chunks of levels, `property6_by_chunks` the computation-rule check
+of `profile` that walked its output one chunk of levels at a time, and
+`settled_from` the burn-in loop of `profile` that rescanned the tail of
+the R sequence from each proper level. The last
 section holds the code of chains whose datum was the n x n split matrix:
 the single-linkage `merge_ranks` loop and `subdominant`, the per-level
 mask sums `split_of_levels` of `from_partitions`, the point-by-point
@@ -60,14 +62,15 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from metriclab.logratio import OracleResult, profile, set_partitions
-from metriclab._util import DEFAULT_TOL, _fmt_float, as_float, flog
+from metriclab._util import DEFAULT_TOL, _fmt_float, as_float, as_floats, flog
 from metriclab.embedding import (EmbeddingResult, LevelAudit, _exact_separated,
                                  _greedy_separated, grid_capacity)
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
-from metriclab.partitions import (Partition, PartitionChain, PartitionStats,
-                                  _log_ratio, _require_separating, classify_chain,
-                                  dendrogram_chain, largest_gap)
+from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _block_extents,
+                                  _block_offsets, _level_chunks, _log_ratio,
+                                  _require_separating, classify_chain, dendrogram_chain,
+                                  largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
                               _prim, _zero, _zeros, validate)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
@@ -228,6 +231,47 @@ def property6(chain, space):
                 best = min(best, as_float(largest_gap(space, b)) / gamma_next)
         if math.isfinite(best):
             worst = max(worst, best)
+    report["gap_constant"] = worst if worst > 0 else None
+    return report
+
+
+def property6_by_chunks(chain, space):
+    """logratio._property6 as it walked _block_extents' output one level
+    chunk at a time (partitions._level_chunks), concatenating each chunk's
+    arrays and taking each block's slot and member count from the chunk's
+    label rows; a widest block the spanning tree does not connect read its
+    members off the chain's cached labels table."""
+    proper = chain.proper_indices()
+    deltas = [as_float(chain.stats[i].delta) for i in proper]
+    decreasing = all(b < a for a, b in zip(deltas, deltas[1:]))
+    report = {"delta_strictly_decreasing": bool(decreasing), "gap_constant": None}
+    if len(proper) < 2:
+        return report
+    gammas = np.array([as_float(chain.stats[j].gamma) for j in proper[1:]])
+    if (gammas <= 0).any():
+        return report
+    deltas = np.array(deltas[:-1])  # deltas[s] and gammas[s] pair up, s a level's slot
+    diameters, gaps, connected = _block_extents(space, chain)
+    offsets = _block_offsets(chain)
+    slot = np.full(len(chain), -1)
+    slot[proper[:-1]] = np.arange(len(deltas))
+    best = np.full(len(deltas), np.inf)
+    for lo, hi, block in _level_chunks(chain, offsets):
+        at = np.repeat(slot[lo:hi], np.diff(offsets[lo:hi + 1]))  # each block's slot
+        widest = np.flatnonzero((at >= 0) & (np.bincount(block, minlength=len(at)) >= 2))
+        delta = deltas[at[widest]]
+        diam = as_floats(np.concatenate(diameters[lo:hi])[widest])
+        widest = widest[np.abs(diam - delta) <= 1e-15 + 1e-9 * np.abs(delta)]
+        gap = as_floats(np.concatenate(gaps[lo:hi])[widest])
+        for k in np.flatnonzero(~np.concatenate(connected[lo:hi])[widest]).tolist():
+            number = offsets[lo] + widest[k]
+            level = int(np.searchsorted(offsets, number, side="right")) - 1
+            members = np.flatnonzero(chain.labels[level] == number - offsets[level])
+            gap[k] = as_float(largest_gap(space, members))
+        with np.errstate(over="ignore"):
+            np.minimum.at(best, at[widest], gap / gammas[at[widest]])
+    best = best[np.isfinite(best)]
+    worst = float(best.max()) if len(best) else 0.0
     report["gap_constant"] = worst if worst > 0 else None
     return report
 
