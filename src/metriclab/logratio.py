@@ -172,7 +172,7 @@ def _property6(chain, space, proper):
     gamma[proper[:-1]] = [as_float(chain.stats[j].gamma) for j in proper[1:]]
     if (gamma <= 0).any():
         return report  # a gap ratio over an underflowed gamma is undefined
-    diameters, gaps, connected = (np.concatenate(x) for x in _block_extents(space, chain))
+    diameters, gaps, connected = _block_extents(space, chain)
     offsets = _block_offsets(chain)
     wide = np.flatnonzero(diameters)  # blocks numbered level after level
     delta_of = np.repeat(delta, np.diff(np.searchsorted(wide, offsets)))
@@ -308,7 +308,8 @@ def _threshold_minimum(chain: PartitionChain, r, require_positive_delta: bool) -
     if best is None:
         return OracleResult(math.inf, Partition.trivial(len(chain.order)), math.inf, math.inf)
     st = chain.stats[best]
-    return OracleResult(st.log_ratio, Partition.from_assignment(chain.labels[best]),
+    witness = _run_labels(chain.order, chain.h, [best])[0]  # one row, not the whole table
+    return OracleResult(st.log_ratio, Partition.from_assignment(witness),
                         as_float(st.delta), as_float(st.gamma))
 
 

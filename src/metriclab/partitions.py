@@ -438,9 +438,9 @@ def largest_gap(space: FiniteMetricSpace, indices=None):
 def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     """Diameter and largest gap of every block of every level of a chain.
 
-    Returns (diameters, gaps, connected): one array per level, indexed like
-    that level's blocks. An item with split key k lies inside one block of
-    every level before k:
+    Returns (diameters, gaps, connected): one array each, over the blocks
+    of all levels numbered level after level (_block_offsets). An item with
+    split key k lies inside one block of every level before k:
       - the diameter is the largest pair inside the block (_pair_runs);
       - the largest gap reads the whole space's spanning tree. When the
         tree edges inside a block B number |B| - 1, they connect B and, by
@@ -490,9 +490,7 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
             carry[k] = _suffix_blocks(ufunc, acc, carry[k], block, out)
         connected[here] = edges == np.bincount(block, minlength=len(edges)) - 1
         del block  # before the next chunk's is built
-    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    return tuple([flat[lo:hi] for lo, hi in bounds] for flat in
-                 (_gather(space.values, diameters), _gather(space.values, gaps), connected))
+    return _gather(space.values, diameters), _gather(space.values, gaps), connected
 
 
 def _suffix_blocks(ufunc, acc, carry, block, out) -> np.ndarray:

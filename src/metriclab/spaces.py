@@ -228,8 +228,10 @@ def _checked(matrix, labels, tol, exact):
         shifted = dyadic_numerators(m.ravel().tolist())
         if shifted is not None:
             keys = np.array(shifted[0], dtype=object)
-    else:
-        m = np.triu(m) + np.triu(m, 1).T  # canonicalize within-tolerance asymmetry
+    else:  # canonicalize within-tolerance asymmetry: the upper triangle, mirrored
+        upper, m = m, m.copy()
+        np.copyto(m, upper.T, where=np.tri(n, n, -1, dtype=bool))
+        np.fill_diagonal(m, 0.0)  # +0.0, where the input may hold -0.0
     summed = m if keys is None else keys.reshape(m.shape)
     slack, witness = _worst_triple(summed, np.add) if n > 2 else (0, None)
     if slack > tol:
@@ -242,31 +244,34 @@ def _checked(matrix, labels, tol, exact):
 
 
 def _hull(m, combine):
-    """For each pair i < j in row-major order, the least combine(m[i, k],
-    m[k, j]) over k not in {i, j}: np.add for the triangle inequality,
-    np.maximum for the strong one. m must be exactly symmetric; the same
-    code runs on float64 and Fraction entries, one row at a time."""
+    """Yields, for each row i in turn, the least combine(m[i, k], m[k, j])
+    over k not in {i, j}, for each j > i: np.add for the triangle
+    inequality, np.maximum for the strong one. m must be exactly symmetric;
+    the same code runs on float64 and Fraction entries."""
     n = len(m)
-    rows = []
     for i in range(n - 1):
         cand = combine(m[i, :, None], m[:, i + 1:])  # cand[k, j - i - 1]
         cand[i] = np.inf
         cand[np.arange(i + 1, n), np.arange(n - i - 1)] = np.inf
-        rows.append(cand.min(axis=0))
-    return np.concatenate(rows)
+        hull = cand.min(axis=0)
+        del cand  # before the next row's is built
+        yield hull
 
 
 def _worst_triple(m, combine):
     """(slack, (i, j, k)) for n >= 3: the pair i < j where m[i, j] exceeds its
     _hull by the most, first in row-major order, and the first k whose
-    combine(m[i, k], m[k, j]) is that hull."""
-    rows, cols = np.triu_indices(len(m), 1)
-    slack = m[rows, cols] - _hull(m, combine)
-    p = int(np.argmax(slack))
-    i, j = int(rows[p]), int(cols[p])
+    combine(m[i, k], m[k, j]) is that hull. Each row's slack is folded into
+    the running worst as it comes."""
+    worst, i, j = None, 0, 0
+    for row, hull in enumerate(_hull(m, combine)):
+        slack = m[row, row + 1:] - hull
+        p = int(np.argmax(slack))
+        if worst is None or slack[p] > worst:
+            worst, i, j = slack[p], row, row + 1 + p
     via = combine(m[i], m[:, j])
     via[[i, j]] = np.inf
-    return slack[p], (i, j, int(np.argmin(via)))
+    return worst, (i, j, int(np.argmin(via)))
 
 
 def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL,
@@ -335,9 +340,8 @@ def sup_product(spaces, cap: int | None = None) -> FiniteMetricSpace:
     diameter = _zero(exact)
     for sp, f in zip(spaces, ranks):
         diameter = max(diameter, sp.diameter if sp.exact == exact else Fraction(sp.diameter))
-        nf = sp.n
-        grown = np.repeat(np.repeat(rank, nf, axis=0), nf, axis=1)
-        rank = np.maximum(grown, np.tile(f, rank.shape))
+        n, nf = len(rank), sp.n  # one broadcast into the grown product; the old one is freed
+        rank = np.maximum(rank[:, None, :, None], f[None, :, None, :]).reshape(n * nf, n * nf)
         labels = [f"{a}|{b}" if a else str(b) for a in labels for b in sp.labels]
     labels = [f"({x})" for x in labels] if len(spaces) > 1 else list(spaces[0].labels)
     # the sup of the coordinate distances peaks at the largest factor diameter
@@ -527,6 +531,7 @@ def from_csv(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> F
                             comments=None, ndmin=2, dtype=float)
     except ValueError as exc:
         raise MetricViolation("parse", None, str(exc)) from exc
+    del lines, rows, reader  # the text's lines, which the reader's generator holds too
     return validate(matrix, labels, tol=tol, rescale=rescale)
 
 
@@ -536,16 +541,13 @@ def _require_short_fields(text: str) -> None:
 
     A field with a comma in it is no number, so loadtxt refuses it anyway;
     any other field lies in one run of characters between commas. A run
-    over the limit covers a whole aligned block of limit // 2 + 1 of the
-    text's UTF-8 bytes (at least one per character), so when every block
-    holds a comma, one numpy pass clears the text; otherwise csv.reader
+    over the limit (csv counts characters) covers a whole aligned block of
+    limit // 2 + 1 characters, so when every block holds a comma, one find
+    per block clears the text, with no copy of it; otherwise csv.reader
     decides.
     """
-    limit = csv.field_size_limit()
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    size = limit // 2 + 1
-    blocks = raw[:len(raw) // size * size].reshape(-1, size)
-    if (blocks == ord(",")).any(axis=1).all():
+    size = csv.field_size_limit() // 2 + 1
+    if all(text.find(",", s, s + size) >= 0 for s in range(0, len(text) - size + 1, size)):
         return
     try:
         for _ in csv.reader(io.StringIO(text)):

@@ -11,14 +11,18 @@ matrix), the exact sequence matrix by Fraction subtraction, the
 one `float()` per field, and the `np.unique` spectrum of `ball_chain`,
 the chains built one `Partition` per level before split-first chains wrote
 their split matrix in closed form, the refines loop of
-`PartitionChain.from_partitions`, the level loop of `threshold_min_R`, and
+`PartitionChain.from_partitions`, the level loop of `threshold_min_R`
+(`threshold_minimum` on any chain, reading the labels table), and
 the embedding placed one parent block at a time through dicts keyed by
 (level, block), audited with per-pair box gaps, its box-norm matrix
 `box_matrix` reduced from the broadcast n x n x N differences, and the two
 cubic searches that `spaces._hull` replaced: the triangle check (a
 `combinations` triple loop on exact matrices, a k-major sweep on float
 ones) and the hull sweep of
-`is_ultrametric` with its first-k matrix `argk`, and the kernels that
+`is_ultrametric` with its first-k matrix `argk`, `worst_triple`, the
+search of `spaces._worst_triple` over the whole concatenated hull before
+it folded one row at a time, `mirrored`, the two-copy symmetrization of
+float input in `spaces._checked`, and the kernels that
 compared Fractions before exact spaces carried float64 ranks (a section
 of their own: each reads `space.dist` where the kernel now reads `space.rank`),
 with the renumbering of rank tables that `spaces._union` replaced, and
@@ -35,8 +39,10 @@ certificate and the distortion check each kept before `_decay_witness`, and
 fit and again in its check. `block_extents_by_level` is the kernel of
 `partitions._block_extents` that reduced each level's children and new
 items bottom up, one level at a time, before the suffix reduction over
-whole chunks of levels, `property6_by_chunks` the computation-rule check
-of `profile` that walked its output one chunk of levels at a time, and
+whole chunks of levels (`by_level` splits the kernel's flat per-block
+arrays into the per-level lists it returned), `property6_by_chunks` the
+computation-rule check of `profile` that walked its output one chunk of
+levels at a time, and
 `settled_from` the burn-in loop of `profile` that rescanned the tail of
 the R sequence from each proper level. The last
 section holds the code of chains whose datum was the n x n split matrix:
@@ -71,7 +77,7 @@ from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _bl
                                   _block_offsets, _level_chunks, _log_ratio,
                                   _require_separating, classify_chain, dendrogram_chain,
                                   largest_gap)
-from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
+from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather, _hull,
                               _prim, _zero, _zeros, validate)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
 from metriclab.ultrametrize import PushforwardReport, fit_holder_exponents, verify_holder_fit
@@ -251,7 +257,7 @@ def property6_by_chunks(chain, space):
     if (gammas <= 0).any():
         return report
     deltas = np.array(deltas[:-1])  # deltas[s] and gammas[s] pair up, s a level's slot
-    diameters, gaps, connected = _block_extents(space, chain)
+    diameters, gaps, connected = by_level(chain, _block_extents(space, chain))
     offsets = _block_offsets(chain)
     slot = np.full(len(chain), -1)
     slot[proper[:-1]] = np.arange(len(deltas))
@@ -274,6 +280,14 @@ def property6_by_chunks(chain, space):
     worst = float(best.max()) if len(best) else 0.0
     report["gap_constant"] = worst if worst > 0 else None
     return report
+
+
+def by_level(chain, arrays):
+    """Flat per-block arrays, the blocks of all levels numbered level after
+    level as _block_extents returns them, split into one list of per-level
+    views each, as _block_extents returned them before."""
+    offsets = _block_offsets(chain).tolist()
+    return tuple([flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])] for flat in arrays)
 
 
 def block_extents(space, chain):
@@ -406,6 +420,25 @@ def triangle_violations(m, n, tol, exact):
             i, j = map(int, np.argwhere(bad)[0])
             return [MetricViolation("triangle", (i, j, k))]
     return []
+
+
+def worst_triple(m, combine):
+    """spaces._worst_triple over whole arrays: the slack of every pair i < j
+    through np.triu_indices against the concatenated rows of spaces._hull,
+    one argmax, and the first k reaching the worst pair's hull."""
+    rows, cols = np.triu_indices(len(m), 1)
+    slack = m[rows, cols] - np.concatenate(list(_hull(m, combine)))
+    p = int(np.argmax(slack))
+    i, j = int(rows[p]), int(cols[p])
+    via = combine(m[i], m[:, j])
+    via[[i, j]] = np.inf
+    return slack[p], (i, j, int(np.argmin(via)))
+
+
+def mirrored(m):
+    """The float matrix _checked stored before it mirrored in one copy: the
+    upper triangle plus its transpose, which adds +0.0 to the diagonal."""
+    return np.triu(m) + np.triu(m, 1).T
 
 
 def is_ultrametric(space, tol=DEFAULT_TOL):
@@ -611,7 +644,11 @@ def from_partitions(space, levels, thresholds=None, level_ids=None):
 def threshold_min_R(space, r, *, require_positive_delta=False):
     """threshold_min_R scanning the dendrogram's levels one Partition at a
     time; the first strict minimum wins."""
-    chain = dendrogram_chain(space)
+    return threshold_minimum(dendrogram_chain(space), r, require_positive_delta)
+
+
+def threshold_minimum(chain, r, require_positive_delta):
+    """The same scan over any chain, each level read off its labels table."""
     best = None
     for part, st in zip(chain.levels, chain.stats):
         if not st.delta < r:
@@ -621,7 +658,7 @@ def threshold_min_R(space, r, *, require_positive_delta=False):
         if best is None or st.log_ratio < best[0]:
             best = (st.log_ratio, part, st.delta, st.gamma)
     if best is None:
-        return OracleResult(math.inf, Partition.trivial(space.n), math.inf, math.inf)
+        return OracleResult(math.inf, Partition.trivial(len(chain.order)), math.inf, math.inf)
     return OracleResult(best[0], best[1], as_float(best[2]), as_float(best[3]))
 
 

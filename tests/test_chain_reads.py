@@ -3,7 +3,9 @@ over _block_extents' output against the chunk walk it replaced
 (oracles.property6_by_chunks), with no labels table left on the chain;
 rho's ranks taken from the stats against those of the split matrix
 (oracles.level_ranks), with no second pair stream; and partition_stats as
-a one-level chain against the label-array kernel _label_stats."""
+a one-level chain against the label-array kernel _label_stats; and the
+threshold minimum's witness cut as one label row against the level of the
+labels table (oracles.threshold_minimum), with no table left on the chain."""
 
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import partitions
+from metriclab import cli, logratio, partitions
 from metriclab.partitions import _label_stats, _log_ratio
 from metriclab.spaces import _gather
 from metriclab.ultrametrize import ensure_trivial_head
@@ -161,3 +163,46 @@ def test_partition_stats_sort_no_pairs(monkeypatch):
     for partition in (ml.Partition.trivial(60), ml.Partition.singletons(60),
                       ml.Partition.from_assignment(np.arange(60) % 7)):
         assert ml.partition_stats(space, partition).cardinality == partition.cardinality
+
+
+def witness_chains():
+    """Dendrograms of clouds and tie-heavy metrics, and exact zoo chains,
+    each with and without the singleton terminal."""
+    out = [(sp, ml.dendrogram_chain(sp)) for sp in
+           [euclidean_space(seed, 5 + 7 * seed) for seed in range(3)]
+           + [quantized_space(seed, 4 + seed, 1 + seed % 3) for seed in range(4)]]
+    out += [ml.sample(ml.make_family(kind, **params), 4, exact=True)
+            for kind, params in EXACT_FAMILIES]
+    return out + [(sp, ml.with_singleton_terminal(sp, ch)) for sp, ch in out]
+
+
+def test_threshold_minimum_cuts_the_witness_row_alone():
+    """The witness of every level a radius can pick, from its one label row,
+    equals the level read off the chain's labels table."""
+    for space, chain in witness_chains():
+        radii = {st.delta for st in chain.stats} | {st.gamma for st in chain.stats} | {1.1}
+        cases = [(r, positive) for r in sorted(radii) for positive in (False, True)]
+        # a copy with no cached table: a sampled chain may hold one already
+        fresh = ml.PartitionChain(chain.order, chain.h, chain.stats, chain.thresholds,
+                                  chain.level_ids)
+        found = [logratio._threshold_minimum(fresh, *case) for case in cases]
+        assert "labels" not in vars(fresh)
+        for case, new in zip(cases, found):
+            old = oracles.threshold_minimum(chain, *case)
+            assert (new.value, new.witness, new.delta, new.gamma) == \
+                (old.value, old.witness, old.delta, old.gamma)
+            assert new.witness.blocks == old.witness.blocks
+
+
+def test_threshold_min_R_and_the_oracle_command_build_no_labels_table(monkeypatch, capsys):
+    built = []
+
+    def kept(space):
+        built.append(partitions.dendrogram_chain(space))
+        return built[-1]
+
+    monkeypatch.setattr(logratio, "dendrogram_chain", kept)
+    monkeypatch.setattr(cli, "dendrogram_chain", kept)
+    assert ml.threshold_min_R(euclidean_space(2, 40), 0.5).witness.cardinality > 1
+    assert cli.main(["oracle", "--zoo", "seq_geometric", "--depth", "5", "--radius", "0.5"]) == 0
+    assert len(built) == 2 and all("labels" not in vars(chain) for chain in built)

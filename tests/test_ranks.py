@@ -158,7 +158,7 @@ def test_rank_kernels_equal_fraction_comparisons(case, p, epsilon):
         full = ml.with_singleton_terminal(space, given_chain)
         same_chain(full, oracles.chain_on_values(space, full.split, full.thresholds,
                                                  full.level_ids))
-        diameters, gaps, connected = _block_extents(space, full)
+        diameters, gaps, connected = oracles.by_level(full, _block_extents(space, full))
         for lvl, (old_diameters, old_gaps) in enumerate(oracles.block_extents(space, full)):
             same_entries(diameters[lvl], old_diameters)
             same_entries(gaps[lvl][connected[lvl]],
