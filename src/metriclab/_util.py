@@ -53,27 +53,14 @@ def dyadic_numerators(xs):
     return [x.numerator << (q + 1 - d.bit_length()) for x, d in zip(xs, dens)], q
 
 
-def dyadic_fractions(nums, q: int) -> np.ndarray:
-    """The reduced Fractions num / 2^q of Python ints, as an object array,
-    without a gcd: each num's trailing zeros, at most q of them, are
-    stripped, which leaves it coprime to its power-of-two denominator. The
-    Fractions are built directly, as Fraction._from_coprime_ints does on
-    Python 3.12, and share their denominators."""
-    powers = {}  # 2^e by e, for the exponents that occur
-    new = object.__new__
-    fractions = []
-    for num in nums:
-        strip = (num & -num).bit_length() - 1 if num else q
-        if strip > q:
-            strip = q
-        f = new(Fraction)
-        f._numerator = num >> strip
-        e = q - strip
-        f._denominator = powers.get(e) or powers.setdefault(e, 1 << e)
-        fractions.append(f)
-    out = np.empty(len(fractions), dtype=object)
-    out[:] = fractions
-    return out
+def coprime_fraction(num: int, den: int) -> Fraction:
+    """The Fraction num / den of coprime ints, den > 0, built without the
+    gcd that Fraction(num, den) runs, as Fraction._from_coprime_ints does on
+    Python 3.12. Callers may share one den object between Fractions."""
+    f = object.__new__(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
 
 
 def per_distinct(fn, x, dtype=float) -> np.ndarray:

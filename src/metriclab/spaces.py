@@ -21,9 +21,10 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -125,10 +126,23 @@ def _rank_bound(space, t, inclusive=False, key=None):
     return float(bisect.bisect_left(space.values, t, key=key))
 
 
+_BLOCK_ENTRIES = 1 << 17  # entries made at once by _gather, _hull and the float mirror
+
+
 def _gather(values, ranks):
     """The entries of the given ranks: values[ranks] for an exact space's
-    table, the ranks themselves for a float space's (values is None)."""
-    return ranks if values is None else values[np.asarray(ranks, dtype=np.intp)]
+    table, the ranks themselves for a float space's (values is None), a
+    block of rows at a time, so no index array of a matrix's size is made."""
+    if values is None:
+        return ranks
+    if np.ndim(ranks) < 2:
+        return values[np.asarray(ranks, dtype=np.intp)]
+    out = np.empty(ranks.shape, dtype=object)
+    step = max(1, _BLOCK_ENTRIES // max(1, ranks.shape[1]))
+    for start in range(0, len(ranks), step):
+        np.take(values, ranks[start:start + step].astype(np.intp), out=out[start:start + step],
+                mode="clip")  # ranks index the table; clip, unlike raise, needs no buffer
+    return out
 
 
 def _zero(exact: bool):
@@ -178,14 +192,15 @@ def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = Fals
     return _checked(matrix, labels, tol, exact)[2]
 
 
-def _checked(matrix, labels, tol, exact):
+def _checked(matrix, labels, tol, exact, owned=False):
     """(entries, ranks, violations): the matrix as stored, in the mode's
     dtype (exact entries converted to Fraction, a float matrix mirrored from
     its upper triangle), an exact space's (values, rank) pair when there is
     no violation (None otherwise), and what violations() reports on it.
     Dyadic exact entries are checked as integers over their common
     power-of-two denominator, which the ranks then sort. Raises
-    MetricViolation("parse") on a ragged or non-numeric matrix."""
+    MetricViolation("parse") on a ragged or non-numeric matrix. An owned
+    float matrix (one no caller reads again) is mirrored in place."""
     try:
         m = np.asarray(matrix, dtype=object if exact else float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -229,8 +244,12 @@ def _checked(matrix, labels, tol, exact):
         if shifted is not None:
             keys = np.array(shifted[0], dtype=object)
     else:  # canonicalize within-tolerance asymmetry: the upper triangle, mirrored
-        upper, m = m, m.copy()
-        np.copyto(m, upper.T, where=np.tri(n, n, -1, dtype=bool))
+        upper, m = m, m if owned else np.empty_like(m)
+        step = max(1, _BLOCK_ENTRIES // n)
+        for a in range(0, n, step):  # rows a..b - 1 read only entries above the diagonal
+            b = min(a + step, n)
+            m[a:b] = upper[a:b]
+            np.copyto(m[a:b, :b], upper[:b, a:b].T, where=np.tri(b - a, b, a - 1, dtype=bool))
         np.fill_diagonal(m, 0.0)  # +0.0, where the input may hold -0.0
     summed = m if keys is None else keys.reshape(m.shape)
     slack, witness = _worst_triple(summed, np.add) if n > 2 else (0, None)
@@ -247,14 +266,18 @@ def _hull(m, combine):
     """Yields, for each row i in turn, the least combine(m[i, k], m[k, j])
     over k not in {i, j}, for each j > i: np.add for the triangle
     inequality, np.maximum for the strong one. m must be exactly symmetric;
-    the same code runs on float64 and Fraction entries."""
+    the same code runs on float64 and Fraction entries. The candidates are
+    made for a block of about _BLOCK_ENTRIES (k, j) at a time."""
     n = len(m)
+    step = max(1, _BLOCK_ENTRIES // n)
     for i in range(n - 1):
-        cand = combine(m[i, :, None], m[:, i + 1:])  # cand[k, j - i - 1]
-        cand[i] = np.inf
-        cand[np.arange(i + 1, n), np.arange(n - i - 1)] = np.inf
-        hull = cand.min(axis=0)
-        del cand  # before the next row's is built
+        hull = np.empty(n - i - 1, dtype=m.dtype)
+        for a in range(i + 1, n, step):
+            cand = combine(m[i, :, None], m[:, a:a + step])  # cand[k, j - a]
+            cand[i] = np.inf
+            np.fill_diagonal(cand[a:], np.inf)  # k = j
+            hull[a - i - 1:a - i - 1 + step] = cand.min(axis=0)
+            del cand  # before the next block's is made
         yield hull
 
 
@@ -274,20 +297,20 @@ def _worst_triple(m, combine):
     return worst, (i, j, int(np.argmin(via)))
 
 
-def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL,
-             rescale: bool = False, exact: bool = False) -> FiniteMetricSpace:
+def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL, rescale: bool = False,
+             exact: bool = False, _owned: bool = False) -> FiniteMetricSpace:
     """Validate a raw matrix into a FiniteMetricSpace; raise on violations.
 
     With rescale=True, a diameter above 1 divides the whole matrix by the
     diameter instead of raising; the result is flagged so reports can note
-    that per-partition ratios changed under the rescale.
-    """
-    m, ranks, problems = _checked(matrix, labels, tol, exact)
+    that per-partition ratios changed under the rescale. _owned: matrix
+    is read by no caller again and may be changed."""
+    m, ranks, problems = _checked(matrix, labels, tol, exact, _owned)
     if labels is None:
         labels = [f"p{i}" for i in range(m.shape[0] if m.ndim == 2 else 0)]
     rescaled = False
     if problems and rescale and all(isinstance(p, DiameterExceedsOne) for p in problems):
-        m, ranks, problems = _checked(m / m.max(), labels, tol, exact)
+        m, ranks, problems = _checked(m / m.max(), labels, tol, exact, True)
         rescaled = True
     if problems:
         raise problems[0]
@@ -508,7 +531,8 @@ def from_csv(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> F
 
     csv.reader reads the label row, so a quoted label may hold commas and
     line breaks; np.loadtxt then parses the matrix rows in one C pass. Both
-    read the text's lines, split at LF, with no wider copy of the text.
+    read one generator of the text's lines, split at LF and sliced from the
+    text one at a time, so no copy of the whole text is held.
     Fields may be quoted with '"', padded with whitespace, and spelled as
     Python's float() spells them (nan and inf included), less digit-group
     underscores and non-ASCII digits; blank lines are skipped. A bare CR
@@ -517,22 +541,22 @@ def from_csv(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> F
     loadtxt refuses.
     """
     _require_short_fields(text)
-    lines = text.split("\n")
-    reader = csv.reader(line + "\n" for line in lines)  # the LF of a quoted line break
+    tail = text[text.rfind("\n") + 1:] + "\n"  # each line split at LF, with an LF
+    lines = chain(map(re.Match.group, re.finditer("[^\n]*\n", text)), [tail])
+    reader = csv.reader(lines)
     try:
         labels = next((row for row in reader if row), None)
     except csv.Error as exc:  # such as a bare CR in a label
         raise MetricViolation("parse", None, str(exc)) from exc
-    rows = lines[reader.line_num:]
-    if labels is None or not any(row.strip("\r") for row in rows):
+    rest = f"(?:[^\n]*\n){{{reader.line_num}}}[\r\n]*[^\r\n]"  # a nonblank row after them
+    if labels is None or not re.match(rest, text):
         raise MetricViolation("parse", None, "need a label row plus matrix rows")
-    try:
-        matrix = np.loadtxt((row + "\n" for row in rows), delimiter=",", quotechar='"',
-                            comments=None, ndmin=2, dtype=float)
+    try:  # the rest of the lines, from where the reader stopped
+        matrix = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                            dtype=float)
     except ValueError as exc:
         raise MetricViolation("parse", None, str(exc)) from exc
-    del lines, rows, reader  # the text's lines, which the reader's generator holds too
-    return validate(matrix, labels, tol=tol, rescale=rescale)
+    return validate(matrix, labels, tol=tol, rescale=rescale, _owned=True)
 
 
 def _require_short_fields(text: str) -> None:

@@ -20,10 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import LN2, dyadic_fractions, dyadic_numerators, max_points
-from .errors import CapExceeded, DepthOverflow
+from ._util import LN2, coprime_fraction, max_points
+from .errors import CapExceeded, DepthOverflow, ExactModeSizeExceeded
 from .partitions import PartitionChain
-from .spaces import FiniteMetricSpace, _ranked, _zero, _zeros, sup_product
+from .spaces import FiniteMetricSpace, _gather, _ranked, _zero, _zeros, sup_product
 
 KINDS = ("seq_factorial", "seq_power_tower", "seq_geometric", "seq_polynomial",
          "seq_log", "product_geometric", "cantor_factorial", "sqrt_ultra")
@@ -47,11 +47,12 @@ class AnalyticFamily:
     def log2_r(self, n: int) -> float:
         if n < self.first_index:
             raise ValueError(f"{self.kind} starts at index {self.first_index}")
-        if self.kind == "seq_factorial":
+        if self.kind in ("seq_factorial", "cantor_factorial"):
             f = math.factorial(n)
             if f > 4e307:
                 raise DepthOverflow(f"factorial exponent overflows at n={n}")
-            return -float(f)
+            log2 = -1.0 if self.kind == "seq_factorial" else math.log2(self.params["r"])
+            return float(f) * log2
         if self.kind == "seq_power_tower":
             s = self.params["s"]
             return -(s * s / (1 - s)) * s ** (-n)
@@ -65,11 +66,6 @@ class AnalyticFamily:
         if self.kind == "product_geometric":
             t = self.params["t"]
             return math.log2(self.params["r1"]) * t ** (-(n - 1))
-        if self.kind == "cantor_factorial":
-            f = math.factorial(n)
-            if f > 4e307:
-                raise DepthOverflow(f"factorial exponent overflows at n={n}")
-            return float(f) * math.log2(self.params["r"])
         if self.kind == "sqrt_ultra":
             return -0.5 * math.log2(n)
         raise ValueError(self.kind)
@@ -90,33 +86,27 @@ class AnalyticFamily:
             return 0.0
         return 2.0 ** lg
 
+    def exponent(self, n: int) -> int:
+        """The integer e_n with r_n = 2^-e_n, for the dyadic kinds."""
+        if self.kind in ("seq_factorial", "seq_geometric"):
+            return math.factorial(n) if self.kind == "seq_factorial" else n
+        if self.kind == "product_geometric" and self.params["r1"] != 0.5:
+            raise ValueError("exact sampling needs r1 = 0.5")
+        name = {"seq_power_tower": "s", "product_geometric": "t"}.get(self.kind)
+        if name is None:
+            raise ValueError(f"exact sampling unsupported for {self.kind}")
+        x = Fraction(self.params[name])
+        e = x * x / (1 - x) * (1 / x) ** n if name == "s" else (1 / x) ** (n - 1)
+        if e.denominator != 1:
+            raise ValueError(
+                f"exact sampling needs dyadic levels; {name}={self.params[name]} is not")
+        return e.numerator
+
     def exact_r(self, n: int) -> Fraction:
-        """Exact rational r_n for the dyadic kinds."""
-        if self.kind == "seq_factorial":
-            return Fraction(1, 2 ** math.factorial(n))
-        if self.kind == "seq_geometric":
-            return Fraction(1, 2 ** n)
-        if self.kind == "seq_power_tower":
-            s = Fraction(self.params["s"])
-            e = (s * s / (1 - s)) * (1 / s) ** n
-            if e.denominator != 1:
-                raise ValueError(
-                    f"exact sampling needs dyadic levels; s={self.params['s']} is not"
-                )
-            return Fraction(1, 2 ** int(e))
+        """Exact rational r_n: 1 / 2^e_n, built without a gcd, for the dyadic kinds."""
         if self.kind == "cantor_factorial":
             return Fraction(self.params["r"]) ** math.factorial(n)
-        if self.kind == "product_geometric":
-            if self.params["r1"] != 0.5:
-                raise ValueError("exact sampling needs r1 = 0.5")
-            t = Fraction(self.params["t"])
-            e = (1 / t) ** (n - 1)
-            if e.denominator != 1:
-                raise ValueError(
-                    f"exact sampling needs dyadic levels; t={self.params['t']} is not"
-                )
-            return Fraction(1, 2 ** int(e))
-        raise ValueError(f"exact sampling unsupported for {self.kind}")
+        return coprime_fraction(1, 1 << self.exponent(n))
 
     # Closed-form level statistics, valid for n > first_index.
 
@@ -207,17 +197,38 @@ def family_for_ratio(s: float) -> AnalyticFamily:
     return make_family("seq_polynomial", s=s)
 
 
+EXACT_BITS = 1 << 33  # the most bits (1 GiB) of integers an exact sample's values may hold
+
+
+def _refuse_bits(family, depth, bits):
+    """ExactModeSizeExceeded when an exact table of bits bits is over EXACT_BITS."""
+    if bits > EXACT_BITS:
+        raise ExactModeSizeExceeded(
+            f"exact {family.kind} at depth {depth} needs at least "
+            f"2^{bits.bit_length() - 1} bits of values, over the 2^33-bit budget")
+
+
+def _exact_values(family, depth):
+    """The exact r_n of a dyadic sample, once its table passes the size
+    guard: a product's holds the r_n, a sequence's also each gap
+    (2^(e_q - e_p) - 1) / 2^e_q of p < q, sum_q (2q - d) e_q bits in all
+    with the denominators shared. The last e_n alone is checked first."""
+    first = family.first_index
+    _refuse_bits(family, depth, family.exponent(first + depth - 1))
+    e = [family.exponent(n) for n in range(first, first + depth)]
+    weights = range(2 - depth, depth + 1, 2) if family.chain_style == "sequence" else [1] * depth
+    _refuse_bits(family, depth, sum(w * x for w, x in zip(weights, e)))
+    return list(map(family.exact_r, range(first, first + depth)))
+
+
 def _sequence_values(family: AnalyticFamily, depth: int, exact: bool):
     first = family.first_index
-    idx = list(range(first, first + depth))
     if exact:
-        return [family.exact_r(n) for n in idx]
-    vals = [family.r(n) for n in idx]
+        return _exact_values(family, depth)
+    vals = [family.r(n) for n in range(first, first + depth)]
     if vals[-1] <= 0 or any(a - b <= 0 for a, b in zip(vals, vals[1:])):
-        raise DepthOverflow(
-            f"{family.kind} values underflow float64 at depth {depth}; "
-            "reduce depth or sample with exact=True"
-        )
+        raise DepthOverflow(f"{family.kind} values underflow float64 at depth {depth}; "
+                            "reduce depth or sample with exact=True")
     return vals
 
 
@@ -228,40 +239,64 @@ def _sequence_points(family, depth, exact):
     return labels, [_zero(exact)] + _sequence_values(family, depth, exact)
 
 
-def _pair_space(labels, values, pair, exact):
-    """The trusted space of pair(values[i], values[j]) with a zero diagonal.
+def _gap(a, b):
+    out = np.subtract(a, b)
+    return np.abs(out, out=out)
 
-    On a sequence sample (0, then decreasing r_n) both |x - y| and
-    max(x, y) peak at the pair (0, r_first), so entry [0, 1] is the
-    diameter. Each unordered pair is computed once, a row at a time. Exact
-    values are dyadic (0 or 1/2^e): pair runs on their numerators over the
-    common denominator 2^q, np.unique ranks those Python ints, and one
-    reduced Fraction is built per distinct value.
-    """
-    n = len(values)
-    if exact:
-        nums, q = dyadic_numerators(values)
-        arr = np.array(nums, dtype=object)
-    else:
-        arr = np.asarray(values, dtype=float)
-    upper = np.concatenate([[0]] + [pair(arr[i], arr[i + 1:]) for i in range(n - 1)])
-    rows, cols = np.triu_indices(n, 1)
+
+def _pair_space(labels, values, pair, exact):
+    """The trusted space of pair (_gap or np.maximum) over a sequence
+    sample, 0 then decreasing r_n, whose diameter is entry [0, 1]: one outer
+    pair with +0.0 on the diagonal in float, _dyadic_ranks in exact mode."""
     if not exact:
-        dist = np.zeros((n, n))
-        dist[rows, cols] = dist[cols, rows] = upper[1:]
+        arr = np.asarray(values, dtype=float)
+        dist = pair(arr[:, None], arr[None, :])
+        np.fill_diagonal(dist, 0.0)
         return FiniteMetricSpace(labels, dist, _trusted=True, diameter=dist[0, 1])
-    distinct, inverse = np.unique(upper, return_inverse=True)  # upper[0] makes values[0] zero
-    table = dyadic_fractions(distinct.tolist(), q)
-    rank = np.zeros((n, n))
-    rank[rows, cols] = rank[cols, rows] = inverse[1:]
-    return FiniteMetricSpace(labels, table[rank.astype(np.intp)], exact=True, _trusted=True,
-                             diameter=table[int(rank[0, 1])], _ranks=(table, rank))
+    table, rank = _dyadic_ranks(values, pair)
+    return FiniteMetricSpace(labels, _gather(table, rank), exact=True, _trusted=True,
+                             diameter=table[-1], _ranks=(table, rank))
+
+
+def _dyadic_ranks(values, pair):
+    """(table, rank) of pair over exact values 0, z_1 > ... > z_d, z_p =
+    2^-e_p, from the e_p alone: no value is compared, subtracted or reduced.
+
+    max(z_p, z_q) = z_min(p, q). v(p, q) = z_p - z_q = (2^(e_q - e_p) - 1) /
+    2^e_q, p < q, has an odd numerator, lies in [2^-(e_p + 1), 2^-e_p) and
+    grows with q, so from the top the table reads z_1, row 1 from q = d
+    down, z_2, row 2, ..., z_d, 0, where v(p, p + 1) = z_(p+1) when
+    e_(p+1) = e_p + 1 is listed once. Either way row p > 0 of the ranks is lead_p + slope * q
+    above the diagonal, lead decreasing, so the grid's larger entry with
+    its transpose is the rank, and row 0 holds the ranks `top` of the z_q.
+    """
+    z, d = values[1:], len(values) - 1
+    if pair is np.maximum:
+        table, top, slope = [values[0], *z[::-1]], np.arange(d, 0, -1.0), 0
+    else:  # entry col of row p is z_p (col 0) or v(p, d - col), as 2^k - 1 over 2^e_q
+        e = np.array([v.denominator.bit_length() - 1 for v in z], dtype=np.int64)
+        sizes = d - np.arange(d) - np.append(np.diff(e) == 1, False)
+        start = np.cumsum(sizes) - sizes
+        row = np.repeat(np.arange(d), sizes)
+        col = np.arange(len(row)) - start[row]
+        q = np.where(col == 0, row, d - col)
+        k, which = np.unique(np.where(col == 0, 1, e[q] - e[row]), return_inverse=True)
+        nums = np.array([(1 << x) - 1 for x in k.tolist()], dtype=object)
+        dens = np.array([v.denominator for v in z], dtype=object)
+        desc = list(map(coprime_fraction, nums[which], dens[q]))
+        table, top, slope = [values[0], *reversed(desc)], len(row) - start, 1
+    lead = np.insert(top - slope * (d + 1), 0, 0.0)
+    rank = np.add.outer(lead, slope * np.arange(d + 1.0))
+    np.maximum(rank, rank.T, out=rank)
+    rank[0, 1:] = rank[1:, 0] = top
+    np.fill_diagonal(rank, 0.0)
+    return np.fromiter(table, dtype=object, count=len(table)), rank
 
 
 def _sequence_space(family, depth, exact):
     labels, pts = _sequence_points(family, depth, exact)
     # sqrt_ultra: points are 1/n; the metric is max(sqrt(x), sqrt(y)), pts are the heights
-    pair = np.maximum if family.kind == "sqrt_ultra" else lambda a, b: np.abs(a - b)
+    pair = np.maximum if family.kind == "sqrt_ultra" else _gap
     return _pair_space(labels, pts, pair, exact)
 
 
@@ -284,16 +319,11 @@ def _prefix_chain(space, coords: int, level_count: int, start_prefix: int):
                                      level_count, None, range(1, level_count + 1))
 
 
-def _product_space(family, depth, exact):
-    factors = product_factors(family, depth, exact)
-    return sup_product(factors)
-
-
 def product_factors(family, depth, exact=False):
     """The two-point factor spaces r_n (Z/2Z) of the metric product."""
+    values = _exact_values(family, depth) if exact else map(family.r, range(1, depth + 1))
     out = []
-    for n in range(1, depth + 1):
-        v = family.exact_r(n) if exact else family.r(n)
+    for n, v in enumerate(values, 1):
         if not exact and v <= 0:
             raise DepthOverflow(f"product factor underflows at n={n}")
         m = _zeros((2, 2), exact)
@@ -304,6 +334,9 @@ def product_factors(family, depth, exact=False):
 
 def _cantor_space(family, depth, exact):
     r = family.params["r"]
+    if exact:  # the distance r^((k - 1)!) of each k has (k - 1)! times the bits of r
+        bits = sum(x.bit_length() for x in Fraction(r).as_integer_ratio())
+        _refuse_bits(family, depth, bits * sum(map(math.factorial, range(depth))))
     vals = []
     for k in range(1, depth + 1):  # distance when the first difference is at k
         if exact:
@@ -311,9 +344,8 @@ def _cantor_space(family, depth, exact):
         else:
             lg = math.factorial(k - 1) * math.log2(r)
             if lg < _TINY_LOG2:
-                raise DepthOverflow(
-                    f"cantor_factorial underflows float64 at depth {depth}; use exact=True"
-                )
+                raise DepthOverflow(f"cantor_factorial underflows float64 at depth {depth}; "
+                                    "use exact=True")
             vals.append(2.0 ** lg)
     n_pts = 2 ** depth
     labels = [format(i, f"0{depth}b") for i in range(n_pts)]
@@ -346,15 +378,13 @@ def sample(family: AnalyticFamily, depth: int, exact: bool = False,
     points = 2 ** depth if family.kind in ("product_geometric", "cantor_factorial") \
         else depth + 1
     if points > max_points():
-        raise CapExceeded(
-            f"sampling depth {depth} yields {points} points, over the cap"
-        )
+        raise CapExceeded(f"sampling depth {depth} yields {points} points, over the cap")
     if family.kind in ("seq_factorial", "seq_power_tower", "seq_geometric",
                        "seq_polynomial", "seq_log", "sqrt_ultra"):
         space = _sequence_space(family, depth, exact)
         built = _sequence_chain(space, family, depth) if chain else None
     elif family.kind == "product_geometric":
-        space = _product_space(family, depth, exact)
+        space = sup_product(product_factors(family, depth, exact))
         built = _prefix_chain(space, depth, depth, 0) if chain else None
     elif family.kind == "cantor_factorial":
         space = _cantor_space(family, depth, exact)

@@ -19,9 +19,11 @@ the embedding placed one parent block at a time through dicts keyed by
 cubic searches that `spaces._hull` replaced: the triangle check (a
 `combinations` triple loop on exact matrices, a k-major sweep on float
 ones) and the hull sweep of
-`is_ultrametric` with its first-k matrix `argk`, `worst_triple`, the
-search of `spaces._worst_triple` over the whole concatenated hull before
-it folded one row at a time, `mirrored`, the two-copy symmetrization of
+`is_ultrametric` with its first-k matrix `argk`, `hull`, the kernel that
+made all of a row's candidates at once before they came in blocks,
+`worst_triple`, the search of `spaces._worst_triple` over the whole
+concatenated hull before it folded one row at a time, `mirrored`, the
+two-copy symmetrization of
 float input in `spaces._checked`, and the kernels that
 compared Fractions before exact spaces carried float64 ranks (a section
 of their own: each reads `space.dist` where the kernel now reads `space.rank`),
@@ -33,7 +35,10 @@ element. `per_entry` applies a function to each entry of an array, where
 the program's `per_distinct` calls it once per distinct value (the text of
 `to_csv`, the logs of rho and of box-norm matrices). Tests compare the two;
 `tree_connects` checks, by a union-find, which blocks the spanning tree
-connects. `decay_witness` is the witness rule that `classify_chain`, the
+connects. `pair_space` is the sequence sample that `zoo._pair_space` built
+a row of pairs at a time, its exact values ranked by `np.unique` over their
+numerators and reduced by `dyadic_fractions`, before it wrote both in
+closed form from the values' exponents. `decay_witness` is the witness rule that `classify_chain`, the
 certificate and the distortion check each kept before `_decay_witness`, and
 `pushforward_chain` the pushforward that took the logs of d and d' in the
 fit and again in its check. `block_extents_by_level` is the kernel of
@@ -68,7 +73,8 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from metriclab.logratio import OracleResult, profile, set_partitions
-from metriclab._util import DEFAULT_TOL, _fmt_float, as_float, as_floats, flog
+from metriclab._util import (DEFAULT_TOL, _fmt_float, as_float, as_floats,
+                              dyadic_numerators, flog)
 from metriclab.embedding import (EmbeddingResult, LevelAudit, _exact_separated,
                                  _greedy_separated, grid_capacity)
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
@@ -77,7 +83,7 @@ from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _bl
                                   _block_offsets, _level_chunks, _log_ratio,
                                   _require_separating, classify_chain, dendrogram_chain,
                                   largest_gap)
-from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather, _hull,
+from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
                               _prim, _zero, _zeros, validate)
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
 from metriclab.ultrametrize import PushforwardReport, fit_holder_exponents, verify_holder_fit
@@ -401,6 +407,56 @@ def sequence_gaps(values):
     return dist
 
 
+def dyadic_fractions(nums, q: int) -> np.ndarray:
+    """The reduced Fractions num / 2^q of Python ints, as an object array,
+    without a gcd: each num's trailing zeros, at most q of them, are
+    stripped, which leaves it coprime to its power-of-two denominator. The
+    Fractions are built directly, as Fraction._from_coprime_ints does on
+    Python 3.12, and share their denominators."""
+    powers = {}  # 2^e by e, for the exponents that occur
+    new = object.__new__
+    fractions = []
+    for num in nums:
+        strip = (num & -num).bit_length() - 1 if num else q
+        if strip > q:
+            strip = q
+        f = new(Fraction)
+        f._numerator = num >> strip
+        e = q - strip
+        f._denominator = powers.get(e) or powers.setdefault(e, 1 << e)
+        fractions.append(f)
+    out = np.empty(len(fractions), dtype=object)
+    out[:] = fractions
+    return out
+
+
+def pair_space(labels, values, pair, exact):
+    """The trusted space of pair(values[i], values[j]) with a zero diagonal,
+    on a sequence sample (0, then decreasing r_n), whose entry [0, 1] is the
+    diameter. Each unordered pair is computed once, a row at a time. Exact
+    values are dyadic (0 or 1/2^e): pair runs on their numerators over the
+    common denominator 2^q, np.unique ranks those Python ints, and one
+    reduced Fraction is built per distinct value."""
+    n = len(values)
+    if exact:
+        nums, q = dyadic_numerators(values)
+        arr = np.array(nums, dtype=object)
+    else:
+        arr = np.asarray(values, dtype=float)
+    upper = np.concatenate([[0]] + [pair(arr[i], arr[i + 1:]) for i in range(n - 1)])
+    rows, cols = np.triu_indices(n, 1)
+    if not exact:
+        dist = np.zeros((n, n))
+        dist[rows, cols] = dist[cols, rows] = upper[1:]
+        return FiniteMetricSpace(labels, dist, _trusted=True, diameter=dist[0, 1])
+    distinct, inverse = np.unique(upper, return_inverse=True)  # upper[0] makes values[0] zero
+    table = dyadic_fractions(distinct.tolist(), q)
+    rank = np.zeros((n, n))
+    rank[rows, cols] = rank[cols, rows] = inverse[1:]
+    return FiniteMetricSpace(labels, table[rank.astype(np.intp)], exact=True, _trusted=True,
+                             diameter=table[int(rank[0, 1])], _ranks=(table, rank))
+
+
 def triangle_violations(m, n, tol, exact):
     """The triangle check of violations(): the first triple in combinations
     order (any of its three orientations) on exact matrices, the first
@@ -422,12 +478,23 @@ def triangle_violations(m, n, tol, exact):
     return []
 
 
+def hull(m, combine):
+    """spaces._hull making all candidates of a row at once: for each row i,
+    the least combine(m[i, k], m[k, j]) over k not in {i, j}, each j > i."""
+    n = len(m)
+    for i in range(n - 1):
+        cand = combine(m[i, :, None], m[:, i + 1:])  # cand[k, j - i - 1]
+        cand[i] = np.inf
+        cand[np.arange(i + 1, n), np.arange(n - i - 1)] = np.inf
+        yield cand.min(axis=0)
+
+
 def worst_triple(m, combine):
     """spaces._worst_triple over whole arrays: the slack of every pair i < j
-    through np.triu_indices against the concatenated rows of spaces._hull,
-    one argmax, and the first k reaching the worst pair's hull."""
+    through np.triu_indices against the concatenated rows of hull, one
+    argmax, and the first k reaching the worst pair's hull."""
     rows, cols = np.triu_indices(len(m), 1)
-    slack = m[rows, cols] - np.concatenate(list(_hull(m, combine)))
+    slack = m[rows, cols] - np.concatenate(list(hull(m, combine)))
     p = int(np.argmax(slack))
     i, j = int(rows[p]), int(cols[p])
     via = combine(m[i], m[:, j])

@@ -1,5 +1,5 @@
-"""Exact sequence samples take |a - b| of dyadic values by shifts
-(`_util.dyadic_numerators`, then `_util.dyadic_fractions` of the distinct
+"""Exact sequence samples took |a - b| of dyadic values by shifts
+(`_util.dyadic_numerators`, then `oracles.dyadic_fractions` of the distinct
 differences) instead of Fraction subtraction, whose two gcds ran on integers
 of up to 2^(n!) bits. Every entry must be the Fraction the subtraction gave,
 with the same numerator, denominator and hash; the subtraction is kept as
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab._util import dyadic_fractions, dyadic_numerators
+from metriclab._util import dyadic_numerators
+from oracles import dyadic_fractions
 from metriclab.zoo import _sequence_points
 
 CHECKS = settings(settings.get_profile("deterministic"), max_examples=200)

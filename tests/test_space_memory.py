@@ -1,21 +1,26 @@
 """Every space spaces.py builds takes about two copies of its matrix:
 sup_product grows the product by one broadcast per factor, _checked mirrors
-float input in one copy, _worst_triple folds the slack of one hull row at a
-time, and from_csv frees the text's lines before validate runs. Each is
-checked against the whole-array code it replaced (oracles.sup_product,
-oracles.worst_triple, oracles.mirrored) and under a tracemalloc bound at
-n = 300."""
+float input in one copy (in place when from_csv owns it), _worst_triple
+folds the slack of one hull row at a time, made a block of candidates at a
+time, _gather turns ranks into entries a block of rows at a time, and
+from_csv reads its text one line at a time. Each is checked against the
+whole-array code it replaced (oracles.sup_product, oracles.worst_triple,
+oracles.mirrored), at block budgets down to one entry, and under a
+tracemalloc bound at n = 300, at n = 1,000 for from_csv and at 1,281
+points for an exact product."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
 from metriclab._util import dyadic_numerators
-from metriclab.spaces import _worst_triple
+from metriclab import spaces
+from metriclab.spaces import _gather, _worst_triple
 from conftest import euclidean_space
 from test_numeric_path import bumped
 from test_ranks import bent_metrics, check_table, same_entries
@@ -109,3 +114,38 @@ def test_from_csv_peaks_at_about_four_copies_of_the_matrix():
 def test_sup_product_peaks_at_about_its_output():
     prod, top = peak(ml.sup_product, [euclidean_space(0, 300), FACTORS[2]])
     assert prod.n == 600 and top <= 1.5 * prod.dist.nbytes  # 3.6x with np.repeat and np.tile
+
+
+@CHECKS
+@given(triangle_inputs(), st.sampled_from((np.add, np.maximum)),
+       st.sampled_from((1, 7, spaces._BLOCK_ENTRIES)))
+def test_block_passes_equal_the_whole_array_code(case, combine, budget):
+    """The hull, the float mirror and the gather, at a budget of one entry
+    (a block of one row or column), a prime and the default."""
+    m, exact = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "_BLOCK_ENTRIES", budget)
+        assert _worst_triple(m, combine) == oracles.worst_triple(m, combine)
+        if exact:
+            space = ml.FiniteMetricSpace(range(len(m)), m, exact=True, _trusted=True)
+            same_entries(_gather(space.values, space.rank), m)
+        else:  # the lower triangle off by up to 1.5e-13, within tolerance
+            m = m + np.tril(m, -1) * 1e-13
+            for owned in (False, True):  # what _checked stores, violations or not
+                stored = spaces._checked(m.copy() if owned else m, None, 1e-12, False, owned)[0]
+                assert stored.tobytes() == oracles.mirrored(m).tobytes()
+
+
+def test_from_csv_holds_one_line_of_its_text_at_a_time():
+    """The matrix, mirrored in place, and one block of hull candidates."""
+    text = ml.to_csv(euclidean_space(0, 1000))
+    space, top = peak(ml.from_csv, text)
+    assert space.n == 1000 and top <= 2.0 * space.dist.nbytes  # 3.61x with the lines list
+
+
+def test_an_exact_product_is_gathered_without_an_index_copy():
+    family = ml.make_family("seq_geometric")
+    factors = [ml.sample(family, depth, exact=True, chain=False)[0] for depth in (60, 20)]
+    ml.sup_product(factors)  # what numpy imports on first use is not the product's
+    prod, top = peak(ml.sup_product, factors)
+    assert prod.n == 1281 and top <= 2.2 * prod.n ** 2 * 8  # 3.09x with the intp copy
