@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from fractions import Fraction
@@ -30,7 +31,7 @@ def flog(x) -> float:
     Fractions are split into log(num) - log(den); Python takes logs of
     arbitrarily large ints exactly enough for our ratio arithmetic.
     """
-    if isinstance(x, Fraction):
+    if not isinstance(x, float) and isinstance(x, Fraction):  # the float test is the cheap one
         return math.log(x.numerator) - math.log(x.denominator)
     return math.log(x)
 
@@ -76,7 +77,7 @@ def per_distinct(fn, x, dtype=float) -> np.ndarray:
 
 def as_float(x) -> float:
     """float(x), with silent underflow to 0.0 for out-of-range Fractions."""
-    if isinstance(x, Fraction):
+    if not isinstance(x, float) and isinstance(x, Fraction):
         try:
             return x.numerator / x.denominator
         except OverflowError:
@@ -89,6 +90,20 @@ def as_floats(values) -> np.ndarray:
     if values.dtype == object:
         return np.fromiter(map(as_float, values), float, len(values))
     return values.astype(float, copy=False)
+
+
+def field_report(obj, skip=()) -> dict:
+    """The fields of a dataclass, in order and less skip, as report values
+    (a dataclass's to_report, when it is one of these), each under its
+    metadata's "key" where it names one."""
+    return {f.metadata.get("key", f.name): _report_value(getattr(obj, f.name))
+            for f in dataclasses.fields(obj) if f.name not in skip}
+
+
+def _report_value(x):  # a tuple as a list of its items' values
+    if isinstance(x, tuple):
+        return [_report_value(v) for v in x]
+    return x.to_report() if hasattr(x, "to_report") else x
 
 
 def _fmt_float(x: float) -> str:
@@ -110,26 +125,25 @@ def dumps(obj, indent: int = 2) -> str:
     return "".join(out)
 
 
+# what a report writes without _emit (other numpy scalars and Fractions take it)
+_SCALARS = {type(None): lambda x: "null", bool: lambda x: "true" if x else "false",
+            np.bool_: lambda x: "true" if x else "false", int: int.__repr__,
+            float: _fmt_float, str: encode_basestring}
+
+
 def _plain(items, pad: str, pad_in: str):
-    """The JSON text of a list whose items are all plain ints or finite
-    floats, written with one join; None at the first item that is not one.
-    Bools, np.generic, Fractions, nan, inf and containers take _emit."""
-    if not items:
-        return "[]"
-    texts = []
-    for x in items:
-        if type(x) is int:
-            texts.append(int.__repr__(x))
-        elif type(x) is float and math.isfinite(x):
-            texts.append(format(x, ".17g"))
-        else:
-            return None
-    return "[\n" + pad_in + (",\n" + pad_in).join(texts) + "\n" + pad + "]"
+    """The JSON text of a list of _SCALARS, written with one join; None
+    when an item is not one."""
+    try:
+        texts = [_SCALARS[type(x)](x) for x in items]
+    except KeyError:
+        return None
+    return "[\n" + pad_in + (",\n" + pad_in).join(texts) + "\n" + pad + "]" if texts else "[]"
 
 
 def _bulk(obj, pad: str, pad_in: str, pad_row: str):
-    """The JSON text of a list of plain numbers or of a list of such lists,
-    or None when obj is neither."""
+    """The JSON text of a list of scalars or of a list of such lists, or
+    None when obj is neither."""
     text = _plain(obj, pad, pad_in)
     if text is not None:
         return text
@@ -140,6 +154,22 @@ def _bulk(obj, pad: str, pad_in: str, pad_row: str):
             return None
         rows.append(text)
     return "[\n" + pad_in + (",\n" + pad_in).join(rows) + "\n" + pad + "]"
+
+
+def _records(items, pad: str, pad_in: str, pad_row: str):
+    """The JSON text of a list of dicts with the same keys in the same order
+    and only _SCALARS, with one head per key and one join; None otherwise."""
+    keys = list(items[0]) if items and type(items[0]) is dict else None
+    if not keys or any(type(row) is not dict or list(row) != keys for row in items):
+        return None
+    heads = [pad_row + encode_basestring(str(key)) + ": " for key in keys]
+    try:
+        texts = [",\n".join([head + _SCALARS[type(x)](x) for head, x in zip(heads, row.values())])
+                 for row in items]
+    except KeyError:  # a value that is not a scalar
+        return None
+    return ("[\n" + pad_in + "{\n" + ("\n" + pad_in + "},\n" + pad_in + "{\n").join(texts)
+            + "\n" + pad_in + "}\n" + pad + "]")
 
 
 def _emit(obj, out: list[str], indent: int, depth: int) -> None:
@@ -162,7 +192,10 @@ def _emit(obj, out: list[str], indent: int, depth: int) -> None:
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
-        text = _bulk(obj, pad, pad_in, pad_in + " " * indent)
+        pad_row = pad_in + " " * indent
+        text = _bulk(obj, pad, pad_in, pad_row)
+        if text is None:
+            text = _records(obj, pad, pad_in, pad_row)
         if text is not None:
             out.append(text)
             return

@@ -26,7 +26,7 @@ from .embedding import (
 )
 from .errors import MetricLabError, MetricViolation, VerificationFailure
 from .logratio import (_brute_minimum, _enumerated_stats, _require_radius, _threshold_minimum,
-                       gap_bounds, profile)
+                       gap_bounds, profile, r_estimate)
 from .partitions import dendrogram_chain, with_singleton_terminal
 from .spaces import (
     FiniteMetricSpace,
@@ -231,7 +231,7 @@ def _cmd_embed(args) -> int:
     if N is None:
         if args.D is None:
             raise MetricLabError("embed needs --N or --D")
-        r_est = profile(chain).estimate
+        r_est = r_estimate(chain)
         N = min_embedding_dimension(args.D, r_est, r_est - 1.0)
     work = chain if args.no_thin else select_embeddable_subchain(space, chain, N)
     result = embed_chain(space, work, N, args.p, args.epsilon)

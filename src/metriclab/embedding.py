@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, per_distinct
+from ._util import DEFAULT_TOL, as_float, field_report, per_distinct
 from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
-from .logratio import profile
+from .logratio import profile, r_estimate
 from .partitions import PartitionChain, _decay_witness, _require_separating
 from .spaces import FiniteMetricSpace, _gather, _rank_bound
 from .ultrametrize import LOG_SLACK, _first_failure, _holder_fit, _pair_logs, _window_start
@@ -195,7 +195,7 @@ def _grid_cells(ranks, per_axis: int, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LevelAudit:
-    level_id: int
+    level_id: int = field(metadata={"key": "id"})
     required: int
     capacity: int | None  # None for the free first level
     gamma: float
@@ -208,6 +208,8 @@ class LevelAudit:
         return cap_ok and self.nested and self.commutes and (
             self.realized_min_gap >= self.gamma - tol
         )
+
+    to_report = field_report
 
 
 @dataclass(frozen=True)
@@ -236,18 +238,7 @@ class EmbeddingResult:
             "p": self.p,
             "epsilon": self.epsilon,
             "epsilon_warning": self.epsilon_warning,
-            "levels": [
-                {
-                    "id": a.level_id,
-                    "required": a.required,
-                    "capacity": a.capacity,
-                    "gamma": a.gamma,
-                    "realized_min_gap": a.realized_min_gap,
-                    "nested": a.nested,
-                    "commutes": a.commutes,
-                }
-                for a in self.level_audit
-            ],
+            "levels": [a.to_report() for a in self.level_audit],
             "fitted": self.fitted.to_report(),
         }
 
@@ -266,7 +257,7 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
     if N < 1:
         raise ValueError("N must be at least 1")
     _require_separating(chain)
-    r_est = profile(chain).estimate
+    r_est = r_estimate(chain)
     eps_ok = math.isfinite(r_est) and r_est > 1 and 0 < epsilon < min(1.0, r_est - 1)
     deltas = [as_float(st.delta) for st in chain.stats]
     gammas = [as_float(st.gamma) for st in chain.stats]
@@ -415,19 +406,7 @@ class DistortionReport:
     target_exponent: float
     fitted: object
 
-    def to_report(self) -> dict:
-        return {
-            "ok": self.ok,
-            "burn_in": self.burn_in,
-            "burn_in_level_id": self.burn_in_level_id,
-            "pairs_checked": self.pairs_checked,
-            "pairs_asserted": self.pairs_asserted,
-            "box_sandwich_ok": self.box_sandwich_ok,
-            "worst_lower_slack": self.worst_lower_slack,
-            "worst_upper_slack": self.worst_upper_slack,
-            "target_exponent": self.target_exponent,
-            "fitted": self.fitted.to_report(),
-        }
+    to_report = field_report
 
 
 def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResult,

@@ -9,12 +9,13 @@ are listed yet excluded from the estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_float, as_floats, flog, per_distinct
+from ._util import as_float, as_floats, field_report, flog, per_distinct
 from .errors import ExactModeSizeExceeded
 from .partitions import (
     Partition,
@@ -26,6 +27,7 @@ from .partitions import (
     _run_labels,
     dendrogram_chain,
     largest_gap,
+    r_estimate,
 )
 from .spaces import FiniteMetricSpace, _gather, _rank_bound
 
@@ -74,11 +76,13 @@ def _rgs_table(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProfileLevel:
-    level_id: int
+    level_id: int = field(metadata={"key": "id"})
     delta: float
     gamma: float
     R: float
     boundary: bool  # single block or all singletons; excluded from the estimate
+
+    to_report = field_report
 
 
 @dataclass(frozen=True)
@@ -89,22 +93,9 @@ class LogRatioProfile:
     burn_in: int | None
     epsilon: float
     discrete_terminal: bool
-    property6: dict
+    property6: dict = field(metadata={"key": "property6_hypotheses"})
 
-    def to_report(self) -> dict:
-        return {
-            "levels": [
-                {"id": lv.level_id, "delta": lv.delta, "gamma": lv.gamma,
-                 "R": lv.R, "boundary": lv.boundary}
-                for lv in self.levels
-            ],
-            "running_liminf": list(self.running_liminf),
-            "estimate": self.estimate,
-            "burn_in": self.burn_in,
-            "epsilon": self.epsilon,
-            "discrete_terminal": self.discrete_terminal,
-            "property6_hypotheses": self.property6,
-        }
+    to_report = field_report
 
 
 def profile(chain: PartitionChain, epsilon: float = 0.05,
@@ -125,14 +116,8 @@ def profile(chain: PartitionChain, epsilon: float = 0.05,
                                  as_float(st.gamma), st.log_ratio, boundary))
     proper = [i for i, lv in enumerate(rows) if not lv.boundary]
     r_vals = [rows[i].R for i in proper]
-    liminf = []
-    if r_vals:
-        running = math.inf
-        for r in reversed(r_vals):
-            running = min(running, r)
-            liminf.append(running)
-        liminf.reverse()
-    estimate = liminf[-1] if liminf else 0.0
+    liminf = list(itertools.accumulate(reversed(r_vals), min))[::-1]
+    estimate = r_estimate(chain)
     start = _settled_from(r_vals, estimate, epsilon)
     burn_in = None if start is None else int(chain.level_ids[proper[start]])
     discrete_terminal = bool(chain.stats[-1].delta == 0)
@@ -322,6 +307,8 @@ class GapBoundsRow:
     lower_ratio: float
     upper_ratio: float
 
+    to_report = field_report
+
 
 @dataclass(frozen=True)
 class GapBoundsReport:
@@ -330,17 +317,7 @@ class GapBoundsReport:
     upper_estimate: float
     exact: bool
 
-    def to_report(self) -> dict:
-        return {
-            "rows": [
-                {"r": w.r, "g": w.g, "G": w.G, "G_exact": w.G_exact,
-                 "lower_ratio": w.lower_ratio, "upper_ratio": w.upper_ratio}
-                for w in self.rows
-            ],
-            "lower_estimate": self.lower_estimate,
-            "upper_estimate": self.upper_estimate,
-            "exact": self.exact,
-        }
+    to_report = field_report
 
 
 def gap_bounds(space: FiniteMetricSpace, radii, *,

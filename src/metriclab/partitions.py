@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, flog
+from ._util import DEFAULT_TOL, as_float, field_report, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
 from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _leaf_rows, _rank_bound,
                      _spanning_tree, _subdominant, _zero, is_ultrametric, subspace)
@@ -117,7 +117,8 @@ def _log_ratio(delta, gamma) -> float:
 
 
 def _at_least_one(x) -> bool:
-    return x.numerator >= x.denominator if isinstance(x, Fraction) else x >= 1
+    fraction = not isinstance(x, float) and isinstance(x, Fraction)  # the float test is cheap
+    return x.numerator >= x.denominator if fraction else x >= 1
 
 
 def partition_stats(space: FiniteMetricSpace, partition: Partition) -> PartitionStats:
@@ -196,6 +197,8 @@ class PartitionChain:
     thresholds[i] is the merge radius that produced level i (None for levels
     not born from a merge, like a leading trivial partition). level_ids keeps
     external numbering for sampled families; defaults to positional indices.
+    extremes, (top, low), are the largest and least rank of a pair split at
+    each level 0..len(chain), kept from the stats' pass (_split_extremes).
     """
 
     order: np.ndarray = field(repr=False)
@@ -203,6 +206,7 @@ class PartitionChain:
     stats: tuple
     thresholds: tuple
     level_ids: tuple
+    extremes: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def from_partitions(cls, space, levels, thresholds=None, level_ids=None) -> "PartitionChain":
@@ -234,7 +238,9 @@ class PartitionChain:
         level_ids = tuple(range(length)) if level_ids is None else tuple(level_ids)
         order.setflags(write=False)
         h.setflags(write=False)
-        return cls(order, h, _chain_stats(space, order, h, length), thresholds, level_ids)
+        extremes = _split_extremes(space, order, h, length)
+        return cls(order, h, _chain_stats(space, order, h, length, extremes), thresholds,
+                   level_ids, extremes)
 
     def __eq__(self, other):
         return (isinstance(other, PartitionChain) and np.array_equal(self.split, other.split)
@@ -319,20 +325,26 @@ def _pair_runs(space: FiniteMetricSpace, order, h, length):
         lo += rows
 
 
-def _level_ranks(space: FiniteMetricSpace, order, h, length):
-    """(delta, gamma): per level, the rank of the largest distance of a pair
-    split after it (0 when none is) and of the smallest of a pair split at
-    or before it (inf when none is). One grouped max/min of the pair runs'
-    ranks by split level, then a suffix max and a prefix min."""
+def _split_extremes(space: FiniteMetricSpace, order, h, length):
+    """(top, low): per split level 0..length, the largest and least rank of a
+    pair split there (0, inf for none), grouped from the pair runs."""
     top = np.zeros(length + 1)
     low = np.full(length + 1, np.inf)
     for _, keys, high, least in _pair_runs(space, order, h, length):
         np.maximum.at(top, keys, high)
         np.minimum.at(low, keys, least)
+    return top, low
+
+
+def _level_ranks(space: FiniteMetricSpace, order, h, length, extremes=None):
+    """(delta, gamma): per level, the rank of the largest distance of a pair
+    split after it (0 when none is) and of the smallest of a pair split at or
+    before it (inf when none is): a suffix max and a prefix min of extremes."""
+    top, low = extremes or _split_extremes(space, order, h, length)
     return np.maximum.accumulate(top[::-1])[-2::-1], np.minimum.accumulate(low)[:length]
 
 
-def _chain_stats(space: FiniteMetricSpace, order, h, length) -> tuple:
+def _chain_stats(space: FiniteMetricSpace, order, h, length, extremes=None) -> tuple:
     """partition_stats of every level, read off the chain's pairs.
 
     The extremes run on ranks (_level_ranks), and each level's delta and
@@ -340,7 +352,7 @@ def _chain_stats(space: FiniteMetricSpace, order, h, length) -> tuple:
     comparing any. Level l has 1 + #{h <= l} blocks, the runs of the leaf
     order; a level of one block has the space diameter as gamma.
     """
-    delta, gamma = _level_ranks(space, order, h, length)
+    delta, gamma = _level_ranks(space, order, h, length, extremes)
     cards = 1 + np.searchsorted(np.sort(h), np.arange(len(delta)), side="right")
     zero = _zero(space.exact)
     deltas = [v if r else zero for r, v in zip(delta.tolist(), _gather(space.values, delta))]
@@ -362,9 +374,9 @@ def _require_separating(chain: PartitionChain) -> None:
 def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
     """Append the all-singleton level when the chain does not separate points.
 
-    The pairs the chain never separated are split at the new level, so h and
-    the old levels' stats stay. The new level has delta zero and, as gamma,
-    the smallest pair of the space.
+    The pairs the chain never separated are split at the new level, so h,
+    the old levels' stats and split extremes stay. The new level has delta
+    zero and, as gamma, the smallest pair of the space.
     """
     if len(chain.order) != space.n:
         raise ValueError("chain does not match the space")
@@ -372,8 +384,10 @@ def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> 
         return chain
     least = np.min(space.rank, where=~np.eye(space.n, dtype=bool), initial=np.inf)
     terminal = PartitionStats(_zero(space.exact), _gather(space.values, least), 0.0, space.n)
+    extremes = chain.extremes and tuple(map(np.append, chain.extremes, (0.0, np.inf)))
     return PartitionChain(chain.order, chain.h, chain.stats + (terminal,),
-                          chain.thresholds + (None,), chain.level_ids + (chain.level_ids[-1] + 1,))
+                          chain.thresholds + (None,), chain.level_ids + (chain.level_ids[-1] + 1,),
+                          extremes)
 
 
 def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
@@ -533,16 +547,7 @@ class ChainClassReport:
     R_liminf_estimate: float
     dichotomy_flags: tuple
 
-    def to_report(self) -> dict:
-        return {
-            "delta_monotone": self.delta_monotone,
-            "p": self.p,
-            "p_witness": self.p_witness,
-            "log_p_witness": self.log_p_witness,
-            "R_sequence": list(self.R_sequence),
-            "R_liminf_estimate": self.R_liminf_estimate,
-            "dichotomy_flags": list(self.dichotomy_flags),
-        }
+    to_report = field_report
 
 
 def _decay_witness(stats, p) -> tuple[float, float]:
@@ -569,6 +574,13 @@ def _decay_witness(stats, p) -> tuple[float, float]:
         return math.inf, log_witness
 
 
+def r_estimate(chain: PartitionChain) -> float:
+    """The estimate of R that profile, classify_chain, the certificate and
+    the embedding read: R of the deepest proper level, 0.0 with none."""
+    return next((st.log_ratio for st in reversed(chain.stats)
+                 if st.cardinality >= 2 and st.delta > 0), 0.0)
+
+
 def classify_chain(chain: PartitionChain, p: float, tol: float = DEFAULT_TOL) -> ChainClassReport:
     """Witness constant a = min delta_{n+1} / delta_n^p over the chain
     (_decay_witness), the per-level ratio sequence, and the gamma-versus-delta
@@ -582,8 +594,7 @@ def classify_chain(chain: PartitionChain, p: float, tol: float = DEFAULT_TOL) ->
     deltas = [st.delta for st in stats]
     delta_monotone = all(b <= a for a, b in zip(deltas, deltas[1:]))
     r_seq = tuple(st.log_ratio for st in stats)
-    proper = chain.proper_indices()
-    estimate = stats[proper[-1]].log_ratio if proper else 0.0
+    estimate = r_estimate(chain)
     flags = []
     for st in stats:
         diff = as_float(st.gamma) - as_float(st.delta)

@@ -267,18 +267,23 @@ def _hull(m, combine):
     over k not in {i, j}, for each j > i: np.add for the triangle
     inequality, np.maximum for the strong one. m must be exactly symmetric;
     the same code runs on float64 and Fraction entries. The candidates are
-    made for a block of about _BLOCK_ENTRIES (k, j) at a time."""
-    n = len(m)
-    step = max(1, _BLOCK_ENTRIES // n)
-    for i in range(n - 1):
-        hull = np.empty(n - i - 1, dtype=m.dtype)
+    made for blocks of about _BLOCK_ENTRIES (row, k, j): part of a row, or
+    several whole rows, each read from its own diagonal on."""
+    n, i = len(m), 0
+    while i < n - 1:
+        width = n - i - 1
+        rows = max(1, min(_BLOCK_ENTRIES // (n * width), width))
+        step = max(1, _BLOCK_ENTRIES // (n * rows))
+        hull = np.empty((rows, width), dtype=m.dtype)
         for a in range(i + 1, n, step):
-            cand = combine(m[i, :, None], m[:, a:a + step])  # cand[k, j - a]
-            cand[i] = np.inf
-            np.fill_diagonal(cand[a:], np.inf)  # k = j
-            hull[a - i - 1:a - i - 1 + step] = cand.min(axis=0)
+            cand = combine(m[i:i + rows, :, None], m[:, a:a + step])  # cand[r, k, j - a]
+            r, c = np.arange(rows), np.arange(cand.shape[2])
+            cand[r, i + r] = np.inf
+            cand[:, a + c, c] = np.inf  # k = j
+            hull[:, a - i - 1:a - i - 1 + step] = cand.min(axis=1)
             del cand  # before the next block's is made
-        yield hull
+        yield from (hull[r, r:] for r in range(rows))
+        i += rows
 
 
 def _worst_triple(m, combine):
@@ -448,14 +453,16 @@ def _prim(matrix):
     best[:1] = weight[:1]
     free = np.ones(n, dtype=bool)
     link = np.zeros(n, dtype=np.intp)
+    closer = np.empty(n, dtype=bool)
     for k in range(n):
-        v = int(np.argmin(best))
+        v = int(best.argmin())
         order[k], parent[k], weight[k] = v, link[v], best[v]
         free[v] = False
         best[v] = np.inf
-        closer = free & (matrix[v] < best)
-        best[closer] = matrix[v][closer]
-        link[closer] = v
+        np.less(matrix[v], best, out=closer)
+        closer &= free
+        np.copyto(best, matrix[v], where=closer)
+        np.copyto(link, v, where=closer)
     return order, parent, weight
 
 

@@ -8,10 +8,13 @@ gamma(alpha_m) * delta(alpha_0)^(-p(R+eps))} and checks
     K * rho^(p(R+eps)) <= d <= rho
 
 on every pair, a being partitions._decay_witness (infinite, so the first
-term drops, when fewer than two levels have positive delta). Verification
-runs in log space so it survives distances far below float underflow in
-exact-mode spaces; each check builds its pair index once. The Holder fit
-and its check live here too, with the pushforward of a chain that reads them.
+term drops, when fewer than two levels have positive delta). rho is constant
+on the pairs a level first splits, so the check reads each level's least
+and largest d (_sandwich) and scans the pairs only for the ones it names.
+Verification runs in log space so it survives distances far below float
+underflow in exact-mode spaces. The Holder fit and its check live here too,
+building their pair index once, with the pushforward of a chain that reads
+them.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, flog, per_distinct
+from ._util import DEFAULT_TOL, as_float, field_report, flog
+from ._util import per_distinct  # noqa: F401 (a binding that tests patch)
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
-from .logratio import profile
+from .logratio import profile  # noqa: F401 (a binding the bench tracer re-binds)
 from .partitions import (PartitionChain, PartitionStats, _decay_witness, _log_ratio,
-                         _require_separating, classify_chain)
-from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _rank_bound, _spanning_tree,
-                     _subdominant, _union, is_ultrametric)
+                         _require_separating, _split_extremes, classify_chain, r_estimate)
+from .spaces import (_BLOCK_ENTRIES, FiniteMetricSpace, _gather, _leaf_matrix, _rank_bound,
+                     _spanning_tree, _subdominant, is_ultrametric)
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
 
@@ -41,14 +45,16 @@ def _safe_exp(x: float) -> float:
 
 
 def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
-    """Prepend {X}, delta and gamma the diameter, when the chain starts with a proper one."""
+    """Prepend {X}, delta and gamma the diameter, when the chain starts with
+    a proper one: every pair splits a level later, and level 0 splits none."""
     if chain.stats[0].cardinality == 1:
         return chain
     h, top = chain.h + 1, space.diameter
     h.setflags(write=False)
     head = PartitionStats(top, top, _log_ratio(top, top), 1)
+    extremes = chain.extremes and tuple(map(np.insert, chain.extremes, (0, 0), (0.0, np.inf)))
     return PartitionChain(chain.order, h, (head,) + chain.stats, (None,) + chain.thresholds,
-                          (int(chain.level_ids[0]) - 1,) + chain.level_ids)
+                          (int(chain.level_ids[0]) - 1,) + chain.level_ids, extremes)
 
 
 def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> np.ndarray:
@@ -92,19 +98,14 @@ class HolderFit:
     c1: float
     c2: float
 
-    def to_report(self) -> dict:
-        return {"s": self.s, "t": self.t, "c1": self.c1, "c2": self.c2}
+    to_report = field_report
 
 
 def _pair_logs(matrix, pairs, table=None) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of a square matrix at pairs, the row-major upper triangle
-    np.triu_indices(n, 1) its caller builds once, and the log of each entry.
-    Without table, each entry is logged on its own (only object entries can
-    be Fractions that need flog). With table, the logs of an exact space's
-    values (_value_logs), matrix holds ranks into those values and each log
-    is gathered, bit for bit the one a loop takes. Numeric entries are read
-    through a memoryview, one Python number at a time, so no list of them
-    is built."""
+    """The entries of a matrix at pairs (an index or mask its caller builds
+    once) and the log of each: gathered from table, the logs of an exact
+    space's values (_value_logs), or else each taken on its own (flog only
+    for object entries), numeric ones read through a memoryview."""
     entries = np.asarray(matrix)[pairs]
     if table is not None:
         return entries, table[entries.astype(np.intp)]
@@ -116,11 +117,12 @@ def _pair_logs(matrix, pairs, table=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _value_logs(table):
-    """flog of each value of a table, once per distinct value (-inf for its
-    leading zero); None for no table."""
+    """flog of each value of an exact space's table, the logs its ranks
+    gather bit for bit (-inf for its leading zero); None for no table."""
     if table is None:
         return None
-    logs = np.fromiter(map(flog, table[1:].tolist()), dtype=float, count=len(table) - 1)
+    logs = np.fromiter((math.log(x.numerator) - math.log(x.denominator)  # flog of a Fraction
+                        for x in table[1:].tolist()), dtype=float, count=len(table) - 1)
     return np.concatenate(([-math.inf], logs))
 
 
@@ -260,22 +262,7 @@ class UltrametricCertificate:
     worst_upper_pair: tuple[int, int]
 
     def to_report(self) -> dict:
-        return {
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "R_est": self.R_est,
-            "m_index": self.m_index,
-            "m_level_id": self.m_level_id,
-            "a": self.a,
-            "K": self.K,
-            "log_K": self.log_K,
-            "exponent": self.exponent,
-            "lower_residual": self.lower_residual,
-            "upper_residual": self.upper_residual,
-            "lower_sandwich_skipped": self.lower_sandwich_skipped,
-            "worst_lower_pair": list(self.worst_lower_pair),
-            "worst_upper_pair": list(self.worst_upper_pair),
-        }
+        return field_report(self, ("rho",))
 
 
 def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
@@ -294,14 +281,11 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     witness, log_witness = _decay_witness(chain.stats, p)
     if math.isnan(log_witness) or log_witness == -math.inf:
         raise CertificateRefused("chain has no positive decay witness a")
-    prof = profile(chain)
-    r_est = prof.estimate
+    r_est = r_estimate(chain)
     if not math.isfinite(r_est):
         raise CertificateRefused("R estimate is infinite; no finite exponent exists")
-    proper = chain.proper_indices()
-    skip_lower = r_est <= epsilon
     m_pos = _window_start(chain, r_est, epsilon)
-    if m_pos is None and not proper:
+    if m_pos is None and not chain.proper_indices():
         with_blocks = [i for i, st in enumerate(chain.stats) if st.cardinality >= 2]
         if not with_blocks:
             raise CertificateRefused("space has a single point; nothing to certify")
@@ -309,13 +293,10 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     if m_pos is None:
         raise CertificateRefused(
             "no level index supports delta^(R+eps) < gamma < delta^(R-eps) "
-            f"on the computed tail (R_est={r_est}, eps={epsilon})"
-        )
+            f"on the computed tail (R_est={r_est}, eps={epsilon})")
     exponent = p * (r_est + epsilon)
-    log_delta0 = flog(chain.stats[0].delta)
-    log_gamma_m = flog(chain.stats[m_pos].gamma)
     first_term = (r_est + epsilon) * log_witness if math.isfinite(log_witness) else math.inf
-    log_k = min(first_term, log_gamma_m - exponent * log_delta0)
+    log_k = min(first_term, flog(chain.stats[m_pos].gamma) - exponent * flog(chain.stats[0].delta))
     # rho takes the positive deltas of the levels; past float range on the
     # log scale, exponent * log rho and K carry no meaning
     if not (math.isfinite(log_k)
@@ -328,41 +309,127 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     check = is_ultrametric(rho, tol)
     if not check.ok:
         raise CertificateViolated(check.witness, "strong triangle", as_float(check.violation))
-    # d <= rho compares ranks; rho's table is d's, so no values are sorted
-    table, (d_rank, rho_rank) = _union((space.values, space.rank), (rho.values, rho.rank))
-    logs = _value_logs(table)
-    pairs = np.triu_indices(space.n, 1)
-    d, log_d = _pair_logs(d_rank, pairs, logs)
-    if logs is None:  # a float rho takes one value per level: log each once
-        r = rho_rank[pairs]
-        log_r = per_distinct(math.log, r)
-    else:
-        r, log_r = _pair_logs(rho_rank, pairs, logs)
-    low = log_d - exponent * log_r
-    hit = _first_failure(pairs, d > r, low < log_k - LOG_SLACK)
-    if hit:
-        k, pair, which = hit
-        if which == 0:
-            gap = _gather(table, d[k]) - _gather(table, r[k])
-            raise CertificateViolated(pair, "d <= rho", as_float(gap))
-        raise CertificateViolated(pair, "K rho^exp <= d", float(low[k] - log_k))
-    up = log_d - log_r
-    k_low = int(low.argmin())
-    k_up = int(up.argmax())
+    (low, low_pair), (up, up_pair) = _sandwich(space, chain, rho, exponent, log_k)
     return UltrametricCertificate(
-        rho=rho.dist,
-        p=p,
-        epsilon=epsilon,
-        R_est=r_est,
-        m_index=m_pos,
-        m_level_id=int(chain.level_ids[m_pos]),
-        a=witness,
-        K=_safe_exp(log_k),
-        log_K=log_k,
-        exponent=exponent,
-        lower_residual=_safe_exp(float(low[k_low])),
-        upper_residual=_safe_exp(float(up[k_up])),
-        lower_sandwich_skipped=skip_lower,
-        worst_lower_pair=(int(pairs[0][k_low]), int(pairs[1][k_low])),
-        worst_upper_pair=(int(pairs[0][k_up]), int(pairs[1][k_up])),
-    )
+        rho=rho.dist, p=p, epsilon=epsilon, R_est=r_est, m_index=m_pos,
+        m_level_id=int(chain.level_ids[m_pos]), a=witness, K=_safe_exp(log_k), log_K=log_k,
+        exponent=exponent, lower_residual=_safe_exp(float(low)),
+        upper_residual=_safe_exp(float(up)), lower_sandwich_skipped=r_est <= epsilon,
+        worst_lower_pair=low_pair, worst_upper_pair=up_pair)
+
+
+def _sandwich(space, chain, rho, exponent, log_k):
+    """((lower, pair), (upper, pair)): the least log d - exponent log rho and
+    the largest log d - log rho, with the first row-major pair reaching each;
+    CertificateViolated at the first pair failing d <= rho, then log K. rho
+    is constant on the pairs a level splits (read off at an adjacent-leaf
+    pair), so the level's least and largest d (the chain's split extremes)
+    give its extremes bit for bit, as math.log and subtraction are monotone,
+    and so are exact logs over a level's ranks where they are in order. A
+    float level's pairs that reach a value, or fail, are a range of d (_reach);
+    exact logs are gathered. One scan (_pair_blocks) finds the pairs, and
+    stops at the last unless a pair may fail or an exact level's logs fall."""
+    levels, first = np.unique(chain.h, return_index=True)
+    a, b = chain.order[first], chain.order[first + 1]
+    value = rho.dist[a, b]  # on a table rho shares (or in float) its ranks are d's
+    bound = (rho.rank[a, b] if rho.values is space.values
+             else np.array([_rank_bound(space, v, True) for v in value]))
+    clog = np.array(list(map(flog if space.exact else math.log, value.tolist())))
+    shift, floor = exponent * clog, log_k - LOG_SLACK
+    extremes = chain.extremes or _split_extremes(space, chain.order, chain.h, len(chain))
+    top, least = (x[levels] for x in extremes)
+    logs = _value_logs(space.values)
+    log_of = math.log if logs is None else (lambda r: logs[int(r)])
+    lows = np.array([log_of(x) for x in least.tolist()]) - shift
+    ups = np.array([log_of(x) for x in top.tolist()]) - clog
+    goal = [lows.min(), -ups.max()]  # each side's least value, the upper one negated
+    fails = (top > bound).any() or (lows < floor).any()
+    # per level: d above over fails d <= rho, d at most under fails log K,
+    # a float d at most reach_low, or at least reach_up, reaches a goal
+    over, at_shift, at_clog, under, reach_low, reach_up = (
+        np.full(len(chain), x) for x in (np.inf, 0.0, 0.0, -np.inf, -np.inf, np.inf))
+    over[levels], at_shift[levels], at_clog[levels] = bound, shift, clog
+    if logs is not None:
+        fall = np.flatnonzero(logs[1:] < logs[:-1])
+        if (np.searchsorted(fall, least) != np.searchsorted(fall, top)).any():
+            goal, fails = [-np.inf, -np.inf], True  # known once every pair is read
+    else:
+        k = np.flatnonzero(lows < floor)
+        under[levels[k]] = _reach(lambda x: x - shift[k] < floor, least[k], top[k])
+        k = np.flatnonzero(lows == goal[0])
+        reach_low[levels[k]] = _reach(lambda x: x - shift[k] <= goal[0], least[k], top[k])
+        k = np.flatnonzero(ups == -goal[1])
+        reach_up[levels[k]] = _reach(lambda x: clog[k] - x <= goal[1], top[k], least[k])
+    best = [(np.inf, None), (np.inf, None)]  # (value, pair) of each side so far
+    for i0, split, block, upper in _pair_blocks(space, chain):
+        if logs is None:
+            d = block[upper]
+            wrong = d <= under[split]
+            sides = [np.where(d <= reach_low[split], goal[0], np.inf),
+                     np.where(d >= reach_up[split], goal[1], np.inf)]
+        else:
+            d, key = _pair_logs(block, upper, logs)
+            sides = [key - at_shift[split], at_clog[split] - key]
+            wrong = sides[0] < floor
+        if fails and (wrong := wrong | (d > over[split])).any():
+            k = int(wrong.argmax())
+            pair, level = _pair_at(space.n, i0, k), split[k]
+            if d[k] > over[level]:
+                gap = space.dist[pair] - value[np.searchsorted(levels, level)]
+                raise CertificateViolated(pair, "d <= rho", as_float(gap))
+            raise CertificateViolated(pair, "K rho^exp <= d",
+                                      float(log_of(d[k]) - at_shift[level] - log_k))
+        for side, values in enumerate(sides):
+            k = int(values.argmin())
+            if values[k] < best[side][0]:
+                best[side] = (values[k], _pair_at(space.n, i0, k))
+        if not fails and [v for v, _ in best] == goal:
+            break
+    return best[0], (-best[1][0], best[1][1])
+
+
+def _pair_blocks(space, chain):
+    """(i0, split, block, upper): the pairs i < j, row-major, about
+    _BLOCK_ENTRIES at a time, where upper holds in block, the ranks of rows
+    i0.. by columns i0 + 1.., and the level that first splits each, the
+    least h between its leaf positions, off a sparse table of the minima of
+    h over runs of 2^k leaves (Bender & Farach-Colton 2000)."""
+    n, where, runs = space.n, np.argsort(chain.order), [chain.h]
+    while 2 ** len(runs) <= len(chain.h):  # runs[k][p]: the least h over leaves p.. p + 2^k
+        runs.append(np.minimum(runs[-1][:-2 ** (len(runs) - 1)], runs[-1][2 ** (len(runs) - 1):]))
+    table, start = np.concatenate(runs), np.cumsum([0] + [len(x) for x in runs[:-1]])
+    step = max(1, _BLOCK_ENTRIES // n)
+    for i0 in range(0, n - 1, step):
+        rows = np.arange(i0, min(i0 + step, n - 1))
+        upper = np.arange(i0 + 1, n) > rows[:, None]
+        a, b = where[rows][:, None], where[i0 + 1:]
+        lo, hi = np.minimum(a, b)[upper], np.maximum(a, b)[upper]
+        k = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
+        split = np.minimum(table[start[k] + lo], table[start[k] + hi - (1 << k)])
+        yield i0, split, space.rank[i0:i0 + len(rows), i0 + 1:], upper
+
+
+def _pair_at(n, i0, k):
+    """The k-th pair i < j in row-major order from row i0 on, as a block of
+    _pair_blocks holds them: row i0 + r has n - i0 - 1 - r of them."""
+    r = np.arange(n - i0 - 1)
+    before = r * (n - i0 - 1) - r * (r - 1) // 2  # the pairs of the rows above row i0 + r
+    r = int(np.searchsorted(before, k, side="right")) - 1
+    return i0 + r, i0 + 1 + r + k - int(before[r])
+
+
+def _reach(test, start, stop) -> np.ndarray:
+    """Per entry of arrays of positive doubles, the last double from start
+    toward stop up to which test holds of its math.log, test holding at start
+    and failing from some double on: on their bits, ordered as the doubles
+    are, every entry at once gallops out from start, then bisects."""
+    start, stop = start.view(np.int64), stop.view(np.int64)
+    sign, lo, hi = np.sign(stop - start), np.zeros_like(start), np.abs(stop - start)
+    step = np.ones_like(lo)  # 0 once an entry bisects
+    while (lo < hi).any():
+        mid = np.where(step > 0, lo + np.minimum(step, hi - lo), lo + (hi - lo + 1) // 2)
+        at = (start + sign * mid).view(float)
+        ok = test(np.fromiter(map(math.log, at.tolist()), float, len(at)))
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
+        step = np.where(ok, 2 * np.minimum(step, 1 << 61), 0)
+    return (start + sign * lo).view(float)

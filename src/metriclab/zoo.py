@@ -208,23 +208,24 @@ def _refuse_bits(family, depth, bits):
             f"2^{bits.bit_length() - 1} bits of values, over the 2^33-bit budget")
 
 
-def _exact_values(family, depth):
+def _exact_values(family, depth, gaps=True):
     """The exact r_n of a dyadic sample, once its table passes the size
-    guard: a product's holds the r_n, a sequence's also each gap
-    (2^(e_q - e_p) - 1) / 2^e_q of p < q, sum_q (2q - d) e_q bits in all
-    with the denominators shared. The last e_n alone is checked first."""
+    guard: a product's, or a sequence's max table, holds the r_n, sum_n e_n
+    bits; a sequence's |x - y| table (gaps) also each (2^(e_q - e_p) - 1) /
+    2^e_q of p < q, sum_q (2q - d) e_q bits. The last e_n is checked first."""
     first = family.first_index
     _refuse_bits(family, depth, family.exponent(first + depth - 1))
     e = [family.exponent(n) for n in range(first, first + depth)]
-    weights = range(2 - depth, depth + 1, 2) if family.chain_style == "sequence" else [1] * depth
+    gaps = gaps and family.chain_style == "sequence"
+    weights = range(2 - depth, depth + 1, 2) if gaps else [1] * depth
     _refuse_bits(family, depth, sum(w * x for w, x in zip(weights, e)))
     return list(map(family.exact_r, range(first, first + depth)))
 
 
-def _sequence_values(family: AnalyticFamily, depth: int, exact: bool):
+def _sequence_values(family: AnalyticFamily, depth: int, exact: bool, gaps=True):
     first = family.first_index
     if exact:
-        return _exact_values(family, depth)
+        return _exact_values(family, depth, gaps)
     vals = [family.r(n) for n in range(first, first + depth)]
     if vals[-1] <= 0 or any(a - b <= 0 for a, b in zip(vals, vals[1:])):
         raise DepthOverflow(f"{family.kind} values underflow float64 at depth {depth}; "
@@ -232,11 +233,11 @@ def _sequence_values(family: AnalyticFamily, depth: int, exact: bool):
     return vals
 
 
-def _sequence_points(family, depth, exact):
-    """Labels and values of a sequence sample: the limit point 0, then r_n."""
+def _sequence_points(family, depth, exact, gaps=True):
+    """Labels and values of a sequence sample (gaps: of |x - y|): 0, then r_n."""
     first = family.first_index
     labels = ["0"] + [f"r{n}" for n in range(first, first + depth)]
-    return labels, [_zero(exact)] + _sequence_values(family, depth, exact)
+    return labels, [_zero(exact)] + _sequence_values(family, depth, exact, gaps)
 
 
 def _gap(a, b):
@@ -294,10 +295,9 @@ def _dyadic_ranks(values, pair):
 
 
 def _sequence_space(family, depth, exact):
-    labels, pts = _sequence_points(family, depth, exact)
     # sqrt_ultra: points are 1/n; the metric is max(sqrt(x), sqrt(y)), pts are the heights
     pair = np.maximum if family.kind == "sqrt_ultra" else _gap
-    return _pair_space(labels, pts, pair, exact)
+    return _pair_space(*_sequence_points(family, depth, exact, pair is _gap), pair, exact)
 
 
 def _sequence_chain(space, family, depth):
@@ -401,7 +401,7 @@ def comparison_ultrametric(family: AnalyticFamily, depth: int,
     max(x, y) for distinct points, with rho(0, r_n) = r_n."""
     if family.chain_style != "sequence":
         raise ValueError("comparison ultrametric applies to sequence families")
-    return _pair_space(*_sequence_points(family, depth, exact), np.maximum, exact)
+    return _pair_space(*_sequence_points(family, depth, exact, False), np.maximum, exact)
 
 
 def formula_table(family: AnalyticFamily, n_from: int, n_to: int):

@@ -56,7 +56,11 @@ mask sums `split_of_levels` of `from_partitions`, the point-by-point
 `split_labels` walk with its `split_leads`, `from_split`, the chain of
 a given split matrix, and `level_ranks`, the per-level extreme ranks that
 the stats and rho read off the split matrix's upper triangle before
-`partitions._pair_runs` read them from (order, h).
+`partitions._pair_runs` read them from (order, h). `certificate_per_pair`
+is the certificate that logged every pair of the upper triangle (with
+`pair_logs`, its gather of exact logs) before it read each split level's
+least and largest d, and `prim` Prim's loop with the boolean gathers it
+made at each step before it wrote in place.
 
 The chain oracles return (levels, thresholds, level_ids): the partitions
 they built, so that a test can compare them with the levels a fast chain
@@ -85,7 +89,13 @@ from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _bl
                                   largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
                               _prim, _zero, _zeros, validate)
+from metriclab import ultrametrize as _ultrametrize
+from metriclab.errors import CertificateRefused, CertificateViolated
+from metriclab.partitions import _decay_witness
+from metriclab.spaces import _union
 from metriclab.ultrametrize import ensure_trivial_head as _trivial_head
+from metriclab.ultrametrize import (LOG_SLACK, _first_failure, _safe_exp, _value_logs,
+                                    _window_start)
 from metriclab.ultrametrize import PushforwardReport, fit_holder_exponents, verify_holder_fit
 
 
@@ -1258,3 +1268,110 @@ def level_ranks(space, split):
     low = np.full(length + 1, np.inf)
     np.minimum.at(low, keys, ranks)
     return np.maximum.accumulate(top[::-1])[-2::-1], np.minimum.accumulate(low)[:length]
+
+
+# Before it read each split level's least and largest d, the certificate
+# logged every pair: rho's ranks and d's were renumbered into one table,
+# each pair's logs gathered from it (a float rho's logged once per distinct
+# value), and the first failing pair and both worst pairs taken by argmin
+# and argmax over the upper triangle.
+
+def pair_logs(matrix, pairs, table):
+    """The entries of a rank matrix at pairs and the log of each, gathered
+    from table, the logs of the values the ranks index."""
+    entries = np.asarray(matrix)[pairs]
+    return entries, table[entries.astype(np.intp)]
+
+
+def certificate_per_pair(space, chain, p, epsilon, tol=DEFAULT_TOL):
+    """ultrametrize.certificate with its per-pair tail."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    chain = _trivial_head(space, chain)
+    witness, log_witness = _decay_witness(chain.stats, p)
+    if math.isnan(log_witness) or log_witness == -math.inf:
+        raise CertificateRefused("chain has no positive decay witness a")
+    r_est = profile(chain).estimate
+    if not math.isfinite(r_est):
+        raise CertificateRefused("R estimate is infinite; no finite exponent exists")
+    proper = chain.proper_indices()
+    m_pos = _window_start(chain, r_est, epsilon)
+    if m_pos is None and not proper:
+        with_blocks = [i for i, st in enumerate(chain.stats) if st.cardinality >= 2]
+        if not with_blocks:
+            raise CertificateRefused("space has a single point; nothing to certify")
+        m_pos = with_blocks[-1]
+    if m_pos is None:
+        raise CertificateRefused(
+            "no level index supports delta^(R+eps) < gamma < delta^(R-eps) "
+            f"on the computed tail (R_est={r_est}, eps={epsilon})"
+        )
+    exponent = p * (r_est + epsilon)
+    log_delta0 = flog(chain.stats[0].delta)
+    log_gamma_m = flog(chain.stats[m_pos].gamma)
+    first_term = (r_est + epsilon) * log_witness if math.isfinite(log_witness) else math.inf
+    log_k = min(first_term, log_gamma_m - exponent * log_delta0)
+    if not (math.isfinite(log_k)
+            and all(math.isfinite(exponent * flog(st.delta))
+                    for st in chain.stats if st.delta > 0)):
+        raise CertificateRefused(
+            f"exponent p(R+eps) = {exponent} overflows the log scale: "
+            "exponent * log delta or log K is not finite")
+    rho = _ultrametrize.ultrametric_space_from_chain(space, chain)
+    check = _ultrametrize.is_ultrametric(rho, tol)
+    if not check.ok:
+        raise CertificateViolated(check.witness, "strong triangle", as_float(check.violation))
+    table, (d_rank, rho_rank) = _union((space.values, space.rank), (rho.values, rho.rank))
+    logs = _value_logs(table)
+    pairs = np.triu_indices(space.n, 1)
+    if logs is None:
+        d = d_rank[pairs]
+        log_d = per_entry(math.log, d)
+        r = rho_rank[pairs]
+        log_r = per_entry(math.log, r)
+    else:
+        d, log_d = pair_logs(d_rank, pairs, logs)
+        r, log_r = pair_logs(rho_rank, pairs, logs)
+    low = log_d - exponent * log_r
+    hit = _first_failure(pairs, d > r, low < log_k - LOG_SLACK)
+    if hit:
+        k, pair, which = hit
+        if which == 0:
+            gap = _gather(table, d[k]) - _gather(table, r[k])
+            raise CertificateViolated(pair, "d <= rho", as_float(gap))
+        raise CertificateViolated(pair, "K rho^exp <= d", float(low[k] - log_k))
+    up = log_d - log_r
+    k_low = int(low.argmin())
+    k_up = int(up.argmax())
+    return _ultrametrize.UltrametricCertificate(
+        rho=rho.dist, p=p, epsilon=epsilon, R_est=r_est, m_index=m_pos,
+        m_level_id=int(chain.level_ids[m_pos]), a=witness, K=_safe_exp(log_k),
+        log_K=log_k, exponent=exponent, lower_residual=_safe_exp(float(low[k_low])),
+        upper_residual=_safe_exp(float(up[k_up])), lower_sandwich_skipped=r_est <= epsilon,
+        worst_lower_pair=(int(pairs[0][k_low]), int(pairs[1][k_low])),
+        worst_upper_pair=(int(pairs[0][k_up]), int(pairs[1][k_up])),
+    )
+
+
+# Before its loop wrote in place, Prim's tree gathered the closer vertices
+# with boolean masks at each step.
+
+def prim(matrix):
+    """spaces._prim with a fresh mask and two boolean gathers per step."""
+    n = len(matrix)
+    order = np.zeros(n, dtype=np.intp)
+    parent = np.zeros(n, dtype=np.intp)
+    weight = matrix.diagonal().copy()
+    best = np.full(n, np.inf, dtype=matrix.dtype)
+    best[:1] = weight[:1]
+    free = np.ones(n, dtype=bool)
+    link = np.zeros(n, dtype=np.intp)
+    for k in range(n):
+        v = int(np.argmin(best))
+        order[k], parent[k], weight[k] = v, link[v], best[v]
+        free[v] = False
+        best[v] = np.inf
+        closer = free & (matrix[v] < best)
+        best[closer] = matrix[v][closer]
+        link[closer] = v
+    return order, parent, weight

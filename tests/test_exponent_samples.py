@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
+from metriclab import zoo
 from metriclab.errors import ExactModeSizeExceeded
 from metriclab.zoo import _exact_values, _gap, _sequence_chain, _sequence_points
 
@@ -134,3 +136,26 @@ def test_oversized_exact_samples_exit_1_without_a_traceback(args):
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr and "over the 2^33-bit budget" in done.stderr
     assert float(done.stderr.rsplit("main took ", 1)[1].split()[0]) < 1.0
+
+
+@pytest.mark.parametrize("kind,params,depth", [
+    ("seq_factorial", {}, 5), ("seq_factorial", {}, 9), ("seq_geometric", {}, 40),
+    ("seq_power_tower", {"s": 0.5}, 8)])
+def test_the_max_table_is_guarded_by_the_sum_of_its_exponents(kind, params, depth):
+    """The comparison ultrametric's table holds only the r_n, sum e_n bits,
+    where the |x - y| sample's also holds the gaps, sum (2q - d) e_q; each
+    is sampled at exactly its count and refused one bit below it."""
+    family = ml.make_family(kind, **params)
+    e = [family.exponent(n) for n in range(1, depth + 1)]
+    counts = {True: sum(e), False: sum((2 * q - depth) * x for q, x in enumerate(e, 1))}
+    assert counts[True] < counts[False]
+    for ultra, bits in counts.items():
+        def build():
+            if ultra:
+                return ml.comparison_ultrametric(family, depth, exact=True)
+            return ml.sample(family, depth, exact=True, chain=False)[0]
+        with mock.patch.object(zoo, "EXACT_BITS", bits):
+            assert build().n == depth + 1
+        with mock.patch.object(zoo, "EXACT_BITS", bits - 1):
+            with pytest.raises(ExactModeSizeExceeded):
+                build()

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclab as ml
+import oracles
+from metriclab import spaces as spaces_module
 from metriclab._util import as_float
 from metriclab.spaces import UltrametricCheck
 from conftest import euclidean_space
@@ -285,3 +287,16 @@ def test_largest_gap_exact_below_float_underflow(block):
     gap = ml.largest_gap(space, block)
     assert gap == largest_gap_oracle(space, block)
     assert gap == space.dist[block[1], block[2]]  # r7 - r8, then r8 - r9
+
+
+@CHECKS
+@given(spaces(), st.booleans())
+def test_prim_equals_the_masked_gather_loop(case, on_ranks):
+    """The in-place Prim loop builds the tree of the loop that gathered the
+    closer vertices by masks: order, parent, weight and their dtypes, on
+    ranks (float64 for exact spaces too) and on the entries themselves."""
+    space, _ = case
+    matrix = space.rank if on_ranks else space.dist
+    for new, old in zip(spaces_module._prim(matrix), oracles.prim(matrix)):
+        assert new.dtype == old.dtype and new.tolist() == old.tolist()
+        assert [type(x) for x in new.tolist()] == [type(x) for x in old.tolist()]

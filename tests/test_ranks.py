@@ -228,9 +228,9 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     seq_geometric depth 60 and Cantor depth 6, partition_stats and
     associated_endpoints compare no Fraction inside _chain_stats, the pair
     stream _pair_runs, _prim, _leaf_matrix, _block_extents, is_ultrametric's accept test (a passing
-    rho), the certificate's d <= rho check, whose operands are float64
-    ranks, _label_stats, separated_count, estimate_metric_dimension or
-    associated_endpoints."""
+    rho), the certificate's per-level checks (_sandwich), whose d <= rho
+    operands are float64 ranks, _label_stats, separated_count,
+    estimate_metric_dimension or associated_endpoints."""
     inside = [0]
     counts = {"inside": 0, "outside": 0}
     calls = {}
@@ -274,9 +274,8 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     watched(partitions, "_pair_runs")
     watched(logratio, "_block_extents")
     watched(ultrametrize, "is_ultrametric", accepts)
-    watched(ultrametrize, "_union")
+    watched(ultrametrize, "_sandwich")
     watched(ultrametrize, "_pair_logs", float_ranks)
-    watched(ultrametrize, "_first_failure")
     for module in (partitions, logratio):
         watched(module, "_label_stats")
     watched(embedding, "separated_count")
@@ -302,9 +301,9 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     assert counts["inside"] == 0
     assert counts["outside"] > 0  # the patch sees the comparisons made elsewhere
     assert set(calls) == {"_prim", "_leaf_matrix", "_chain_stats", "_pair_runs",
-                          "_block_extents", "is_ultrametric", "_union", "_pair_logs",
-                          "_first_failure", "_label_stats", "separated_count",
-                          "estimate_metric_dimension", "associated_endpoints"}
+                          "_block_extents", "is_ultrametric", "_sandwich", "_pair_logs",
+                          "_label_stats", "separated_count", "estimate_metric_dimension",
+                          "associated_endpoints"}
 
 
 def test_exact_dimension_equals_float_where_float_is_exact():

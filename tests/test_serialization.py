@@ -92,3 +92,55 @@ def test_dumps_equals_the_per_element_emitter(obj):
     assert dumps(obj) == oracles.dumps(obj)
     assert dumps(obj, indent=0) == oracles.dumps(obj, indent=0)
 
+
+
+# Lists of dicts that share their keys and hold scalars take the one-join
+# path; a key in another order, a missing key or a value that is no scalar
+# (a Fraction, a numpy float, a list) sends the list back to _emit.
+SCALAR = st.one_of(st.none(), st.booleans(), st.booleans().map(np.bool_), st.integers(),
+                   st.floats(), st.text(LABEL_CHARS, max_size=3))
+ODD = st.one_of(st.fractions(), st.floats().map(np.float64), st.lists(PLAIN, max_size=2),
+                st.integers().map(np.int64))
+
+
+@st.composite
+def records(draw):
+    keys = draw(st.lists(st.text(LABEL_CHARS, max_size=3), min_size=1, max_size=5,
+                         unique=True))
+    rows = [{key: draw(SCALAR) for key in keys} for _ in range(draw(st.integers(1, 4)))]
+    how = draw(st.sampled_from(("same", "same", "odd value", "reordered", "missing")))
+    last = rows[-1]
+    if how == "odd value":
+        last[draw(st.sampled_from(keys))] = draw(ODD)
+    elif how == "reordered" and len(keys) > 1:
+        rows[-1] = dict(reversed(list(last.items())))
+    elif how == "missing":
+        del last[keys[-1]]
+    return rows
+
+
+@settings(CHECKS, max_examples=300)
+@given(st.one_of(records(), st.dictionaries(st.text(LABEL_CHARS, max_size=3), records(),
+                                            max_size=3)))
+def test_records_equal_the_per_element_emitter(obj):
+    assert dumps(obj) == oracles.dumps(obj)
+    assert dumps(obj, indent=0) == oracles.dumps(obj, indent=0)
+
+
+def test_every_golden_report_equals_the_per_element_emitter(tmp_path, monkeypatch):
+    """Each golden case's report, dumped by both writers (a failing case
+    writes none)."""
+    import test_cli_golden
+    from metriclab import cli
+    written = []
+
+    def both(obj, *args):
+        written.append(obj)
+        text = dumps(obj, *args)
+        assert text == oracles.dumps(obj, *args)
+        return text
+
+    monkeypatch.setattr(cli, "dumps", both)
+    for name in sorted(test_cli_golden.CASES):
+        test_cli_golden._digest(tmp_path / name, name)
+    assert len(written) == sum(not name.endswith("_fails") for name in test_cli_golden.CASES)

@@ -118,10 +118,11 @@ def test_sup_product_peaks_at_about_its_output():
 
 @CHECKS
 @given(triangle_inputs(), st.sampled_from((np.add, np.maximum)),
-       st.sampled_from((1, 7, spaces._BLOCK_ENTRIES)))
+       st.sampled_from((1, 7, 97, spaces._BLOCK_ENTRIES)))
 def test_block_passes_equal_the_whole_array_code(case, combine, budget):
     """The hull, the float mirror and the gather, at a budget of one entry
-    (a block of one row or column), a prime and the default."""
+    (a block of one row or column), two primes (97 makes blocks of several
+    hull rows on the small inputs) and the default."""
     m, exact = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spaces, "_BLOCK_ENTRIES", budget)
