@@ -5,8 +5,9 @@ ones a per-level reading could get wrong: self-similar chains, where every
 level ties; an exact sample whose logs are out of order over a level's
 ranks; pairs of one level a few ulps apart below 1e-100, which share a
 log; the truncated chains of ROADMAP item 1; and a scaled rho, below d or
-far above it. Then the calls the certificate no longer makes, and its
-memory on a 2,000-point cloud."""
+far above it; and scans in blocks small enough that a pair is found, or
+fails, past the first block. Then the calls the certificate no longer
+makes, and its memory on a 2,000-point cloud."""
 
 import math
 import tracemalloc
@@ -23,7 +24,7 @@ import metriclab as ml
 import oracles
 from metriclab import logratio, partitions, ultrametrize
 from metriclab.errors import CertificateRefused, CertificateViolated
-from test_chain_split import distortion_oracle, outcome, scaled_rho
+from test_chain_split import chains, distortion_oracle, outcome, scaled_rho
 
 CHECKS = settings(settings.get_profile("deterministic"), max_examples=40)
 SCALES = st.sampled_from((1, 16, Fraction(1, 2)))
@@ -74,6 +75,17 @@ def test_self_similar_chains_equal_the_per_pair_tail(depth, exact, p, epsilon, s
     same_as_per_pair(space, ml.with_singleton_terminal(space, chain), p, epsilon, scale)
 
 
+@CHECKS
+@given(chains(), st.sampled_from((1, 7, 97)), st.sampled_from((1.5, 2.0, 3.0)),
+       st.sampled_from((0.05, 0.5)), SCALES)
+def test_scans_of_small_blocks_name_the_same_pairs(case, budget, p, epsilon, scale):
+    """The scan at one row per block and at two primes, so that a pair may
+    be found, or fail, in any block but the first."""
+    space, chain = case
+    with mock.patch.object(ultrametrize, "_BLOCK_ENTRIES", budget):
+        same_as_per_pair(space, chain, p, epsilon, scale)
+
+
 def test_exact_logs_out_of_order_are_read_from_the_pairs():
     """At depth 60 flog of a smaller gap can exceed flog of rho: the upper
     residual is above 1, and only the pairs' own logs give it."""
@@ -113,6 +125,18 @@ def ulp_spaces(draw):
 def test_pairs_that_share_a_log_go_by_row_major_order(case, p, epsilon, scale):
     space, chain = case
     same_as_per_pair(space, chain, p, epsilon, scale)
+
+
+@CHECKS
+@given(ulp_spaces(), st.sampled_from((1, 7)))
+def test_a_rho_one_ulp_low_fails_past_the_pairs_that_reach_the_residuals(case, budget):
+    """rho one ulp below delta: the pairs at delta fail d <= rho, yet share
+    rho's log, so a pair that does not fail can reach the upper residual
+    first and the scan must go on to the failing one."""
+    space, chain = case
+    with mock.patch.object(ultrametrize, "_BLOCK_ENTRIES", budget):
+        assert same_as_per_pair(space, chain, 2.0, 0.5, 1 - Fraction(1, 2 ** 52)) == \
+            "CertificateViolated"
 
 
 def test_a_shared_log_reports_the_first_pair_not_the_largest_distance():
