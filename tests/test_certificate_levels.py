@@ -4,7 +4,7 @@ type, or the error with its pair and slack, bit for bit. The cases are the
 ones a per-level reading could get wrong: self-similar chains, where every
 level ties; an exact sample whose logs are out of order over a level's
 ranks; pairs of one level a few ulps apart below 1e-100, which share a
-log; the truncated chains of ROADMAP item 1; and a scaled rho, below d or
+log; the truncated chains of ROADMAP item 1; a scaled rho, below d or
 far above it; and scans in blocks small enough that a pair is found, or
 fails, past the first block. Then the calls the certificate no longer
 makes, and its memory on a 2,000-point cloud."""
