@@ -126,7 +126,7 @@ def _rank_bound(space, t, inclusive=False, key=None):
     return float(bisect.bisect_left(space.values, t, key=key))
 
 
-_BLOCK_ENTRIES = 1 << 17  # entries made at once by _gather, _hull and the float mirror
+_BLOCK_ENTRIES = 1 << 17  # entries made at once by _hull and by every _row_blocks pass
 
 
 def _gather(values, ranks):
@@ -138,11 +138,18 @@ def _gather(values, ranks):
     if np.ndim(ranks) < 2:
         return values[np.asarray(ranks, dtype=np.intp)]
     out = np.empty(ranks.shape, dtype=object)
-    step = max(1, _BLOCK_ENTRIES // max(1, ranks.shape[1]))
-    for start in range(0, len(ranks), step):
-        np.take(values, ranks[start:start + step].astype(np.intp), out=out[start:start + step],
+    for a, b in _row_blocks(*ranks.shape):
+        np.take(values, ranks[a:b].astype(np.intp), out=out[a:b],
                 mode="clip")  # ranks index the table; clip, unlike raise, needs no buffer
     return out
+
+
+def _row_blocks(rows, width):
+    """(a, b) for rows a..b - 1 of a matrix with rows rows of width entries,
+    in turn, about _BLOCK_ENTRIES entries (and at least one row) at a time."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    for a in range(0, rows, step):
+        yield a, min(a + step, rows)
 
 
 def _zero(exact: bool):
@@ -187,6 +194,9 @@ def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = Fals
     positive off-diagonal entries (duplicate points are rejected, not
     merged), the triangle inequality on every triple, and diameter <= 1.
     Exact entries are compared exactly; tol only absorbs float rounding.
+    The triangle inequality is accepted in O(n^2) when every entry is at
+    most the sum of its endpoints' nearest-neighbour entries, and is
+    otherwise searched in O(n^3) for the worst triple.
     A ragged or non-numeric matrix raises MetricViolation("parse").
     """
     return _checked(matrix, labels, tol, exact)[2]
@@ -197,10 +207,13 @@ def _checked(matrix, labels, tol, exact, owned=False):
     dtype (exact entries converted to Fraction, a float matrix mirrored from
     its upper triangle), an exact space's (values, rank) pair when there is
     no violation (None otherwise), and what violations() reports on it.
-    Dyadic exact entries are checked as integers over their common
-    power-of-two denominator, which the ranks then sort. Raises
-    MetricViolation("parse") on a ragged or non-numeric matrix. An owned
-    float matrix (one no caller reads again) is mirrored in place."""
+    Symmetry and positivity are checked a block of rows at a time, and the
+    triangle inequality by _within_nearest_sums, then, only where that
+    bound fails, by the cubic _worst_triple. Dyadic exact entries are
+    checked as integers over their common power-of-two denominator, which
+    the ranks then sort. Raises MetricViolation("parse") on a ragged or
+    non-numeric matrix. An owned float matrix (one no caller reads again)
+    is mirrored in place."""
     try:
         m = np.asarray(matrix, dtype=object if exact else float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -228,14 +241,18 @@ def _checked(matrix, labels, tol, exact, owned=False):
         tol = 0
     out = [MetricViolation("diagonal", (i, i), "nonzero diagonal")
            for i in range(n) if m[i, i] != 0]
-    # exact comparisons first, so only unequal pairs pay for a subtraction
-    rows, cols = np.nonzero(np.tril(m != m.T, -1))
-    far = np.abs(m[rows, cols] - m[cols, rows]) > tol
-    out.extend(MetricViolation("symmetry", (i, j))
-               for i, j in zip(rows[far].tolist(), cols[far].tolist()))
-    rows, cols = np.nonzero(np.triu(m <= 0, 1))
-    out.extend(MetricViolation("positivity", (i, j), "duplicate point (zero distance)")
-               for i, j in zip(rows.tolist(), cols.tolist()))
+    asymmetric, duplicate = [], []
+    for a, b in _row_blocks(n, n):  # pairs j < i, then pairs j > i, of rows a..b - 1
+        # exact comparisons first, so only unequal pairs pay for a subtraction
+        rows, cols = np.nonzero((m[a:b, :b] != m[:b, a:b].T) & np.tri(b - a, b, a - 1, dtype=bool))
+        rows += a
+        far = np.abs(m[rows, cols] - m[cols, rows]) > tol
+        asymmetric.extend(zip(rows[far].tolist(), cols[far].tolist()))
+        rows, cols = np.nonzero(np.triu(m[a:b, a:] <= 0, 1))
+        duplicate.extend(zip((rows + a).tolist(), (cols + a).tolist()))
+    out.extend(MetricViolation("symmetry", pair) for pair in asymmetric)
+    out.extend(MetricViolation("positivity", pair, "duplicate point (zero distance)")
+               for pair in duplicate)
     if out:
         return m, None, out
     keys = None
@@ -245,16 +262,15 @@ def _checked(matrix, labels, tol, exact, owned=False):
             keys = np.array(shifted[0], dtype=object)
     else:  # canonicalize within-tolerance asymmetry: the upper triangle, mirrored
         upper, m = m, m if owned else np.empty_like(m)
-        step = max(1, _BLOCK_ENTRIES // n)
-        for a in range(0, n, step):  # rows a..b - 1 read only entries above the diagonal
-            b = min(a + step, n)
+        for a, b in _row_blocks(n, n):  # rows a..b - 1 read only entries above the diagonal
             m[a:b] = upper[a:b]
             np.copyto(m[a:b, :b], upper[:b, a:b].T, where=np.tri(b - a, b, a - 1, dtype=bool))
         np.fill_diagonal(m, 0.0)  # +0.0, where the input may hold -0.0
     summed = m if keys is None else keys.reshape(m.shape)
-    slack, witness = _worst_triple(summed, np.add) if n > 2 else (0, None)
-    if slack > tol:
-        out.append(MetricViolation("triangle", witness))
+    if n > 2 and not _within_nearest_sums(summed, tol):
+        slack, witness = _worst_triple(summed, np.add)
+        if slack > tol:
+            out.append(MetricViolation("triangle", witness))
     ranks = _ranked(m, keys) if exact else None
     diam = ranks[0][-1] if exact else m.max() if n > 1 else 0
     if diam > 1:
@@ -262,13 +278,38 @@ def _checked(matrix, labels, tol, exact, owned=False):
     return m, None if out else ranks, out
 
 
+def _within_nearest_sums(m, tol):
+    """Whether every pair has m[i, j] - (near[i] + near[j]) <= tol, where
+    near[i] is the least off-diagonal entry of row i: an O(n^2) proof that
+    no triangle slack exceeds tol. For k not in {i, j}, m[i, k] + m[k, j]
+    is at least near[i] + near[j], and float addition and subtraction round
+    monotonically, so no slack _worst_triple could find is above the pair's
+    bound; integer and Fraction entries compare exactly. m must be exactly
+    symmetric. It is read a block of rows at a time and never written, and
+    the scan stops at the first block holding a pair above its bound."""
+    n = len(m)
+    near = np.empty(n, dtype=m.dtype)
+    for a, b in _row_blocks(n, n):
+        block = m[a:b].copy()
+        block[np.arange(b - a), np.arange(a, b)] = np.inf  # the diagonal, in the copy only
+        near[a:b] = block.min(axis=1)
+        del block  # before the next block's copy is made
+    for a, b in _row_blocks(n, n):
+        excess = near[a:b, None] + near[a:]
+        if (np.subtract(m[a:b, a:], excess, out=excess) > tol).any():
+            return False
+    return True
+
+
 def _hull(m, combine):
-    """Yields, for each row i in turn, the least combine(m[i, k], m[k, j])
-    over k not in {i, j}, for each j > i: np.add for the triangle
-    inequality, np.maximum for the strong one. m must be exactly symmetric;
-    the same code runs on float64 and Fraction entries. The candidates are
-    made for blocks of about _BLOCK_ENTRIES (row, k, j): part of a row, or
-    several whole rows, each read from its own diagonal on."""
+    """Yields (i, hull) for blocks of rows i..i + len(hull) - 1 in turn:
+    hull[r, c] is the least combine(m[i + r, k], m[k, j]) over k not in
+    {i + r, j}, for j = i + 1 + c, where c >= r (the pairs j > i + r).
+    np.add gives the triangle inequality, np.maximum the strong one. m must
+    be exactly symmetric; the same code runs on float64 and Fraction
+    entries. The candidates are made for blocks of about _BLOCK_ENTRIES
+    (row, k, j): part of a row, or several whole rows, each read from its
+    own diagonal on."""
     n, i = len(m), 0
     while i < n - 1:
         width = n - i - 1
@@ -282,21 +323,24 @@ def _hull(m, combine):
             cand[:, a + c, c] = np.inf  # k = j
             hull[:, a - i - 1:a - i - 1 + step] = cand.min(axis=1)
             del cand  # before the next block's is made
-        yield from (hull[r, r:] for r in range(rows))
+        yield i, hull
         i += rows
 
 
 def _worst_triple(m, combine):
     """(slack, (i, j, k)) for n >= 3: the pair i < j where m[i, j] exceeds its
     _hull by the most, first in row-major order, and the first k whose
-    combine(m[i, k], m[k, j]) is that hull. Each row's slack is folded into
-    the running worst as it comes."""
+    combine(m[i, k], m[k, j]) is that hull. Each row block's slack is folded
+    into the running worst as it comes, by one argmax with the entries that
+    are no pair (j <= i) set to -inf."""
     worst, i, j = None, 0, 0
-    for row, hull in enumerate(_hull(m, combine)):
-        slack = m[row, row + 1:] - hull
-        p = int(np.argmax(slack))
-        if worst is None or slack[p] > worst:
-            worst, i, j = slack[p], row, row + 1 + p
+    for top, hull in _hull(m, combine):
+        rows, width = hull.shape
+        slack = np.subtract(m[top:top + rows, top + 1:], hull, out=hull)
+        slack[np.tri(rows, width, -1, dtype=bool)] = -np.inf
+        r, c = divmod(int(np.argmax(slack)), width)  # (0, 0) is a pair, should all be -inf
+        if worst is None or slack[r, c] > worst:
+            worst, i, j = slack[r, c], top + r, top + 1 + c
     via = combine(m[i], m[:, j])
     via[[i, j]] = np.inf
     return worst, (i, j, int(np.argmin(via)))
@@ -306,6 +350,9 @@ def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL, rescale: bool = F
              exact: bool = False, _owned: bool = False) -> FiniteMetricSpace:
     """Validate a raw matrix into a FiniteMetricSpace; raise on violations.
 
+    The checks are those of violations(): a tie-heavy matrix whose every
+    entry is at most the sum of its endpoints' nearest-neighbour entries
+    is accepted in O(n^2), any other pays the O(n^3) triangle search.
     With rescale=True, a diameter above 1 divides the whole matrix by the
     diameter instead of raising; the result is flagged so reports can note
     that per-partition ratios changed under the rescale. _owned: matrix

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
+from metriclab import spaces
 from metriclab._util import DEFAULT_TOL, as_float
 from metriclab.cli import main
 from metriclab.embedding import _greedy_separated
@@ -284,11 +285,17 @@ edit = st.tuples(st.sampled_from(("bump", "zero", "diagonal")), st.integers(0, 9
 
 @CHECKS
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9), levels=st.integers(1, 4),
-       edits=st.lists(edit, max_size=4), exact=st.booleans())
-def test_violations_match_dtype_loops(seed, n, levels, edits, exact):
+       edits=st.lists(edit, max_size=4), exact=st.booleans(),
+       budget=st.sampled_from((1, 7, 97, spaces._BLOCK_ENTRIES)))
+def test_violations_match_dtype_loops(seed, n, levels, edits, exact, budget):
+    """At row blocks of one entry's budget up to the default: the symmetry
+    and positivity masks, made a block of rows at a time, report in the
+    order of the whole-matrix loops."""
     m = broken(seed, n, levels, edits, exact)
-    assert verdict(ml.violations(m, exact=exact)) == \
-        verdict(violations_oracle(m, DEFAULT_TOL, exact))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "_BLOCK_ENTRIES", budget)
+        new = ml.violations(m, exact=exact)
+    assert verdict(new) == verdict(violations_oracle(m, DEFAULT_TOL, exact))
 
 
 def dyadic_metric(seed, n):

@@ -1,8 +1,8 @@
 """Every space spaces.py builds takes about two copies of its matrix:
 sup_product grows the product by one broadcast per factor, _checked mirrors
 float input in one copy (in place when from_csv owns it), _worst_triple
-folds the slack of one hull row at a time, made a block of candidates at a
-time, _gather turns ranks into entries a block of rows at a time, and
+folds the slack of one block of hull rows at a time, made a block of
+candidates at a time, _gather turns ranks into entries a block of rows at a time, and
 from_csv reads its text one line at a time. Each is checked against the
 whole-array code it replaced (oracles.sup_product, oracles.worst_triple,
 oracles.mirrored), at block budgets down to one entry, and under a
@@ -22,6 +22,7 @@ from metriclab._util import dyadic_numerators
 from metriclab import spaces
 from metriclab.spaces import _gather, _worst_triple
 from conftest import euclidean_space
+from test_nearest_bound import near_bound
 from test_numeric_path import bumped
 from test_ranks import bent_metrics, check_table, same_entries
 from test_ties import quantized_space
@@ -31,9 +32,11 @@ CHECKS = settings(settings.get_profile("deterministic"), max_examples=60)
 
 def triangle_inputs():
     """(m, exact): a float cloud, a tie-heavy metric or a dyadic Fraction
-    metric with one pair raised or not (bumped), or a k/8 or k/9 Fraction
-    metric, bent or not (bent_metrics)."""
-    return st.one_of(bumped(), bent_metrics().map(lambda case: (case[0], True)))
+    metric with one pair raised or not (bumped), a k/8 or k/9 Fraction
+    metric, bent or not (bent_metrics), or a (1,2)-metric, a quantized
+    closure or a cloud with one pair on or just off its nearest-neighbour
+    bound (near_bound), whose many tied slacks span several row blocks."""
+    return st.one_of(bumped(), bent_metrics().map(lambda case: (case[0], True)), near_bound())
 
 
 @CHECKS
