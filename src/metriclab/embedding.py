@@ -22,7 +22,7 @@ from ._util import DEFAULT_TOL, as_float, field_report, per_distinct
 from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
 from .logratio import profile, r_estimate
 from .partitions import PartitionChain, _decay_witness, _require_separating
-from .spaces import FiniteMetricSpace, _gather, _rank_bound
+from .spaces import FiniteMetricSpace, _gather, _pair_at, _pair_blocks, _rank_bound
 from .ultrametrize import LOG_SLACK, _first_failure, _holder_fit, _pair_logs, _window_start
 
 
@@ -170,16 +170,6 @@ def grid_capacity(delta_parent: float, delta_child: float, gamma_child: float,
         (delta_parent + gamma_child / 2) / (delta_child + gamma_child / 2)
     )
     return per_axis, per_axis ** N
-
-
-def place_children(center, delta_parent: float, delta_child: float,
-                   gamma_child: float, N: int, count: int) -> np.ndarray:
-    """First ``count`` child cube centers (lex cell order) in a parent, as rows."""
-    per_axis, capacity = grid_capacity(delta_parent, delta_child, gamma_child, N)
-    if count > capacity:
-        raise PackingInfeasible(-1, count, capacity)
-    low = np.asarray(center, dtype=float) - (delta_parent - delta_child)
-    return low + (2 * delta_child + gamma_child) * _grid_cells(np.arange(count), per_axis, N)
 
 
 def _grid_cells(ranks, per_axis: int, N: int) -> np.ndarray:
@@ -422,7 +412,8 @@ def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResul
         a^(R+eps) d^(p(R+eps)) <= ||f(x1) - f(x2)|| <= 2 a^(-1/p) d^(1/(p(R+eps)))
 
     with a the chain's decay witness. Early levels are reported, not
-    asserted: the constants are tail statements.
+    asserted: the constants are tail statements. The pairs come a block at
+    a time, row-major, from one scan of the chain (spaces._pair_blocks).
     """
     chain = result.chain
     log_a = _decay_witness(chain.stats, p)[1]
@@ -432,31 +423,35 @@ def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResul
         burn_in = _window_start(chain, r_est, epsilon)
     deltas = np.array([as_float(st.delta) for st in chain.stats])
     gammas = np.array([as_float(st.gamma) for st in chain.stats])
-    pairs = np.triu_indices(space.n, 1)
-    lvl = chain.split[pairs]
-    norm = result.box_dist[pairs]
-    log_norm = per_distinct(math.log, norm)  # a box-norm image takes few values
-    box_ok = not ((norm < gammas[lvl] - tol).any()
-                  or ((lvl > 0) & (norm > 2 * deltas[lvl - 1] + tol)).any())
-    asserted = lvl >= burn_in if burn_in is not None else np.zeros(lvl.size, dtype=bool)
-    embedded, log_d = result.d_logs
-    if space.dist is not embedded:
-        log_d = _pair_logs(space.dist, pairs)[1]
-    with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic
-        low = log_norm - ((r_est + epsilon) * log_a + exponent * log_d)
-        up = (math.log(2) - log_a / p + log_d / exponent) - log_norm
-    hit = _first_failure(pairs, asserted & (low < -LOG_SLACK), asserted & (up < -LOG_SLACK))
-    if hit:
-        k, pair, which = hit
-        raise BoundViolated(pair, int(chain.level_ids[lvl[k]]), float((low, up)[which][k]))
-    worst_low = float(np.min(low[asserted], initial=math.inf))
-    worst_up = float(np.min(up[asserted], initial=math.inf))
+    embedded, d_logs = result.d_logs
+    box_ok, asserted_count, worst, done = True, 0, [math.inf, math.inf], 0
+    for a, b, lvl, upper in _pair_blocks(chain.order, chain.h):
+        norm = result.box_dist[a:b, a + 1:][upper]
+        log_norm = per_distinct(math.log, norm)  # a box-norm image takes few values
+        box_ok = box_ok and not ((norm < gammas[lvl] - tol).any()
+                                 or ((lvl > 0) & (norm > 2 * deltas[lvl - 1] + tol)).any())
+        asserted = lvl >= burn_in if burn_in is not None else np.zeros(lvl.size, dtype=bool)
+        log_d = (d_logs[done:done + lvl.size] if space.dist is embedded  # the fit's, row-major
+                 else _pair_logs(space.dist[a:b, a + 1:], upper)[1])
+        done += lvl.size
+        with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic
+            low = log_norm - ((r_est + epsilon) * log_a + exponent * log_d)
+            up = (math.log(2) - log_a / p + log_d / exponent) - log_norm
+        hit = _first_failure(asserted & (low < -LOG_SLACK), asserted & (up < -LOG_SLACK))
+        if hit:
+            k, which = hit
+            raise BoundViolated(_pair_at(space.n, a, k), int(chain.level_ids[lvl[k]]),
+                                float((low, up)[which][k]))
+        # np.minimum keeps a nan, as one np.min over all pairs would
+        worst = np.minimum(worst, [np.min(x[asserted], initial=math.inf) for x in (low, up)])
+        asserted_count += int(asserted.sum())
+    worst_low, worst_up = map(float, worst)
     return DistortionReport(
         ok=box_ok,
         burn_in=burn_in,
         burn_in_level_id=None if burn_in is None else int(chain.level_ids[burn_in]),
-        pairs_checked=int(lvl.size),
-        pairs_asserted=int(asserted.sum()),
+        pairs_checked=done,
+        pairs_asserted=asserted_count,
         box_sandwich_ok=box_ok,
         worst_lower_slack=worst_low if math.isfinite(worst_low) else math.nan,
         worst_upper_slack=worst_up if math.isfinite(worst_up) else math.nan,

@@ -24,8 +24,9 @@ import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, field_report, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
-from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _leaf_rows, _rank_bound,
-                     _spanning_tree, _subdominant, _zero, is_ultrametric, subspace)
+from . import spaces
+from .spaces import (FiniteMetricSpace, _at_subdominant, _gather, _leaf_rows, _pair_blocks,
+                     _rank_bound, _row_blocks, _spanning_tree, _zero, is_ultrametric, subspace)
 
 
 class Partition:
@@ -130,9 +131,6 @@ def partition_stats(space: FiniteMetricSpace, partition: Partition) -> Partition
     return _chain_stats(space, order, np.int32(np.diff(partition.block_of[order]) == 0), 1)[0]
 
 
-_CHUNK_ENTRIES = 1 << 20  # entries compared at once by _label_stats and _pair_runs
-
-
 def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarray]:
     """delta and gamma of every row of a (B, n) array of block labels.
 
@@ -141,8 +139,8 @@ def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarr
     gamma the first pair across blocks (the space diameter for one block).
     Both come back as object arrays of the matrix entries themselves, so a
     float space yields np.float64 and an exact one Fraction. Rows are
-    compared in chunks of about _CHUNK_ENTRIES pairs, so the temporaries
-    stay O(B + n^2) however many rows there are.
+    compared in the blocks of spaces._row_blocks, so the temporaries stay
+    O(B + n^2) however many rows there are.
     """
     labels = np.asarray(labels)
     i, j = np.triu_indices(space.n, 1)
@@ -151,15 +149,14 @@ def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarr
     pairs = len(order)
     delta_at = np.full(len(labels), pairs, dtype=np.intp)
     gamma_at = np.full(len(labels), pairs + 1, dtype=np.intp)
-    step = max(1, _CHUNK_ENTRIES // max(pairs, 1))
-    for lo in range(0, len(labels) if pairs else 0, step):  # no pairs: defaults hold
-        rows = labels[lo:lo + step]
+    for lo, hi in _row_blocks(len(labels) if pairs else 0, pairs):  # no pairs: defaults hold
+        rows = labels[lo:hi]
         same = rows[:, i] == rows[:, j]
         last = pairs - 1 - np.argmax(same[:, ::-1], axis=1)
         first = np.argmin(same, axis=1)
         hit = np.arange(len(rows))
-        delta_at[lo:lo + step] = np.where(same[hit, last], last, pairs)
-        gamma_at[lo:lo + step] = np.where(same[hit, first], pairs + 1, first)
+        delta_at[lo:hi] = np.where(same[hit, last], last, pairs)
+        gamma_at[lo:hi] = np.where(same[hit, first], pairs + 1, first)
     used = np.union1d(delta_at, gamma_at)
     used = used[used < pairs]
     table = np.empty(pairs + 2, dtype=object)
@@ -186,13 +183,13 @@ class PartitionChain:
     The datum is a leaf order, in which every block of every level is a
     run, and h[p], the first level that separates order[p] and order[p + 1]
     (len(chain) when none does). A chain of length L is the dendrogram of
-    the pseudo-ultrametric L - split (Carlsson & Memoli 2010), so
-    split[order[p], order[q]] = min(h[p..q-1]). split, labels and levels are
-    read-only views built on first use: level l joins i and j exactly when
-    l < split[i, j], and its blocks are the runs of order cut where h <= l.
-    No builder or stat reads split; they read the pairs from (order, h)
-    (_pair_runs). Chains are equal when split, stats, thresholds and
-    level_ids are.
+    the pseudo-ultrametric L - split (Carlsson & Memoli 2010), where the
+    first level split(order[p], order[q]) = min(h[p..q-1]) to separate a
+    pair is read, never stored, by the stats' pass (_pair_runs) or one
+    row-major scan (spaces._pair_blocks). labels and levels are read-only
+    views built on first use: level l's blocks are the runs of order cut
+    where h <= l. Chains are equal when stats, thresholds, level_ids and
+    every pair's split are, whatever their leaf orders.
 
     thresholds[i] is the merge radius that produced level i (None for levels
     not born from a merge, like a leading trivial partition). level_ids keeps
@@ -243,20 +240,17 @@ class PartitionChain:
                    level_ids, extremes)
 
     def __eq__(self, other):
-        return (isinstance(other, PartitionChain) and np.array_equal(self.split, other.split)
+        return (isinstance(other, PartitionChain) and len(self.order) == len(other.order)
                 and (self.stats, self.thresholds, self.level_ids)
-                == (other.stats, other.thresholds, other.level_ids))
+                == (other.stats, other.thresholds, other.level_ids)
+                and all(np.array_equal(mine[2], theirs[2]) for mine, theirs in
+                        zip(_pair_blocks(self.order, self.h), _pair_blocks(other.order, other.h))))
 
     def __hash__(self):
         return hash((self.stats, self.thresholds, self.level_ids))
 
     def __len__(self):
         return len(self.stats)
-
-    @cached_property
-    def split(self) -> np.ndarray:
-        """(n, n): the first level that separates i and j, or len(chain)."""
-        return _leaf_matrix(self.order, self.h, np.minimum, len(self))
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -306,14 +300,14 @@ def _run_labels(order, h, levels) -> np.ndarray:
 
 def _pair_runs(space: FiniteMetricSpace, order, h, length):
     """Every pair of a chain, read from (order, h) in blocks of leaf rows of
-    about _CHUNK_ENTRIES entries. Along row p, the split levels of
+    about spaces._BLOCK_ENTRIES entries. Along row p, the split levels of
     (order[p], order[q]), q > p, are a running minimum of h; each run of
     equal level yields the point order[p], the level, and the run's largest
     and least rank, as arrays per block."""
     n, lo = len(order), 0
     while lo < n - 1:  # the last leaf row holds no pair
         width = n - lo
-        rows = min(max(1, _CHUNK_ENTRIES // width), width - 1)
+        rows = min(max(1, spaces._BLOCK_ENTRIES // width), width - 1)
         # fill length + 1, past every level, marks the columns q <= p; the
         # row before ends on a pair, so a row's fill starts a run
         levels = _leaf_rows(h[lo:], np.minimum, length + 1, rows).reshape(-1)
@@ -430,13 +424,15 @@ def associated_endpoints(space: FiniteMetricSpace) -> list[tuple[tuple[int, int]
 
     (x1, x2) qualifies exactly when they fall in different components of the
     graph with edges {d < d(x1, x2)}, that is when the subdominant
-    ultrametric equals d on the pair. Pairs come by decreasing distance,
-    then decreasing pair.
+    ultrametric equals d on the pair (the scan of spaces._at_subdominant).
+    Pairs come by decreasing distance, then decreasing pair.
     """
-    rank = space.rank
-    rows, cols = np.nonzero(np.triu(rank == _subdominant(_spanning_tree(space)), 1))
-    ranked = sorted(zip(rank[rows, cols].tolist(), zip(rows.tolist(), cols.tolist())),
-                    reverse=True)
+    ranked = []
+    for a, upper, same in _at_subdominant(space):
+        rows, cols = np.nonzero(upper)
+        rows, cols = rows[same] + a, cols[same] + a + 1
+        ranked += zip(space.rank[rows, cols].tolist(), zip(rows.tolist(), cols.tolist()))
+    ranked.sort(reverse=True)
     return [(pair, space.dist[pair]) for _, pair in ranked]
 
 
@@ -525,12 +521,12 @@ def _block_offsets(chain: PartitionChain) -> np.ndarray:
 
 
 def _level_chunks(chain: PartitionChain, offsets: np.ndarray):
-    """The levels in chunks of about _CHUNK_ENTRIES (level, point) entries,
-    and no more than the space has pairs, finest first: (lo, hi, block),
+    """The levels in chunks of about spaces._BLOCK_ENTRIES (level, point)
+    entries, and no more than the space has pairs, finest first: (lo, hi, block),
     where block[(l - lo) * n + p] is the number, less offsets[lo], of p's
     block at level l among all blocks, its labels cut for the chunk alone."""
     n = len(chain.order)
-    step = max(1, min(_CHUNK_ENTRIES, n * (n - 1) // 2) // n)
+    step = max(1, min(spaces._BLOCK_ENTRIES, n * (n - 1) // 2) // n)
     for hi in range(len(chain), 0, -step):
         lo = max(hi - step, 0)
         labels = _run_labels(chain.order, chain.h, np.arange(lo, hi))

@@ -126,7 +126,7 @@ def _rank_bound(space, t, inclusive=False, key=None):
     return float(bisect.bisect_left(space.values, t, key=key))
 
 
-_BLOCK_ENTRIES = 1 << 17  # entries made at once by _hull and by every _row_blocks pass
+_BLOCK_ENTRIES = 1 << 17  # entries made at once by _hull and every pass over pairs or levels
 
 
 def _gather(values, ranks):
@@ -150,6 +150,35 @@ def _row_blocks(rows, width):
     step = max(1, _BLOCK_ENTRIES // max(1, width))
     for a in range(0, rows, step):
         yield a, min(a + step, rows)
+
+
+def _pair_blocks(order, h):
+    """(a, b, split, upper): the pairs i < j of an n x n matrix, row-major,
+    for rows a..b - 1 in the blocks of _row_blocks(n - 1, n), where upper
+    masks them in the block m[a:b, a + 1:], and split holds the least h
+    between the leaf positions of each, off a sparse table of the minima of
+    h over runs of 2^k leaves (Bender & Farach-Colton 2000). On a chain's
+    (order, h), split is the level that first splits the pair."""
+    n, where, runs = len(order), np.argsort(order), [np.asarray(h)]
+    while 2 ** len(runs) <= len(h):  # runs[k][p]: the least h over leaves p.. p + 2^k
+        half = 2 ** (len(runs) - 1)
+        runs.append(np.minimum(runs[-1][:-half], runs[-1][half:]))
+    table, start = np.concatenate(runs), np.cumsum([0] + [len(x) for x in runs[:-1]])
+    for a, b in _row_blocks(n - 1, n):
+        upper = np.arange(a + 1, n) > np.arange(a, b)[:, None]
+        i, j = where[a:b, None], where[a + 1:]
+        lo, hi = np.minimum(i, j)[upper], np.maximum(i, j)[upper]
+        k = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
+        yield a, b, np.minimum(table[start[k] + lo], table[start[k] + hi - (1 << k)]), upper
+
+
+def _pair_at(n, a, k):
+    """The k-th pair i < j in row-major order from row a on, as a block of
+    _pair_blocks holds them: row a + r has n - a - 1 - r of them."""
+    r = np.arange(n - a - 1)
+    before = r * (n - a - 1) - r * (r - 1) // 2  # the pairs of the rows above row a + r
+    r = int(np.searchsorted(before, k, side="right")) - 1
+    return a + r, a + 1 + r + k - int(before[r])
 
 
 def _zero(exact: bool):
@@ -450,12 +479,12 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
     """Strong triangle inequality over all triples, with the worst witness.
 
     A space is ultrametric iff it equals its subdominant ultrametric
-    (Carlsson & Memoli 2010), so a passing space is accepted in O(n^2)
-    comparisons of its ranks; only a failing one pays for the O(n^3) search
-    of its worst triple, on the entries. Exact spaces fail on any positive
-    violation, float ones above tol.
+    (Carlsson & Memoli 2010), so a passing space is accepted by one scan of
+    its pairs, a block of rows at a time (_at_subdominant); only a failing
+    one pays for the O(n^3) search of its worst triple, on the entries.
+    Exact spaces fail on any positive violation, float ones above tol.
     """
-    if space.n < 3 or (space.rank == _subdominant(_spanning_tree(space))).all():
+    if space.n < 3 or all(same.all() for _, _, same in _at_subdominant(space)):
         return UltrametricCheck(True, None, _zero(space.exact))
     worst, witness = _worst_triple(space.dist, np.maximum)
     if not space.exact and worst <= tol:
@@ -466,8 +495,9 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
 # Single linkage. The components of {d < t} (or {d <= t}) are those of the
 # minimum-spanning-tree edges below t (Gower & Ross 1969), so one tree
 # answers every single-linkage question, and a space builds it once. Its
-# Prim order is a leaf order: every cluster is a run of it, so _leaf_matrix
-# writes the subdominant, like every chain's split, from n - 1 adjacent values.
+# Prim order is a leaf order: every cluster is a run of it, so a pair's
+# subdominant distance is the largest weight attached between its leaves,
+# which the pair scan reads (_at_subdominant) and _leaf_matrix writes.
 
 def _spanning_tree(space: FiniteMetricSpace):
     """_prim of the space's rank, built on the first call and kept on the
@@ -513,12 +543,13 @@ def _prim(matrix):
     return order, parent, weight
 
 
-def _subdominant(tree) -> np.ndarray:
-    """Single-linkage merge heights of a matrix, the largest ultrametric below
-    it, from its _prim tree: the tree path from order[p] to order[q] peaks
-    at the largest weight attached after p, up to q."""
-    order, _, weight = tree
-    return _leaf_matrix(order, weight[1:], np.maximum, weight[0])
+def _at_subdominant(space: FiniteMetricSpace):
+    """(a, upper, same) per block of _pair_blocks on the space's Prim order:
+    same marks the pairs of rows a.. whose rank is their subdominant one,
+    the largest weight between their leaves, read as the least h = -weight."""
+    order, _, weight = _spanning_tree(space)
+    for a, b, split, upper in _pair_blocks(order, -weight[1:]):
+        yield a, upper, space.rank[a:b, a + 1:][upper] == -split
 
 
 def _leaf_matrix(order, h, ufunc, fill) -> np.ndarray:

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import DEFAULT_TOL, as_float, field_report, flog
-from ._util import per_distinct  # noqa: F401 (a binding that tests patch)
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile  # noqa: F401 (a binding the bench tracer re-binds)
 from .partitions import (PartitionChain, PartitionStats, _decay_witness, _log_ratio,
                          _require_separating, _split_extremes, classify_chain, r_estimate)
-from .spaces import (_BLOCK_ENTRIES, FiniteMetricSpace, _gather, _leaf_matrix, _rank_bound,
-                     _spanning_tree, _subdominant, is_ultrametric)
+from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _pair_at, _pair_blocks,
+                     _rank_bound, _spanning_tree, is_ultrametric)
 
 LOG_SLACK = 1e-9  # tolerance for inequality checks on the log scale
 
@@ -74,8 +73,11 @@ def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
-    """Single-linkage merge heights: the largest ultrametric below d."""
-    return _on_table(space, _subdominant(_spanning_tree(space)))
+    """Single-linkage merge heights, the largest ultrametric below d: the
+    tree path from order[p] to order[q] of the Prim tree peaks at the
+    largest weight attached after p, up to q."""
+    order, _, weight = _spanning_tree(space)
+    return _on_table(space, _leaf_matrix(order, weight[1:], np.maximum, weight[0]))
 
 
 def _on_table(space: FiniteMetricSpace, rank: np.ndarray) -> FiniteMetricSpace:
@@ -126,16 +128,15 @@ def _value_logs(table):
     return np.concatenate(([-math.inf], logs))
 
 
-def _first_failure(pairs, *failed):
-    """(k, (i, j), which) for the first pair of pairs failing any mask,
-    which being the first mask it fails, or None. Masks are per-pair failures
-    of each inequality, in the order a pair's inequalities are checked."""
+def _first_failure(*failed):
+    """(k, which) for the first pair failing any mask, which being the first
+    mask it fails, or None. Masks are per-pair failures of each inequality,
+    in the order a pair's inequalities are checked."""
     bad = np.logical_or.reduce(failed)
     if not bad.any():
         return None
     k = int(bad.argmax())
-    which = next(w for w, mask in enumerate(failed) if mask[k])
-    return k, (int(pairs[0][k]), int(pairs[1][k])), which
+    return k, next(w for w, mask in enumerate(failed) if mask[k])
 
 
 def _holder_logs(d1, d2):
@@ -171,12 +172,12 @@ def _check_holder_fit(pairs, u, v, fit: HolderFit) -> None:
     """verify_holder_fit on the logs u and v of the two matrices at pairs."""
     if not u.size:  # the fit of a point has c2 = 0, whose log is undefined
         return
-    hit = _first_failure(pairs,
-                         v > math.log(fit.c2) + fit.s * u + LOG_SLACK,
+    hit = _first_failure(v > math.log(fit.c2) + fit.s * u + LOG_SLACK,
                          v < math.log(fit.c1) + fit.t * u - LOG_SLACK)
     if hit:
-        _, pair, which = hit
-        raise DistortionBoundsViolated(pair, ("upper bound", "lower bound")[which])
+        k, which = hit
+        raise DistortionBoundsViolated((int(pairs[0][k]), int(pairs[1][k])),
+                                       ("upper bound", "lower bound")[which])
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,8 @@ def _sandwich(space, chain, rho, exponent, log_k):
         k = np.flatnonzero(ups == -goal[1])
         reach_up[levels[k]] = _reach(lambda x: clog[k] - x <= goal[1], top[k], least[k])
     best = [(np.inf, None), (np.inf, None)]  # (value, pair) of each side so far
-    for i0, split, block, upper in _pair_blocks(space, chain):
+    for i0, i1, split, upper in _pair_blocks(chain.order, chain.h):
+        block = space.rank[i0:i1, i0 + 1:]
         if logs is None:
             d = block[upper]
             wrong = d <= under[split]
@@ -386,36 +388,6 @@ def _sandwich(space, chain, rho, exponent, log_k):
         if not fails and [v for v, _ in best] == goal:
             break
     return best[0], (-best[1][0], best[1][1])
-
-
-def _pair_blocks(space, chain):
-    """(i0, split, block, upper): the pairs i < j, row-major, about
-    _BLOCK_ENTRIES at a time, where upper holds in block, the ranks of rows
-    i0.. by columns i0 + 1.., and the level that first splits each, the
-    least h between its leaf positions, off a sparse table of the minima of
-    h over runs of 2^k leaves (Bender & Farach-Colton 2000)."""
-    n, where, runs = space.n, np.argsort(chain.order), [chain.h]
-    while 2 ** len(runs) <= len(chain.h):  # runs[k][p]: the least h over leaves p.. p + 2^k
-        runs.append(np.minimum(runs[-1][:-2 ** (len(runs) - 1)], runs[-1][2 ** (len(runs) - 1):]))
-    table, start = np.concatenate(runs), np.cumsum([0] + [len(x) for x in runs[:-1]])
-    step = max(1, _BLOCK_ENTRIES // n)
-    for i0 in range(0, n - 1, step):
-        rows = np.arange(i0, min(i0 + step, n - 1))
-        upper = np.arange(i0 + 1, n) > rows[:, None]
-        a, b = where[rows][:, None], where[i0 + 1:]
-        lo, hi = np.minimum(a, b)[upper], np.maximum(a, b)[upper]
-        k = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
-        split = np.minimum(table[start[k] + lo], table[start[k] + hi - (1 << k)])
-        yield i0, split, space.rank[i0:i0 + len(rows), i0 + 1:], upper
-
-
-def _pair_at(n, i0, k):
-    """The k-th pair i < j in row-major order from row i0 on, as a block of
-    _pair_blocks holds them: row i0 + r has n - i0 - 1 - r of them."""
-    r = np.arange(n - i0 - 1)
-    before = r * (n - i0 - 1) - r * (r - 1) // 2  # the pairs of the rows above row i0 + r
-    r = int(np.searchsorted(before, k, side="right")) - 1
-    return i0 + r, i0 + 1 + r + k - int(before[r])
 
 
 def _reach(test, start, stop) -> np.ndarray:

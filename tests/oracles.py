@@ -53,8 +53,9 @@ the R sequence from each proper level. The last
 section holds the code of chains whose datum was the n x n split matrix:
 the single-linkage `merge_ranks` loop and `subdominant`, the per-level
 mask sums `split_of_levels` of `from_partitions`, the point-by-point
-`split_labels` walk with its `split_leads`, `from_split`, the chain of
-a given split matrix, and `level_ranks`, the per-level extreme ranks that
+`split_labels` walk with its `split_leads`, `split`, the split matrix a
+chain kept as a view, `from_split`, the chain of a given split matrix,
+and `level_ranks`, the per-level extreme ranks that
 the stats and rho read off the split matrix's upper triangle before
 `partitions._pair_runs` read them from (order, h). `certificate_per_pair`
 is the certificate that logged every pair of the upper triangle (with
@@ -88,7 +89,7 @@ from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _bl
                                   _require_separating, classify_chain, dendrogram_chain,
                                   largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
-                              _prim, _zero, _zeros, validate)
+                              _leaf_matrix, _prim, _zero, _zeros, validate)
 from metriclab import ultrametrize as _ultrametrize
 from metriclab.errors import CertificateRefused, CertificateViolated
 from metriclab.partitions import _decay_witness
@@ -322,10 +323,11 @@ def block_extents_by_level(space, chain):
     each: a block reduces its children's values (through their least
     members) and the items first split at the next level."""
     n = space.n
-    if chain.split.shape != (n, n):
+    if len(chain.order) != n:
         raise ValueError("chain does not match the space")
     labels = chain.labels
-    leads = split_leads(chain.split)
+    first = split(chain)
+    leads = split_leads(first)
     length = len(chain)
 
     def bottom_up(ufunc, ends, keys, values, fill):
@@ -343,9 +345,9 @@ def block_extents_by_level(space, chain):
         return out
 
     i, j = np.triu_indices(n, 1)
-    diameters = bottom_up(np.maximum, i, chain.split[i, j], space.rank[i, j], 0.0)
+    diameters = bottom_up(np.maximum, i, first[i, j], space.rank[i, j], 0.0)
     order, parent, weight = _prim(space.rank)
-    tree_keys = chain.split[order[1:], parent[1:]]
+    tree_keys = first[order[1:], parent[1:]]
     gaps = bottom_up(np.maximum, order[1:], tree_keys, weight[1:], 0.0)
     edges = bottom_up(np.add, order[1:], tree_keys, np.ones(n - 1, dtype=np.intp), 0)
     connected = [e == np.bincount(row) - 1 for e, row in zip(edges, labels)]
@@ -401,9 +403,9 @@ def with_singleton_terminal_from_split(space, chain):
     the split matrix with a raised diagonal."""
     if chain.stats[-1].cardinality == space.n:
         return chain
-    split = chain.split.copy()
-    np.fill_diagonal(split, len(chain) + 1)
-    return from_split(space, split, chain.thresholds + (None,),
+    raised = split(chain).copy()
+    np.fill_diagonal(raised, len(chain) + 1)
+    return from_split(space, raised, chain.thresholds + (None,),
                       chain.level_ids + (chain.level_ids[-1] + 1,))
 
 
@@ -893,10 +895,10 @@ def chain_stats(space, split):
     return tuple(stats)
 
 
-def chain_on_values(space, split, thresholds=None, level_ids=None):
+def chain_on_values(space, matrix, thresholds=None, level_ids=None):
     """from_split with the stats of chain_stats."""
-    chain = from_split(space, split, thresholds, level_ids)
-    return PartitionChain(chain.order, chain.h, chain_stats(space, chain.split),
+    chain = from_split(space, matrix, thresholds, level_ids)
+    return PartitionChain(chain.order, chain.h, chain_stats(space, split(chain)),
                           chain.thresholds, chain.level_ids)
 
 
@@ -942,7 +944,7 @@ def ultrametric_from_chain(space, chain):
     chain = _trivial_head(space, chain)
     _require_separating(chain)
     deltas = np.array([st.delta for st in chain.stats], dtype=object if space.exact else float)
-    return deltas[chain.split - 1]
+    return deltas[split(chain) - 1]
 
 
 def union_ranks(pairs):
@@ -1163,7 +1165,7 @@ def pushforward_chain(space, image, chain, p, fit=None, tol=DEFAULT_TOL):
         fit = fit_holder_exponents(space.dist, image.dist)
     verify_holder_fit(space.dist, image.dist, fit)
     base = classify_chain(chain, p, tol=tol)
-    image_chain = from_split(image, chain.split, chain.thresholds, chain.level_ids)
+    image_chain = from_split(image, split(chain), chain.thresholds, chain.level_ids)
     p_prime = (fit.t / fit.s) * p
     a_prime = (fit.c1 / fit.c2 ** p_prime) * base.p_witness ** fit.t
     gamma_ok = True
@@ -1202,7 +1204,7 @@ def merge_ranks(tree):
 
 
 def subdominant(tree):
-    """spaces._subdominant through merge_ranks."""
+    """subdominant_ultrametric's matrix through merge_ranks."""
     heights, top = merge_ranks(tree)
     return heights[top]
 
@@ -1238,19 +1240,27 @@ def split_labels(split):
     return np.ascontiguousarray(rows.T)
 
 
-def from_split(space, split, thresholds=None, level_ids=None):
+def split(chain):
+    """The chain's n x n split matrix: the first level that separates i and
+    j, or len(chain). PartitionChain kept it as a read-only view, built on
+    first use, until every whole-pair read took it off one row-major scan
+    of (order, h) (spaces._pair_blocks)."""
+    return _leaf_matrix(chain.order, chain.h, np.minimum, len(chain))
+
+
+def from_split(space, matrix, thresholds=None, level_ids=None):
     """PartitionChain._from_split: the chain of a nested split matrix, its
     diagonal the level count. The leaves are the Prim order of the
-    pseudo-ultrametric length - split, which keeps every block a run; a
-    split that is not nested has no such order and raises ValueError."""
-    split = np.asarray(split, dtype=np.int32)
-    if split.shape != (space.n, space.n):
+    pseudo-ultrametric length - matrix, which keeps every block a run; a
+    matrix that is not nested has no such order and raises ValueError."""
+    matrix = np.asarray(matrix, dtype=np.int32)
+    if matrix.shape != (space.n, space.n):
         raise ValueError("chain does not match the space")
-    length = int(split[0, 0])
-    order = _prim((length - split).astype(float))[0]
-    h = split[order[:-1], order[1:]]
+    length = int(matrix[0, 0])
+    order = _prim((length - matrix).astype(float))[0]
+    h = matrix[order[:-1], order[1:]]
     chain = PartitionChain._of_leaves(space, order, h, length, thresholds, level_ids)
-    if not np.array_equal(chain.split, split):
+    if not np.array_equal(split(chain), matrix):
         raise ValueError("split is not nested")
     return chain
 
@@ -1333,9 +1343,10 @@ def certificate_per_pair(space, chain, p, epsilon, tol=DEFAULT_TOL):
         d, log_d = pair_logs(d_rank, pairs, logs)
         r, log_r = pair_logs(rho_rank, pairs, logs)
     low = log_d - exponent * log_r
-    hit = _first_failure(pairs, d > r, low < log_k - LOG_SLACK)
+    hit = _first_failure(d > r, low < log_k - LOG_SLACK)
     if hit:
-        k, pair, which = hit
+        k, which = hit
+        pair = (int(pairs[0][k]), int(pairs[1][k]))
         if which == 0:
             gap = _gather(table, d[k]) - _gather(table, r[k])
             raise CertificateViolated(pair, "d <= rho", as_float(gap))

@@ -12,6 +12,7 @@ import pytest
 
 import metriclab as ml
 from metriclab.logratio import set_partitions
+import oracles
 from oracles import _stats_of_assignment
 from conftest import euclidean_space
 
@@ -286,7 +287,7 @@ def test_criterion_09_embedding(capsys):
         assert verify.worst_lower_slack >= -1e-9
         assert verify.worst_upper_slack >= -1e-9
         # box sandwich explicitly on every pair
-        split = sub.split
+        split = oracles.split(sub)
         gammas = [float(st.gamma) for st in sub.stats]
         deltas = [float(st.delta) for st in sub.stats]
         for i in range(space.n):

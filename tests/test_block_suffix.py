@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import logratio, partitions
+from metriclab import logratio, partitions, spaces
 from metriclab.partitions import _block_extents
 from metriclab.ultrametrize import _pair_logs
 from conftest import euclidean_space
@@ -30,12 +30,12 @@ def same_array(new, old):
 
 
 @CHECKS
-@given(chains(), st.sampled_from((1, 40, partitions._CHUNK_ENTRIES)))
+@given(chains(), st.sampled_from((1, 40, spaces._BLOCK_ENTRIES)))
 def test_block_extents_equal_the_level_loop(case, chunk):
     """Every per-level array, diameters, gaps and connected, in chunks of
     one level and one matrix row up to the default chunks."""
     space, chain = case
-    with mock.patch.object(partitions, "_CHUNK_ENTRIES", chunk):
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", chunk):
         for ch in (chain, ml.with_singleton_terminal(space, chain)):
             new = oracles.by_level(ch, _block_extents(space, ch))
             old = oracles.block_extents_by_level(space, ch)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import cli, logratio, partitions
+from metriclab import cli, logratio, partitions, spaces
 from metriclab.partitions import _label_stats, _log_ratio
 from metriclab.spaces import _gather
 from metriclab.ultrametrize import ensure_trivial_head
@@ -25,7 +25,7 @@ from conftest import euclidean_space
 from test_block_extents import CHECKS, EXACT_FAMILIES, chains, count_largest_gap, nested_chain
 from test_ties import quantized_space
 
-CHUNKS = (1, 7, partitions._CHUNK_ENTRIES)
+CHUNKS = (1, 7, spaces._BLOCK_ENTRIES)
 
 
 def with_terminals(space, chain):
@@ -36,7 +36,7 @@ def with_terminals(space, chain):
 @given(chains(), st.sampled_from(CHUNKS))
 def test_property6_equals_the_chunk_walk(case, chunk):
     space, chain = case
-    with mock.patch.object(partitions, "_CHUNK_ENTRIES", chunk):
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", chunk):
         for ch in with_terminals(space, chain):
             assert (ml.profile(ch, space=space).property6
                     == oracles.property6_by_chunks(ch, space))
@@ -50,7 +50,7 @@ def test_property6_equals_the_chunk_walk_on_the_fallback(monkeypatch):
         space = euclidean_space(seed, n)
         chain = nested_chain(space, seed, coarsenings)
         for chunk in CHUNKS:
-            with mock.patch.object(partitions, "_CHUNK_ENTRIES", chunk):
+            with mock.patch.object(spaces, "_BLOCK_ENTRIES", chunk):
                 for ch in with_terminals(space, chain):
                     new = ml.profile(ch, space=space).property6
                     assert new == oracles.property6_by_chunks(ch, space)
@@ -97,7 +97,8 @@ def test_rho_takes_its_ranks_from_the_stats(monkeypatch):
     expected = []
     for (space, _), (levels, thresholds, ids) in zip(cases, heads):
         head = ml.PartitionChain.from_partitions(space, levels, thresholds, ids)
-        expected.append(oracles.level_ranks(space, head.split)[0][head.split - 1])
+        split = oracles.split(head)
+        expected.append(oracles.level_ranks(space, split)[0][split - 1])
     calls = []
     stream = partitions._pair_runs
     monkeypatch.setattr(partitions, "_pair_runs", lambda *a: calls.append(1) or stream(*a))

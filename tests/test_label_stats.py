@@ -4,6 +4,7 @@ both gap_bounds paths must agree with them value for value and, for delta
 and gamma, type for type (np.float64, Python float or Fraction)."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import partitions
+from metriclab import spaces
 from metriclab._util import as_float
 from metriclab.logratio import set_partitions
 from metriclab.partitions import _label_stats, _log_ratio
@@ -133,12 +134,8 @@ def test_kernel_on_no_rows():
 def test_chunked_rows_match_one_pass(space, chunk):
     labels = np.array(list(set_partitions(space.n)))
     whole = _label_stats(space, labels)
-    saved = partitions._CHUNK_ENTRIES
-    partitions._CHUNK_ENTRIES = chunk
-    try:
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", chunk):
         chunked = _label_stats(space, labels)
-    finally:
-        partitions._CHUNK_ENTRIES = saved
     for a, b in zip(whole, chunked):
         assert [type(x) for x in a] == [type(x) for x in b]
         assert list(a) == list(b)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import partitions, zoo
+from metriclab import partitions, spaces, zoo
 from metriclab.errors import DepthOverflow, MetricLabError
 from conftest import euclidean_space
 from test_metamorphic import outcome
@@ -23,7 +23,7 @@ from test_ties import quantized_space
 
 CHECKS = settings(settings.get_profile("deterministic"), max_examples=60)
 
-CHUNKS = (1, 7, partitions._CHUNK_ENTRIES)
+CHUNKS = (1, 7, spaces._BLOCK_ENTRIES)
 
 EXACT_KINDS = (("seq_factorial", {}, 8), ("seq_power_tower", {"s": 0.5}, 10),
                ("seq_geometric", {}, 40), ("cantor_factorial", {}, 5),
@@ -73,14 +73,14 @@ def chains(draw):
 @given(chains(), st.sampled_from(CHUNKS))
 def test_stats_and_rho_equal_the_split_matrix_kernel(case, chunk):
     space, chain = case
-    with mock.patch.object(partitions, "_CHUNK_ENTRIES", chunk):
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", chunk):
         ranks = partitions._level_ranks(space, chain.order, chain.h, len(chain))
         rebuilt = ml.PartitionChain._of_leaves(space, chain.order, chain.h, len(chain),
                                                chain.thresholds, chain.level_ids)
         rho = outcome(ml.ultrametric_from_chain, space, chain)
-    for new, old in zip(ranks, oracles.level_ranks(space, chain.split)):
+    for new, old in zip(ranks, oracles.level_ranks(space, oracles.split(chain))):
         assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
-    old_stats = oracles.chain_stats(space, chain.split)
+    old_stats = oracles.chain_stats(space, oracles.split(chain))
     assert rebuilt.stats == old_stats == chain.stats
     for a, b in zip(rebuilt.stats, old_stats):
         assert (type(a.delta), type(a.gamma)) == (type(b.delta), type(b.gamma))
@@ -100,12 +100,12 @@ def test_runs_group_each_leaf_row_of_the_split_matrix(case, chunk):
     q > p, of the split matrix, with that group's largest and least rank;
     together the runs cover every pair once."""
     space, chain = case
-    with mock.patch.object(partitions, "_CHUNK_ENTRIES", chunk):
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", chunk):
         blocks = list(partitions._pair_runs(space, chain.order, chain.h, len(chain)))
-    groups = {}
+    groups, split = {}, oracles.split(chain)
     for p, q in zip(*np.triu_indices(space.n, 1)):
         i, j = chain.order[p], chain.order[q]
-        groups.setdefault((i, chain.split[i, j]), []).append(space.rank[i, j])
+        groups.setdefault((i, split[i, j]), []).append(space.rank[i, j])
     runs = {}
     for points, keys, high, low in blocks:
         for key in zip(points.tolist(), keys.tolist(), high.tolist(), low.tolist()):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import embedding, logratio, ultrametrize
+from metriclab import embedding, logratio
 from metriclab._util import dumps, per_distinct
 from metriclab.errors import DepthOverflow, PackingInfeasible
 from metriclab.partitions import _label_stats, _log_ratio
@@ -119,15 +119,15 @@ def test_log_ratios_equal_the_per_partition_loop(space):
 
 
 def per_entry_logs(fn, calls):
-    """fn with every float matrix logged per entry, as before; calls gets
-    the function of each call that would have taken the per-distinct path."""
+    """fn with every box-norm matrix of the embedding logged per entry, as
+    before; calls gets the function of each call that would have taken the
+    per-distinct path (the certificate takes none)."""
     def old(f, x, dtype=float):
         calls.append(f)
         return oracles.per_entry(f, x, dtype)
 
     def wrapped(*args):
-        with mock.patch.object(ultrametrize, "per_distinct", old), \
-                mock.patch.object(embedding, "per_distinct", old):
+        with mock.patch.object(embedding, "per_distinct", old):
             return fn(*args)
     return wrapped
 

@@ -113,7 +113,7 @@ def same_entries(new, old):
 
 
 def same_chain(new, old):
-    assert np.array_equal(new.split, old.split)
+    assert np.array_equal(oracles.split(new), oracles.split(old))
     assert new.stats == old.stats
     for a, b in zip(new.stats, old.stats):
         assert (type(a.delta), type(a.gamma), type(a.log_ratio)) == \
@@ -148,15 +148,15 @@ def test_rank_kernels_equal_fraction_comparisons(case, p, epsilon):
     for t in [*space.values[1:], *(space.values[1:] + space.values[:-1]) / 2, 2]:
         assert ml.threshold_partition(space, t) == oracles.threshold_partition(space, t)
     subdominant = ml.subdominant_ultrametric(space)
-    same_entries(subdominant.dist, spaces._subdominant(spaces._prim(space.dist)))
+    same_entries(subdominant.dist, oracles.subdominant(spaces._prim(space.dist)))
     for given_chain in (dendrogram, chain):
         if given_chain is None:
             continue
-        same_chain(given_chain, oracles.chain_on_values(space, given_chain.split,
+        same_chain(given_chain, oracles.chain_on_values(space, oracles.split(given_chain),
                                                         given_chain.thresholds,
                                                         given_chain.level_ids))
         full = ml.with_singleton_terminal(space, given_chain)
-        same_chain(full, oracles.chain_on_values(space, full.split, full.thresholds,
+        same_chain(full, oracles.chain_on_values(space, oracles.split(full), full.thresholds,
                                                  full.level_ids))
         diameters, gaps, connected = oracles.by_level(full, _block_extents(space, full))
         for lvl, (old_diameters, old_gaps) in enumerate(oracles.block_extents(space, full)):
@@ -268,7 +268,7 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
         assert out.ok
 
     watched(spaces, "_prim")  # _spanning_tree's one call per space
-    for module in (spaces, partitions, ultrametrize):
+    for module in (spaces, ultrametrize):
         watched(module, "_leaf_matrix")
     watched(partitions, "_chain_stats")
     watched(partitions, "_pair_runs")
