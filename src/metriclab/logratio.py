@@ -21,8 +21,7 @@ from .partitions import (
     Partition,
     PartitionChain,
     _at_least_one,
-    _block_extents,
-    _block_offsets,
+    _block_tree,
     _label_stats,
     _run_labels,
     dendrogram_chain,
@@ -144,9 +143,14 @@ def _property6(chain, space, proper):
     the gap constant: the largest, over consecutive proper levels i and j,
     of the least largest gap of a widest block of level i (a nonzero
     diameter, so two members or more, within tolerance of delta_i) over
-    gamma_j, in one pass over _block_extents' output; largest_gap runs
-    only on widest blocks that the spanning tree does not connect."""
-    deltas = [as_float(chain.stats[i].delta) for i in proper]
+    gamma_j, in one grouped minimum over the nodes of _block_tree. As delta
+    does not grow along the chain, and a block is no wider than delta at
+    any level that has it, a node is widest on a tail of its life: levels
+    from the first whose delta comes near its diameter are tested, and
+    largest_gap runs once per widest node that the spanning tree does not
+    connect."""
+    level_delta = np.array([as_float(st.delta) for st in chain.stats])
+    deltas = level_delta[proper].tolist()
     decreasing = all(b < a for a, b in zip(deltas, deltas[1:]))
     report = {"delta_strictly_decreasing": bool(decreasing), "gap_constant": None}
     if space is None or len(proper) < 2:
@@ -157,19 +161,22 @@ def _property6(chain, space, proper):
     gamma[proper[:-1]] = [as_float(chain.stats[j].gamma) for j in proper[1:]]
     if (gamma <= 0).any():
         return report  # a gap ratio over an underflowed gamma is undefined
-    diameters, gaps, connected = _block_extents(space, chain)
-    offsets = _block_offsets(chain)
-    wide = np.flatnonzero(diameters)  # blocks numbered level after level
-    delta_of = np.repeat(delta, np.diff(np.searchsorted(wide, offsets)))
-    wide = wide[np.abs(as_floats(diameters[wide]) - delta_of) <= 1e-15 + 1e-9 * np.abs(delta_of)]
-    level = np.searchsorted(offsets, wide, side="right") - 1
+    start, end, born, dies, diameters, gaps, connected = _block_tree(space, chain)
+    wide = np.flatnonzero(diameters)
+    diameter = as_floats(diameters[wide])
+    # from the first level whose delta is below a bound past the tolerance
+    first = np.maximum(born[wide], np.searchsorted(-level_delta, -diameter * (1 + 4e-9) - 4e-15))
+    count = np.maximum(dies[wide] - first, 0)
+    node = np.repeat(np.arange(len(wide)), count)
+    level = first[node] + np.arange(len(node)) - np.repeat(np.cumsum(count) - count, count)
+    widest = np.abs(diameter[node] - delta[level]) <= 1e-15 + 1e-9 * np.abs(delta[level])
+    node, level = node[widest], level[widest]
     gap = as_floats(gaps[wide])
-    for k in np.flatnonzero(~connected[wide]).tolist():
-        row = _run_labels(chain.order, chain.h, level[k:k + 1])[0]
-        gap[k] = as_float(largest_gap(space, np.flatnonzero(row == wide[k] - offsets[level[k]])))
+    for k in np.unique(node[~connected[wide[node]]]).tolist():
+        gap[k] = as_float(largest_gap(space, np.sort(chain.order[start[wide[k]]:end[wide[k]]])))
     best = np.full(len(chain), np.inf)
     with np.errstate(over="ignore"):  # a gap over a tiny gamma may overflow to inf
-        np.minimum.at(best, level, gap / gamma[level])
+        np.minimum.at(best, level, gap[node] / gamma[level])
     worst = float(np.max(best, where=np.isfinite(best), initial=0.0))  # ratios are >= 0
     report["gap_constant"] = worst if worst > 0 else None
     return report

@@ -445,29 +445,24 @@ def largest_gap(space: FiniteMetricSpace, indices=None):
     return _gather(sub.values, _spanning_tree(sub)[2].max())
 
 
-def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
-    """Diameter and largest gap of every block of every level of a chain.
+def _block_tree(space: FiniteMetricSpace, chain: PartitionChain):
+    """Every distinct block of a chain, with its diameter and largest gap.
 
-    Returns (diameters, gaps, connected): one array each, over the blocks
-    of all levels numbered level after level (_block_offsets). An item with
-    split key k lies inside one block of every level before k:
-      - the diameter is the largest pair inside the block (_pair_runs);
+    Returns (start, end, born, dies, diameters, gaps, connected) over the
+    nodes of _tree_nodes, node i the block order[start:end] of levels born
+    to dies - 1. A pair split at level k lies in the blocks of the levels
+    before k: its least common block, the node with dies k over the pair's
+    leaf positions, and that node's ancestors. Each pair run (_pair_runs)
+    and each spanning-tree edge (split at the least h between its ends'
+    leaf positions) is reduced once into that node, then over each node's
+    subtree, one range of the post-order:
+      - the diameter is the largest pair inside the block;
       - the largest gap reads the whole space's spanning tree. When the
         tree edges inside a block B number |B| - 1, they connect B and, by
         the cut property, form a minimum spanning tree of B, so its largest
         edge is B's largest gap and connected is True. Dendrogram, ball and
         zoo chains have only such blocks; any other block's gap is not in
-        gaps, and largest_gap(space, b) gives it. An edge splits at the
-        least h between its ends' leaf positions.
-    Each item raises its point's entry at level k - 1; a reverse
-    accumulate over the levels then holds, at (level, point), the reduction
-    of the items that level still joins there, and one grouped reduction by
-    (level, block) gives every block. Max and add are exact here and
-    order-free, so this is the bottom-up reduction of children plus new
-    items, bit for bit (the edge counts are float sums of ones, exact far
-    beyond any n). Levels go in chunks (_level_chunks), finest first,
-    each carrying the accumulate's first row to the next, so the
-    temporaries stay O(n^2) however many levels the chain has.
+        gaps, and largest_gap(space, b) gives it.
     Both reductions run on ranks (the zero rank for a singleton), gathered
     to matrix entries once, so exact chains never go through floats nor
     compare Fractions.
@@ -475,62 +470,56 @@ def _block_extents(space: FiniteMetricSpace, chain: PartitionChain):
     n = space.n
     if len(chain.order) != n:
         raise ValueError("chain does not match the space")
+    start, end, born, dies, first = _tree_nodes(chain.h, len(chain))
+    inner = np.flatnonzero(end - start > 1)
+    keys = dies[inner] * n + start[inner]
+    inner, keys = inner[np.argsort(keys)], np.sort(keys)
+
+    def holding(level, position):
+        """The node of dies level over the leaf position: nodes of equal
+        dies are disjoint, so it is the last to start at or before it."""
+        return inner[np.searchsorted(keys, level.astype(np.intp) * n + position, "right") - 1]
+
+    where = np.argsort(chain.order)
+    own = np.zeros((3, len(start) + 1))  # diameter, gap and edge count of each node, and a pad
+    for points, levels, high, _ in _pair_runs(space, chain.order, chain.h, len(chain)):
+        np.maximum.at(own[0], holding(levels, where[points]), high)
     order, parent, weight = _spanning_tree(space)
-    at = np.argsort(chain.order)[np.stack((order[1:], parent[1:]), axis=1)]
-    at.sort(axis=1)  # each tree edge's leaf positions, ascending
-    tree_keys = np.minimum.reduceat(np.append(chain.h, len(chain)), at.reshape(-1))[::2]
-    runs = [np.concatenate(part) for part in zip(*_pair_runs(space, chain.order, chain.h,
-                                                             len(chain)))]
-    points, keys, high = runs[:3] if runs else [np.zeros(0, dtype=np.intp)] * 3
-    items = ((keys, points, high, np.maximum), (tree_keys, order[1:], weight[1:], np.maximum),
-             (tree_keys, order[1:], np.ones(n - 1), np.add))
-    offsets = _block_offsets(chain)
-    diameters, gaps = np.zeros(offsets[-1]), np.zeros(offsets[-1])
-    connected = np.empty(offsets[-1], dtype=bool)
-    carry = [np.zeros(n), np.zeros(n), np.zeros(n)]
-    for lo, hi, block in _level_chunks(chain, offsets):
-        here = slice(offsets[lo], offsets[hi])
-        edges = np.zeros(offsets[hi] - offsets[lo])
-        for k, ((item_keys, item_points, values, ufunc), out) in enumerate(
-                zip(items, (diameters[here], gaps[here], edges))):
-            take = (item_keys > lo) & (item_keys <= hi)
-            acc = np.zeros((hi - lo, n))  # one at a time, to bound the temporaries
-            ufunc.at(acc.reshape(-1), (item_keys[take] - (lo + 1)) * n + item_points[take],
-                     values[take])
-            carry[k] = _suffix_blocks(ufunc, acc, carry[k], block, out)
-        connected[here] = edges == np.bincount(block, minlength=len(edges)) - 1
-        del block  # before the next chunk's is built
-    return _gather(space.values, diameters), _gather(space.values, gaps), connected
+    pos = np.sort(where[np.stack((order[1:], parent[1:]), axis=1)], axis=1)  # of each edge
+    at = holding(np.minimum.reduceat(np.append(chain.h, len(chain)), pos.reshape(-1))[::2],
+                 pos[:, 0])
+    np.maximum.at(own[1], at, weight[1:])
+    np.add.at(own[2], at, 1)  # sums of ones: exact
+    ranges = np.stack((first, np.arange(1, len(first) + 1)), axis=1).reshape(-1)
+    diameters, gaps = np.maximum.reduceat(own[:2], ranges, axis=1)[:, ::2]
+    edges = np.add.reduceat(own[2], ranges)[::2]
+    return (start, end, born, dies, _gather(space.values, diameters),
+            _gather(space.values, gaps), edges == end - start - 1)
 
 
-def _suffix_blocks(ufunc, acc, carry, block, out) -> np.ndarray:
-    """Reduce each column of a chunk's (level, point) entries over the
-    levels from each one down, the carried row of the next finer chunk
-    included, then reduce them into out by block; returns the chunk's
-    first row, the next coarser chunk's carry."""
-    ufunc(acc[-1], carry, out=acc[-1])
-    ufunc.accumulate(acc[::-1], axis=0, out=acc[::-1])
-    ufunc.at(out, block, acc.reshape(-1))
-    return acc[0].copy()
-
-
-def _block_offsets(chain: PartitionChain) -> np.ndarray:
-    """Where each level's blocks start when the blocks of all levels are
-    numbered in one row, level after level; the last entry counts them all."""
-    return np.concatenate(([0], np.cumsum([st.cardinality for st in chain.stats])))
-
-
-def _level_chunks(chain: PartitionChain, offsets: np.ndarray):
-    """The levels in chunks of about spaces._BLOCK_ENTRIES (level, point)
-    entries, and no more than the space has pairs, finest first: (lo, hi, block),
-    where block[(l - lo) * n + p] is the number, less offsets[lo], of p's
-    block at level l among all blocks, its labels cut for the chunk alone."""
-    n = len(chain.order)
-    step = max(1, min(spaces._BLOCK_ENTRIES, n * (n - 1) // 2) // n)
-    for hi in range(len(chain), 0, -step):
-        lo = max(hi - step, 0)
-        labels = _run_labels(chain.order, chain.h, np.arange(lo, hi))
-        yield lo, hi, (labels + (offsets[lo:hi] - offsets[lo])[:, None]).reshape(-1)
+def _tree_nodes(h, length):
+    """The nodes of the Cartesian tree of h, tied minima merged, in
+    post-order: (start, end, born, dies, first). Node i is the run
+    start..end - 1 of the leaf order, a leaf or one whose inner h all
+    exceed the h at its ends; it is a block of the levels born to dies - 1,
+    born the larger h at its ends (-1 past the first or last leaf, then
+    clipped at 0), dies its least inner h (length for a leaf). No level has
+    it when dies <= born: a root over an h of 0, a leaf between two h of
+    length. Its subtree is the nodes first..i. One stack pass: each leaf
+    closes the open runs whose least h exceeds the h after it."""
+    ends = np.concatenate(([-1], h, [-1]))  # the h at each leaf boundary
+    nodes, stack = [], [(-2, 0, 0)]  # open runs: (least h, start, first); -2 stays
+    for b, v in enumerate(ends[1:].tolist(), 1):
+        s, f = b - 1, len(nodes)
+        nodes.append((s, b, length, f))  # the leaf b - 1
+        while stack[-1][0] > v:
+            d, s, f = stack.pop()
+            nodes.append((s, b, d, f))
+        if stack[-1][0] < v:
+            stack.append((v, s, f))
+    start, end, dies, first = np.fromiter(itertools.chain.from_iterable(nodes), np.intp,
+                                          4 * len(nodes)).reshape(-1, 4).T
+    return start, end, np.maximum(np.maximum(ends[start], ends[end]), 0), dies, first
 
 
 @dataclass(frozen=True)

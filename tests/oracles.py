@@ -4,7 +4,7 @@ Each function is the code that `metriclab` ran before a faster path took its
 place: the label-array kernel `partitions._label_stats`, the heuristic G
 over the two-block splits `_two_block_splits` of the chain's blocks (both
 gap_bounds paths now read G off the chain's last level), the block extents
-`partitions._block_extents` read off one spanning tree, the one-level
+`block_extents` of every level read block by block, the one-level
 `with_singleton_terminal` (rebuilt from the whole chain or from its split
 matrix), the exact sequence matrix by Fraction subtraction, the
 `csv.writer` rows of `to_csv`, the `csv.reader` rows of `from_csv` with
@@ -44,10 +44,14 @@ certificate and the distortion check each kept before `_decay_witness`, and
 fit and again in its check. `block_extents_by_level` is the kernel of
 `partitions._block_extents` that reduced each level's children and new
 items bottom up, one level at a time, before the suffix reduction over
-whole chunks of levels (`by_level` splits the kernel's flat per-block
-arrays into the per-level lists it returned), `property6_by_chunks` the
-computation-rule check of `profile` that walked its output one chunk of
-levels at a time, and
+whole chunks of levels, `block_extents_suffix` (with its `block_offsets`
+and `level_chunks`), which reduced every (level, point) entry before the
+block tree `partitions._block_tree` reduced each distinct block once
+(`by_level` lays the tree's node arrays out as the per-level lists the
+level kernels return), `property6_by_chunks` the computation-rule check
+of `profile` that walked the suffix kernel's output one chunk of levels
+at a time, `widest_blocks` the widest blocks of each level that
+`property6` reads, and
 `settled_from` the burn-in loop of `profile` that rescanned the tail of
 the R sequence from each proper level. The last
 section holds the code of chains whose datum was the n x n split matrix:
@@ -84,12 +88,12 @@ from metriclab.embedding import (EmbeddingResult, LevelAudit, _exact_separated,
                                  _greedy_separated, grid_capacity)
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
-from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _block_extents,
-                                  _block_offsets, _level_chunks, _log_ratio,
-                                  _require_separating, classify_chain, dendrogram_chain,
-                                  largest_gap)
+from metriclab import spaces as _spaces
+from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
+                                  _pair_runs, _require_separating, _run_labels,
+                                  classify_chain, dendrogram_chain, largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
-                              _leaf_matrix, _prim, _zero, _zeros, validate)
+                              _leaf_matrix, _prim, _spanning_tree, _zero, _zeros, validate)
 from metriclab import ultrametrize as _ultrametrize
 from metriclab.errors import CertificateRefused, CertificateViolated
 from metriclab.partitions import _decay_witness
@@ -239,28 +243,34 @@ def property6(chain, space):
     report = {"delta_strictly_decreasing": bool(decreasing), "gap_constant": None}
     if len(proper) < 2:
         return report
+    best = {}
+    for i, gamma_next, b in widest_blocks(chain, space):
+        best[i] = min(best.get(i, math.inf), as_float(largest_gap(space, b)) / gamma_next)
+    worst = max((x for x in best.values() if math.isfinite(x)), default=0.0)
+    report["gap_constant"] = worst if worst > 0 else None
+    return report
+
+
+def widest_blocks(chain, space):
+    """(level, next proper gamma, block) for each block of two members or
+    more whose np.ix_ diameter is within tolerance of delta, over the
+    proper levels with a next one; none when a next gamma underflows."""
+    proper = chain.proper_indices()
     if any(as_float(chain.stats[j].gamma) <= 0 for j in proper[1:]):
-        return report
-    worst = 0.0
+        return
     for i, j in zip(proper, proper[1:]):
         delta_i = as_float(chain.stats[i].delta)
-        gamma_next = as_float(chain.stats[j].gamma)
-        best = math.inf
         for b in chain.levels[i].blocks:
             if len(b) < 2:
                 continue
             diam = as_float(space.dist[np.ix_(b, b)].max())
             if abs(diam - delta_i) <= 1e-15 + 1e-9 * abs(delta_i):
-                best = min(best, as_float(largest_gap(space, b)) / gamma_next)
-        if math.isfinite(best):
-            worst = max(worst, best)
-    report["gap_constant"] = worst if worst > 0 else None
-    return report
+                yield i, as_float(chain.stats[j].gamma), b
 
 
 def property6_by_chunks(chain, space):
-    """logratio._property6 as it walked _block_extents' output one level
-    chunk at a time (partitions._level_chunks), concatenating each chunk's
+    """logratio._property6 as it walked the suffix kernel's output one level
+    chunk at a time (level_chunks), concatenating each chunk's
     arrays and taking each block's slot and member count from the chunk's
     label rows; a widest block the spanning tree does not connect read its
     members off the chain's cached labels table."""
@@ -274,12 +284,12 @@ def property6_by_chunks(chain, space):
     if (gammas <= 0).any():
         return report
     deltas = np.array(deltas[:-1])  # deltas[s] and gammas[s] pair up, s a level's slot
-    diameters, gaps, connected = by_level(chain, _block_extents(space, chain))
-    offsets = _block_offsets(chain)
+    diameters, gaps, connected = block_extents_suffix(space, chain)
+    offsets = block_offsets(chain)
     slot = np.full(len(chain), -1)
     slot[proper[:-1]] = np.arange(len(deltas))
     best = np.full(len(deltas), np.inf)
-    for lo, hi, block in _level_chunks(chain, offsets):
+    for lo, hi, block in level_chunks(chain, offsets):
         at = np.repeat(slot[lo:hi], np.diff(offsets[lo:hi + 1]))  # each block's slot
         widest = np.flatnonzero((at >= 0) & (np.bincount(block, minlength=len(at)) >= 2))
         delta = deltas[at[widest]]
@@ -299,12 +309,83 @@ def property6_by_chunks(chain, space):
     return report
 
 
-def by_level(chain, arrays):
-    """Flat per-block arrays, the blocks of all levels numbered level after
-    level as _block_extents returns them, split into one list of per-level
-    views each, as _block_extents returned them before."""
-    offsets = _block_offsets(chain).tolist()
-    return tuple([flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])] for flat in arrays)
+def by_level(chain, nodes):
+    """The node arrays of partitions._block_tree laid out as the level
+    kernels return them: per level, one array each of diameters, gaps and
+    connected over the level's blocks in block order, the nodes born at or
+    before the level that die after it, numbered by least member."""
+    start, end, born, dies, *arrays = nodes
+    least = np.array([chain.order[s:e].min() for s, e in zip(start.tolist(), end.tolist())])
+    out = tuple([] for _ in arrays)
+    for level in range(len(chain)):
+        alive = np.flatnonzero((born <= level) & (level < dies))
+        alive = alive[np.argsort(least[alive])]
+        assert len(alive) == chain.stats[level].cardinality
+        for rows, values in zip(out, arrays):
+            rows.append(values[alive])
+    return out
+
+
+def block_extents_suffix(space, chain):
+    """Diameter and largest gap of every block of every level of a chain,
+    per level in block order, as partitions._block_extents made them before
+    the block tree: each pair run and tree edge with split key k raises its
+    point's entry at level k - 1; a reverse accumulate over the levels
+    then holds, at (level, point), the reduction of the items that level
+    still joins there, and one grouped reduction by (level, block) gives
+    every block. Levels go in chunks (level_chunks), finest first, each
+    carrying the accumulate's first row to the next."""
+    n = space.n
+    if len(chain.order) != n:
+        raise ValueError("chain does not match the space")
+    order, parent, weight = _spanning_tree(space)
+    at = np.argsort(chain.order)[np.stack((order[1:], parent[1:]), axis=1)]
+    at.sort(axis=1)  # each tree edge's leaf positions, ascending
+    tree_keys = np.minimum.reduceat(np.append(chain.h, len(chain)), at.reshape(-1))[::2]
+    runs = [np.concatenate(part) for part in zip(*_pair_runs(space, chain.order, chain.h,
+                                                             len(chain)))]
+    points, keys, high = runs[:3] if runs else [np.zeros(0, dtype=np.intp)] * 3
+    items = ((keys, points, high, np.maximum), (tree_keys, order[1:], weight[1:], np.maximum),
+             (tree_keys, order[1:], np.ones(n - 1), np.add))
+    offsets = block_offsets(chain)
+    diameters, gaps = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+    connected = np.empty(offsets[-1], dtype=bool)
+    carry = [np.zeros(n), np.zeros(n), np.zeros(n)]
+    for lo, hi, block in level_chunks(chain, offsets):
+        here = slice(offsets[lo], offsets[hi])
+        edges = np.zeros(offsets[hi] - offsets[lo])
+        for k, ((item_keys, item_points, values, ufunc), out) in enumerate(
+                zip(items, (diameters[here], gaps[here], edges))):
+            take = (item_keys > lo) & (item_keys <= hi)
+            acc = np.zeros((hi - lo, n))
+            ufunc.at(acc.reshape(-1), (item_keys[take] - (lo + 1)) * n + item_points[take],
+                     values[take])
+            ufunc(acc[-1], carry[k], out=acc[-1])
+            ufunc.accumulate(acc[::-1], axis=0, out=acc[::-1])
+            ufunc.at(out, block, acc.reshape(-1))
+            carry[k] = acc[0].copy()
+        connected[here] = edges == np.bincount(block, minlength=len(edges)) - 1
+    flat = (_gather(space.values, diameters), _gather(space.values, gaps), connected)
+    bounds = offsets.tolist()
+    return tuple([values[lo:hi] for lo, hi in zip(bounds, bounds[1:])] for values in flat)
+
+
+def block_offsets(chain):
+    """Where each level's blocks start when the blocks of all levels are
+    numbered in one row, level after level; the last entry counts them all."""
+    return np.concatenate(([0], np.cumsum([st.cardinality for st in chain.stats])))
+
+
+def level_chunks(chain, offsets):
+    """The levels in chunks of about spaces._BLOCK_ENTRIES (level, point)
+    entries, finest first: (lo, hi, block), where block[(l - lo) * n + p]
+    is the number, less offsets[lo], of p's block at level l."""
+    n = len(chain.order)
+    step = max(1, min(_spaces._BLOCK_ENTRIES, n * (n - 1) // 2) // n)
+    for hi in range(len(chain), 0, -step):
+        lo = max(hi - step, 0)
+        labels = _run_labels(chain.order, chain.h, np.arange(lo, hi))
+        yield lo, hi, (labels + (offsets[lo:hi] - offsets[lo])[:, None]).reshape(-1)
 
 
 def block_extents(space, chain):

@@ -1,4 +1,5 @@
-"""Every block's diameter and largest gap read off one spanning tree, the
+"""Every block's diameter and largest gap read off one spanning tree, with
+one largest_gap call per widest block the tree does not connect, the
 one-level singleton terminal, the known diameters of trusted builders and
 the ball-chain spectrum, against the code they replaced (kept in
 oracles.py). Inputs are random Euclidean clouds, tie-heavy quantized
@@ -16,7 +17,7 @@ import metriclab as ml
 import oracles
 from metriclab import logratio, partitions
 from metriclab._util import as_float
-from metriclab.partitions import _block_extents
+from metriclab.partitions import _block_tree
 from metriclab.zoo import product_factors
 from conftest import euclidean_space
 from test_ties import quantized_space
@@ -88,7 +89,7 @@ def test_property6_equals_block_loop(case):
 @given(chains())
 def test_block_extents_equal_block_loop(case):
     space, chain = case
-    diameters, gaps, connected = oracles.by_level(chain, _block_extents(space, chain))
+    diameters, gaps, connected = oracles.by_level(chain, _block_tree(space, chain))
     for level, diam, gap, joined, (old_diam, old_gap) in zip(
             chain.levels, diameters, gaps, connected, oracles.block_extents(space, chain)):
         assert list(diam) == old_diam
@@ -109,6 +110,24 @@ def test_nested_chains_reach_the_fallback(monkeypatch):
     assert (ml.profile(chain, space=space).property6
             == oracles.property6(chain, space))
     assert calls[0] > 0
+
+
+def test_largest_gap_runs_once_per_unconnected_widest_block(monkeypatch):
+    """One call per distinct widest block that the spanning tree does not
+    connect, however many levels have it as a widest block."""
+    calls = count_largest_gap(monkeypatch)
+    items = blocks = 0
+    for seed, n, coarsenings in ((0, 20, 3), (1, 30, 4), (2, 12, 2), (3, 40, 5), (4, 60, 6)):
+        space = euclidean_space(seed, n)
+        chain = nested_chain(space, seed, coarsenings)
+        for ch in (chain, ml.with_singleton_terminal(space, chain)):
+            fallback = [(i, b) for i, _, b in oracles.widest_blocks(ch, space)
+                        if not oracles.tree_connects(space, b)]
+            calls[0] = 0
+            assert ml.profile(ch, space=space).property6 == oracles.property6(ch, space)
+            assert calls[0] == len({b for _, b in fallback})
+            items, blocks = items + len(fallback), blocks + calls[0]
+    assert items > blocks > 0  # some such block is widest on two levels or more
 
 
 def test_singletons_never_count_as_widest_blocks():
@@ -152,7 +171,7 @@ def test_profile_makes_no_largest_gap_call_on_spanned_chains(monkeypatch):
     calls = count_largest_gap(monkeypatch)
     checked = 0
     for space, chain in spanned_chains():
-        assert _block_extents(space, chain)[2].all()
+        assert _block_tree(space, chain)[-1].all()
         report = ml.profile(chain, space=space).property6
         assert calls == [0]
         assert report == oracles.property6(chain, space)

@@ -1,8 +1,10 @@
-"""The suffix reduction of partitions._block_extents against the level by
-level bottom-up kernel it replaced (oracles.block_extents_by_level), bit
-for bit and in memory; the one-scan burn-in of profile against the tail
-loop it replaced (oracles.settled_from); and the memory _pair_logs takes
-to log every pair of a matrix."""
+"""The block tree of partitions._block_tree laid out level by level
+(oracles.by_level) against the suffix reduction it replaced
+(oracles.block_extents_suffix) and the level by level bottom-up kernel
+before that (oracles.block_extents_by_level), bit for bit and in memory;
+the one-scan burn-in of profile against the tail loop it replaced
+(oracles.settled_from); and the memory _pair_logs takes to log every pair
+of a matrix."""
 
 import math
 import tracemalloc
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import metriclab as ml
 import oracles
 from metriclab import logratio, partitions, spaces
-from metriclab.partitions import _block_extents
+from metriclab.partitions import _block_tree
 from metriclab.ultrametrize import _pair_logs
 from conftest import euclidean_space
 from test_block_extents import CHECKS, chains
@@ -32,31 +34,33 @@ def same_array(new, old):
 @CHECKS
 @given(chains(), st.sampled_from((1, 40, spaces._BLOCK_ENTRIES)))
 def test_block_extents_equal_the_level_loop(case, chunk):
-    """Every per-level array, diameters, gaps and connected, in chunks of
-    one level and one matrix row up to the default chunks."""
+    """Every per-level array, diameters, gaps and connected, with pair
+    blocks of one leaf row up to the default budget."""
     space, chain = case
     with mock.patch.object(spaces, "_BLOCK_ENTRIES", chunk):
         for ch in (chain, ml.with_singleton_terminal(space, chain)):
-            new = oracles.by_level(ch, _block_extents(space, ch))
-            old = oracles.block_extents_by_level(space, ch)
-            for new_levels, old_levels in zip(new, old):
-                assert len(new_levels) == len(old_levels) == len(ch)
-                for a, b in zip(new_levels, old_levels):
-                    same_array(a, b)
+            new = oracles.by_level(ch, _block_tree(space, ch))
+            for old in (oracles.block_extents_suffix(space, ch),
+                        oracles.block_extents_by_level(space, ch)):
+                for new_levels, old_levels in zip(new, old, strict=True):
+                    assert len(new_levels) == len(old_levels) == len(ch)
+                    for a, b in zip(new_levels, old_levels):
+                        same_array(a, b)
 
 
 def test_block_extents_take_no_more_memory_than_the_level_loop():
+    """At n = 400 the block tree, read in two pair blocks, peaks no higher
+    than the suffix kernel or the level loop."""
     space = euclidean_space(3, 400)
     chain = ml.dendrogram_chain(space)
-    offsets = partitions._block_offsets(chain)
-    assert len(list(partitions._level_chunks(chain, offsets))) > 1
+    assert len(list(partitions._pair_runs(space, chain.order, chain.h, len(chain)))) > 1
     peaks = []
-    for kernel in (_block_extents, oracles.block_extents_by_level):
+    for kernel in (_block_tree, oracles.block_extents_suffix, oracles.block_extents_by_level):
         tracemalloc.start()
         kernel(space, chain)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert peaks[0] <= peaks[1]
+    assert peaks[0] <= min(peaks[1:])
 
 
 @st.composite

@@ -1,6 +1,7 @@
-"""Each statistic reads a chain's (order, h) once: Property 6 in one pass
-over _block_extents' output against the chunk walk it replaced
-(oracles.property6_by_chunks), with no labels table left on the chain;
+"""Each statistic reads a chain's (order, h) once: Property 6 over the
+block tree (partitions._block_tree) against the chunk walk over the suffix
+kernel before it (oracles.property6_by_chunks), with no labels table left
+on the chain;
 rho's ranks taken from the stats against those of the split matrix
 (oracles.level_ranks), with no second pair stream; and partition_stats as
 a one-level chain against the label-array kernel _label_stats; and the

@@ -23,7 +23,7 @@ import oracles
 from metriclab import cli, embedding, logratio, partitions, spaces, ultrametrize
 from metriclab._util import dumps
 from metriclab.errors import EmptyWindow
-from metriclab.partitions import _block_extents
+from metriclab.partitions import _block_tree
 from metriclab.spaces import _worst_triple
 from metriclab.zoo import _sequence_points, product_factors
 from conftest import euclidean_space
@@ -158,7 +158,7 @@ def test_rank_kernels_equal_fraction_comparisons(case, p, epsilon):
         full = ml.with_singleton_terminal(space, given_chain)
         same_chain(full, oracles.chain_on_values(space, oracles.split(full), full.thresholds,
                                                  full.level_ids))
-        diameters, gaps, connected = oracles.by_level(full, _block_extents(space, full))
+        diameters, gaps, connected = oracles.by_level(full, _block_tree(space, full))
         for lvl, (old_diameters, old_gaps) in enumerate(oracles.block_extents(space, full)):
             same_entries(diameters[lvl], old_diameters)
             same_entries(gaps[lvl][connected[lvl]],
@@ -227,7 +227,7 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     9 and on Cantor depth 6, oracle on seq_geometric depth 6, dimension on
     seq_geometric depth 60 and Cantor depth 6, partition_stats and
     associated_endpoints compare no Fraction inside _chain_stats, the pair
-    stream _pair_runs, _prim, _leaf_matrix, _block_extents, is_ultrametric's accept test (a passing
+    stream _pair_runs, _prim, _leaf_matrix, _block_tree, is_ultrametric's accept test (a passing
     rho), the certificate's per-level checks (_sandwich), whose d <= rho
     operands are float64 ranks, _label_stats, separated_count,
     estimate_metric_dimension or associated_endpoints."""
@@ -272,7 +272,7 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
         watched(module, "_leaf_matrix")
     watched(partitions, "_chain_stats")
     watched(partitions, "_pair_runs")
-    watched(logratio, "_block_extents")
+    watched(logratio, "_block_tree")
     watched(ultrametrize, "is_ultrametric", accepts)
     watched(ultrametrize, "_sandwich")
     watched(ultrametrize, "_pair_logs", float_ranks)
@@ -301,7 +301,7 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     assert counts["inside"] == 0
     assert counts["outside"] > 0  # the patch sees the comparisons made elsewhere
     assert set(calls) == {"_prim", "_leaf_matrix", "_chain_stats", "_pair_runs",
-                          "_block_extents", "is_ultrametric", "_sandwich", "_pair_logs",
+                          "_block_tree", "is_ultrametric", "_sandwich", "_pair_logs",
                           "_label_stats", "separated_count", "estimate_metric_dimension",
                           "associated_endpoints"}
 
