@@ -25,8 +25,9 @@ import numpy as np
 from ._util import DEFAULT_TOL, as_float, field_report, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
 from . import spaces
-from .spaces import (FiniteMetricSpace, _at_subdominant, _gather, _leaf_rows, _pair_blocks,
-                     _rank_bound, _row_blocks, _spanning_tree, _zero, is_ultrametric, subspace)
+from .spaces import (FiniteMetricSpace, _at_subdominant, _gather, _leaf_rows, _nearest,
+                     _pair_blocks, _rank_bound, _row_blocks, _spanning_tree, _zero,
+                     is_ultrametric, subspace)
 
 
 class Partition:
@@ -194,8 +195,9 @@ class PartitionChain:
     thresholds[i] is the merge radius that produced level i (None for levels
     not born from a merge, like a leading trivial partition). level_ids keeps
     external numbering for sampled families; defaults to positional indices.
-    extremes, (top, low), are the largest and least rank of a pair split at
-    each level 0..len(chain), kept from the stats' pass (_split_extremes).
+    cuts, (top, low), are the largest and least rank of the pairs whose
+    first least h lies at each adjacent-leaf position (_cut_extremes), kept
+    from the stats' pass for the certificate and _block_tree to read.
     """
 
     order: np.ndarray = field(repr=False)
@@ -203,7 +205,7 @@ class PartitionChain:
     stats: tuple
     thresholds: tuple
     level_ids: tuple
-    extremes: tuple | None = field(default=None, repr=False)
+    cuts: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def from_partitions(cls, space, levels, thresholds=None, level_ids=None) -> "PartitionChain":
@@ -227,7 +229,7 @@ class PartitionChain:
     def _of_leaves(cls, space, order, h, length, thresholds=None,
                    level_ids=None) -> "PartitionChain":
         """The chain of a leaf order and its adjacent split levels, with the
-        stats read off its pairs (_pair_runs)."""
+        stats read off its pairs in one pass (_pair_runs), kept as cuts."""
         order, h = np.asarray(order, dtype=np.intp), np.asarray(h, dtype=np.int32)
         if len(order) != space.n:
             raise ValueError("chain does not match the space")
@@ -235,9 +237,9 @@ class PartitionChain:
         level_ids = tuple(range(length)) if level_ids is None else tuple(level_ids)
         order.setflags(write=False)
         h.setflags(write=False)
-        extremes = _split_extremes(space, order, h, length)
-        return cls(order, h, _chain_stats(space, order, h, length, extremes), thresholds,
-                   level_ids, extremes)
+        cuts = _cut_extremes(space, order, h, length)
+        return cls(order, h, _chain_stats(space, order, h, length, cuts), thresholds,
+                   level_ids, cuts)
 
     def __eq__(self, other):
         return (isinstance(other, PartitionChain) and len(self.order) == len(other.order)
@@ -302,8 +304,9 @@ def _pair_runs(space: FiniteMetricSpace, order, h, length):
     """Every pair of a chain, read from (order, h) in blocks of leaf rows of
     about spaces._BLOCK_ENTRIES entries. Along row p, the split levels of
     (order[p], order[q]), q > p, are a running minimum of h; each run of
-    equal level yields the point order[p], the level, and the run's largest
-    and least rank, as arrays per block."""
+    equal level starts at the q whose h[q - 1] first reaches it, and yields
+    that cut q - 1 and the run's largest and least rank, as arrays per
+    block."""
     n, lo = len(order), 0
     while lo < n - 1:  # the last leaf row holds no pair
         width = n - lo
@@ -314,31 +317,42 @@ def _pair_runs(space: FiniteMetricSpace, order, h, length):
         starts = np.flatnonzero(np.insert(levels[1:] != levels[:-1], 0, True))
         real = levels[starts] <= length
         ranks = space.rank[order[lo:lo + rows, None], order[lo:]].reshape(-1)
-        yield (order[lo + starts[real] // width], levels[starts[real]],
-               np.maximum.reduceat(ranks, starts)[real], np.minimum.reduceat(ranks, starts)[real])
+        yield (lo - 1 + starts[real] % width, np.maximum.reduceat(ranks, starts)[real],
+               np.minimum.reduceat(ranks, starts)[real])
         lo += rows
 
 
-def _split_extremes(space: FiniteMetricSpace, order, h, length):
-    """(top, low): per split level 0..length, the largest and least rank of a
-    pair split there (0, inf for none), grouped from the pair runs."""
-    top = np.zeros(length + 1)
-    low = np.full(length + 1, np.inf)
-    for _, keys, high, least in _pair_runs(space, order, h, length):
-        np.maximum.at(top, keys, high)
-        np.minimum.at(low, keys, least)
+def _cut_extremes(space: FiniteMetricSpace, order, h, length):
+    """(top, low): per adjacent-leaf position m, the largest and least rank
+    of the pairs (order[p], order[q]) whose least h[p..q-1] first occurs at
+    m, from the pair runs: their least common block has dies h[m]."""
+    top, low = np.zeros(len(h)), np.full(len(h), np.inf)
+    for at, high, least in _pair_runs(space, order, h, length):
+        np.maximum.at(top, at, high)
+        np.minimum.at(low, at, least)
     return top, low
 
 
-def _level_ranks(space: FiniteMetricSpace, order, h, length, extremes=None):
+def _level_extremes(space: FiniteMetricSpace, order, h, length, cuts=None):
+    """(top, low): per split level 0..length, the largest and least rank of a
+    pair split there (0, inf for none), the cuts (_cut_extremes) by their h."""
+    cut_top, cut_low = cuts or _cut_extremes(space, order, h, length)
+    top, low = np.zeros(length + 1), np.full(length + 1, np.inf)
+    np.maximum.at(top, h, cut_top)
+    np.minimum.at(low, h, cut_low)
+    return top, low
+
+
+def _level_ranks(space: FiniteMetricSpace, order, h, length, cuts=None):
     """(delta, gamma): per level, the rank of the largest distance of a pair
     split after it (0 when none is) and of the smallest of a pair split at or
-    before it (inf when none is): a suffix max and a prefix min of extremes."""
-    top, low = extremes or _split_extremes(space, order, h, length)
+    before it (inf when none is): a suffix max and a prefix min of the split
+    extremes (_level_extremes)."""
+    top, low = _level_extremes(space, order, h, length, cuts)
     return np.maximum.accumulate(top[::-1])[-2::-1], np.minimum.accumulate(low)[:length]
 
 
-def _chain_stats(space: FiniteMetricSpace, order, h, length, extremes=None) -> tuple:
+def _chain_stats(space: FiniteMetricSpace, order, h, length, cuts=None) -> tuple:
     """partition_stats of every level, read off the chain's pairs.
 
     The extremes run on ranks (_level_ranks), and each level's delta and
@@ -346,7 +360,7 @@ def _chain_stats(space: FiniteMetricSpace, order, h, length, extremes=None) -> t
     comparing any. Level l has 1 + #{h <= l} blocks, the runs of the leaf
     order; a level of one block has the space diameter as gamma.
     """
-    delta, gamma = _level_ranks(space, order, h, length, extremes)
+    delta, gamma = _level_ranks(space, order, h, length, cuts)
     cards = 1 + np.searchsorted(np.sort(h), np.arange(len(delta)), side="right")
     zero = _zero(space.exact)
     deltas = [v if r else zero for r, v in zip(delta.tolist(), _gather(space.values, delta))]
@@ -369,19 +383,18 @@ def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> 
     """Append the all-singleton level when the chain does not separate points.
 
     The pairs the chain never separated are split at the new level, so h,
-    the old levels' stats and split extremes stay. The new level has delta
-    zero and, as gamma, the smallest pair of the space.
+    the old levels' stats and the cuts stay. The new level has delta zero
+    and, as gamma, the smallest pair of the space (spaces._nearest).
     """
     if len(chain.order) != space.n:
         raise ValueError("chain does not match the space")
     if chain.stats[-1].cardinality == space.n:
         return chain
-    least = np.min(space.rank, where=~np.eye(space.n, dtype=bool), initial=np.inf)
+    least = _nearest(space.rank).min()
     terminal = PartitionStats(_zero(space.exact), _gather(space.values, least), 0.0, space.n)
-    extremes = chain.extremes and tuple(map(np.append, chain.extremes, (0.0, np.inf)))
     return PartitionChain(chain.order, chain.h, chain.stats + (terminal,),
                           chain.thresholds + (None,), chain.level_ids + (chain.level_ids[-1] + 1,),
-                          extremes)
+                          chain.cuts)
 
 
 def dendrogram_chain(space: FiniteMetricSpace) -> PartitionChain:
@@ -452,10 +465,11 @@ def _block_tree(space: FiniteMetricSpace, chain: PartitionChain):
     nodes of _tree_nodes, node i the block order[start:end] of levels born
     to dies - 1. A pair split at level k lies in the blocks of the levels
     before k: its least common block, the node with dies k over the pair's
-    leaf positions, and that node's ancestors. Each pair run (_pair_runs)
-    and each spanning-tree edge (split at the least h between its ends'
-    leaf positions) is reduced once into that node, then over each node's
-    subtree, one range of the post-order:
+    leaf positions, and that node's ancestors. Each cut m of the chain
+    (read off its pairs if a hand-made chain kept none) goes once into the
+    node of dies h[m] over leaf m, and each spanning-tree edge, split at
+    the least h between its ends' leaf positions, into its node; then over
+    each node's subtree, one range of the post-order:
       - the diameter is the largest pair inside the block;
       - the largest gap reads the whole space's spanning tree. When the
         tree edges inside a block B number |B| - 1, they connect B and, by
@@ -482,8 +496,8 @@ def _block_tree(space: FiniteMetricSpace, chain: PartitionChain):
 
     where = np.argsort(chain.order)
     own = np.zeros((3, len(start) + 1))  # diameter, gap and edge count of each node, and a pad
-    for points, levels, high, _ in _pair_runs(space, chain.order, chain.h, len(chain)):
-        np.maximum.at(own[0], holding(levels, where[points]), high)
+    top = (chain.cuts or _cut_extremes(space, chain.order, chain.h, len(chain)))[0]
+    np.maximum.at(own[0], holding(chain.h, np.arange(n - 1)), top)
     order, parent, weight = _spanning_tree(space)
     pos = np.sort(where[np.stack((order[1:], parent[1:]), axis=1)], axis=1)  # of each edge
     at = holding(np.minimum.reduceat(np.append(chain.h, len(chain)), pos.reshape(-1))[::2],

@@ -38,15 +38,17 @@ class FiniteMetricSpace:
     __slots__ = ("labels", "dist", "diameter", "exact", "rescaled", "values", "rank", "_mst")
 
     def __init__(self, labels, dist, *, exact=False, rescaled=False, _trusted=False,
-                 diameter=None, _ranks=None):
-        """diameter and _ranks, accepted only with _trusted, are what the
-        builder already knows: the largest entry, and an exact space's
-        (values, rank) pair. values may hold more Fractions than the matrix
-        does (a table shared with the space it came from); an exact space
-        built without the pair is ranked here, by _ranked."""
+                 diameter=None, _ranks=None, _tree=None):
+        """diameter, _ranks and _tree, accepted only with _trusted, are what
+        the builder already knows: the largest entry, an exact space's
+        (values, rank) pair, and a function that returns _prim(rank), bit
+        for bit, or None where it cannot, run by _spanning_tree on first
+        use. values may hold more Fractions than the matrix does (a table
+        shared with the space it came from); an exact space built without
+        the pair is ranked here, by _ranked."""
         labels = tuple(str(x) for x in labels)
-        if (diameter is not None or _ranks is not None) and not _trusted:
-            raise ValueError("only a trusted builder may pass the diameter or ranks")
+        if (diameter is not None or _ranks is not None or _tree is not None) and not _trusted:
+            raise ValueError("only a trusted builder may pass the diameter, ranks or tree")
         if _trusted:
             matrix = np.asarray(dist, dtype=object if exact else float)
         else:
@@ -69,7 +71,7 @@ class FiniteMetricSpace:
         if diameter is None:
             diameter = _gather(self.values, self.rank.max()) if len(labels) > 1 else _zero(exact)
         self.diameter = diameter
-        self._mst = None  # its spanning tree, built on first use by _spanning_tree
+        self._mst = _tree  # its spanning tree once _spanning_tree has run
 
     @property
     def n(self) -> int:
@@ -316,18 +318,24 @@ def _within_nearest_sums(m, tol):
     bound; integer and Fraction entries compare exactly. m must be exactly
     symmetric. It is read a block of rows at a time and never written, and
     the scan stops at the first block holding a pair above its bound."""
-    n = len(m)
-    near = np.empty(n, dtype=m.dtype)
-    for a, b in _row_blocks(n, n):
-        block = m[a:b].copy()
-        block[np.arange(b - a), np.arange(a, b)] = np.inf  # the diagonal, in the copy only
-        near[a:b] = block.min(axis=1)
-        del block  # before the next block's copy is made
+    n, near = len(m), _nearest(m)
     for a, b in _row_blocks(n, n):
         excess = near[a:b, None] + near[a:]
         if (np.subtract(m[a:b, a:], excess, out=excess) > tol).any():
             return False
     return True
+
+
+def _nearest(m):
+    """The least off-diagonal entry of each row of a square matrix of n >= 2
+    rows, read a block of rows at a time, each copied to set its diagonal."""
+    near = np.empty(len(m), dtype=m.dtype)
+    for a, b in _row_blocks(len(m), len(m)):
+        block = m[a:b].copy()
+        block[np.arange(b - a), np.arange(a, b)] = np.inf  # the diagonal, in the copy only
+        near[a:b] = block.min(axis=1)
+        del block  # before the next block's copy is made
+    return near
 
 
 def _hull(m, combine):
@@ -500,14 +508,13 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
 # which the pair scan reads (_at_subdominant) and _leaf_matrix writes.
 
 def _spanning_tree(space: FiniteMetricSpace):
-    """_prim of the space's rank, built on the first call and kept on the
-    space, which never changes: every later call returns the same arrays,
-    read-only."""
-    if space._mst is None:
-        tree = _prim(space.rank)
-        for part in tree:
-            part.setflags(write=False)
-        space._mst = tree
+    """_prim of the space's rank, from a trusted builder's _tree or else
+    _prim, on the first call, kept on the space, which never changes: every
+    later call returns the same arrays, read-only."""
+    if not isinstance(space._mst, tuple):  # None, or the builder's function
+        space._mst = (space._mst and space._mst()) or _prim(space.rank)
+    for part in space._mst:
+        part.setflags(write=False)
     return space._mst
 
 
@@ -627,7 +634,8 @@ def from_csv(text: str, *, tol: float = DEFAULT_TOL, rescale: bool = False) -> F
     """
     _require_short_fields(text)
     tail = text[text.rfind("\n") + 1:] + "\n"  # each line split at LF, with an LF
-    lines = chain(map(re.Match.group, re.finditer("[^\n]*\n", text)), [tail])
+    last = len(text) - len(tail) + 1  # past the last LF; a scan on retries the tail per character
+    lines = chain(map(re.Match.group, re.compile("[^\n]*\n").finditer(text, 0, last)), [tail])
     reader = csv.reader(lines)
     try:
         labels = next((row for row in reader if row), None)

@@ -28,7 +28,7 @@ from ._util import DEFAULT_TOL, as_float, field_report, flog
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile  # noqa: F401 (a binding the bench tracer re-binds)
 from .partitions import (PartitionChain, PartitionStats, _decay_witness, _log_ratio,
-                         _require_separating, _split_extremes, classify_chain, r_estimate)
+                         _level_extremes, _require_separating, classify_chain, r_estimate)
 from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _pair_at, _pair_blocks,
                      _rank_bound, _spanning_tree, is_ultrametric)
 
@@ -51,9 +51,8 @@ def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> Part
     h, top = chain.h + 1, space.diameter
     h.setflags(write=False)
     head = PartitionStats(top, top, _log_ratio(top, top), 1)
-    extremes = chain.extremes and tuple(map(np.insert, chain.extremes, (0, 0), (0.0, np.inf)))
     return PartitionChain(chain.order, h, (head,) + chain.stats, (None,) + chain.thresholds,
-                          (int(chain.level_ids[0]) - 1,) + chain.level_ids, extremes)
+                          (int(chain.level_ids[0]) - 1,) + chain.level_ids, chain.cuts)
 
 
 def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> np.ndarray:
@@ -337,7 +336,7 @@ def _sandwich(space, chain, rho, exponent, log_k):
              else np.array([_rank_bound(space, v, True) for v in value]))
     clog = np.array(list(map(flog if space.exact else math.log, value.tolist())))
     shift, floor = exponent * clog, log_k - LOG_SLACK
-    extremes = chain.extremes or _split_extremes(space, chain.order, chain.h, len(chain))
+    extremes = _level_extremes(space, chain.order, chain.h, len(chain), chain.cuts)
     top, least = (x[levels] for x in extremes)
     logs = _value_logs(space.values)
     log_of = math.log if logs is None else (lambda r: logs[int(r)])

@@ -17,13 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from ._util import LN2, coprime_fraction, max_points
 from .errors import CapExceeded, DepthOverflow, ExactModeSizeExceeded
 from .partitions import PartitionChain
-from .spaces import FiniteMetricSpace, _gather, _ranked, _zero, _zeros, sup_product
+from .spaces import (FiniteMetricSpace, _gather, _ranked, _row_blocks, _zero, _zeros,
+                     sup_product)
 
 KINDS = ("seq_factorial", "seq_power_tower", "seq_geometric", "seq_polynomial",
          "seq_log", "product_geometric", "cantor_factorial", "sqrt_ultra")
@@ -248,15 +250,40 @@ def _gap(a, b):
 def _pair_space(labels, values, pair, exact):
     """The trusted space of pair (_gap or np.maximum) over a sequence
     sample, 0 then decreasing r_n, whose diameter is entry [0, 1]: one outer
-    pair with +0.0 on the diagonal in float, _dyadic_ranks in exact mode."""
-    if not exact:
+    pair with +0.0 on the diagonal in float, _dyadic_ranks in exact mode,
+    with _sequence_tree as its spanning tree, run only if one is read."""
+    if exact:
+        table, rank = _dyadic_ranks(values, pair)
+        dist, diameter = _gather(table, rank), table[-1]
+    else:  # a float space is its own rank
         arr = np.asarray(values, dtype=float)
-        dist = pair(arr[:, None], arr[None, :])
-        np.fill_diagonal(dist, 0.0)
-        return FiniteMetricSpace(labels, dist, _trusted=True, diameter=dist[0, 1])
-    table, rank = _dyadic_ranks(values, pair)
-    return FiniteMetricSpace(labels, _gather(table, rank), exact=True, _trusted=True,
-                             diameter=table[-1], _ranks=(table, rank))
+        table, rank = None, pair(arr[:, None], arr[None, :])
+        np.fill_diagonal(rank, 0.0)
+        dist, diameter = rank, rank[0, 1]
+    tree = partial(_sequence_tree, rank, pair is np.maximum)
+    return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=diameter,
+                             _ranks=(table, rank), _tree=tree)
+
+
+def _sequence_tree(rank, star):
+    """spaces._prim(rank) of a sequence sample, or None if the rank fails
+    the check that proves it. If every row, its columns in leaf order (1,
+    ..., d, 0), falls strictly to the diagonal and rises strictly past it,
+    Prim from 0 attaches the points by value, 0, r_d, ..., r_1, each to the
+    one before (a path, as |x - y| gives). If a row is level past its first
+    step instead (max(x, y), a star), each attaches to 0. A rounding tie
+    (0.5 - 2^-120 is 0.5) fails the check. O(n^2), in blocks of rows."""
+    n = len(rank)
+    leaf = np.roll(np.arange(n), -1)
+    for a, b in _row_blocks(n, n):  # step t of leaf row a + i goes from column t to t + 1
+        steps = np.diff(np.roll(rank[leaf[a:b]], -1, axis=1), axis=1)
+        rises = (np.array_equal(steps > 0, np.eye(b - a, n - 1, a, dtype=bool)) if star
+                 else steps.all())  # a path rises wherever it does not fall
+        if not rises or not np.array_equal(steps < 0, np.tri(b - a, n - 1, a - 1, dtype=bool)):
+            return None
+    order = leaf[::-1]
+    parent = np.zeros(n, dtype=np.intp) if star else np.insert(order[:-1], 0, 0)
+    return order, parent, rank[order, parent]
 
 
 def _dyadic_ranks(values, pair):

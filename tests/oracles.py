@@ -51,7 +51,10 @@ block tree `partitions._block_tree` reduced each distinct block once
 level kernels return), `property6_by_chunks` the computation-rule check
 of `profile` that walked the suffix kernel's output one chunk of levels
 at a time, `widest_blocks` the widest blocks of each level that
-`property6` reads, and
+`property6` reads, `pair_runs` the pair stream that yielded each run's
+row point and split level, and `split_extremes` the per-level extremes
+grouped from it, before a chain kept one reduction per cut of its leaf
+order for its stats and its block tree to share, and
 `settled_from` the burn-in loop of `profile` that rescanned the tail of
 the R sequence from each proper level. The last
 section holds the code of chains whose datum was the n x n split matrix:
@@ -90,10 +93,11 @@ from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSepa
                               PackingInfeasible)
 from metriclab import spaces as _spaces
 from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
-                                  _pair_runs, _require_separating, _run_labels,
+                                  _require_separating, _run_labels,
                                   classify_chain, dendrogram_chain, largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
-                              _leaf_matrix, _prim, _spanning_tree, _zero, _zeros, validate)
+                              _leaf_matrix, _leaf_rows, _prim, _spanning_tree, _zero, _zeros,
+                              validate)
 from metriclab import ultrametrize as _ultrametrize
 from metriclab.errors import CertificateRefused, CertificateViolated
 from metriclab.partitions import _decay_witness
@@ -326,6 +330,35 @@ def by_level(chain, nodes):
     return out
 
 
+def pair_runs(space, order, h, length):
+    """partitions._pair_runs as it yielded each run's row point and split
+    level, before it yielded the run's cut: per block of leaf rows, the
+    point order[p], the level, and the run's largest and least rank."""
+    n, lo = len(order), 0
+    while lo < n - 1:
+        width = n - lo
+        rows = min(max(1, _spaces._BLOCK_ENTRIES // width), width - 1)
+        levels = _leaf_rows(h[lo:], np.minimum, length + 1, rows).reshape(-1)
+        starts = np.flatnonzero(np.insert(levels[1:] != levels[:-1], 0, True))
+        real = levels[starts] <= length
+        ranks = space.rank[order[lo:lo + rows, None], order[lo:]].reshape(-1)
+        yield (order[lo + starts[real] // width], levels[starts[real]],
+               np.maximum.reduceat(ranks, starts)[real], np.minimum.reduceat(ranks, starts)[real])
+        lo += rows
+
+
+def split_extremes(space, order, h, length):
+    """(top, low) per split level 0..length, grouped from the runs by their
+    level, as partitions._split_extremes made a chain's extremes before it
+    kept one reduction per cut."""
+    top = np.zeros(length + 1)
+    low = np.full(length + 1, np.inf)
+    for _, keys, high, least in pair_runs(space, order, h, length):
+        np.maximum.at(top, keys, high)
+        np.minimum.at(low, keys, least)
+    return top, low
+
+
 def block_extents_suffix(space, chain):
     """Diameter and largest gap of every block of every level of a chain,
     per level in block order, as partitions._block_extents made them before
@@ -342,8 +375,8 @@ def block_extents_suffix(space, chain):
     at = np.argsort(chain.order)[np.stack((order[1:], parent[1:]), axis=1)]
     at.sort(axis=1)  # each tree edge's leaf positions, ascending
     tree_keys = np.minimum.reduceat(np.append(chain.h, len(chain)), at.reshape(-1))[::2]
-    runs = [np.concatenate(part) for part in zip(*_pair_runs(space, chain.order, chain.h,
-                                                             len(chain)))]
+    runs = [np.concatenate(part) for part in zip(*pair_runs(space, chain.order, chain.h,
+                                                            len(chain)))]
     points, keys, high = runs[:3] if runs else [np.zeros(0, dtype=np.intp)] * 3
     items = ((keys, points, high, np.maximum), (tree_keys, order[1:], weight[1:], np.maximum),
              (tree_keys, order[1:], np.ones(n - 1), np.add))

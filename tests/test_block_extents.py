@@ -6,16 +6,19 @@ oracles.py). Inputs are random Euclidean clouds, tie-heavy quantized
 metrics, float and exact zoo samples, and random nested chains that are not
 single-linkage, whose blocks the spanning tree need not connect."""
 
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import metriclab as ml
 import oracles
-from metriclab import logratio, partitions
+from metriclab import logratio, partitions, spaces
+from metriclab.spaces import _gather
 from metriclab._util import as_float
 from metriclab.partitions import _block_tree
 from metriclab.zoo import product_factors
@@ -195,6 +198,42 @@ def test_with_singleton_terminal_equals_rebuild(case):
     for a, b in zip(new.stats, old.stats):
         assert type(a.delta) is type(b.delta) and type(a.gamma) is type(b.gamma)
     assert np.array_equal(oracles.split(new), oracles.split(old))
+
+
+@CHECKS
+@given(chains(), st.sampled_from((1, 7, spaces._BLOCK_ENTRIES)))
+def test_the_least_pair_by_row_blocks_equals_the_masked_minimum(case, budget):
+    """The singleton terminal's gamma, the least of the rows' nearest
+    ranks read a block of rows at a time, is the minimum of the rank under
+    the n x n off-diagonal mask it replaced."""
+    space, _ = case
+    assume(space.n > 1)
+    masked = np.min(space.rank, where=~np.eye(space.n, dtype=bool), initial=np.inf)
+    coarse = nested_chain(space, 0, 0)
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        least = spaces._nearest(space.rank).min()
+        terminal = ml.with_singleton_terminal(space, coarse).stats[-1]
+    assert least.tobytes() == masked.tobytes()
+    if coarse.stats[-1].cardinality < space.n:
+        assert terminal.gamma == _gather(space.values, masked)
+
+
+def test_the_singleton_terminal_peaks_below_a_tenth_of_the_matrix():
+    """At n = 2,000 the least pair is read in row blocks: no n x n mask."""
+    pts = np.random.default_rng(0).random((2000, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    d /= d.max()
+    np.fill_diagonal(d, 0.0)
+    space = ml.FiniteMetricSpace([f"p{i}" for i in range(2000)], d, _trusted=True)
+    chain = ml.PartitionChain.from_partitions(space, [ml.Partition.trivial(2000)])
+    tracemalloc.start()
+    try:
+        grown = ml.with_singleton_terminal(space, chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grown.stats[-1].gamma == d[~np.eye(2000, dtype=bool)].min()
+    assert peak <= 0.1 * d.nbytes
 
 
 def test_with_singleton_terminal_rejects_another_space():

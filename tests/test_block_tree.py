@@ -6,11 +6,13 @@ entries and of the default budget. Chains are dendrograms of clouds and
 tie-heavy metrics, float and exact zoo chains, ball chains, random nested
 chains from from_partitions, each as is, with its singleton terminal,
 thinned or traced on a subset, and with its first level dropped, so that
-level 0 already splits (an h of 0). Then the tree itself: its live nodes
-are the distinct blocks, each alive exactly on the levels that have it,
-with its subtree in one post-order range; and nodes with no level at all
-(dies <= born), a root over an h of 0 and a leaf between two h that never
-split. Last, the memory of a 2,000-point dendrogram and its profile."""
+level 0 already splits (an h of 0). The extremes a chain groups from the
+cuts of its one pair pass equal those of the runs grouped by level
+(oracles.split_extremes), at the same budgets. Then the tree itself: its
+live nodes are the distinct blocks, each alive exactly on the levels that
+have it, with its subtree in one post-order range; and nodes with no level
+at all (dies <= born), a root over an h of 0 and a leaf between two h that
+never split. Last, the memory of a 2,000-point dendrogram and its profile."""
 
 import tracemalloc
 from unittest import mock
@@ -22,7 +24,8 @@ from hypothesis import strategies as st
 import metriclab as ml
 import oracles
 from metriclab import spaces
-from metriclab.partitions import _block_tree, _tree_nodes
+from metriclab.partitions import _block_tree, _level_extremes, _tree_nodes
+from metriclab.ultrametrize import ensure_trivial_head
 from conftest import euclidean_space
 from test_block_extents import chains as block_chains
 from test_block_suffix import same_array
@@ -56,6 +59,30 @@ def test_block_tree_equals_the_suffix_kernel(case, budget):
                 for a, b in zip(new_levels, old_levels, strict=True):
                     same_array(a, b)
             assert ml.profile(ch, space=space).property6 == oracles.property6_by_chunks(ch, space)
+
+
+@CHECKS
+@given(chains(), BUDGETS)
+def test_extremes_from_the_cuts_equal_the_level_runs(case, budget):
+    """A chain's split extremes, its cuts grouped by h, equal those grouped
+    from the runs by level (oracles.split_extremes), bit for bit: as built, as
+    rebuilt from its leaves at this budget, and with its singleton terminal
+    and its trivial head, which keep the cuts. A chain made by hand keeps
+    none, and its block tree reads its pairs for the same nodes."""
+    space, chain = case
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        rebuilt = ml.PartitionChain._of_leaves(space, chain.order, chain.h, len(chain))
+        for ch in (chain, rebuilt, ml.with_singleton_terminal(space, chain),
+                   ensure_trivial_head(space, chain)):
+            assert ch.cuts is not None
+            for new, old in zip(_level_extremes(space, ch.order, ch.h, len(ch), ch.cuts),
+                                oracles.split_extremes(space, ch.order, ch.h, len(ch)),
+                                strict=True):
+                same_array(new, old)
+        bare = ml.PartitionChain(chain.order, chain.h, chain.stats, chain.thresholds,
+                                 chain.level_ids)
+        for new, old in zip(_block_tree(space, bare), _block_tree(space, chain), strict=True):
+            same_array(new, old)
 
 
 def runs(chain, level):

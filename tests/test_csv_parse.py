@@ -5,10 +5,11 @@ texts to_csv and np.savetxt write and on their variants with quoted, padded
 and oversized fields, blank lines, LF, CRLF or bare-CR line ends, and
 ragged or missing rows; the spellings only float() reads; and the memory
 both take on a 300-point cloud, where the parse itself holds about the
-text plus the array."""
+text plus the array; and the time of a last line with no final LF."""
 
 import csv
 import io
+import time
 import tracemalloc
 
 import numpy as np
@@ -164,3 +165,21 @@ def test_from_csv_parses_in_about_the_text_plus_the_array(monkeypatch):
     # an io.StringIO of the text alone would take 4 bytes a character
     assert matrix.shape == (300, 300) and peak <= 1.3 * len(text) + 3 * matrix.nbytes
 
+
+
+def test_an_unterminated_last_line_splits_in_linear_time():
+    """A one-point text whose row is 100,000 characters parses about as fast
+    without its final LF as with it: the line scan stops at the last LF.
+    Scanning on into the unterminated row retried it from each of its
+    characters, quadratic, over 2,000 times slower at this length."""
+    row = "0" * 100_000
+    best = []
+    for text in ("a\n" + row + "\n", "a\n" + row):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            space = ml.from_csv(text)
+            times.append(time.perf_counter() - start)
+        assert space.n == 1 and space.dist.tolist() == [[0.0]]
+        best.append(min(times))
+    assert best[1] <= 50 * best[0]

@@ -96,22 +96,22 @@ def test_stats_and_rho_equal_the_split_matrix_kernel(case, chunk):
 @CHECKS
 @given(chains(), st.sampled_from(CHUNKS))
 def test_runs_group_each_leaf_row_of_the_split_matrix(case, chunk):
-    """Each run is one (point, level) group of the pairs (order[p], order[q]),
+    """Each run is one (row, level) group of the pairs (order[p], order[q]),
     q > p, of the split matrix, with that group's largest and least rank;
-    together the runs cover every pair once."""
+    its cut is the first least h between leaves p and q, where h is the
+    pair's split level. Together the runs cover every pair once."""
     space, chain = case
     with mock.patch.object(spaces, "_BLOCK_ENTRIES", chunk):
         blocks = list(partitions._pair_runs(space, chain.order, chain.h, len(chain)))
-    groups, split = {}, oracles.split(chain)
+    groups, split, h = {}, oracles.split(chain), chain.h.tolist()
     for p, q in zip(*np.triu_indices(space.n, 1)):
         i, j = chain.order[p], chain.order[q]
-        groups.setdefault((i, split[i, j]), []).append(space.rank[i, j])
-    runs = {}
-    for points, keys, high, low in blocks:
-        for key in zip(points.tolist(), keys.tolist(), high.tolist(), low.tolist()):
-            assert key[:2] not in runs
-            runs[key[:2]] = key[2:]
-    assert runs == {key: (max(r), min(r)) for key, r in groups.items()}
+        cut = p + int(np.argmin(h[p:q]))
+        assert h[cut] == split[i, j]
+        groups.setdefault((p, cut), []).append(space.rank[i, j])
+    runs = [run for at, high, low in blocks
+            for run in zip(at.tolist(), high.tolist(), low.tolist())]
+    assert sorted(runs) == sorted((cut, max(r), min(r)) for (_, cut), r in groups.items())
 
 
 def held(build):
