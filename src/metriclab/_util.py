@@ -92,12 +92,25 @@ def as_floats(values) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+_REPORT_KEYS = {}  # per dataclass, report_keys(cls)
+
+
+def report_keys(cls) -> tuple:
+    """(name, report key) of each field of a dataclass, in order, the key
+    its metadata's "key" where it names one: looked up once per class."""
+    keys = _REPORT_KEYS.get(cls)
+    if keys is None:
+        keys = _REPORT_KEYS[cls] = tuple((f.name, f.metadata.get("key", f.name))
+                                         for f in dataclasses.fields(cls))
+    return keys
+
+
 def field_report(obj, skip=()) -> dict:
     """The fields of a dataclass, in order and less skip, as report values
     (a dataclass's to_report, when it is one of these), each under its
-    metadata's "key" where it names one."""
-    return {f.metadata.get("key", f.name): _report_value(getattr(obj, f.name))
-            for f in dataclasses.fields(obj) if f.name not in skip}
+    report key (report_keys)."""
+    return {key: _report_value(getattr(obj, name))
+            for name, key in report_keys(type(obj)) if name not in skip}
 
 
 def _report_value(x):  # a tuple as a list of its items' values

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, field_report, per_distinct
+from ._util import DEFAULT_TOL, as_float, as_floats, field_report, per_distinct
 from .errors import BoundViolated, DepthOverflow, EmptyWindow, PackingInfeasible
 from .logratio import profile, r_estimate
 from .partitions import PartitionChain, _decay_witness, _require_separating
@@ -249,10 +249,9 @@ def embed_chain(space: FiniteMetricSpace, chain: PartitionChain, N: int,
     _require_separating(chain)
     r_est = r_estimate(chain)
     eps_ok = math.isfinite(r_est) and r_est > 1 and 0 < epsilon < min(1.0, r_est - 1)
-    deltas = [as_float(st.delta) for st in chain.stats]
-    gammas = [as_float(st.gamma) for st in chain.stats]
+    deltas, gammas = as_floats(chain.delta).tolist(), as_floats(chain.gamma).tolist()
     # Level 1: free minimal grid. Block ids number blocks by least member.
-    count0 = chain.stats[0].cardinality
+    count0 = int(chain.cardinality[0])
     side = 1
     while side ** N < count0:
         side += 1
@@ -356,8 +355,7 @@ def select_embeddable_subchain(space: FiniteMetricSpace, chain: PartitionChain,
     proper = chain.proper_indices()
     if not proper:
         raise ValueError("chain has no proper levels to embed")
-    deltas = [as_float(st.delta) for st in chain.stats]
-    gammas = [as_float(st.gamma) for st in chain.stats]
+    deltas, gammas = as_floats(chain.delta).tolist(), as_floats(chain.gamma).tolist()
     picked = [proper[0]]
     while True:
         cur = picked[-1]
@@ -367,7 +365,7 @@ def select_embeddable_subchain(space: FiniteMetricSpace, chain: PartitionChain,
         if found is None:
             break
         picked.append(found)
-    if chain.stats[picked[-1]].cardinality < len(chain.order):
+    if chain.cardinality[picked[-1]] < len(chain.order):
         required = int(np.bincount(chain.labels[picked[-1]]).max())
         raise PackingInfeasible(int(chain.level_ids[picked[-1]]), required, 0)
     # a kept level's split is the first kept level at or after the old one
@@ -378,7 +376,7 @@ def select_embeddable_subchain(space: FiniteMetricSpace, chain: PartitionChain,
 
 def _parents(chain, coarse, fine) -> np.ndarray:
     """The block of level coarse that holds each block of level fine."""
-    parent = np.empty(chain.stats[fine].cardinality, dtype=np.intp)
+    parent = np.empty(chain.cardinality[fine], dtype=np.intp)
     parent[chain.labels[fine]] = chain.labels[coarse]
     return parent
 
@@ -416,13 +414,12 @@ def verify_embedding_distortion(space: FiniteMetricSpace, result: EmbeddingResul
     a time, row-major, from one scan of the chain (spaces._pair_blocks).
     """
     chain = result.chain
-    log_a = _decay_witness(chain.stats, p)[1]
+    log_a = _decay_witness(chain, p)[1]
     r_est = result.R_est
     exponent = p * (r_est + epsilon)
     if burn_in is None:
         burn_in = _window_start(chain, r_est, epsilon)
-    deltas = np.array([as_float(st.delta) for st in chain.stats])
-    gammas = np.array([as_float(st.gamma) for st in chain.stats])
+    deltas, gammas = as_floats(chain.delta), as_floats(chain.gamma)
     embedded, d_logs = result.d_logs
     box_ok, asserted_count, worst, done = True, 0, [math.inf, math.inf], 0
     for a, b, lvl, upper in _pair_blocks(chain.order, chain.h):

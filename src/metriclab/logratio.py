@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_float, as_floats, field_report, flog, per_distinct
+from ._util import as_float, as_floats, field_report, report_keys
 from .errors import ExactModeSizeExceeded
 from .partitions import (
     Partition,
     PartitionChain,
-    _at_least_one,
     _block_tree,
     _label_stats,
+    _log_ratios,
     _run_labels,
     dendrogram_chain,
     largest_gap,
@@ -86,7 +86,16 @@ class ProfileLevel:
 
 @dataclass(frozen=True)
 class LogRatioProfile:
-    levels: tuple
+    """The profile, its levels as columns: level_id, delta, gamma, R and
+    boundary, one entry per level. levels is a view of them as ProfileLevel
+    rows, built on each read, and to_report writes the level records
+    straight from the columns."""
+
+    level_id: tuple = field(repr=False)
+    delta: tuple = field(repr=False)
+    gamma: tuple = field(repr=False)
+    R: tuple = field(repr=False)
+    boundary: tuple = field(repr=False)
     running_liminf: tuple
     estimate: float
     burn_in: int | None
@@ -94,35 +103,44 @@ class LogRatioProfile:
     discrete_terminal: bool
     property6: dict = field(metadata={"key": "property6_hypotheses"})
 
-    to_report = field_report
+    @property
+    def levels(self) -> tuple:
+        return tuple(map(ProfileLevel, *self._columns()))
+
+    def _columns(self) -> tuple:
+        return self.level_id, self.delta, self.gamma, self.R, self.boundary
+
+    def to_report(self) -> dict:
+        keys = [key for _, key in report_keys(ProfileLevel)]
+        return {"levels": [dict(zip(keys, row)) for row in zip(*self._columns())],
+                **field_report(self, ("level_id", "delta", "gamma", "R", "boundary"))}
 
 
 def profile(chain: PartitionChain, epsilon: float = 0.05,
             space: FiniteMetricSpace | None = None) -> LogRatioProfile:
     """Per-level R with tail infima; estimate is the last tail value.
 
-    burn_in is the first proper level from which every later computed R sits
+    Every column is read off the chain's stats columns at once. burn_in is
+    the first proper level from which every later computed R sits
     within epsilon of the estimate. When the space is supplied, the
     computation-rule hypotheses are checked: delta strictly decreasing, and
     for each level a maximal-diameter block A whose largest gap is within a
     constant multiple of the next level's gamma (the smallest such constant
     is reported).
     """
-    rows = []
-    for i, st in enumerate(chain.stats):
-        boundary = st.cardinality <= 1 or st.delta == 0
-        rows.append(ProfileLevel(int(chain.level_ids[i]), as_float(st.delta),
-                                 as_float(st.gamma), st.log_ratio, boundary))
-    proper = [i for i, lv in enumerate(rows) if not lv.boundary]
-    r_vals = [rows[i].R for i in proper]
+    delta = as_floats(chain.delta)
+    boundary = (chain.cardinality <= 1) | (chain.delta_rank == 0)
+    proper = np.flatnonzero(~boundary).tolist()
+    r_vals = chain.log_ratio[proper].tolist()
     liminf = list(itertools.accumulate(reversed(r_vals), min))[::-1]
     estimate = r_estimate(chain)
     start = _settled_from(r_vals, estimate, epsilon)
     burn_in = None if start is None else int(chain.level_ids[proper[start]])
-    discrete_terminal = bool(chain.stats[-1].delta == 0)
-    prop6 = _property6(chain, space, proper)
-    return LogRatioProfile(tuple(rows), tuple(liminf), estimate, burn_in,
-                           epsilon, discrete_terminal, prop6)
+    prop6 = _property6(chain, space, proper, delta)
+    return LogRatioProfile(tuple(map(int, chain.level_ids)), tuple(delta.tolist()),
+                           tuple(as_floats(chain.gamma).tolist()), tuple(chain.log_ratio.tolist()),
+                           tuple(boundary.tolist()), tuple(liminf), estimate, burn_in, epsilon,
+                           bool(chain.delta_rank[-1] == 0), prop6)
 
 
 def _settled_from(r_vals, estimate: float, epsilon: float) -> int | None:
@@ -138,7 +156,7 @@ def _settled_from(r_vals, estimate: float, epsilon: float) -> int | None:
     return start if start < len(r_vals) else None
 
 
-def _property6(chain, space, proper):
+def _property6(chain, space, proper, level_delta):
     """delta strictly decreasing over the proper levels and, with a space,
     the gap constant: the largest, over consecutive proper levels i and j,
     of the least largest gap of a widest block of level i (a nonzero
@@ -148,8 +166,7 @@ def _property6(chain, space, proper):
     any level that has it, a node is widest on a tail of its life: levels
     from the first whose delta comes near its diameter are tested, and
     largest_gap runs once per widest node that the spanning tree does not
-    connect."""
-    level_delta = np.array([as_float(st.delta) for st in chain.stats])
+    connect. level_delta is the chain's delta column as floats."""
     deltas = level_delta[proper].tolist()
     decreasing = all(b < a for a, b in zip(deltas, deltas[1:]))
     report = {"delta_strictly_decreasing": bool(decreasing), "gap_constant": None}
@@ -158,7 +175,7 @@ def _property6(chain, space, proper):
     # delta_i and the next proper gamma, nan where i has no next proper level
     delta, gamma = np.full(len(chain), np.nan), np.full(len(chain), np.nan)
     delta[proper[:-1]] = deltas[:-1]
-    gamma[proper[:-1]] = [as_float(chain.stats[j].gamma) for j in proper[1:]]
+    gamma[proper[:-1]] = as_floats(chain.gamma[proper[1:]])
     if (gamma <= 0).any():
         return report  # a gap ratio over an underflowed gamma is undefined
     start, end, born, dies, diameters, gaps, connected = _block_tree(space, chain)
@@ -198,11 +215,10 @@ def nondiscreteness_check(chain: PartitionChain) -> NondiscretenessReport:
     A finite sample always bottoms out at its minimum pairwise distance; a
     terminal all-singleton level marks that the space was fully resolved.
     """
-    gammas = [st.gamma for st in chain.stats if st.cardinality >= 2]
-    decreasing = all(b < a for a, b in zip(gammas, gammas[1:]))
-    discrete = bool(chain.stats[-1].delta == 0)
-    terminal = as_float(gammas[-1]) if gammas else 0.0
-    return NondiscretenessReport(decreasing, discrete, terminal)
+    split = chain.cardinality >= 2
+    decreasing = bool((np.diff(chain.gamma_rank[split]) < 0).all())  # ranks order the gammas
+    terminal = as_float(chain.gamma[split][-1]) if split.any() else 0.0
+    return NondiscretenessReport(decreasing, bool(chain.delta_rank[-1] == 0), terminal)
 
 
 @dataclass(frozen=True)
@@ -252,25 +268,6 @@ def _brute_minimum(enumerated, r, require_positive_delta: bool) -> OracleResult:
                         as_float(delta), as_float(gamma))
 
 
-def _log_ratios(space: FiniteMetricSpace, deltas, gammas) -> np.ndarray:
-    """_log_ratio of each (delta, gamma) pair given by ranks: the flog of
-    each distinct value, +inf for one of at least 1 and -inf for zero,
-    then one division."""
-    def log(rank):
-        if not rank:
-            return -math.inf
-        value = _gather(space.values, rank)
-        return math.inf if _at_least_one(value) else flog(value)
-
-    log_d = per_distinct(log, deltas)
-    log_g = per_distinct(log, gammas)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = log_g / log_d
-    ratios[(log_d == math.inf) | (log_g == math.inf)] = math.inf
-    ratios[deltas == 0] = 0.0
-    return ratios
-
-
 def _require_radius(r) -> None:
     """Refuse a negative (or nan) radius. The minima over delta < r are
     taken for any r >= 0; r = 0 selects no partition and gives inf."""
@@ -291,18 +288,18 @@ def threshold_min_R(space: FiniteMetricSpace, r, *,
 
 
 def _threshold_minimum(chain: PartitionChain, r, require_positive_delta: bool) -> OracleResult:
-    best = None
-    for lvl, st in enumerate(chain.stats):
-        if not st.delta < r or (require_positive_delta and st.delta == 0):
-            continue
-        if best is None or st.log_ratio < chain.stats[best].log_ratio:
-            best = lvl
-    if best is None:
+    """The first level of least R among those with delta < r (an exact
+    delta compared as a Fraction)."""
+    keep = chain.delta < r
+    if require_positive_delta:
+        keep &= chain.delta_rank > 0
+    if not keep.any():
         return OracleResult(math.inf, Partition.trivial(len(chain.order)), math.inf, math.inf)
-    st = chain.stats[best]
+    kept = np.flatnonzero(keep)
+    best = int(kept[np.argmin(chain.log_ratio[kept])])
     witness = _run_labels(chain.order, chain.h, [best])[0]  # one row, not the whole table
-    return OracleResult(st.log_ratio, Partition.from_assignment(witness),
-                        as_float(st.delta), as_float(st.gamma))
+    return OracleResult(float(chain.log_ratio[best]), Partition.from_assignment(witness),
+                        as_float(chain.delta[best]), as_float(chain.gamma[best]))
 
 
 @dataclass(frozen=True)
@@ -352,15 +349,13 @@ def gap_bounds(space: FiniteMetricSpace, radii, *,
         _within_oracle_limit(space.n, "exact")
     chain = dendrogram_chain(space)
     diam = as_float(space.diameter)
-    G_val = as_float(chain.stats[-1].gamma)
+    deltas, gammas = as_floats(chain.delta), as_floats(chain.gamma).tolist()
+    G_val = gammas[-1]
     rows = []
     for r in radii:
         if not 0 < r <= diam:
             raise ValueError(f"radius {r} outside (0, diam] = (0, {diam}]")
-        g_val = max(
-            (as_float(st.gamma) for st in chain.stats if as_float(st.delta) <= r),
-            default=0.0,
-        )
+        g_val = max((g for g, low in zip(gammas, (deltas <= r).tolist()) if low), default=0.0)
         lower = math.log(g_val) / math.log(r) if 0 < g_val < 1 and r < 1 else math.nan
         upper = math.log(G_val) / math.log(r) if 0 < G_val < 1 and r < 1 else math.nan
         rows.append(GapBoundsRow(r, g_val, G_val, bool(use_exact), lower, upper))

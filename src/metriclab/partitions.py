@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, field_report, flog
+from ._util import DEFAULT_TOL, as_float, as_floats, field_report, flog
 from .errors import NotNested, NotSeparating, NotUltrametric
 from . import spaces
 from .spaces import (FiniteMetricSpace, _at_subdominant, _gather, _leaf_rows, _nearest,
@@ -107,29 +106,60 @@ class PartitionStats:
     cardinality: int
 
 
-def _log_ratio(delta, gamma) -> float:
-    """R of a partition from its delta and gamma. A Fraction is tested
-    against 0 and 1 by its numerator and denominator, so no Fraction
-    comparison is made."""
-    if not delta:
-        return 0.0
-    if _at_least_one(delta) or _at_least_one(gamma):
-        return math.inf
-    return flog(gamma) / flog(delta)
+def _log_ratios(space: FiniteMetricSpace, deltas, gammas) -> np.ndarray:
+    """R of each (delta, gamma) pair given by ranks, the one R kernel: 0
+    where delta is zero, +inf where delta or gamma is at least 1 (its rank
+    at least that of 1), else log gamma / log delta: the log (flog of an
+    exact value) of each distinct rank, then one division for all. An exact
+    value is tested against 1 by its numerator and denominator, which
+    compare in O(1) where a deep sample's are long."""
+    if space.exact:
+        one = _rank_bound(space, True, key=lambda v: v.numerator >= v.denominator)
+    else:
+        one = 1.0
+    distinct, where = np.unique(np.concatenate((deltas, gammas)), return_inverse=True)
+    logs = np.where(distinct >= one, math.inf, -math.inf)
+    inside = (distinct > 0) & (distinct < one)
+    logs[inside] = _logs(_gather(space.values, distinct[inside]))
+    log_d, log_g = logs[where[:len(deltas)]], logs[where[len(deltas):]]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = log_g / log_d
+    ratios[(log_d == math.inf) | (log_g == math.inf)] = math.inf
+    ratios[np.asarray(deltas) == 0] = 0.0
+    return ratios
 
 
-def _at_least_one(x) -> bool:
-    fraction = not isinstance(x, float) and isinstance(x, Fraction)  # the float test is cheap
-    return x.numerator >= x.denominator if fraction else x >= 1
+def _logs(values) -> np.ndarray:
+    """The log of each entry of a 1-d numeric array, read through a
+    memoryview, or flog of each Fraction of an object one, as float64."""
+    if values.dtype == object:
+        log, items = flog, values.tolist()
+    else:
+        log, items = math.log, memoryview(values)
+    return np.fromiter(map(log, items), float, len(values))
+
+
+def _stats_rows(delta_rank, gamma_rank, delta, gamma, cardinality, log_ratio) -> tuple:
+    """The PartitionStats of each level of a chain's columns, a value of
+    rank 0 as the mode's zero (_zero), as partition_stats gives it."""
+    zero = _zero(delta.dtype == object)
+    return tuple(PartitionStats(d if dr else zero, g if gr else zero, r, c)
+                 for dr, gr, d, g, r, c in zip(delta_rank.tolist(), gamma_rank.tolist(), delta,
+                                               gamma, log_ratio.tolist(), cardinality.tolist()))
 
 
 def partition_stats(space: FiniteMetricSpace, partition: Partition) -> PartitionStats:
     """Exact delta, gamma, and log ratio of a partition, as a one-level chain: leaves
-    block by block, h 0 across blocks and 1 inside (int32, for _leaf_rows' fill 2)."""
+    block by block, h 0 across blocks and 1 inside (int32, for _leaf_rows' fill 2).
+    The gamma of one block is the space diameter itself."""
     if partition.n_points != space.n:
         raise ValueError("partition does not match the space")
     order = np.argsort(partition.block_of, kind="stable")
-    return _chain_stats(space, order, np.int32(np.diff(partition.block_of[order]) == 0), 1)[0]
+    delta_rank, gamma_rank, delta, gamma, cardinality, log_ratio = _chain_stats(
+        space, order, np.int32(np.diff(partition.block_of[order]) == 0), 1)
+    if partition.cardinality == 1:
+        gamma = np.array([space.diameter], dtype=object)
+    return _stats_rows(delta_rank, gamma_rank, delta, gamma, cardinality, log_ratio)[0]
 
 
 def _label_stats(space: FiniteMetricSpace, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +209,7 @@ def threshold_partition(space: FiniteMetricSpace, t) -> Partition:
 
 @dataclass(frozen=True, eq=False)
 class PartitionChain:
-    """Nested partitions, coarse to fine, with per-level stats.
+    """Nested partitions, coarse to fine, with per-level stats as columns.
 
     The datum is a leaf order, in which every block of every level is a
     run, and h[p], the first level that separates order[p] and order[p + 1]
@@ -187,10 +217,18 @@ class PartitionChain:
     the pseudo-ultrametric L - split (Carlsson & Memoli 2010), where the
     first level split(order[p], order[q]) = min(h[p..q-1]) to separate a
     pair is read, never stored, by the stats' pass (_pair_runs) or one
-    row-major scan (spaces._pair_blocks). labels and levels are read-only
-    views built on first use: level l's blocks are the runs of order cut
-    where h <= l. Chains are equal when stats, thresholds, level_ids and
-    every pair's split are, whatever their leaf orders.
+    row-major scan (spaces._pair_blocks).
+
+    The stats are six read-only arrays of length L (_chain_stats), which
+    every reader takes: delta_rank and gamma_rank, the ranks of each
+    level's delta and gamma in its space; delta and gamma, those entries
+    (float64 in float mode, Fractions in exact mode); cardinality; and
+    log_ratio, R of each level (_log_ratios). stats, labels and levels are
+    read-only views built on first use that no kernel reads: stats the
+    PartitionStats of each level, level l's blocks the runs of order cut
+    where h <= l. Chains are equal when their delta, gamma, cardinality
+    and log_ratio, thresholds, level_ids and every pair's split are,
+    whatever their leaf orders.
 
     thresholds[i] is the merge radius that produced level i (None for levels
     not born from a merge, like a leading trivial partition). level_ids keeps
@@ -202,7 +240,12 @@ class PartitionChain:
 
     order: np.ndarray = field(repr=False)
     h: np.ndarray = field(repr=False)
-    stats: tuple
+    delta_rank: np.ndarray = field(repr=False)
+    gamma_rank: np.ndarray = field(repr=False)
+    delta: np.ndarray = field(repr=False)
+    gamma: np.ndarray = field(repr=False)
+    cardinality: np.ndarray = field(repr=False)
+    log_ratio: np.ndarray = field(repr=False)
     thresholds: tuple
     level_ids: tuple
     cuts: tuple | None = field(default=None, repr=False)
@@ -238,21 +281,34 @@ class PartitionChain:
         order.setflags(write=False)
         h.setflags(write=False)
         cuts = _cut_extremes(space, order, h, length)
-        return cls(order, h, _chain_stats(space, order, h, length, cuts), thresholds,
+        return cls(order, h, *_chain_stats(space, order, h, length, cuts), thresholds,
                    level_ids, cuts)
+
+    @property
+    def columns(self) -> tuple:
+        """(delta_rank, gamma_rank, delta, gamma, cardinality, log_ratio)."""
+        return (self.delta_rank, self.gamma_rank, self.delta, self.gamma, self.cardinality,
+                self.log_ratio)
 
     def __eq__(self, other):
         return (isinstance(other, PartitionChain) and len(self.order) == len(other.order)
-                and (self.stats, self.thresholds, self.level_ids)
-                == (other.stats, other.thresholds, other.level_ids)
+                and (self.thresholds, self.level_ids) == (other.thresholds, other.level_ids)
+                and all(np.array_equal(mine, theirs) for mine, theirs in
+                        zip(self.columns[2:], other.columns[2:]))
                 and all(np.array_equal(mine[2], theirs[2]) for mine, theirs in
                         zip(_pair_blocks(self.order, self.h), _pair_blocks(other.order, other.h))))
 
     def __hash__(self):
-        return hash((self.stats, self.thresholds, self.level_ids))
+        return hash((tuple(self.cardinality.tolist()), self.thresholds, self.level_ids))
 
     def __len__(self):
-        return len(self.stats)
+        return len(self.cardinality)
+
+    @cached_property
+    def stats(self) -> tuple:
+        """The PartitionStats of each level: a view of the columns that no
+        kernel reads (_stats_rows)."""
+        return _stats_rows(*self.columns)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -266,20 +322,21 @@ class PartitionChain:
 
     def proper_indices(self) -> list[int]:
         """Levels carrying log-ratio information: >= 2 blocks and delta > 0."""
-        return [i for i, st in enumerate(self.stats) if st.cardinality >= 2 and st.delta > 0]
+        return np.flatnonzero((self.cardinality >= 2) & (self.delta_rank > 0)).tolist()
 
     def to_report(self) -> dict:
+        deltas, gammas = as_floats(self.delta).tolist(), as_floats(self.gamma).tolist()
         return {
             "levels": [
                 {
                     "id": int(self.level_ids[i]),
                     "threshold": None if self.thresholds[i] is None else as_float(self.thresholds[i]),
                     "blocks": _blocks(self.labels[i]),
-                    "delta": as_float(st.delta),
-                    "gamma": as_float(st.gamma),
-                    "R": st.log_ratio,
+                    "delta": deltas[i],
+                    "gamma": gammas[i],
+                    "R": r,
                 }
-                for i, st in enumerate(self.stats)
+                for i, r in enumerate(self.log_ratio.tolist())
             ]
         }
 
@@ -353,26 +410,43 @@ def _level_ranks(space: FiniteMetricSpace, order, h, length, cuts=None):
 
 
 def _chain_stats(space: FiniteMetricSpace, order, h, length, cuts=None) -> tuple:
-    """partition_stats of every level, read off the chain's pairs.
+    """The stats columns of every level (PartitionChain), read off the
+    chain's pairs.
 
-    The extremes run on ranks (_level_ranks), and each level's delta and
-    gamma are gathered once, so exact chains keep their Fractions without
-    comparing any. Level l has 1 + #{h <= l} blocks, the runs of the leaf
-    order; a level of one block has the space diameter as gamma.
+    The extremes run on ranks (_level_ranks). Level l has 1 + #{h <= l}
+    blocks, the runs of the leaf order; a level of one block holds every
+    pair, so its delta is the diameter's rank, which is also its gamma.
+    The rest is _level_columns.
     """
     delta, gamma = _level_ranks(space, order, h, length, cuts)
     cards = 1 + np.searchsorted(np.sort(h), np.arange(len(delta)), side="right")
-    zero = _zero(space.exact)
-    deltas = [v if r else zero for r, v in zip(delta.tolist(), _gather(space.values, delta))]
-    gammas = [g if card > 1 else space.diameter for g, card
-              in zip(_gather(space.values, np.where(cards > 1, gamma, 0.0)), cards.tolist())]
-    return tuple(PartitionStats(d, g, _log_ratio(d, g), card)
-                 for d, g, card in zip(deltas, gammas, cards.tolist()))
+    return _level_columns(space, delta, np.where(cards > 1, gamma, delta), cards)
+
+
+def _level_columns(space: FiniteMetricSpace, delta_rank, gamma_rank, cardinality) -> tuple:
+    """The six read-only stats columns of levels from their delta and gamma
+    ranks and cardinalities: the entries gathered once, so exact chains keep
+    their Fractions without comparing any, and R by one _log_ratios call."""
+    delta_rank, gamma_rank = (np.asarray(x, dtype=float) for x in (delta_rank, gamma_rank))
+    columns = (delta_rank, gamma_rank, _gather(space.values, delta_rank),
+               _gather(space.values, gamma_rank), np.asarray(cardinality, dtype=np.intp),
+               _log_ratios(space, delta_rank, gamma_rank))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+def _joined_columns(*parts) -> tuple:
+    """The stats columns of levels one after another, read-only."""
+    columns = tuple(np.concatenate(column) for column in zip(*parts))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 def _require_separating(chain: PartitionChain) -> None:
     """Raise NotSeparating on the first row-major pair the last level joins."""
-    if chain.stats[-1].cardinality < len(chain.order):
+    if chain.cardinality[-1] < len(chain.order):
         row = _run_labels(chain.order, chain.h, [len(chain) - 1])[0]
         # the two least members of the first block of two or more
         i, j = np.flatnonzero(row == np.argmax(np.bincount(row) > 1))[:2].tolist()
@@ -383,16 +457,15 @@ def with_singleton_terminal(space: FiniteMetricSpace, chain: PartitionChain) -> 
     """Append the all-singleton level when the chain does not separate points.
 
     The pairs the chain never separated are split at the new level, so h,
-    the old levels' stats and the cuts stay. The new level has delta zero
+    the old levels' stats and the cuts stay. The new level has delta rank 0
     and, as gamma, the smallest pair of the space (spaces._nearest).
     """
     if len(chain.order) != space.n:
         raise ValueError("chain does not match the space")
-    if chain.stats[-1].cardinality == space.n:
+    if chain.cardinality[-1] == space.n:
         return chain
-    least = _nearest(space.rank).min()
-    terminal = PartitionStats(_zero(space.exact), _gather(space.values, least), 0.0, space.n)
-    return PartitionChain(chain.order, chain.h, chain.stats + (terminal,),
+    terminal = _level_columns(space, [0.0], [_nearest(space.rank).min()], [space.n])
+    return PartitionChain(chain.order, chain.h, *_joined_columns(chain.columns, terminal),
                           chain.thresholds + (None,), chain.level_ids + (chain.level_ids[-1] + 1,),
                           chain.cuts)
 
@@ -549,7 +622,7 @@ class ChainClassReport:
     to_report = field_report
 
 
-def _decay_witness(stats, p) -> tuple[float, float]:
+def _decay_witness(chain: PartitionChain, p) -> tuple[float, float]:
     """(a, log a) for the decay witness a = min delta_{n+1} / delta_n^p over
     consecutive levels whose deltas are both positive, or (inf, inf) when
     fewer than two levels have positive delta and no decay is seen.
@@ -557,16 +630,15 @@ def _decay_witness(stats, p) -> tuple[float, float]:
     truncated chain a says nothing about the pairs first split there
     (ROADMAP item 1). classify_chain, the certificate and the distortion
     check all read a here."""
-    positive = [i for i, st in enumerate(stats) if st.delta > 0]
+    positive = np.flatnonzero(chain.delta_rank > 0)
     if len(positive) < 2:
         return math.inf, math.inf
     if p <= 1:
         raise ValueError("p must exceed 1")
-    log_witness = math.inf
-    for a_idx, b_idx in zip(positive, positive[1:]):
-        if b_idx == a_idx + 1:
-            log_ratio = flog(stats[b_idx].delta) - p * flog(stats[a_idx].delta)
-            log_witness = min(log_witness, log_ratio)
+    logs = _logs(chain.delta[positive])  # a prefix of the levels: deltas fall
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic, silently
+        steps = logs[1:] - p * logs[:-1]
+    log_witness = float(np.fmin.reduce(steps, initial=math.inf))  # min, passing over a nan
     try:
         return math.exp(log_witness), log_witness
     except OverflowError:
@@ -576,36 +648,29 @@ def _decay_witness(stats, p) -> tuple[float, float]:
 def r_estimate(chain: PartitionChain) -> float:
     """The estimate of R that profile, classify_chain, the certificate and
     the embedding read: R of the deepest proper level, 0.0 with none."""
-    return next((st.log_ratio for st in reversed(chain.stats)
-                 if st.cardinality >= 2 and st.delta > 0), 0.0)
+    proper = chain.proper_indices()
+    return float(chain.log_ratio[proper[-1]]) if proper else 0.0
 
 
 def classify_chain(chain: PartitionChain, p: float, tol: float = DEFAULT_TOL) -> ChainClassReport:
     """Witness constant a = min delta_{n+1} / delta_n^p over the chain
     (_decay_witness), the per-level ratio sequence, and the gamma-versus-delta
-    dichotomy flags."""
+    dichotomy flags. Deltas are compared by rank, which orders them."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    stats = chain.stats
-    if sum(st.delta > 0 for st in stats) < 2:
+    if np.count_nonzero(chain.delta_rank) < 2:
         raise ValueError("chain needs at least two levels with positive delta")
-    witness, log_witness = _decay_witness(stats, p)
-    deltas = [st.delta for st in stats]
-    delta_monotone = all(b <= a for a, b in zip(deltas, deltas[1:]))
-    r_seq = tuple(st.log_ratio for st in stats)
-    estimate = r_estimate(chain)
-    flags = []
-    for st in stats:
-        diff = as_float(st.gamma) - as_float(st.delta)
-        flags.append(0 if abs(diff) <= tol else (1 if diff > 0 else -1))
+    witness, log_witness = _decay_witness(chain, p)
+    diff = as_floats(chain.gamma) - as_floats(chain.delta)
+    flags = np.where(np.abs(diff) <= tol, 0, np.where(diff > 0, 1, -1))
     return ChainClassReport(
-        delta_monotone=delta_monotone,
+        delta_monotone=bool((np.diff(chain.delta_rank) <= 0).all()),
         p=p,
         p_witness=witness,
         log_p_witness=log_witness,
-        R_sequence=r_seq,
-        R_liminf_estimate=estimate,
-        dichotomy_flags=tuple(flags),
+        R_sequence=tuple(chain.log_ratio.tolist()),
+        R_liminf_estimate=r_estimate(chain),
+        dichotomy_flags=tuple(flags.tolist()),
     )
 
 

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, as_float, field_report, flog
+from ._util import DEFAULT_TOL, as_float, as_floats, field_report, flog
 from .errors import CertificateRefused, CertificateViolated, DistortionBoundsViolated
 from .logratio import profile  # noqa: F401 (a binding the bench tracer re-binds)
-from .partitions import (PartitionChain, PartitionStats, _decay_witness, _log_ratio,
-                         _level_extremes, _require_separating, classify_chain, r_estimate)
+from .partitions import (PartitionChain, _decay_witness, _joined_columns, _level_columns,
+                         _level_extremes, _logs, _require_separating, classify_chain,
+                         r_estimate)
 from .spaces import (FiniteMetricSpace, _gather, _leaf_matrix, _pair_at, _pair_blocks,
                      _rank_bound, _spanning_tree, is_ultrametric)
 
@@ -44,14 +45,16 @@ def _safe_exp(x: float) -> float:
 
 
 def ensure_trivial_head(space: FiniteMetricSpace, chain: PartitionChain) -> PartitionChain:
-    """Prepend {X}, delta and gamma the diameter, when the chain starts with
-    a proper one: every pair splits a level later, and level 0 splits none."""
-    if chain.stats[0].cardinality == 1:
+    """Prepend {X}, delta and gamma the diameter (of rank _rank_bound), when
+    the chain starts with a proper one: every pair splits a level later,
+    and level 0 splits none."""
+    if chain.cardinality[0] == 1:
         return chain
-    h, top = chain.h + 1, space.diameter
+    h, top = chain.h + 1, _rank_bound(space, space.diameter, True)
     h.setflags(write=False)
-    head = PartitionStats(top, top, _log_ratio(top, top), 1)
-    return PartitionChain(chain.order, h, (head,) + chain.stats, (None,) + chain.thresholds,
+    head = _level_columns(space, [top], [top], [1])
+    return PartitionChain(chain.order, h, *_joined_columns(head, chain.columns),
+                          (None,) + chain.thresholds,
                           (int(chain.level_ids[0]) - 1,) + chain.level_ids, chain.cuts)
 
 
@@ -62,13 +65,13 @@ def ultrametric_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> n
 
 def ultrametric_space_from_chain(space: FiniteMetricSpace, chain: PartitionChain) -> FiniteMetricSpace:
     """The chain ultrametric as a space. Every delta is an entry of d, so
-    rho's ranks index d's values: a pair split at level l gets the rank
-    (_rank_bound) of the stats' delta of level l - 1, the largest over its
-    adjacent leaves (deltas fall), and the diagonal reads the last one, 0."""
+    rho's ranks index d's values: a pair split at level l gets the chain's
+    delta rank of level l - 1, the largest over its adjacent leaves (deltas
+    fall), and the diagonal reads the last one, 0."""
     chain = ensure_trivial_head(space, chain)
     _require_separating(chain)
-    delta = np.array([_rank_bound(space, st.delta, True) for st in chain.stats])
-    return _on_table(space, _leaf_matrix(chain.order, delta[chain.h - 1], np.maximum, 0.0))
+    return _on_table(space, _leaf_matrix(chain.order, chain.delta_rank[chain.h - 1], np.maximum,
+                                         0.0))
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -105,16 +108,11 @@ class HolderFit:
 def _pair_logs(matrix, pairs, table=None) -> tuple[np.ndarray, np.ndarray]:
     """The entries of a matrix at pairs (an index or mask its caller builds
     once) and the log of each: gathered from table, the logs of an exact
-    space's values (_value_logs), or else each taken on its own (flog only
-    for object entries), numeric ones read through a memoryview."""
+    space's values (_value_logs), or else each taken on its own (_logs)."""
     entries = np.asarray(matrix)[pairs]
     if table is not None:
         return entries, table[entries.astype(np.intp)]
-    if entries.dtype == object:
-        log, items = flog, entries.tolist()
-    else:
-        log, items = math.log, memoryview(entries)
-    return entries, np.fromiter(map(log, items), dtype=float, count=entries.size)
+    return entries, _logs(entries)
 
 
 def _value_logs(table):
@@ -217,9 +215,9 @@ def pushforward_chain(space: FiniteMetricSpace, image: FiniteMetricSpace,
                 and y <= fit.c2 * x ** fit.s * (1 + 1e-9) + tol)
 
     gamma_ok = delta_ok = True
-    for st_b, st_i in zip(chain.stats, image_chain.stats):
-        gamma_ok &= within(as_float(st_b.gamma), as_float(st_i.gamma))
-        d, di = as_float(st_b.delta), as_float(st_i.delta)
+    for g, gi, d, di in zip(*(as_floats(c).tolist() for c in (
+            chain.gamma, image_chain.gamma, chain.delta, image_chain.delta))):
+        gamma_ok &= within(g, gi)
         if d > 0 and di > 0:
             delta_ok &= within(d, di)
     return PushforwardReport(fit, p, p_prime, base.p_witness, a_prime,
@@ -230,17 +228,14 @@ def _window_start(chain: PartitionChain, r_est: float, epsilon: float) -> int | 
     """Earliest proper level from which delta^(R+eps) < gamma < delta^(R-eps)
     (only its left inequality when R <= eps) holds on every later proper
     level; None when the last one fails. One pass up from the deepest level."""
-    two_sided = r_est > epsilon
-    start = None
-    for idx in reversed(chain.proper_indices()):
-        log_d = flog(chain.stats[idx].delta)
-        log_g = flog(chain.stats[idx].gamma)
-        if not log_g > (r_est + epsilon) * log_d:
-            break
-        if two_sided and not log_g < (r_est - epsilon) * log_d:
-            break
-        start = idx
-    return start
+    proper = chain.proper_indices()
+    log_d, log_g = _logs(chain.delta[proper]), _logs(chain.gamma[proper])
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic, silently
+        holds = log_g > (r_est + epsilon) * log_d
+        if r_est > epsilon:
+            holds &= log_g < (r_est - epsilon) * log_d
+    start = len(proper) - np.argmin(holds[::-1]) if not holds.all() else 0
+    return proper[start] if start < len(proper) else None
 
 
 @dataclass(frozen=True)
@@ -278,7 +273,7 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     chain = ensure_trivial_head(space, chain)
-    witness, log_witness = _decay_witness(chain.stats, p)
+    witness, log_witness = _decay_witness(chain, p)
     if math.isnan(log_witness) or log_witness == -math.inf:
         raise CertificateRefused("chain has no positive decay witness a")
     r_est = r_estimate(chain)
@@ -286,7 +281,7 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
         raise CertificateRefused("R estimate is infinite; no finite exponent exists")
     m_pos = _window_start(chain, r_est, epsilon)
     if m_pos is None and not chain.proper_indices():
-        with_blocks = [i for i, st in enumerate(chain.stats) if st.cardinality >= 2]
+        with_blocks = np.flatnonzero(chain.cardinality >= 2).tolist()
         if not with_blocks:
             raise CertificateRefused("space has a single point; nothing to certify")
         m_pos = with_blocks[-1]
@@ -296,12 +291,12 @@ def certificate(space: FiniteMetricSpace, chain: PartitionChain, p: float,
             f"on the computed tail (R_est={r_est}, eps={epsilon})")
     exponent = p * (r_est + epsilon)
     first_term = (r_est + epsilon) * log_witness if math.isfinite(log_witness) else math.inf
-    log_k = min(first_term, flog(chain.stats[m_pos].gamma) - exponent * flog(chain.stats[0].delta))
+    log_k = min(first_term, flog(chain.gamma[m_pos]) - exponent * flog(chain.delta[0]))
     # rho takes the positive deltas of the levels; past float range on the
     # log scale, exponent * log rho and K carry no meaning
     if not (math.isfinite(log_k)
-            and all(math.isfinite(exponent * flog(st.delta))
-                    for st in chain.stats if st.delta > 0)):
+            and all(math.isfinite(exponent * x)
+                    for x in _logs(chain.delta[chain.delta_rank > 0]).tolist())):
         raise CertificateRefused(
             f"exponent p(R+eps) = {exponent} overflows the log scale: "
             "exponent * log delta or log K is not finite")
@@ -334,7 +329,7 @@ def _sandwich(space, chain, rho, exponent, log_k):
     value = rho.dist[a, b]  # on a table rho shares (or in float) its ranks are d's
     bound = (rho.rank[a, b] if rho.values is space.values
              else np.array([_rank_bound(space, v, True) for v in value]))
-    clog = np.array(list(map(flog if space.exact else math.log, value.tolist())))
+    clog = _logs(value)
     shift, floor = exponent * clog, log_k - LOG_SLACK
     extremes = _level_extremes(space, chain.order, chain.h, len(chain), chain.cuts)
     top, least = (x[levels] for x in extremes)

@@ -266,24 +266,41 @@ def _pair_space(labels, values, pair, exact):
 
 
 def _sequence_tree(rank, star):
-    """spaces._prim(rank) of a sequence sample, or None if the rank fails
-    the check that proves it. If every row, its columns in leaf order (1,
-    ..., d, 0), falls strictly to the diagonal and rises strictly past it,
-    Prim from 0 attaches the points by value, 0, r_d, ..., r_1, each to the
-    one before (a path, as |x - y| gives). If a row is level past its first
-    step instead (max(x, y), a star), each attaches to 0. A rounding tie
-    (0.5 - 2^-120 is 0.5) fails the check. O(n^2), in blocks of rows."""
+    """spaces._prim(rank) of a sequence sample, or None if Prim builds
+    another tree. The candidate attaches the points by value, 0, r_d, ...,
+    r_1 (step j >= 1 attaches point n - j), each to the one before (a path,
+    as |x - y| gives) or to 0 (a star, as max(x, y) gives). Prim's choices
+    are replayed along it in O(n^2), a block of rows at a time, rows and
+    columns in attach order: the prefix minima of row j are point j's least
+    entries to the tree after each step. Step j takes the highest free
+    index, so every later point's least entry after step j - 1 must exceed
+    point j's own (a tie goes to the lower index), and point j's parent
+    must be the first point to reach it (its first argmin): the one before
+    for a path, 0 for a star. A rounding tie that changes a choice (0.5 -
+    2^-120 is 0.5 at seq_factorial depth 5) fails the replay; one that does
+    not (float seq_geometric from depth 55) passes."""
     n = len(rank)
-    leaf = np.roll(np.arange(n), -1)
-    for a, b in _row_blocks(n, n):  # step t of leaf row a + i goes from column t to t + 1
-        steps = np.diff(np.roll(rank[leaf[a:b]], -1, axis=1), axis=1)
-        rises = (np.array_equal(steps > 0, np.eye(b - a, n - 1, a, dtype=bool)) if star
-                 else steps.all())  # a path rises wherever it does not fall
-        if not rises or not np.array_equal(steps < 0, np.tri(b - a, n - 1, a - 1, dtype=bool)):
+    order = np.append(0, np.arange(n - 1, 0, -1))
+    chosen = np.empty(n - 1)  # per step c, the least entry of the point step c + 1 attaches
+    rival = np.full(n - 1, np.inf)  # and the least one of a later point after step c
+    for a, b in _row_blocks(n, n):
+        rows = rank[order[a:b]]
+        m = np.concatenate((rows[:, :1], rows[:, :0:-1]), axis=1)  # columns in attach order
+        before = np.tri(b - a, n - 1, a - 2, dtype=bool)  # columns c <= j - 2 of row j
+        rises = (before & (m[:, 1:] > m[:, :-1])).any(axis=1)
+        if rises.any():  # the prefix minima of a row that falls are the row
+            m[rises] = np.minimum.accumulate(m[rises], axis=1)
+        rival = np.minimum(rival, m[:, :-1].min(axis=0, initial=np.inf, where=before))
+        j = np.arange(max(a, 1), b)
+        chosen[j - 1] = m[j - a, j - 1]
+        first = (m[j - a, 0] == chosen[j - 1] if star
+                 else (m[j - a, np.maximum(j - 2, 0)] > chosen[j - 1]) | (j == 1))
+        if not first.all():
             return None
-    order = leaf[::-1]
-    parent = np.zeros(n, dtype=np.intp) if star else np.insert(order[:-1], 0, 0)
-    return order, parent, rank[order, parent]
+    if not (rival > chosen).all():
+        return None
+    parent = np.zeros(n, dtype=np.intp) if star else np.append(0, order[:-1])
+    return order, parent, np.append(rank[0, 0], chosen)  # each point's entry to its parent
 
 
 def _dyadic_ranks(values, pair):

@@ -76,7 +76,9 @@ derives from its leaf order.
 """
 
 import csv
+import dataclasses
 import io
+import itertools
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -84,7 +86,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from metriclab.logratio import OracleResult, profile, set_partitions
+from metriclab.logratio import OracleResult, ProfileLevel, profile, set_partitions
 from metriclab._util import (DEFAULT_TOL, _fmt_float, as_float, as_floats,
                               dyadic_numerators, flog)
 from metriclab.embedding import (EmbeddingResult, LevelAudit, _exact_separated,
@@ -92,7 +94,7 @@ from metriclab.embedding import (EmbeddingResult, LevelAudit, _exact_separated,
 from metriclab.errors import (DepthOverflow, MetricViolation, NotNested, NotSeparating,
                               PackingInfeasible)
 from metriclab import spaces as _spaces
-from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _log_ratio,
+from metriclab.partitions import (Partition, PartitionChain, PartitionStats, _level_ranks,
                                   _require_separating, _run_labels,
                                   classify_chain, dendrogram_chain, largest_gap)
 from metriclab.spaces import (FiniteMetricSpace, UltrametricCheck, _entries, _gather,
@@ -151,7 +153,24 @@ def partition_stats(space, partition):
     else:
         same = partition.block_of[:, None] == partition.block_of[None, :]
         gamma = m[~same].min()
-    return PartitionStats(delta, gamma, _log_ratio(delta, gamma), partition.cardinality)
+    return PartitionStats(delta, gamma, partition_log_ratio(delta, gamma), partition.cardinality)
+
+
+def partition_log_ratio(delta, gamma) -> float:
+    """R of a partition from its delta and gamma, one call per partition,
+    as partitions._log_ratios gives it for all at once. A Fraction is
+    tested against 0 and 1 by its numerator and denominator, so no Fraction
+    comparison is made."""
+    if not delta:
+        return 0.0
+    if _at_least_one(delta) or _at_least_one(gamma):
+        return math.inf
+    return flog(gamma) / flog(delta)
+
+
+def _at_least_one(x) -> bool:
+    fraction = not isinstance(x, float) and isinstance(x, Fraction)
+    return x.numerator >= x.denominator if fraction else x >= 1
 
 
 def heuristic_G(space, chain, r):
@@ -185,7 +204,7 @@ def brute_force_min_R(space, r, *, require_positive_delta=False):
             continue
         if require_positive_delta and delta == 0:
             continue
-        value = _log_ratio(delta, gamma)
+        value = partition_log_ratio(delta, gamma)
         if best is None or value < best[0]:
             best = (value, assign, delta, gamma)
     if best is None:
@@ -969,7 +988,7 @@ def _audit_level(chain, lvl, required, capacity, box_center, box_parent, deltas,
 # entries of dist themselves, which on Fractions cross-multiplies integers.
 
 def log_ratio(delta, gamma) -> float:
-    """_log_ratio by comparisons with 0 and 1."""
+    """partition_log_ratio by comparisons with 0 and 1."""
     if delta == 0:
         return 0.0
     if delta >= 1 or gamma >= 1:
@@ -1010,10 +1029,38 @@ def chain_stats(space, split):
 
 
 def chain_on_values(space, matrix, thresholds=None, level_ids=None):
-    """from_split with the stats of chain_stats."""
+    """from_split with the stats of chain_stats in place of its columns."""
     chain = from_split(space, matrix, thresholds, level_ids)
-    return PartitionChain(chain.order, chain.h, chain_stats(space, split(chain)),
-                          chain.thresholds, chain.level_ids)
+    columns = stats_columns(space, chain_stats(space, split(chain)))
+    return PartitionChain(chain.order, chain.h, *columns, chain.thresholds, chain.level_ids)
+
+
+def stats_columns(space, stats):
+    """The stats columns of a chain (PartitionChain.columns) from its
+    PartitionStats, each delta and gamma ranked by a bisection of the
+    space's values (spaces._rank_bound)."""
+    dtype = object if space.exact else float
+    delta, gamma = ([getattr(st, key) for st in stats] for key in ("delta", "gamma"))
+    return (np.array([_spaces._rank_bound(space, d, True) for d in delta], dtype=float),
+            np.array([_spaces._rank_bound(space, g, True) for g in gamma], dtype=float),
+            np.array(delta, dtype=dtype), np.array(gamma, dtype=dtype),
+            np.array([st.cardinality for st in stats], dtype=np.intp),
+            np.array([st.log_ratio for st in stats], dtype=float))
+
+
+def chain_stats_loop(space, order, h, length, cuts=None) -> tuple:
+    """partitions._chain_stats as it built one PartitionStats per level:
+    the ranks of _level_ranks, each level's delta and gamma gathered, the
+    zero of the mode for a delta of rank 0 and the space diameter as the
+    gamma of one block, and partition_log_ratio of each level."""
+    delta, gamma = _level_ranks(space, order, h, length, cuts)
+    cards = 1 + np.searchsorted(np.sort(h), np.arange(len(delta)), side="right")
+    zero = _zero(space.exact)
+    deltas = [v if r else zero for r, v in zip(delta.tolist(), _gather(space.values, delta))]
+    gammas = [g if card > 1 else space.diameter for g, card
+              in zip(_gather(space.values, np.where(cards > 1, gamma, 0.0)), cards.tolist())]
+    return tuple(PartitionStats(d, g, partition_log_ratio(d, g), card)
+                 for d, g, card in zip(deltas, gammas, cards.tolist()))
 
 
 def dendrogram_chain_on_values(space):
@@ -1191,6 +1238,55 @@ def chain_report(chain) -> dict:
             for i, st in enumerate(chain.stats)
         ]
     }
+
+
+# Before the profile kept its levels as columns, it built one ProfileLevel
+# per level from the chain's PartitionStats, and its report called
+# dataclasses.fields on every row.
+
+def profile_report(chain, stats, epsilon, space) -> dict:
+    """profile(chain, epsilon, space).to_report() from ProfileLevel rows of
+    the given stats, each written by its dataclass fields."""
+    rows = [ProfileLevel(int(chain.level_ids[i]), as_float(st.delta), as_float(st.gamma),
+                         st.log_ratio, st.cardinality <= 1 or st.delta == 0)
+            for i, st in enumerate(stats)]
+    proper = [i for i, lv in enumerate(rows) if not lv.boundary]
+    r_vals = [rows[i].R for i in proper]
+    estimate = r_vals[-1] if r_vals else 0.0  # R of the deepest proper level
+    start = settled_from(r_vals, estimate, epsilon)
+    return {
+        "levels": [{f.metadata.get("key", f.name): getattr(lv, f.name)
+                    for f in dataclasses.fields(lv)} for lv in rows],
+        "running_liminf": list(itertools.accumulate(reversed(r_vals), min))[::-1],
+        "estimate": estimate,
+        "burn_in": None if start is None else int(chain.level_ids[proper[start]]),
+        "epsilon": epsilon,
+        "discrete_terminal": bool(stats[-1].delta == 0),
+        "property6_hypotheses": property6(chain, space),
+    }
+
+
+def classify_report(chain, stats, p, tol=DEFAULT_TOL) -> dict:
+    """classify_chain(chain, p, tol).to_report() read off PartitionStats
+    rows: deltas compared as values, a flag per level from its floats."""
+    deltas = [st.delta for st in stats]
+    proper = [st.log_ratio for st in stats if st.cardinality >= 2 and st.delta > 0]
+    diffs = [as_float(st.gamma) - as_float(st.delta) for st in stats]
+    witness, log_witness = decay_witness(chain, p)
+    return {"delta_monotone": all(b <= a for a, b in zip(deltas, deltas[1:])), "p": p,
+            "p_witness": witness, "log_p_witness": log_witness,
+            "R_sequence": [st.log_ratio for st in stats],
+            "R_liminf_estimate": proper[-1] if proper else 0.0,
+            "dichotomy_flags": [0 if abs(x) <= tol else (1 if x > 0 else -1) for x in diffs]}
+
+
+def nondiscreteness(stats) -> tuple:
+    """(gamma_decreasing, discrete_terminal, terminal_gamma) of
+    nondiscreteness_check read off PartitionStats rows, gammas compared as
+    values."""
+    gammas = [st.gamma for st in stats if st.cardinality >= 2]
+    return (all(b < a for a, b in zip(gammas, gammas[1:])), bool(stats[-1].delta == 0),
+            as_float(gammas[-1]) if gammas else 0.0)
 
 
 # Before dumps wrote lists of plain numbers with one join, it emitted every
@@ -1412,7 +1508,7 @@ def certificate_per_pair(space, chain, p, epsilon, tol=DEFAULT_TOL):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     chain = _trivial_head(space, chain)
-    witness, log_witness = _decay_witness(chain.stats, p)
+    witness, log_witness = _decay_witness(chain, p)
     if math.isnan(log_witness) or log_witness == -math.inf:
         raise CertificateRefused("chain has no positive decay witness a")
     r_est = profile(chain).estimate

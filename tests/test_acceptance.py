@@ -165,8 +165,7 @@ def test_criterion_05_threshold_dominance_oracle(capsys):
             for assign in set_partitions(7):
                 total += 1
                 delta, gamma, card = _stats_of_assignment(sp, assign)
-                from metriclab.partitions import _log_ratio
-                R = _log_ratio(delta, gamma)
+                R = oracles.partition_log_ratio(delta, gamma)
                 brute_min = min(brute_min, R)
                 if delta > 0:
                     brute_min_pos = min(brute_min_pos, R)

@@ -79,7 +79,7 @@ def test_extremes_from_the_cuts_equal_the_level_runs(case, budget):
                                 oracles.split_extremes(space, ch.order, ch.h, len(ch)),
                                 strict=True):
                 same_array(new, old)
-        bare = ml.PartitionChain(chain.order, chain.h, chain.stats, chain.thresholds,
+        bare = ml.PartitionChain(chain.order, chain.h, *chain.columns, chain.thresholds,
                                  chain.level_ids)
         for new, old in zip(_block_tree(space, bare), _block_tree(space, chain), strict=True):
             same_array(new, old)

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import metriclab as ml
 import oracles
 from metriclab import cli, logratio, partitions, spaces
-from metriclab.partitions import _label_stats, _log_ratio
+from metriclab.partitions import _label_stats
+from oracles import partition_log_ratio
 from metriclab.spaces import _gather
 from metriclab.ultrametrize import ensure_trivial_head
 from conftest import euclidean_space
@@ -155,7 +156,7 @@ def test_partition_stats_equal_the_label_kernel(case):
     (delta,), (gamma,) = _label_stats(space, partition.block_of[None])
     assert (type(new.delta), type(new.gamma)) == (type(delta), type(gamma))
     assert (new.delta, new.gamma) == (delta, gamma)
-    assert new.log_ratio == _log_ratio(delta, gamma)
+    assert new.log_ratio == partition_log_ratio(delta, gamma)
     assert new.cardinality == partition.cardinality
 
 
@@ -185,7 +186,7 @@ def test_threshold_minimum_cuts_the_witness_row_alone():
         radii = {st.delta for st in chain.stats} | {st.gamma for st in chain.stats} | {1.1}
         cases = [(r, positive) for r in sorted(radii) for positive in (False, True)]
         # a copy with no cached table: a sampled chain may hold one already
-        fresh = ml.PartitionChain(chain.order, chain.h, chain.stats, chain.thresholds,
+        fresh = ml.PartitionChain(chain.order, chain.h, *chain.columns, chain.thresholds,
                                   chain.level_ids)
         found = [logratio._threshold_minimum(fresh, *case) for case in cases]
         assert "labels" not in vars(fresh)

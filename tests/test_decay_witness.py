@@ -63,7 +63,7 @@ def float_and_exact_chains(draw):
 @given(float_and_exact_chains(), st.sampled_from((1.5, 2.0, 3.0)))
 def test_decay_witness_equals_classify_chain(case, p):
     _, chain = case
-    witness = _decay_witness(chain.stats, p)
+    witness = _decay_witness(chain, p)
     assert bits(witness) == bits(oracles.decay_witness(chain, p))
     if sum(st.delta > 0 for st in chain.stats) >= 2:
         report = ml.classify_chain(chain, p)
@@ -75,10 +75,10 @@ def test_decay_witness_equals_classify_chain(case, p):
 def test_decay_witness_keeps_the_p_check_where_it_reads_a_decay():
     space, chain = ml.sample(ml.make_family("seq_geometric"), 5)
     with pytest.raises(ValueError, match="p must exceed 1"):
-        _decay_witness(chain.stats, 1.0)
+        _decay_witness(chain, 1.0)
     point = ml.subspace(space, [0])
     single = ml.with_singleton_terminal(point, ml.dendrogram_chain(point))
-    assert _decay_witness(single.stats, 1.0) == (math.inf, math.inf)
+    assert _decay_witness(single, 1.0) == (math.inf, math.inf)
     with pytest.raises(ValueError, match="p must exceed 1"):
         ml.classify_chain(single, 1.0)
 

@@ -16,9 +16,9 @@ import oracles
 from metriclab import spaces
 from metriclab._util import as_float
 from metriclab.logratio import set_partitions
-from metriclab.partitions import _label_stats, _log_ratio
+from metriclab.partitions import _label_stats
 from conftest import euclidean_space
-from oracles import _two_block_splits
+from oracles import _two_block_splits, partition_log_ratio
 from test_ties import quantized_space
 
 CHECKS = settings(settings.get_profile("deterministic"), max_examples=30)
@@ -178,7 +178,7 @@ def test_brute_force_ties_keep_the_first_witness():
                 old = oracles.brute_force_min_R(space, r, require_positive_delta=positive)
                 assert (new.value, new.witness, new.delta, new.gamma) == \
                     (old.value, old.witness, old.delta, old.gamma)
-                values = [_log_ratio(d, g) for d, g in stats
+                values = [partition_log_ratio(d, g) for d, g in stats
                           if d < r and not (positive and d == 0)]
                 shared += values.count(old.value) > 1
     assert shared > 20

@@ -182,7 +182,7 @@ def test_chains_differ_at_a_single_pair(case, budget, data):
     bent_h = h.copy()
     bent_h[p] += 1 if h[p] < len(chain) else -1
     assume(bent_h[p] >= 0)
-    bent = ml.PartitionChain(chain.order, bent_h.astype(np.int32), chain.stats,
+    bent = ml.PartitionChain(chain.order, bent_h.astype(np.int32), *chain.columns,
                              chain.thresholds, chain.level_ids)
     assert (oracles.split(bent) != oracles.split(chain)).sum() == 2
     with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):

@@ -2,7 +2,7 @@
 per-partition paths it replaced, bit for bit: the text of to_csv and the
 logs of rho and of box-norm matrices against tests/oracles.py, the
 oracle's restricted-growth table against the set_partitions generator,
-and its log ratios against _log_ratio of each partition."""
+and its log ratios against oracles.partition_log_ratio of each partition."""
 
 import math
 import tracemalloc
@@ -17,7 +17,8 @@ import oracles
 from metriclab import embedding, logratio
 from metriclab._util import dumps, per_distinct
 from metriclab.errors import DepthOverflow, PackingInfeasible
-from metriclab.partitions import _label_stats, _log_ratio
+from metriclab.partitions import _label_stats, _log_ratios
+from oracles import partition_log_ratio
 from metriclab.spaces import _gather
 from test_chain_split import chains, outcome
 from test_label_stats import small_spaces
@@ -108,13 +109,13 @@ def test_set_partitions_streams():
 @given(small_spaces())
 def test_log_ratios_equal_the_per_partition_loop(space):
     """Ranks gather the entries _label_stats reads, and R of every
-    partition is _log_ratio of them, bit for bit."""
+    partition is oracles.partition_log_ratio of them, bit for bit."""
     _, labels, d_rank, g_rank = logratio._enumerated_stats(space)
     deltas, gammas = _label_stats(space, labels)
     assert list(_gather(space.values, d_rank)) == list(deltas)
     assert list(_gather(space.values, g_rank)) == list(gammas)
-    ratios = logratio._log_ratios(space, d_rank, g_rank)
-    loop = [_log_ratio(d, g) for d, g in zip(deltas, gammas)]
+    ratios = _log_ratios(space, d_rank, g_rank)
+    loop = [partition_log_ratio(d, g) for d, g in zip(deltas, gammas)]
     assert bits(ratios).tolist() == bits(loop).tolist()
 
 

@@ -6,8 +6,7 @@ import numpy as np
 import metriclab as ml
 from metriclab.logratio import set_partitions
 import oracles
-from oracles import _stats_of_assignment
-from metriclab.partitions import _log_ratio
+from oracles import _stats_of_assignment, partition_log_ratio
 
 
 def quantized_space(seed, n=6, levels=4):
@@ -31,7 +30,7 @@ def test_dendrogram_and_dominance_under_ties():
         cache = {}
         for assign in set_partitions(6):
             delta, gamma, _ = _stats_of_assignment(sp, assign)
-            R = _log_ratio(delta, gamma)
+            R = partition_log_ratio(delta, gamma)
             if 0 < delta < 1 and 0 < gamma < 1:
                 if gamma not in cache:
                     cache[gamma] = ml.partition_stats(
