@@ -24,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations
 
 import numpy as np
@@ -52,9 +53,10 @@ class FiniteMetricSpace:
         if _trusted:
             matrix = np.asarray(dist, dtype=object if exact else float)
         else:
-            matrix, _ranks, problems = _checked(dist, labels, DEFAULT_TOL, exact)
+            matrix, known, problems = _checked(dist, labels, DEFAULT_TOL, exact)
             if problems:
                 raise problems[0]
+            _ranks, _tree = known
         matrix.setflags(write=False)
         self.labels = labels
         self.dist = matrix
@@ -129,6 +131,7 @@ def _rank_bound(space, t, inclusive=False, key=None):
 
 
 _BLOCK_ENTRIES = 1 << 17  # entries made at once by _hull and every pass over pairs or levels
+_SCREEN_POINTS = 8  # validate tries the ultrametric pass on the whole matrix once these pass it
 
 
 def _gather(values, ranks):
@@ -226,25 +229,31 @@ def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = Fals
     merged), the triangle inequality on every triple, and diameter <= 1.
     Exact entries are compared exactly; tol only absorbs float rounding.
     The triangle inequality is accepted in O(n^2) when every entry is at
-    most the sum of its endpoints' nearest-neighbour entries, and is
-    otherwise searched in O(n^3) for the worst triple.
+    most the sum of its endpoints' nearest-neighbour entries, or when the
+    matrix is an ultrametric (one pass over its rows), and is otherwise
+    searched in O(n^3) for the worst triple.
     A ragged or non-numeric matrix raises MetricViolation("parse").
     """
     return _checked(matrix, labels, tol, exact)[2]
 
 
 def _checked(matrix, labels, tol, exact, owned=False):
-    """(entries, ranks, violations): the matrix as stored, in the mode's
+    """(entries, known, violations): the matrix as stored, in the mode's
     dtype (exact entries converted to Fraction, a float matrix mirrored from
-    its upper triangle), an exact space's (values, rank) pair when there is
-    no violation (None otherwise), and what violations() reports on it.
+    its upper triangle), what the space is built with when there is no
+    violation (None otherwise), and what violations() reports on it. known
+    is (ranks, tree): an exact space's (values, rank) pair (None in float)
+    and, for an ultrametric that the nearest-sum bound does not accept, a
+    function that writes its spanning tree (None otherwise).
     Symmetry and positivity are checked a block of rows at a time, and the
-    triangle inequality by _within_nearest_sums, then, only where that
-    bound fails, by the cubic _worst_triple. Dyadic exact entries are
-    checked as integers over their common power-of-two denominator, which
-    the ranks then sort. Raises MetricViolation("parse") on a ragged or
-    non-numeric matrix. An owned float matrix (one no caller reads again)
-    is mirrored in place."""
+    triangle inequality by _within_nearest_sums; only where that bound
+    fails, an ultrametric is accepted in O(n^2) by _ultrametric_parents,
+    once the leading _SCREEN_POINTS points pass it (so other inputs leave
+    after a few rows), and any other input goes to the cubic _worst_triple.
+    Dyadic exact entries are checked as integers over their common
+    power-of-two denominator, which the ranks then sort. Raises
+    MetricViolation("parse") on a ragged or non-numeric matrix. An owned
+    float matrix (one no caller reads again) is mirrored in place."""
     try:
         m = np.asarray(matrix, dtype=object if exact else float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -298,15 +307,22 @@ def _checked(matrix, labels, tol, exact, owned=False):
             np.copyto(m[a:b, :b], upper[:b, a:b].T, where=np.tri(b - a, b, a - 1, dtype=bool))
         np.fill_diagonal(m, 0.0)  # +0.0, where the input may hold -0.0
     summed = m if keys is None else keys.reshape(m.shape)
+    ranks, tree = (_ranked(m, keys) if exact else None), None
     if n > 2 and not _within_nearest_sums(summed, tol):
-        slack, witness = _worst_triple(summed, np.add)
-        if slack > tol:
-            out.append(MetricViolation("triangle", witness))
-    ranks = _ranked(m, keys) if exact else None
+        rank = m if ranks is None else ranks[1]
+        # an ultrametric's leading points are one too: most other inputs stop there
+        screened = _ultrametric_parents(rank[:_SCREEN_POINTS, :_SCREEN_POINTS]) is not None
+        parents = _ultrametric_parents(rank) if screened else None
+        if parents is not None:  # d <= max(d', d'') <= d' + d'', in float too: no slack
+            tree = partial(_ultrametric_tree, *parents)
+        else:
+            slack, witness = _worst_triple(summed, np.add)
+            if slack > tol:
+                out.append(MetricViolation("triangle", witness))
     diam = ranks[0][-1] if exact else m.max() if n > 1 else 0
     if diam > 1:
         out.append(DiameterExceedsOne(diam))
-    return m, None if out else ranks, out
+    return m, None if out else (ranks, tree), out
 
 
 def _within_nearest_sums(m, tol):
@@ -389,22 +405,25 @@ def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL, rescale: bool = F
 
     The checks are those of violations(): a tie-heavy matrix whose every
     entry is at most the sum of its endpoints' nearest-neighbour entries
-    is accepted in O(n^2), any other pays the O(n^3) triangle search.
+    is accepted in O(n^2), and so is an ultrametric, whose spanning tree
+    the same pass writes in closed form and the space keeps, so it runs no
+    Prim loop either; any other matrix pays the O(n^3) triangle search.
     With rescale=True, a diameter above 1 divides the whole matrix by the
     diameter instead of raising; the result is flagged so reports can note
     that per-partition ratios changed under the rescale. _owned: matrix
     is read by no caller again and may be changed."""
-    m, ranks, problems = _checked(matrix, labels, tol, exact, _owned)
+    m, known, problems = _checked(matrix, labels, tol, exact, _owned)
     if labels is None:
         labels = [f"p{i}" for i in range(m.shape[0] if m.ndim == 2 else 0)]
     rescaled = False
     if problems and rescale and all(isinstance(p, DiameterExceedsOne) for p in problems):
-        m, ranks, problems = _checked(m / m.max(), labels, tol, exact, True)
+        m, known, problems = _checked(m / m.max(), labels, tol, exact, True)
         rescaled = True
     if problems:
         raise problems[0]
+    ranks, tree = known
     return FiniteMetricSpace(labels, m, exact=exact, rescaled=rescaled, _trusted=True,
-                             _ranks=ranks)
+                             _ranks=ranks, _tree=tree)
 
 
 def snowflake(space: FiniteMetricSpace, s: float) -> FiniteMetricSpace:
@@ -486,18 +505,54 @@ class UltrametricCheck:
 def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> UltrametricCheck:
     """Strong triangle inequality over all triples, with the worst witness.
 
-    A space is ultrametric iff it equals its subdominant ultrametric
-    (Carlsson & Memoli 2010), so a passing space is accepted by one scan of
-    its pairs, a block of rows at a time (_at_subdominant); only a failing
-    one pays for the O(n^3) search of its worst triple, on the entries.
-    Exact spaces fail on any positive violation, float ones above tol.
+    A passing space is accepted by one pass over its rows, a block at a
+    time, on its ranks (_ultrametric_parents), which also gives its
+    spanning tree in closed form: a space that has none yet keeps it, so
+    its chains and gaps run no Prim loop. Only a failing space pays for the
+    O(n^3) search of its worst triple, on the entries. Exact spaces fail on
+    any positive violation, float ones above tol.
     """
-    if space.n < 3 or all(same.all() for _, _, same in _at_subdominant(space)):
+    parents = _ultrametric_parents(space.rank)
+    if parents is not None:
+        if space._mst is None:
+            space._mst = partial(_ultrametric_tree, *parents)
         return UltrametricCheck(True, None, _zero(space.exact))
     worst, witness = _worst_triple(space.dist, np.maximum)
     if not space.exact and worst <= tol:
         return UltrametricCheck(True, None, max(float(worst), 0.0))
     return UltrametricCheck(False, witness, worst if space.exact else float(worst))
+
+
+def _ultrametric_parents(rank):
+    """(parent, weight) of an ultrametric's rank matrix, or None when it is
+    not one. For each u >= 1, parent[u] is the first least entry of row u
+    left of the diagonal and weight[u] that entry (weight[0] the diagonal's,
+    parent[0] = 0), and the matrix is ultrametric exactly when
+    rank[u, v] == max(weight[u], rank[parent[u], v]) for every v < u:
+      - in an ultrametric, rank[u, v] <= max(weight[u], rank[parent[u], v])
+        and rank[parent[u], v] <= max(weight[u], rank[u, v]) = rank[u, v],
+        since weight[u] <= rank[u, v];
+      - conversely, by induction on u, the equality makes every entry the
+        largest weight on the path between its points in the tree of the
+        edges (u, parent[u]), and such a matrix is ultrametric.
+    Rows are read a block at a time (_row_blocks), left of the diagonal
+    only; the pass stops at the first block holding a failing row."""
+    n = len(rank)
+    parent, weight = np.zeros(n, dtype=np.intp), rank.diagonal().copy()
+    for a, b in _row_blocks(n, n):
+        a = max(a, 1)
+        if a == b:
+            continue
+        left = rank[a:b, :b]
+        before = np.tri(b - a, b, a - 1, dtype=bool)  # the columns v < u of row u
+        near = np.where(before, left, np.inf)
+        p = near.argmin(axis=1)
+        parent[a:b], weight[a:b] = p, near[np.arange(b - a), p]
+        del near  # before the rows of the parents are gathered
+        path = np.maximum(rank[p, :b], weight[a:b, None])
+        if not (path == left)[before].all():
+            return None
+    return parent, weight
 
 
 # Single linkage. The components of {d < t} (or {d <= t}) are those of the
@@ -508,9 +563,12 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
 # which the pair scan reads (_at_subdominant) and _leaf_matrix writes.
 
 def _spanning_tree(space: FiniteMetricSpace):
-    """_prim of the space's rank, from a trusted builder's _tree or else
-    _prim, on the first call, kept on the space, which never changes: every
-    later call returns the same arrays, read-only."""
+    """_prim of the space's rank, on the first call, kept on the space,
+    which never changes: every later call returns the same arrays,
+    read-only. It comes from the function the space holds, if any (a
+    trusted builder's _tree, or _ultrametric_tree once validate or
+    is_ultrametric has accepted the space as an ultrametric), or else from
+    _prim."""
     if not isinstance(space._mst, tuple):  # None, or the builder's function
         space._mst = (space._mst and space._mst()) or _prim(space.rank)
     for part in space._mst:
@@ -548,6 +606,28 @@ def _prim(matrix):
         np.copyto(best, matrix[v], where=closer)
         np.copyto(link, v, where=closer)
     return order, parent, weight
+
+
+def _ultrametric_tree(parent, weight):
+    """_prim of an ultrametric, bit for bit, from _ultrametric_parents: the
+    tree of the edges (u, parent[u]) of weight weight[u], attached in the
+    depth-first preorder from 0 that takes each point's children by
+    (weight, index). A child's weight is below its parent's (were it not,
+    the grandparent, a lower index, would be as near to the child), so once
+    Prim attaches a point, its subtree is nearer than anything else still
+    free; and among the free points at the least distance to the tree, the
+    lowest index is a child of an attached point, linked from the first
+    attached point at that distance, its parent."""
+    n = len(parent)
+    kids = np.lexsort((weight[1:], parent[1:])) + 1  # by parent, then weight, then index
+    first = np.searchsorted(parent[kids], np.arange(n + 1)).tolist()
+    kids, order, stack = kids.tolist(), [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += kids[first[v]:first[v + 1]][::-1]
+    order = np.array(order, dtype=np.intp)
+    return order, parent[order], weight[order]
 
 
 def _at_subdominant(space: FiniteMetricSpace):

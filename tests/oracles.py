@@ -21,7 +21,10 @@ cubic searches that `spaces._hull` replaced: the triangle check (a
 ones) and the hull sweep of
 `is_ultrametric` with its first-k matrix `argk`, `hull`, the kernel that
 made all of a row's candidates at once before they came in blocks,
-`worst_triple`, the search of `spaces._worst_triple` over the whole
+`is_ultrametric_by_scan`, the accept test that built the space's Prim
+tree and compared every pair with its subdominant rank before one pass
+over the rows decided it, `worst_triple`, the search of
+`spaces._worst_triple` over the whole
 concatenated hull before it folded one row at a time, `mirrored`, the
 two-copy symmetrization of
 float input in `spaces._checked`, and the kernels that
@@ -676,6 +679,24 @@ def is_ultrametric(space, tol=DEFAULT_TOL):
     if not space.exact and worst <= tol:
         return UltrametricCheck(True, None, max(worst, 0.0))
     return UltrametricCheck(False, (i, j, int(argk[i, j])), worst)
+
+
+def is_ultrametric_by_scan(space, tol=DEFAULT_TOL):
+    """is_ultrametric before its row pass: the space's Prim tree (_prim, so
+    no tree is kept on the space), then the scan of every pair against its
+    subdominant rank, the largest weight attached between its leaves
+    (spaces._at_subdominant on that tree); a failing space searches its
+    worst triple as today."""
+    if space.n >= 3:
+        order, _, weight = _prim(space.rank)
+        for a, b, split, upper in _spaces._pair_blocks(order, -weight[1:]):
+            if not (space.rank[a:b, a + 1:][upper] == -split).all():
+                worst, witness = _spaces._worst_triple(space.dist, np.maximum)
+                if not space.exact and worst <= tol:
+                    return UltrametricCheck(True, None, max(float(worst), 0.0))
+                return UltrametricCheck(False, witness,
+                                        worst if space.exact else float(worst))
+    return UltrametricCheck(True, None, _zero(space.exact))
 
 
 def to_csv(space):

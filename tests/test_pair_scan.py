@@ -2,9 +2,10 @@
 matrix it replaced (oracles.split): the split level of every pair of
 dendrogram, ball, zoo, from_partitions, induced and thinned chains, in
 blocks of 1, 7 and 97 entries and of the default budget. Then the reads
-that go through the scan: is_ultrametric and associated_endpoints, which
-compare every pair with the subdominant ultrametric on the space's Prim
-order, against the whole-matrix oracles, on ultrametrics, subdominants and
+that compare every pair with the subdominant ultrametric: associated_endpoints,
+through the scan on the space's Prim order, and is_ultrametric, whose
+accept test the scan was before its row pass (test_ultrametric_pass), against
+the whole-matrix oracles, on ultrametrics, subdominants and
 spaces one entry away from them (1 ulp, tol/2 or 2 tol, up or down), in
 float and exact mode; chain equality, which compares split levels block by
 block, across leaf orders and at a single differing pair; and the
@@ -226,8 +227,8 @@ def peak_of(fn):
 
 
 def test_is_ultrametric_of_a_2000_point_subdominant_holds_blocks_of_pairs(cloud):
-    """The accept test scans blocks of pairs: the subdominant's spanning
-    tree and the scan's temporaries, 0.23x the matrix (3.00x when the
+    """The accept test reads blocks of rows: 0.10x the matrix (0.23x with
+    the subdominant's spanning tree and the pair scan, 3.00x when the
     whole subdominant was built and compared)."""
     sub = ml.subdominant_ultrametric(cloud)
     check, peak = peak_of(lambda: ml.is_ultrametric(sub))
