@@ -24,7 +24,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain, combinations
 
 import numpy as np
@@ -43,8 +42,8 @@ class FiniteMetricSpace:
         """diameter, _ranks and _tree, accepted only with _trusted, are what
         the builder already knows: the largest entry, an exact space's
         (values, rank) pair, and a function that returns _prim(rank), bit
-        for bit, or None where it cannot, run by _spanning_tree on first
-        use. values may hold more Fractions than the matrix does (a table
+        for bit, or None where it cannot, which _spanning_tree tries first.
+        values may hold more Fractions than the matrix does (a table
         shared with the space it came from); an exact space built without
         the pair is ranked here, by _ranked."""
         labels = tuple(str(x) for x in labels)
@@ -53,10 +52,9 @@ class FiniteMetricSpace:
         if _trusted:
             matrix = np.asarray(dist, dtype=object if exact else float)
         else:
-            matrix, known, problems = _checked(dist, labels, DEFAULT_TOL, exact)
+            matrix, _ranks, problems = _checked(dist, labels, DEFAULT_TOL, exact)
             if problems:
                 raise problems[0]
-            _ranks, _tree = known
         matrix.setflags(write=False)
         self.labels = labels
         self.dist = matrix
@@ -131,7 +129,7 @@ def _rank_bound(space, t, inclusive=False, key=None):
 
 
 _BLOCK_ENTRIES = 1 << 17  # entries made at once by _hull and every pass over pairs or levels
-_SCREEN_POINTS = 8  # validate tries the ultrametric pass on the whole matrix once these pass it
+_SCREEN_POINTS = 8  # the ultrametric pass reads these rows first, where most other inputs fail
 
 
 def _gather(values, ranks):
@@ -238,18 +236,15 @@ def violations(matrix, labels=None, tol: float = DEFAULT_TOL, exact: bool = Fals
 
 
 def _checked(matrix, labels, tol, exact, owned=False):
-    """(entries, known, violations): the matrix as stored, in the mode's
+    """(entries, ranks, violations): the matrix as stored, in the mode's
     dtype (exact entries converted to Fraction, a float matrix mirrored from
-    its upper triangle), what the space is built with when there is no
-    violation (None otherwise), and what violations() reports on it. known
-    is (ranks, tree): an exact space's (values, rank) pair (None in float)
-    and, for an ultrametric that the nearest-sum bound does not accept, a
-    function that writes its spanning tree (None otherwise).
-    Symmetry and positivity are checked a block of rows at a time, and the
-    triangle inequality by _within_nearest_sums; only where that bound
-    fails, an ultrametric is accepted in O(n^2) by _ultrametric_parents,
-    once the leading _SCREEN_POINTS points pass it (so other inputs leave
-    after a few rows), and any other input goes to the cubic _worst_triple.
+    its upper triangle), an exact space's (values, rank) pair (None in
+    float, or where there is a violation), and what violations() reports
+    on it. Symmetry and positivity are checked a block of rows at a time,
+    and the triangle inequality by _within_nearest_sums; only where that
+    bound fails, an ultrametric is accepted in O(n^2) by
+    _ultrametric_parents, and any other input goes to the cubic
+    _worst_triple.
     Dyadic exact entries are checked as integers over their common
     power-of-two denominator, which the ranks then sort. Raises
     MetricViolation("parse") on a ragged or non-numeric matrix. An owned
@@ -307,22 +302,17 @@ def _checked(matrix, labels, tol, exact, owned=False):
             np.copyto(m[a:b, :b], upper[:b, a:b].T, where=np.tri(b - a, b, a - 1, dtype=bool))
         np.fill_diagonal(m, 0.0)  # +0.0, where the input may hold -0.0
     summed = m if keys is None else keys.reshape(m.shape)
-    ranks, tree = (_ranked(m, keys) if exact else None), None
-    if n > 2 and not _within_nearest_sums(summed, tol):
-        rank = m if ranks is None else ranks[1]
-        # an ultrametric's leading points are one too: most other inputs stop there
-        screened = _ultrametric_parents(rank[:_SCREEN_POINTS, :_SCREEN_POINTS]) is not None
-        parents = _ultrametric_parents(rank) if screened else None
-        if parents is not None:  # d <= max(d', d'') <= d' + d'', in float too: no slack
-            tree = partial(_ultrametric_tree, *parents)
-        else:
-            slack, witness = _worst_triple(summed, np.add)
-            if slack > tol:
-                out.append(MetricViolation("triangle", witness))
+    ranks = _ranked(m, keys) if exact else None
+    # an ultrametric has d <= max(d', d'') <= d' + d'', in float too: no slack
+    if (n > 2 and not _within_nearest_sums(summed, tol)
+            and _ultrametric_parents(m if ranks is None else ranks[1]) is None):
+        slack, witness = _worst_triple(summed, np.add)
+        if slack > tol:
+            out.append(MetricViolation("triangle", witness))
     diam = ranks[0][-1] if exact else m.max() if n > 1 else 0
     if diam > 1:
         out.append(DiameterExceedsOne(diam))
-    return m, None if out else (ranks, tree), out
+    return m, None if out else ranks, out
 
 
 def _within_nearest_sums(m, tol):
@@ -405,25 +395,23 @@ def validate(matrix, labels=None, *, tol: float = DEFAULT_TOL, rescale: bool = F
 
     The checks are those of violations(): a tie-heavy matrix whose every
     entry is at most the sum of its endpoints' nearest-neighbour entries
-    is accepted in O(n^2), and so is an ultrametric, whose spanning tree
-    the same pass writes in closed form and the space keeps, so it runs no
-    Prim loop either; any other matrix pays the O(n^3) triangle search.
+    is accepted in O(n^2), and so is an ultrametric, by one pass over its
+    rows; any other matrix pays the O(n^3) triangle search.
     With rescale=True, a diameter above 1 divides the whole matrix by the
     diameter instead of raising; the result is flagged so reports can note
     that per-partition ratios changed under the rescale. _owned: matrix
     is read by no caller again and may be changed."""
-    m, known, problems = _checked(matrix, labels, tol, exact, _owned)
+    m, ranks, problems = _checked(matrix, labels, tol, exact, _owned)
     if labels is None:
         labels = [f"p{i}" for i in range(m.shape[0] if m.ndim == 2 else 0)]
     rescaled = False
     if problems and rescale and all(isinstance(p, DiameterExceedsOne) for p in problems):
-        m, known, problems = _checked(m / m.max(), labels, tol, exact, True)
+        m, ranks, problems = _checked(m / m.max(), labels, tol, exact, True)
         rescaled = True
     if problems:
         raise problems[0]
-    ranks, tree = known
     return FiniteMetricSpace(labels, m, exact=exact, rescaled=rescaled, _trusted=True,
-                             _ranks=ranks, _tree=tree)
+                             _ranks=ranks)
 
 
 def snowflake(space: FiniteMetricSpace, s: float) -> FiniteMetricSpace:
@@ -506,16 +494,11 @@ def is_ultrametric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Ultram
     """Strong triangle inequality over all triples, with the worst witness.
 
     A passing space is accepted by one pass over its rows, a block at a
-    time, on its ranks (_ultrametric_parents), which also gives its
-    spanning tree in closed form: a space that has none yet keeps it, so
-    its chains and gaps run no Prim loop. Only a failing space pays for the
-    O(n^3) search of its worst triple, on the entries. Exact spaces fail on
-    any positive violation, float ones above tol.
+    time, on its ranks (_ultrametric_parents). Only a failing space pays
+    for the O(n^3) search of its worst triple, on the entries. Exact
+    spaces fail on any positive violation, float ones above tol.
     """
-    parents = _ultrametric_parents(space.rank)
-    if parents is not None:
-        if space._mst is None:
-            space._mst = partial(_ultrametric_tree, *parents)
+    if _ultrametric_parents(space.rank) is not None:
         return UltrametricCheck(True, None, _zero(space.exact))
     worst, witness = _worst_triple(space.dist, np.maximum)
     if not space.exact and worst <= tol:
@@ -535,14 +518,16 @@ def _ultrametric_parents(rank):
       - conversely, by induction on u, the equality makes every entry the
         largest weight on the path between its points in the tree of the
         edges (u, parent[u]), and such a matrix is ultrametric.
-    Rows are read a block at a time (_row_blocks), left of the diagonal
-    only; the pass stops at the first block holding a failing row."""
+    Rows are read a block at a time, left of the diagonal only: first
+    those of the leading _SCREEN_POINTS points, which most other inputs
+    fail (a cloud within 8 x 8 entries), then as many rows at a time as
+    _row_blocks takes; the pass stops at the first block holding a
+    failing row."""
     n = len(rank)
     parent, weight = np.zeros(n, dtype=np.intp), rank.diagonal().copy()
-    for a, b in _row_blocks(n, n):
-        a = max(a, 1)
-        if a == b:
-            continue
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))  # rows at a time, as _row_blocks reads them
+    edges = [1, *range(min(_SCREEN_POINTS, n), n, step), n] if n > 1 else []
+    for a, b in zip(edges, edges[1:]):
         left = rank[a:b, :b]
         before = np.tri(b - a, b, a - 1, dtype=bool)  # the columns v < u of row u
         near = np.where(before, left, np.inf)
@@ -565,12 +550,15 @@ def _ultrametric_parents(rank):
 def _spanning_tree(space: FiniteMetricSpace):
     """_prim of the space's rank, on the first call, kept on the space,
     which never changes: every later call returns the same arrays,
-    read-only. It comes from the function the space holds, if any (a
-    trusted builder's _tree, or _ultrametric_tree once validate or
-    is_ultrametric has accepted the space as an ultrametric), or else from
-    _prim."""
+    read-only. This is the one place a tree is picked: a trusted builder's
+    _tree, if it gives one, else the closed form of an ultrametric
+    (_ultrametric_tree), if the row pass accepts the rank, else _prim."""
     if not isinstance(space._mst, tuple):  # None, or the builder's function
-        space._mst = (space._mst and space._mst()) or _prim(space.rank)
+        tree = space._mst and space._mst()
+        if tree is None:
+            parents = _ultrametric_parents(space.rank)
+            tree = _prim(space.rank) if parents is None else _ultrametric_tree(*parents)
+        space._mst = tree
     for part in space._mst:
         part.setflags(write=False)
     return space._mst

@@ -120,9 +120,7 @@ def _value_logs(table):
     gather bit for bit (-inf for its leading zero); None for no table."""
     if table is None:
         return None
-    logs = np.fromiter((math.log(x.numerator) - math.log(x.denominator)  # flog of a Fraction
-                        for x in table[1:].tolist()), dtype=float, count=len(table) - 1)
-    return np.concatenate(([-math.inf], logs))
+    return np.concatenate(([-math.inf], _logs(table[1:])))
 
 
 def _first_failure(*failed):

@@ -250,8 +250,9 @@ def _gap(a, b):
 def _pair_space(labels, values, pair, exact):
     """The trusted space of pair (_gap or np.maximum) over a sequence
     sample, 0 then decreasing r_n, whose diameter is entry [0, 1]: one outer
-    pair with +0.0 on the diagonal in float, _dyadic_ranks in exact mode,
-    with _sequence_tree as its spanning tree, run only if one is read."""
+    pair with +0.0 on the diagonal in float, _dyadic_ranks in exact mode.
+    A _gap space hands over _sequence_tree, run only if its tree is read; a
+    max space is an ultrametric, whose tree spaces._spanning_tree writes."""
     if exact:
         table, rank = _dyadic_ranks(values, pair)
         dist, diameter = _gather(table, rank), table[-1]
@@ -260,25 +261,25 @@ def _pair_space(labels, values, pair, exact):
         table, rank = None, pair(arr[:, None], arr[None, :])
         np.fill_diagonal(rank, 0.0)
         dist, diameter = rank, rank[0, 1]
-    tree = partial(_sequence_tree, rank, pair is np.maximum)
+    tree = partial(_sequence_tree, rank) if pair is _gap else None
     return FiniteMetricSpace(labels, dist, exact=exact, _trusted=True, diameter=diameter,
                              _ranks=(table, rank), _tree=tree)
 
 
-def _sequence_tree(rank, star):
-    """spaces._prim(rank) of a sequence sample, or None if Prim builds
-    another tree. The candidate attaches the points by value, 0, r_d, ...,
-    r_1 (step j >= 1 attaches point n - j), each to the one before (a path,
-    as |x - y| gives) or to 0 (a star, as max(x, y) gives). Prim's choices
-    are replayed along it in O(n^2), a block of rows at a time, rows and
-    columns in attach order: the prefix minima of row j are point j's least
-    entries to the tree after each step. Step j takes the highest free
-    index, so every later point's least entry after step j - 1 must exceed
-    point j's own (a tie goes to the lower index), and point j's parent
-    must be the first point to reach it (its first argmin): the one before
-    for a path, 0 for a star. A rounding tie that changes a choice (0.5 -
-    2^-120 is 0.5 at seq_factorial depth 5) fails the replay; one that does
-    not (float seq_geometric from depth 55) passes."""
+def _sequence_tree(rank):
+    """spaces._prim(rank) of a |x - y| sequence sample, or None if Prim
+    builds another tree. The candidate attaches the points by value, 0,
+    r_d, ..., r_1 (step j >= 1 attaches point n - j), each to the one
+    before: the path of consecutive values. Prim's choices are replayed
+    along it in O(n^2), a block of rows at a time, rows and columns in
+    attach order: the prefix minima of row j are point j's least entries to
+    the tree after each step. Step j takes the highest free index, so every
+    later point's least entry after step j - 1 must exceed point j's own (a
+    tie goes to the lower index), and point j's parent, the one before,
+    must be the first point to reach it (its first argmin). A rounding tie
+    that changes a choice (0.5 - 2^-120 is 0.5 at seq_factorial depth 5)
+    fails the replay; one that does not (float seq_geometric from depth 55)
+    passes."""
     n = len(rank)
     order = np.append(0, np.arange(n - 1, 0, -1))
     chosen = np.empty(n - 1)  # per step c, the least entry of the point step c + 1 attaches
@@ -293,14 +294,12 @@ def _sequence_tree(rank, star):
         rival = np.minimum(rival, m[:, :-1].min(axis=0, initial=np.inf, where=before))
         j = np.arange(max(a, 1), b)
         chosen[j - 1] = m[j - a, j - 1]
-        first = (m[j - a, 0] == chosen[j - 1] if star
-                 else (m[j - a, np.maximum(j - 2, 0)] > chosen[j - 1]) | (j == 1))
+        first = (m[j - a, np.maximum(j - 2, 0)] > chosen[j - 1]) | (j == 1)
         if not first.all():
             return None
     if not (rival > chosen).all():
         return None
-    parent = np.zeros(n, dtype=np.intp) if star else np.append(0, order[:-1])
-    return order, parent, np.append(rank[0, 0], chosen)  # each point's entry to its parent
+    return order, np.append(0, order[:-1]), np.append(rank[0, 0], chosen)  # entries to parents
 
 
 def _dyadic_ranks(values, pair):

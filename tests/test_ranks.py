@@ -227,10 +227,12 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     9 and on Cantor depth 6, oracle on seq_geometric depth 6, dimension on
     seq_geometric depth 60 and Cantor depth 6, partition_stats and
     associated_endpoints compare no Fraction inside _chain_stats, the pair
-    stream _pair_runs, _prim, _leaf_matrix, _block_tree, is_ultrametric's accept test (a passing
-    rho), the certificate's per-level checks (_sandwich), whose d <= rho
-    operands are float64 ranks, _label_stats, separated_count,
-    estimate_metric_dimension or associated_endpoints."""
+    stream _pair_runs, the ultrametric row pass and the tree it writes
+    (_ultrametric_parents, _ultrametric_tree: Cantor's tree), _leaf_matrix,
+    _block_tree, is_ultrametric's accept test (a passing rho), the
+    certificate's per-level checks (_sandwich), whose d <= rho operands are
+    float64 ranks, _label_stats, separated_count, estimate_metric_dimension
+    or associated_endpoints; and none of them runs _prim."""
     inside = [0]
     counts = {"inside": 0, "outside": 0}
     calls = {}
@@ -267,7 +269,8 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     def accepts(out):
         assert out.ok
 
-    watched(spaces, "_prim")  # _spanning_tree's one call per space
+    for name in ("_prim", "_ultrametric_parents", "_ultrametric_tree"):  # what trees come from
+        watched(spaces, name)
     for module in (spaces, ultrametrize):
         watched(module, "_leaf_matrix")
     watched(partitions, "_chain_stats")
@@ -300,10 +303,10 @@ def test_no_fraction_comparison_in_the_rank_kernels(monkeypatch):
     partitions.associated_endpoints(space)
     assert counts["inside"] == 0
     assert counts["outside"] > 0  # the patch sees the comparisons made elsewhere
-    assert set(calls) == {"_prim", "_leaf_matrix", "_chain_stats", "_pair_runs",
-                          "_block_tree", "is_ultrametric", "_sandwich", "_pair_logs",
-                          "_label_stats", "separated_count", "estimate_metric_dimension",
-                          "associated_endpoints"}
+    assert set(calls) == {"_ultrametric_parents", "_ultrametric_tree", "_leaf_matrix",
+                          "_chain_stats", "_pair_runs", "_block_tree", "is_ultrametric",
+                          "_sandwich", "_pair_logs", "_label_stats", "separated_count",
+                          "estimate_metric_dimension", "associated_endpoints"}
 
 
 def test_exact_dimension_equals_float_where_float_is_exact():

@@ -1,16 +1,17 @@
-"""The spanning tree a trusted builder hands its space against spaces._prim
-of the rank, bit for bit (order, parent, weight). zoo._pair_space writes a
-sequence sample's tree in closed form once the rank passes the check that
-Prim builds that tree, a replay of Prim's choices: the path of
-consecutive values for |x - y|, the star at 0 for max(x, y). Every
+"""The spanning tree of a sequence sample against spaces._prim of the
+rank, bit for bit (order, parent, weight). zoo._pair_space hands a |x - y|
+sample's tree over in closed form once the rank passes the check that
+Prim builds that tree, a replay of Prim's choices along the path of
+consecutive values; a max(x, y) sample, an ultrametric, hands none, and
+spaces._spanning_tree writes its tree by the ultrametric row pass. Every
 sequence kind is drawn, float and exact, at depths 1 to 400, with the
 comparison ultrametric, and so are sequences of small integers, which tie
-often, and every small rank of a few entries, whose rows rise and fall;
-float samples whose rounding ties change one of Prim's choices fall back
-to _prim, and those whose ties do not are handed over. Then what the
-handed tree and a chain's cuts save: profile --zoo on a sequence sample
-runs no _prim, and profile(chain, space=sp) reads no pair of a chain that
-kept its cuts."""
+often, and every small rank of a few entries, whose rows rise and fall,
+through both the replay and the row pass; float samples whose rounding
+ties change one of Prim's choices fall back to _prim, and those whose
+ties do not are handed over. Then what the trees and a chain's cuts save:
+profile --zoo on a sequence sample runs no _prim, and profile(chain,
+space=sp) reads no pair of a chain that kept its cuts."""
 
 import io
 import itertools
@@ -59,14 +60,17 @@ def same_tree(new, old):
 @CHECKS
 @given(samples())
 def test_handed_trees_equal_prim(space):
-    handed = space._mst()
-    event(f"handed over: {handed is not None}, over 100 points: {space.n > 100}")
+    ultrametric = space._mst is None  # a max sample, whose tree the row pass writes
+    handed = None if ultrametric else space._mst()
+    event(f"handed over: {handed is not None}, ultrametric: {ultrametric}, "
+          f"over 100 points: {space.n > 100}")
     if space.exact:  # exact ranks never tie
-        assert handed is not None
+        assert ultrametric or handed is not None
     calls, prim = [], spaces._prim
     with mock.patch.object(spaces, "_prim", lambda m: calls.append(len(m)) or prim(m)):
         tree = spaces._spanning_tree(space)
-        assert spaces._spanning_tree(space) is tree and calls == ([] if handed else [space.n])
+        assert spaces._spanning_tree(space) is tree
+        assert calls == ([] if ultrametric or handed else [space.n])
     assert not any(part.flags.writeable for part in tree)
     same_tree(tree, prim(space.rank))
     if handed:
@@ -101,41 +105,58 @@ def test_rounding_ties_that_keep_prims_path_hand_it_over(depth):
     same_tree(handed, spaces._prim(space.rank))
 
 
-def hands_over_exactly_prims_tree(rank, star):
-    """The replay hands over a tree exactly when Prim builds the candidate,
-    and then Prim's tree bit for bit; True when it hands one over."""
-    handed, prim = zoo._sequence_tree(rank, star), spaces._prim(rank)
+def hands_over_exactly_prims_tree(rank):
+    """The replay hands over a tree exactly when Prim builds the path, and
+    then Prim's tree bit for bit; True when it hands one over."""
+    handed, prim = zoo._sequence_tree(rank), spaces._prim(rank)
     order = np.append(0, np.arange(len(rank) - 1, 0, -1))
-    parent = np.zeros(len(rank), dtype=np.intp) if star else np.append(0, order[:-1])
-    built = np.array_equal(prim[0], order) and np.array_equal(prim[1], parent)
+    built = np.array_equal(prim[0], order) and np.array_equal(prim[1], np.append(0, order[:-1]))
     assert (handed is not None) == built
     if handed is not None:
         same_tree(handed, prim)
     return handed is not None
 
 
+def writes_exactly_prims_tree(rank):
+    """The row pass accepts exactly an ultrametric rank, and then writes
+    Prim's tree bit for bit; True when it accepts."""
+    parents, prim = spaces._ultrametric_parents(rank), spaces._prim(rank)
+    ultrametric = np.array_equal(
+        spaces._leaf_matrix(prim[0], prim[2][1:], np.maximum, prim[2][0]), rank)
+    assert (parents is not None) == ultrametric
+    if parents is not None:
+        same_tree(spaces._ultrametric_tree(*parents), prim)
+    return parents is not None
+
+
 @CHECKS
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=30, unique=True), st.booleans())
 def test_replayed_ties_hand_over_exactly_prims_tree(values, star):
-    """Sequence ranks of small integers tie often, in every row."""
+    """Sequence ranks of small integers tie often, in every row; their max
+    ranks are ultrametrics, whose tree the row pass writes."""
     x = np.array([0.0] + sorted(map(float, values), reverse=True))
     rank = np.maximum(x[:, None], x[None, :]) if star else np.abs(x[:, None] - x[None, :])
     np.fill_diagonal(rank, 0.0)
-    event(f"handed over: {hands_over_exactly_prims_tree(rank, star)}")
+    if star:
+        assert writes_exactly_prims_tree(rank)
+    else:
+        event(f"handed over: {hands_over_exactly_prims_tree(rank)}")
 
 
 @pytest.mark.parametrize("n, entries", [(3, (1, 2, 3)), (4, (1, 2, 3)), (5, (1, 2))])
 def test_every_small_rank_hands_over_exactly_prims_tree(n, entries):
     """Every symmetric rank of n points with the given entries, whose rows
     rise and fall and tie: the replay reads each point's least entry to
-    the tree from its row's prefix minima."""
-    upper, handed = np.triu_indices(n, 1), 0
+    the tree from its row's prefix minima, and the row pass accepts the
+    ultrametrics among them."""
+    upper, handed, accepted = np.triu_indices(n, 1), 0, 0
     for row in itertools.product(entries, repeat=len(upper[0])):
         rank = np.zeros((n, n))
         rank[upper] = row
         rank += rank.T
-        handed += sum(hands_over_exactly_prims_tree(rank, star) for star in (False, True))
-    assert handed > 0
+        handed += hands_over_exactly_prims_tree(rank)
+        accepted += writes_exactly_prims_tree(rank)
+    assert handed > 0 and accepted > 0
 
 
 def test_a_row_that_rises_keeps_prims_path():
@@ -145,7 +166,7 @@ def test_a_row_that_rises_keeps_prims_path():
     rank = np.array([[0.0, 2, 2.5, 1], [2, 0, 1, 3], [2.5, 1, 0, 1], [1, 3, 1, 0]])
     order, parent, _ = spaces._prim(rank)
     assert order.tolist() == [0, 3, 2, 1] and parent.tolist() == [0, 0, 3, 2]
-    assert hands_over_exactly_prims_tree(rank, False)
+    assert hands_over_exactly_prims_tree(rank)
 
 
 def test_only_trusted_builders_hand_over_a_tree():
@@ -157,22 +178,25 @@ def test_only_trusted_builders_hand_over_a_tree():
 
 
 def test_profile_of_a_sequence_sample_runs_no_prim(monkeypatch):
-    """And a space that reads no tree, as ultrametrize's sample, runs no
-    check either."""
+    """The |x - y| samples replay Prim's choices and sqrt_ultra, a max
+    sample, takes the row pass's tree. A space that reads no tree, as
+    ultrametrize's sample, runs no check either."""
     calls, prim = [], spaces._prim
     monkeypatch.setattr(spaces, "_prim", lambda m: calls.append(len(m)) or prim(m))
     checks, check = [], zoo._sequence_tree
     monkeypatch.setattr(zoo, "_sequence_tree", lambda *a: checks.append(1) or check(*a))
+    written, write = [], spaces._ultrametric_tree
+    monkeypatch.setattr(spaces, "_ultrametric_tree", lambda *a: written.append(1) or write(*a))
     for argv in (["profile", "--zoo", "seq_polynomial", "--s", "2", "--depth", "140"],
                  ["profile", "--zoo", "sqrt_ultra", "--depth", "120"],
                  ["profile", "--zoo", "seq_geometric", "--depth", "60", "--exact"]):
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-    assert calls == [] and len(checks) == 3
+    assert calls == [] and len(checks) == 2 and len(written) == 1
     with redirect_stdout(io.StringIO()):
         assert cli.main(["ultrametrize", "--zoo", "seq_polynomial", "--s", "2", "--depth",
                          "140", "--p", "3", "--epsilon", "0.5"]) == 0
-    assert len(checks) == 3
+    assert len(checks) == 2 and len(written) == 1
 
 
 def test_profile_reads_no_pair_of_a_chain_that_kept_its_cuts(monkeypatch):

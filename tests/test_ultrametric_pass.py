@@ -11,8 +11,10 @@ tol/2 or 2 tol, in float and exact mode, at several block budgets. Then
 validate and from_csv, which try the same pass before the cubic search:
 the same matrix, tree or error as the cubic path, no _hull call on an
 ultrametric, and a cloud that leaves after its first few points. Last,
-the Prim loops and hull searches the pass saves in the CLI, and its
-memory on a 2,000-point subdominant."""
+the Prim loops and hull searches the pass saves in the CLI and in the
+chains and profiles of ultrametric samples and files, whose trees
+spaces._spanning_tree alone picks, and its memory on a 2,000-point
+subdominant."""
 
 import io
 import tracemalloc
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 import metriclab as ml
 import oracles
 from metriclab import cli, spaces
+from metriclab._util import DEFAULT_TOL
 from metriclab.errors import MetricLabError
 from metriclab.ultrametrize import ultrametric_space_from_chain
 from conftest import euclidean_space
@@ -129,12 +132,11 @@ def test_the_row_pass_equals_the_scan_and_writes_prims_tree(space, budget):
     same_check(check, oracles.is_ultrametric_by_scan(fresh(space)))
     same_check(check, oracles.is_ultrametric(space))
     assert (parents is not None) == accepted
+    assert checked._mst is None  # is_ultrametric writes nothing to its argument
     event(f"accepted: {accepted}, ok: {check.ok}")
     if accepted:
         same_tree(spaces._ultrametric_tree(*parents), spaces._prim(space.rank))
-        same_tree(spaces._spanning_tree(checked), spaces._prim(space.rank))
-    else:
-        assert checked._mst is None
+    same_tree(spaces._spanning_tree(checked), spaces._prim(space.rank))
 
 
 def test_one_and_two_points():
@@ -149,11 +151,20 @@ def test_one_and_two_points():
 
 
 def test_a_builders_tree_is_kept():
-    """A zoo sample hands its own tree function; is_ultrametric keeps it."""
-    space = ml.sample(ml.make_family("sqrt_ultra"), 20, chain=False)[0]
+    """A |x - y| zoo sample hands its own tree function, which is_ultrametric
+    keeps and _spanning_tree reads first; a max sample hands none, and
+    is_ultrametric, which accepts it, leaves it none."""
+    space = ml.sample(ml.make_family("seq_polynomial"), 20, chain=False)[0]
     builder = space._mst
     assert builder is not None
-    assert ml.is_ultrametric(space).ok and space._mst is builder
+    assert not ml.is_ultrametric(space).ok and space._mst is builder
+    with pytest.MonkeyPatch.context() as patch:
+        passes = counted(patch, "_ultrametric_parents")
+        same_tree(spaces._spanning_tree(space), builder())
+    assert passes == []
+    space = ml.sample(ml.make_family("sqrt_ultra"), 20, chain=False)[0]
+    assert space._mst is None
+    assert ml.is_ultrametric(space).ok and space._mst is None
 
 
 def described(fn, *args, **kwargs):
@@ -209,59 +220,101 @@ def test_validate_equals_the_cubic_path(space, rescale, budget):
 
 
 def test_a_cloud_leaves_the_pass_after_its_first_points(monkeypatch):
-    """The pass runs on the leading 8 x 8 block first, which a cloud fails;
-    an ultrametric passes it, then the whole matrix, with no search."""
-    shapes = []
+    """The pass reads the leading 8 x 8 block first, which a cloud fails, in
+    every caller: validate, is_ultrametric and _spanning_tree, which then
+    runs _prim; an ultrametric passes it, then the whole matrix, with no
+    search and no Prim loop."""
+    reached = []  # (rows, columns) up to which each read of the rank reaches
+
+    class Read(np.ndarray):
+        def __getitem__(self, key):
+            if self.ndim == 2:
+                reached.append(tuple(int(k.stop) if isinstance(k, slice) else int(np.max(k)) + 1
+                                     for k in key))
+            return np.asarray(self)[key]
+
     parents = spaces._ultrametric_parents
-    monkeypatch.setattr(spaces, "_ultrametric_parents",
-                        lambda rank: shapes.append(rank.shape) or parents(rank))
-    searches = counted(monkeypatch, "_worst_triple")
+    monkeypatch.setattr(spaces, "_ultrametric_parents", lambda rank: parents(rank.view(Read)))
+    searches, prims = counted(monkeypatch, "_worst_triple"), counted(monkeypatch, "_prim")
     for n in (60, 300):
         m = euclidean_space(n, n).dist.copy()
-        shapes.clear()
-        searches.clear()
-        ml.validate(m)
-        assert shapes == [(8, 8)] and searches == [n]
+        for calls in (reached, searches, prims):
+            calls.clear()
+        space = ml.validate(m)
+        assert not ml.is_ultrametric(space).ok
+        spaces._spanning_tree(space)
+        assert searches == [n, n] and prims == [n] and len(reached) == 6  # two per caller
+        assert np.max(reached, axis=0).tolist() == [spaces._SCREEN_POINTS] * 2
     ultra = ml.subdominant_ultrametric(euclidean_space(1, 60))
-    shapes.clear()
-    searches.clear()
+    for calls in (reached, searches, prims):
+        calls.clear()
     space = ml.validate(ultra.dist.copy())
-    assert shapes == [(8, 8), (60, 60)] and searches == []
-    same_tree(spaces._spanning_tree(space), spaces._prim(ultra.rank))
+    tree = spaces._spanning_tree(space)
+    assert np.max(reached, axis=0).tolist() == [60, 60] and searches == prims == []
+    same_tree(tree, spaces._prim(ultra.rank))
 
 
 def cli_calls(monkeypatch, argv):
-    """The sizes of the _prim and _hull calls of one CLI run, and its report."""
+    """The sizes of the trees one CLI run builds by _prim and by
+    _ultrametric_tree, of its _hull calls, and its report."""
     with pytest.MonkeyPatch.context() as patch:
-        prims, hulls = counted(patch, "_prim"), counted(patch, "_hull")
+        prims, trees = counted(patch, "_prim"), counted(patch, "_ultrametric_tree")
+        hulls = counted(patch, "_hull")
         out = io.StringIO()
         with redirect_stdout(out):
             assert cli.main(argv) == 0
-    return prims, hulls, out.getvalue()
+    return prims, trees, hulls, out.getvalue()
 
 
 def test_ultrametrize_builds_no_tree_for_rho(monkeypatch, tmp_path):
-    """Zoo samples come with their chains, so no Prim tree at all; a cloud
-    builds its own tree for its dendrogram, and no other. The rho it writes
-    is read back with neither a Prim loop nor a hull search, and gives the
-    report the cubic path gives."""
+    """Zoo samples come with their chains, so no tree at all; a cloud
+    builds its own Prim tree for its dendrogram, and no other. The rho it
+    writes is read back with neither a Prim loop nor a hull search, its
+    tree written by the row pass, and gives the report the cubic path
+    gives."""
     for argv in (["--zoo", "seq_polynomial", "--s", "2", "--depth", "140"],
                  ["--zoo", "cantor_factorial", "--r", "0.5", "--depth", "6", "--exact"],
                  ["--zoo", "seq_factorial", "--depth", "9", "--exact"]):
-        prims, hulls, _ = cli_calls(monkeypatch, ["ultrametrize", *argv, "--p", "2",
-                                                  "--epsilon", "0.5"])
-        assert prims == [] and hulls == []
+        prims, trees, hulls, _ = cli_calls(monkeypatch, ["ultrametrize", *argv, "--p", "2",
+                                                         "--epsilon", "0.5"])
+        assert prims == trees == hulls == []
     cloud, rho = tmp_path / "cloud.csv", tmp_path / "rho.csv"
     cloud.write_text(ml.to_csv(euclidean_space(5, 40)))
-    prims, hulls, _ = cli_calls(monkeypatch, ["ultrametrize", "--input", str(cloud), "--p", "2",
-                                              "--epsilon", "0.5", "--rho-out", str(rho)])
-    assert prims == [40] and hulls == [40]
-    prims, hulls, report = cli_calls(monkeypatch, ["profile", "--input", str(rho)])
-    assert prims == [] and hulls == []
+    prims, trees, hulls, _ = cli_calls(monkeypatch, ["ultrametrize", "--input", str(cloud),
+                                                     "--p", "2", "--epsilon", "0.5",
+                                                     "--rho-out", str(rho)])
+    assert prims == hulls == [40] and trees == []
+    prims, trees, hulls, report = cli_calls(monkeypatch, ["profile", "--input", str(rho)])
+    assert prims == hulls == [] and trees == [40]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spaces, "_ultrametric_parents", lambda rank: None)
-        prims, hulls, cubic = cli_calls(monkeypatch, ["profile", "--input", str(rho)])
-    assert prims == [40] and hulls == [40] and report == cubic
+        prims, trees, hulls, cubic = cli_calls(monkeypatch, ["profile", "--input", str(rho)])
+    assert prims == hulls == [40] and trees == [] and report == cubic
+
+
+def test_chains_and_profiles_of_ultrametrics_run_no_prim(monkeypatch, tmp_path):
+    """dendrogram_chain plus profile(chain, space=sp) on an ultrametric runs
+    no Prim loop, wherever the space comes from: a CSV whose triangle
+    inequality the nearest-sum bound proves (so validate runs no row pass),
+    float and exact Cantor and product samples, a comparison ultrametric;
+    a cloud runs one. Every tree is Prim's, bit for bit."""
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["zoo", "--zoo", "sqrt_ultra", "--depth", "60", "--out",
+                         str(tmp_path)]) == 0
+    read = ml.from_csv((tmp_path / "space.csv").read_text())
+    assert spaces._within_nearest_sums(read.dist, DEFAULT_TOL)
+    cases = [(read, 0), (euclidean_space(4, 60), 1),
+             (ml.comparison_ultrametric(ml.make_family("seq_geometric"), 30), 0)]
+    for exact in (False, True):
+        cases += [(ml.sample(ml.make_family(kind, **params), 6, exact, chain=False)[0], 0)
+                  for kind, params in (("cantor_factorial", {"r": 0.5}),
+                                       ("product_geometric", {"t": 0.5, "r1": 0.5}))]
+    for space, runs in cases:
+        with pytest.MonkeyPatch.context() as patch:
+            prims = counted(patch, "_prim")
+            ml.profile(ml.dendrogram_chain(space), space=space)
+        assert prims == [space.n] * runs
+        same_tree(spaces._spanning_tree(space), spaces._prim(space.rank))
 
 
 def test_ball_chain_on_an_ultrametric_runs_no_prim(monkeypatch):
@@ -277,8 +330,7 @@ def test_ball_chain_on_an_ultrametric_runs_no_prim(monkeypatch):
         assert prims == []
         monkeypatch.undo()
         with_prim = fresh(space)
-        with_prim._mst = None
-        spaces._spanning_tree(with_prim)  # Prim's tree, kept before the check
+        with_prim._mst = spaces._prim(space.rank)  # Prim's tree, kept before the check
         assert ml.ball_chain(with_prim) == chain
         assert np.array_equal(ml.ball_chain(with_prim).order, chain.order)
 
@@ -302,5 +354,8 @@ def test_the_accept_pass_on_a_2000_point_subdominant_peaks_below_a_quarter_matri
     with pytest.MonkeyPatch.context() as patch:
         hulls = counted(patch, "_hull")
         validated = ml.validate(sub.dist.copy())
-    assert hulls == []
-    assert validated._mst is not None and not isinstance(validated._mst, tuple)
+        prims = counted(patch, "_prim")
+        assert validated._mst is None  # validate hands over no tree
+        tree = spaces._spanning_tree(validated)
+    assert hulls == prims == []
+    same_tree(tree, spaces._prim(sub.rank))
